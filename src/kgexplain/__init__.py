@@ -5,20 +5,10 @@ from .explain import (
     EdgeScoreMatrix,
     ExplainConfig,
     Explanation,
-    PowerVector,
     TesParams,
-    combine_cat,
-    combine_euc,
     generate_paths,
     init_tes,
-    initial_power_vector,
-    normalize_power,
-    on_path_probability,
-    path_loss,
-    power_step,
     prepare_computation_graph,
-    tes_score_edges,
-    total_loss,
     train_explainer,
 )
 from .harness import PlantedConfig, SuiteConfig, generate_planted, run_suite

@@ -143,12 +143,6 @@ def mul(a, b):
     return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
 
 
-def div(a, b):
-    return _binary(
-        a, b, lambda x, y: x / y, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y), "div"
-    )
-
-
 def matmul(a, b):
     va, vb = _val(a), _val(b)
     out = va @ vb
@@ -259,28 +253,6 @@ def segment_max(vals, indptr):
     return Node(vals.tape, out, (vals,), bw, "segment_max"), argmax
 
 
-def concat(parts, axis=0):
-    vals = [_val(p) for p in parts]
-    out = np.concatenate(vals, axis=axis)
-    tape = _tape_of(*parts)
-    if tape is None:
-        return out
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        grads = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if isinstance(p, Node):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                grads.append(g[tuple(sl)])
-        return grads
-
-    parents = tuple(p for p in parts if isinstance(p, Node))
-    return Node(tape, out, parents, bw, "concat")
-
-
 def reshape(a, shape):
     va = _val(a)
     out = va.reshape(shape)
@@ -377,18 +349,6 @@ class ParamStore:
     def zero_grads(self):
         for g in self.grads.values():
             g[...] = 0.0
-
-    def param_count(self):
-        return sum(p.size for p in self.params.values())
-
-    def clone(self) -> "ParamStore":
-        other = ParamStore()
-        for name, p in self.params.items():
-            other.add(name, p.copy())
-        return other
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params.values()])
 
 
 def backward(tape: Tape, out: Node):

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DataError, NumericError
+from .errors import ContractError, DataError, NumericError
 from .explain import ExplainConfig, generate_paths, prepare_computation_graph, train_explainer
 from .harness import SuiteConfig, run_suite
 from .kgraph import TargetTriple, load_triples
@@ -41,7 +41,12 @@ def _env_default(key, fallback, cast):
         return fallback
     if cast is bool:
         return raw.strip().lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ContractError(
+            f"{ENV_PREFIX}{key.upper()}={raw!r} is not a valid {cast.__name__}"
+        ) from None
 
 
 def _add_opt(parser, name, default, cast, help_text):
@@ -175,7 +180,7 @@ def cmd_explain(args) -> int:
 def cmd_evaluate(args) -> int:
     _resolve_preset(args)
     if args.sample_num is not None and args.sample_num < 1:
-        raise SystemExit(2)
+        raise ContractError(f"sample_num must be >= 1, got {args.sample_num}")
     out_dir = Path(args.out_dir)
     config = {
         "subcommand": "evaluate",
@@ -338,10 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except ContractError as exc:
+        log.error("usage error: %s", exc)
+        return 2
     except FileNotFoundError as exc:
         log.error("missing input file: %s", exc)
         return 2

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: usage errors exit 2 (argparse),
-DataError exits 3, NumericError exits 4.
+Exit-code mapping used by the CLI: usage errors (argparse and
+ContractError) exit 2, DataError exits 3, NumericError exits 4.
 """
 
 

@@ -78,7 +78,6 @@ class ExplainConfig:
 @dataclass
 class TesParams:
     combine_mode: str
-    input_width: int
     store: ParamStore
 
 
@@ -98,29 +97,7 @@ def init_tes(combine_mode: str, dim: int, seed: int = 0) -> TesParams:
     s.add("b2", np.zeros(TES_HIDDEN[1]))
     s.add("w3", rng.normal(0.0, 0.1 / math.sqrt(TES_HIDDEN[1]), (TES_HIDDEN[1], 1)))
     s.add("b3", np.zeros(1))
-    return TesParams(combine_mode, width, s)
-
-
-def combine_cat(edge_embs, target_embs):
-    """[h, r, t, target-h, target-r, target-t] concatenated."""
-    parts = [np.asarray(v, dtype=np.float64) for v in (*edge_embs, *target_embs)]
-    d = parts[0].shape
-    if any(p.shape != d for p in parts):
-        raise ContractError("all six embeddings must share one dimension")
-    return np.concatenate(parts)
-
-
-def combine_euc(edge_embs, target_embs):
-    """Per-slot Euclidean distances between edge and target embeddings."""
-    out = []
-    for a, b in zip(edge_embs, target_embs):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.shape != b.shape:
-            raise ContractError("edge/target embedding dimension mismatch")
-        diff = a - b
-        out.append(np.sqrt((diff * diff).sum()))
-    return np.array(out)
+    return TesParams(combine_mode, s)
 
 
 @dataclass
@@ -159,106 +136,40 @@ class EdgeScoreMatrix:
             self.pair_src, self.pair_dst, 1.0 - self.values, self.provenance, self.num_nodes
         )
 
-    def to_dense(self):
-        m = np.zeros((self.num_nodes, self.num_nodes))
-        m[self.pair_src, self.pair_dst] = self.values
-        return m
 
-    def entry(self, i, j) -> float:
-        hit = np.flatnonzero((self.pair_src == i) & (self.pair_dst == j))
-        return float(self.values[hit[0]]) if hit.size else 0.0
-
-
-@dataclass
-class PowerVector:
-    values: np.ndarray
-    length: int
-    start: int
-
-
-def initial_power_vector(m: EdgeScoreMatrix, start: int) -> PowerVector:
-    u = np.zeros(m.num_nodes)
-    sel = m.pair_src == start
-    u[m.pair_dst[sel]] = m.values[sel]
-    return PowerVector(u, 1, start)
-
-
-def power_step(u: PowerVector, m: EdgeScoreMatrix) -> PowerVector:
-    """u' = u . M; entry k then sums edge-score products over all walks of
-    length (u.length + 1) from the start node to k."""
-    if u.length < 1:
-        raise ContractError("power vector length must be >= 1")
-    out = ad.edge_spmv(u.values, m.values, m.pair_src, m.pair_dst, m.num_nodes)
-    return PowerVector(np.asarray(out), u.length + 1, u.start)
-
-
-def normalize_power(u: PowerVector, walk_counts) -> np.ndarray:
-    """(u[k] / count[k]) ** (1/l) where count[k] > 0, else 0."""
-    a = np.asarray(walk_counts)
-    if a.shape != u.values.shape:
-        raise ContractError("walk-count vector shape mismatch")
-    out = np.zeros_like(u.values)
-    pos = a > 0
-    out[pos] = np.power(u.values[pos] / a[pos], 1.0 / u.length)
-    return out
-
-
-def _pon_terms(gc: ComputationGraph, values, L: int, awalks, row_sel):
-    """On-path probability terms for l = 1..L; `values` may be a Node."""
+def power_chain(gc: ComputationGraph, values, start: int, L: int) -> list:
+    """[u_1, ..., u_L] with u_l = e_start . M^l for the pair-score matrix M:
+    u_l[k] sums edge-score products over all length-l walks start -> k.
+    `values` holds one score per pair and may be a Node."""
     n = gc.num_nodes
-    k = gc.tail_local
-    k_idx = np.array([k])
+    row_sel = np.flatnonzero(gc.pair_src == start)
     u = ad.scatter_add(ad.gather(values, row_sel), gc.pair_dst[row_sel], n)
-    terms = [ad.gather(u, k_idx)]
-    for length in range(2, L + 1):
+    chain = [u]
+    for _ in range(2, L + 1):
         u = ad.edge_spmv(u, values, gc.pair_src, gc.pair_dst, n)
-        count = int(awalks[length - 1][k])
+        chain.append(u)
+    return chain
+
+
+def normalized_walk_mass(u, node: int, count: int, length: int):
+    """(u[node] / count) ** (1 / length), shape (1,): the length-th root of
+    the mean edge-score product over the `count` > 0 walks that reach `node`."""
+    return ad.powc(ad.mul(ad.gather(u, np.array([node])), 1.0 / count), 1.0 / length)
+
+
+def on_path_probability(gc: ComputationGraph, values, L: int, walk_counts):
+    """Mean over l = 1..L of the normalised walk mass from the target head to
+    the tail, shape (1,). The l = 1 term is the direct-edge score; a length
+    with no walk contributes 0. `walk_counts` is
+    `adjacency_power_row(gc, gc.head_local, L)`."""
+    chain = power_chain(gc, values, gc.head_local, L)
+    k = gc.tail_local
+    total = ad.gather(chain[0], np.array([k]))
+    for length in range(2, L + 1):
+        count = int(walk_counts[length - 1][k])
         if count > 0:
-            uk = ad.gather(u, k_idx)
-            terms.append(ad.powc(ad.mul(uk, 1.0 / count), 1.0 / length))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
+            total = ad.add(total, normalized_walk_mass(chain[length - 1], k, count, length))
     return ad.mul(total, 1.0 / L)
-
-
-def on_path_probability(m: EdgeScoreMatrix, gc: ComputationGraph, L: int) -> float:
-    """Average over l = 1..L of the normalised walk-product mass reaching the
-    target tail (the l = 1 term is the direct-edge score)."""
-    if L < 2:
-        raise ContractError("power order must be >= 2")
-    awalks = adjacency_power_row(gc, gc.head_local, L)
-    row_sel = np.flatnonzero(gc.pair_src == gc.head_local)
-    return float(np.asarray(_pon_terms(gc, m.values, L, awalks, row_sel)).reshape(()))
-
-
-def path_loss(p_on: float) -> float:
-    if not 0.0 <= p_on <= 1.0:
-        raise ContractError("p_on must lie in [0, 1]")
-    return -math.log(max(p_on, ad.LOG_CLAMP))
-
-
-@dataclass(frozen=True)
-class TotalLoss:
-    prediction: float
-    path: float
-    regularization: float
-
-    @property
-    def total(self):
-        return self.prediction + self.path + self.regularization
-
-
-def total_loss(model: KgcModel, gc: ComputationGraph, mask: EdgeScoreMatrix,
-               target: TargetTriple, gamma: float, L: int) -> TotalLoss:
-    """-log p(masked prediction) + path loss + gamma * ||M||_2."""
-    if gamma < 0:
-        raise ContractError("gamma must be >= 0")
-    _, prob = target_score_nodes(model, gc, mask, target)
-    prediction = -math.log(max(float(np.asarray(prob)), ad.LOG_CLAMP))
-    path = path_loss(on_path_probability(mask, gc, L))
-    reg = gamma * float(np.sqrt((mask.values * mask.values).sum()))
-    return TotalLoss(prediction, path, reg)
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +206,6 @@ def _collapse_to_pairs(edge_scores, gc: ComputationGraph):
     return ad.segment_max(edge_scores, gc.pair_indptr)
 
 
-def tes_score_edges(tes: TesParams, model: KgcModel, gc: ComputationGraph,
-                    target: TargetTriple) -> EdgeScoreMatrix:
-    """Score every gc edge with the TES against the target triple."""
-    H = encode(model, gc, None)
-    x = _tes_inputs(H, model.relation_embeddings, gc, target, tes.combine_mode)
-    if x.shape[1] != tes.input_width:
-        raise ContractError("TES input width inconsistent with combine mode and dim")
-    scores = _tes_mlp(tes.store.params, x)
-    pair_vals, argmax = _collapse_to_pairs(scores, gc)
-    return EdgeScoreMatrix(
-        gc.pair_src.copy(), gc.pair_dst.copy(), np.asarray(pair_vals), argmax, gc.num_nodes
-    )
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -333,9 +230,9 @@ class ExplainJob:
         self.R = model.relation_embeddings
         self.x = _tes_inputs(self.H, self.R, gc, target, config.combine_mode)
         self.awalks = adjacency_power_row(gc, gc.head_local, config.power_order)
-        self.row_sel = np.flatnonzero(gc.pair_src == gc.head_local)
 
     def pair_scores(self, store: ParamStore, tape: Tape | None):
+        """TES scores collapsed to pairs: (per-pair values, arg-max triple rows)."""
         params = (
             {name: tape.param(store, name) for name in store.params}
             if tape is not None
@@ -344,22 +241,23 @@ class ExplainJob:
         scores = _tes_mlp(params, self.x)
         return _collapse_to_pairs(scores, self.gc)
 
-    def loss_terms(self, store: ParamStore, tape: Tape | None):
-        """Enabled loss terms plus the mask L2 penalty, keyed by name."""
+    def loss_terms(self, pair_vals):
+        """Enabled loss terms plus the mask L2 penalty for one per-pair mask
+        (an array, or a Node on the training tape), keyed by name."""
         cfg = self.config
-        pair_vals, argmax = self.pair_scores(store, tape)
         terms = {}
         if cfg.enable_mi_loss:
             _, prob = target_score_nodes(self.model, self.gc, pair_vals, self.target)
             terms["prediction"] = ad.neg(ad.log(prob))
         if cfg.enable_path_loss:
-            p_on = _pon_terms(self.gc, pair_vals, cfg.power_order, self.awalks, self.row_sel)
+            p_on = on_path_probability(self.gc, pair_vals, cfg.power_order, self.awalks)
             terms["path"] = ad.neg(ad.log(p_on))
         terms["regularization"] = ad.mul(ad.norm(pair_vals), cfg.gamma)
-        return terms, pair_vals, argmax
+        return terms
 
     def objective(self, store: ParamStore, tape: Tape | None):
-        terms, pair_vals, argmax = self.loss_terms(store, tape)
+        pair_vals, argmax = self.pair_scores(store, tape)
+        terms = self.loss_terms(pair_vals)
         out = None
         for t in terms.values():
             out = t if out is None else ad.add(out, t)

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import kernels
 from .errors import DataError
 from .explain import ExplainConfig, generate_paths, prepare_computation_graph, train_explainer
 from .kgraph import KnowledgeGraph, TargetTriple, full_graph
@@ -509,21 +508,15 @@ def _random_instance_for_memory(n_edges, seed=0, dim=8):
 
 
 def measure_explain_memory(edge_counts=(1000, 10000, 100000), seed=0, epochs=2, dim=8):
-    """Peak auxiliary allocation of one explanation per edge count.
-
-    Uses the numpy kernel backend so tracemalloc sees every array the
-    powering chain allocates (numba's internal allocations are invisible
-    to it).
-    """
+    """Peak auxiliary allocation of one explanation per edge count."""
     results = []
     cfg = ExplainConfig(epochs=epochs, power_order=3)
     for n_edges in edge_counts:
         model, gc, target = _random_instance_for_memory(n_edges, seed=seed, dim=dim)
-        with kernels.use_backend("numpy"):
-            tracemalloc.start()
-            train_explainer(model, gc, target, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
+        tracemalloc.start()
+        train_explainer(model, gc, target, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
         results.append((int(gc.num_edges), int(peak)))
     return results
 

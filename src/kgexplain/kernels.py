@@ -1,222 +1,41 @@
 """Hot numeric kernels: edge-list SpMV and scatter/gather reductions.
 
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy
-fallback. The active backend is chosen by the ``KGEXPLAIN_BACKEND``
-environment variable ("numba" or "numpy"; default numba when importable)
-and can be switched at runtime with :func:`set_backend` /
-:func:`use_backend`. Both implementations iterate edges in array order,
-so results are deterministic and (up to float addition order, which is
-identical here) backend-independent.
-
-All index arrays are int64; float data is float64.
+Each kernel is one numpy call over the whole edge list, so results are
+deterministic for a given input order. All index arrays are int64; float
+data is float64, walk counts are int64.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 
-from .errors import ContractError
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _edge_spmv_numpy(u, vals, src, dst, n):
+def edge_spmv(u, vals, src, dst, n):
+    """out[j] = sum over edges e with dst[e]=j of u[src[e]] * vals[e]."""
     return np.bincount(dst, weights=u[src] * vals, minlength=n)
 
 
-def _edge_spmv_bw_numpy(g_out, u, vals, src, dst):
+def edge_spmv_bw(g_out, u, vals, src, dst):
+    """Adjoints of edge_spmv w.r.t. u and vals."""
     g_u = np.bincount(src, weights=vals * g_out[dst], minlength=u.shape[0])
     g_vals = u[src] * g_out[dst]
     return g_u, g_vals
 
 
-def _scatter_add_rows_numpy(rows, idx, n):
+def scatter_add_rows(rows, idx, n):
+    """out[idx[e]] += rows[e] for a (E, d) row block."""
     out = np.zeros((n, rows.shape[1]))
     np.add.at(out, idx, rows)
     return out
 
 
-def _scatter_add_vec_numpy(vals, idx, n):
-    return np.bincount(idx, weights=vals, minlength=n)
-
-
-def _walk_step_numpy(counts, src, dst, n):
-    out = np.zeros(n, dtype=np.int64)
-    np.add.at(out, dst, counts[src])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-
-@njit(cache=True)
-def _edge_spmv_numba(u, vals, src, dst, n):
-    out = np.zeros(n)
-    for e in range(src.shape[0]):
-        out[dst[e]] += u[src[e]] * vals[e]
-    return out
-
-
-@njit(cache=True)
-def _edge_spmv_bw_numba(g_out, u, vals, src, dst):
-    g_u = np.zeros(u.shape[0])
-    g_vals = np.empty(vals.shape[0])
-    for e in range(src.shape[0]):
-        g = g_out[dst[e]]
-        g_u[src[e]] += vals[e] * g
-        g_vals[e] = u[src[e]] * g
-    return g_u, g_vals
-
-
-@njit(cache=True)
-def _scatter_add_rows_numba(rows, idx, n):
-    out = np.zeros((n, rows.shape[1]))
-    for e in range(idx.shape[0]):
-        out[idx[e]] += rows[e]
-    return out
-
-
-@njit(cache=True)
-def _scatter_add_vec_numba(vals, idx, n):
-    out = np.zeros(n)
-    for e in range(idx.shape[0]):
-        out[idx[e]] += vals[e]
-    return out
-
-
-@njit(cache=True)
-def _walk_step_numba(counts, src, dst, n):
-    out = np.zeros(n, dtype=np.int64)
-    for e in range(src.shape[0]):
-        out[dst[e]] += counts[src[e]]
-    return out
-
-
-_IMPLS = {
-    "numpy": {
-        "edge_spmv": _edge_spmv_numpy,
-        "edge_spmv_bw": _edge_spmv_bw_numpy,
-        "scatter_add_rows": _scatter_add_rows_numpy,
-        "scatter_add_vec": _scatter_add_vec_numpy,
-        "walk_step": _walk_step_numpy,
-    },
-}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = {
-        "edge_spmv": _edge_spmv_numba,
-        "edge_spmv_bw": _edge_spmv_bw_numba,
-        "scatter_add_rows": _scatter_add_rows_numba,
-        "scatter_add_vec": _scatter_add_vec_numba,
-        "walk_step": _walk_step_numba,
-    }
-
-
-def _default_backend():
-    env = os.environ.get("KGEXPLAIN_BACKEND", "").strip().lower()
-    if env:
-        if env not in ("numba", "numpy"):
-            raise ContractError(f"KGEXPLAIN_BACKEND must be 'numba' or 'numpy', got {env!r}")
-        if env == "numba" and not HAVE_NUMBA:
-            raise ContractError("KGEXPLAIN_BACKEND=numba but numba is not importable")
-        return env
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _default_backend()
-
-
-def active_backend() -> str:
-    return _BACKEND
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_IMPLS))
-
-
-def set_backend(name: str) -> None:
-    if name not in _IMPLS:
-        raise ContractError(f"unknown backend {name!r}; available: {available_backends()}")
-    global _BACKEND
-    _BACKEND = name
-
-
-@contextmanager
-def use_backend(name: str):
-    prev = _BACKEND
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(prev)
-
-
-def impl(name: str, backend: str | None = None):
-    """Return one kernel implementation; used by the benchmark and tests."""
-    table = _IMPLS[backend or _BACKEND]
-    return table[name]
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-
-
-def edge_spmv(u, vals, src, dst, n):
-    """out[j] = sum over edges e with dst[e]=j of u[src[e]] * vals[e]."""
-    return _IMPLS[_BACKEND]["edge_spmv"](u, vals, src, dst, n)
-
-
-def edge_spmv_bw(g_out, u, vals, src, dst):
-    """Adjoints of edge_spmv w.r.t. u and vals."""
-    return _IMPLS[_BACKEND]["edge_spmv_bw"](g_out, u, vals, src, dst)
-
-
-def scatter_add_rows(rows, idx, n):
-    """out[idx[e]] += rows[e] for a (E, d) row block."""
-    return _IMPLS[_BACKEND]["scatter_add_rows"](rows, idx, n)
-
-
 def scatter_add_vec(vals, idx, n):
     """out[idx[e]] += vals[e] for a (E,) vector."""
-    return _IMPLS[_BACKEND]["scatter_add_vec"](vals, idx, n)
+    return np.bincount(idx, weights=vals, minlength=n)
 
 
 def walk_step(counts, src, dst, n):
     """One integer walk-count propagation step along directed edges."""
-    return _IMPLS[_BACKEND]["walk_step"](counts, src, dst, n)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed sections measure steady state."""
-    if "numba" not in _IMPLS:
-        return
-    src = np.array([0, 1], dtype=np.int64)
-    dst = np.array([1, 0], dtype=np.int64)
-    vals = np.array([0.5, 0.5])
-    u = np.array([1.0, 0.0])
-    t = _IMPLS["numba"]
-    t["edge_spmv"](u, vals, src, dst, 2)
-    t["edge_spmv_bw"](u, u, vals, src, dst)
-    t["scatter_add_rows"](np.ones((2, 3)), src, 2)
-    t["scatter_add_vec"](vals, src, 2)
-    t["walk_step"](np.array([1, 0], dtype=np.int64), src, dst, 2)
+    out = np.zeros(n, dtype=np.int64)
+    np.add.at(out, dst, counts[src])
+    return out

@@ -294,10 +294,6 @@ class ComputationGraph:
         return len(self.pair_src)
 
     @property
-    def target_positions(self):
-        return (self.head_local, self.tail_local)
-
-    @property
     def global_of_local(self):
         return self.nodes
 

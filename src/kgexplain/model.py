@@ -30,6 +30,10 @@ DECODERS = ("transe", "distmult")
 
 CHECKPOINT_MAGIC = b"PLNK"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_KEYS = frozenset({
+    "dim", "layers", "bases", "decoder", "num_entities", "num_relations",
+    "entity_vocab_sha256", "relation_vocab_sha256", "tensors",
+})
 
 
 @dataclass(frozen=True)
@@ -226,16 +230,11 @@ def rank_target(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
     H = encode(model, gc, mask)
     i = gc.local_of_global[target.head]
     k = gc.local_of_global[target.tail]
-    h = H[i]
     r = model.relation_embeddings[target.relation]
-    true_raw = score(model, h, r, H[k]).raw
-    ahead = 0
-    for cand in range(gc.num_nodes):
-        if cand == i or cand == k:
-            continue
-        if score(model, h, r, H[cand]).raw >= true_raw:
-            ahead += 1
-    return ahead + 1
+    raws = decoder_raw_batch(model.decoder, H[i], r, H)
+    ahead = raws >= raws[k]
+    ahead[[i, k]] = False
+    return int(ahead.sum()) + 1
 
 
 def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
@@ -247,6 +246,8 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
     """
     if g.num_triples == 0:
         raise ContractError("cannot train on an empty graph")
+    if config.epochs < 1:
+        raise ContractError("epochs must be >= 1")
     model = KgcModel(g.num_entities, g.num_relations, dim=config.dim, layers=config.layers,
                      bases=config.bases, decoder=config.decoder, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
@@ -292,6 +293,11 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
 # metadata, then little-endian float32 tensors in the declared order.
 
 
+def _tensor_layout(model: KgcModel):
+    return [{"name": name, "shape": list(model.store.params[name].shape)}
+            for name in model.tensor_names()]
+
+
 def save_checkpoint(model: KgcModel, g: KnowledgeGraph, path):
     ent_hash, rel_hash = g.vocab_hashes()
     meta = {
@@ -303,10 +309,7 @@ def save_checkpoint(model: KgcModel, g: KnowledgeGraph, path):
         "num_relations": model.num_relations,
         "entity_vocab_sha256": ent_hash,
         "relation_vocab_sha256": rel_hash,
-        "tensors": [
-            {"name": name, "shape": list(model.store.params[name].shape)}
-            for name in model.tensor_names()
-        ],
+        "tensors": _tensor_layout(model),
     }
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     buf = io.BytesIO()
@@ -321,27 +324,51 @@ def save_checkpoint(model: KgcModel, g: KnowledgeGraph, path):
 
 
 def load_checkpoint(path, g: KnowledgeGraph) -> KgcModel:
+    """Read a checkpoint written by save_checkpoint for the dataset `g`.
+
+    Raises DataError when the file is cut short, carries trailing bytes, or
+    its metadata does not describe the tensors that follow.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a model checkpoint (bad magic)")
+    if len(data) < 10:
+        raise DataError(f"{path}: checkpoint header is truncated")
     (version,) = struct.unpack_from("<H", data, 4)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = struct.unpack_from("<I", data, 6)
-    meta = json.loads(data[10 : 10 + meta_len].decode())
-    ent_hash, rel_hash = g.vocab_hashes()
-    if meta["entity_vocab_sha256"] != ent_hash or meta["relation_vocab_sha256"] != rel_hash:
-        raise DataError(f"{path}: checkpoint vocabulary does not match the dataset")
-    model = KgcModel(
-        meta["num_entities"], meta["num_relations"], dim=meta["dim"], layers=meta["layers"],
-        bases=meta["bases"], decoder=meta["decoder"],
-    )
     offset = 10 + meta_len
-    for spec in meta["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        offset += count * 4
-        model.store.params[spec["name"]][...] = arr.reshape(shape).astype(np.float64)
+    if len(data) < offset:
+        raise DataError(f"{path}: checkpoint metadata is truncated")
+    try:
+        meta = json.loads(data[10:offset].decode())
+    except ValueError as exc:
+        raise DataError(f"{path}: checkpoint metadata is not valid JSON ({exc})") from None
+    if not isinstance(meta, dict) or set(meta) != CHECKPOINT_KEYS:
+        raise DataError(f"{path}: checkpoint metadata keys are not {sorted(CHECKPOINT_KEYS)}")
+    ent_hash, rel_hash = g.vocab_hashes()
+    if (meta["entity_vocab_sha256"], meta["relation_vocab_sha256"], meta["num_entities"],
+            meta["num_relations"]) != (ent_hash, rel_hash, g.num_entities, g.num_relations):
+        raise DataError(f"{path}: checkpoint vocabulary does not match the dataset")
+    try:
+        model = KgcModel(
+            meta["num_entities"], meta["num_relations"], dim=meta["dim"], layers=meta["layers"],
+            bases=meta["bases"], decoder=meta["decoder"],
+        )
+    except (ContractError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad checkpoint model settings ({exc})") from None
+    if meta["tensors"] != _tensor_layout(model):
+        raise DataError(f"{path}: checkpoint tensor list does not match its model settings")
+    nbytes = sum(4 * p.size for p in model.store.params.values())
+    if len(data) - offset != nbytes:
+        raise DataError(
+            f"{path}: checkpoint holds {len(data) - offset} tensor bytes, expected {nbytes}"
+        )
+    for name in model.tensor_names():
+        param = model.store.params[name]
+        arr = np.frombuffer(data, dtype="<f4", count=param.size, offset=offset)
+        offset += param.size * 4
+        param[...] = arr.reshape(param.shape).astype(np.float64)
     return model

@@ -21,9 +21,9 @@ from kgexplain.explain import (
     ExplanationPath,
     generate_paths,
     init_tes,
-    initial_power_vector,
-    normalize_power,
-    power_step,
+    normalized_walk_mass,
+    on_path_probability,
+    power_chain,
     prepare_computation_graph,
 )
 from kgexplain.harness import (
@@ -92,18 +92,25 @@ def test_criterion_1_powering_oracle():
         start = int(rng.integers(n))
         gc = full_graph(g, TargetTriple(start, 0, int(rng.integers(n))))
         vals = rng.uniform(0.05, 0.95, gc.num_pairs)
-        mask = EdgeScoreMatrix.from_values(gc, vals)
         gc_pairs = list(zip(gc.pair_src.tolist(), gc.pair_dst.tolist()))
-        u = initial_power_vector(mask, start)
+        walks = adjacency_power_row(gc, start, 4)
+        chain = power_chain(gc, vals, start, 4)
         for length in range(2, 5):
-            u = power_step(u, mask)
-            counts = adjacency_power_row(gc, start, length)[length - 1]
-            normed = normalize_power(u, counts)
+            u = chain[length - 1]
             for k in range(n):
                 total, cnt = walk_products(gc_pairs, vals, start, k, length)
-                worst_u = max(worst_u, abs(u.values[k] - total))
-                expect = (total / cnt) ** (1.0 / length) if cnt else 0.0
-                worst_norm = max(worst_norm, abs(normed[k] - expect))
+                worst_u = max(worst_u, abs(u[k] - total))
+                assert walks[length - 1][k] == cnt
+                if cnt:
+                    normed = normalized_walk_mass(u, k, cnt, length)[0]
+                    worst_norm = max(worst_norm, abs(normed - (total / cnt) ** (1.0 / length)))
+        # lengths without a walk to the tail add 0 to the on-path mean
+        expect = 0.0
+        for length in range(1, 5):
+            total, cnt = walk_products(gc_pairs, vals, start, gc.tail_local, length)
+            expect += (total / cnt) ** (1.0 / length) if cnt else 0.0
+        on_path = on_path_probability(gc, vals, 4, walks)[0]
+        worst_norm = max(worst_norm, abs(on_path - expect / 4))
     elapsed = time.perf_counter() - t0
     ok = worst_u <= 1e-9 and worst_norm <= 1e-9 and elapsed < 10.0
     report(1, ok, f"200 random graphs, walk-sum err {worst_u:.2e}, "
@@ -127,7 +134,7 @@ def test_criterion_2_gradient_correctness():
         store = tes.store
 
         def term_values():
-            terms, _, _ = job.loss_terms(store, None)
+            terms = job.objective(store, None)[1]
             out = {k: float(np.asarray(ad._val(v)).reshape(())) for k, v in terms.items()}
             out["total"] = out["prediction"] + out["path"] + out["regularization"]
             return out
@@ -136,7 +143,7 @@ def test_criterion_2_gradient_correctness():
         for which in ("path", "prediction", "total"):
             store.zero_grads()
             tape = ad.Tape()
-            terms, _, _ = job.loss_terms(store, tape)
+            terms = job.objective(store, tape)[1]
             node = terms[which] if which != "total" else ad.add(
                 ad.add(terms["prediction"], terms["path"]), terms["regularization"]
             )

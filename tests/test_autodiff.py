@@ -29,7 +29,6 @@ PRIMITIVES = [
     ("add", lambda a, b: ad.add(a, b), 2),
     ("sub", lambda a, b: ad.sub(a, b), 2),
     ("mul", lambda a, b: ad.mul(a, b), 2),
-    ("div", lambda a, b: ad.div(a, ad.add(ad.mul(b, b), 0.5)), 2),
     ("matmul", None, 2),
     ("sigmoid", lambda a: ad.sigmoid(a), 1),
     ("relu", None, 1),
@@ -293,7 +292,7 @@ def test_finite_diff_tes_with_path_loss_small_graph():
     tes = init_tes("concatenation", 3, seed=1)
 
     def loss(store, tape):
-        terms, _, _ = job.loss_terms(store, tape)
+        terms = job.objective(store, tape)[1]
         return ad.add(terms["path"], terms["regularization"])
 
     report = ad.finite_diff_check(loss, tes.store, step=1e-5, tol=1e-4)

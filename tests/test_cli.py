@@ -187,16 +187,37 @@ def test_evaluate_runs_and_writes_report(tmp_path, dataset):
     ]
 
 
-def test_evaluate_sample_num_zero_usage_error(tmp_path, dataset):
+def test_evaluate_sample_num_zero_usage_error(tmp_path, dataset, caplog):
     train, inst = dataset
     _, ckpt = run_train(tmp_path, train)
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "evaluate", "--train", str(train),
-            "--checkpoint", str(ckpt / "model.plnk"),
-            "--out_dir", str(tmp_path / "o"), "--sample_num", "0",
-        ])
-    assert exc.value.code == 2
+    code = main([
+        "evaluate", "--train", str(train),
+        "--checkpoint", str(ckpt / "model.plnk"),
+        "--out_dir", str(tmp_path / "o"), "--sample_num", "0",
+    ])
+    assert code == 2
+    assert "sample_num must be >= 1" in caplog.text
+
+
+def test_zero_epochs_usage_error(tmp_path, dataset, caplog):
+    train, inst = dataset
+    _, ckpt = run_train(tmp_path, train)
+    args = explain_args(train, ckpt, tmp_path / "o", inst)
+    args[args.index("--epochs") + 1] = "0"
+    assert main(args) == 2
+    assert "epochs must be >= 1" in caplog.text
+    caplog.clear()
+    assert main(["train", "--train", str(train), "--out_dir", str(tmp_path / "t"),
+                 "--epochs", "0"]) == 2
+    assert "epochs must be >= 1" in caplog.text
+
+
+def test_malformed_env_override_usage_error(tmp_path, dataset, monkeypatch, caplog):
+    train, inst = dataset
+    _, ckpt = run_train(tmp_path, train)
+    monkeypatch.setenv("KGEXPLAIN_EPOCHS", "abc")
+    assert main(explain_args(train, ckpt, tmp_path / "o", inst)) == 2
+    assert "KGEXPLAIN_EPOCHS='abc' is not a valid int" in caplog.text
 
 
 def test_suite_subcommand(tmp_path):

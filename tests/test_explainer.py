@@ -10,17 +10,11 @@ from kgexplain.explain import (
     EdgeScoreMatrix,
     ExplainConfig,
     ExplainJob,
-    combine_cat,
-    combine_euc,
     generate_paths,
     init_tes,
-    initial_power_vector,
-    normalize_power,
+    normalized_walk_mass,
     on_path_probability,
-    path_loss,
-    power_step,
-    tes_score_edges,
-    total_loss,
+    power_chain,
     train_explainer,
 )
 from kgexplain.kgraph import KnowledgeGraph, TargetTriple, adjacency_power_row, full_graph
@@ -38,6 +32,51 @@ def gc_with_mask(triples, values, target=(0, 0, 1), n_ent=None):
     g = kg_from(triples, n_ent=n_ent)
     gc = full_graph(g, TargetTriple(*target))
     return gc, EdgeScoreMatrix.from_values(gc, np.asarray(values, dtype=float))
+
+
+def scalar(x):
+    return float(np.asarray(ad._val(x)).reshape(()))
+
+
+def p_on(gc, values, L):
+    """The on-path probability the training tape computes, as a float."""
+    walks = adjacency_power_row(gc, gc.head_local, L)
+    return scalar(on_path_probability(gc, values, L, walks))
+
+
+def path_job(gc, target, L):
+    """A job whose loss terms are the path term and a zero L2 penalty."""
+    model = KgcModel(gc.num_nodes, target.relation + 1, dim=4, seed=0)
+    cfg = ExplainConfig(power_order=L, gamma=0.0, enable_mi_loss=False)
+    return ExplainJob(model, gc, target, cfg)
+
+
+def tes_mask(tes, model, gc, target):
+    """The final mask the explainer reads off a trained TES."""
+    job = ExplainJob(model, gc, target, ExplainConfig(combine_mode=tes.combine_mode))
+    return job.final_mask(tes.store)
+
+
+def combine_cat(edge_embs, target_embs):
+    """TES input oracle: [h, r, t, target-h, target-r, target-t] concatenated."""
+    parts = [np.asarray(v, dtype=np.float64) for v in (*edge_embs, *target_embs)]
+    d = parts[0].shape
+    if any(p.shape != d for p in parts):
+        raise ContractError("all six embeddings must share one dimension")
+    return np.concatenate(parts)
+
+
+def combine_euc(edge_embs, target_embs):
+    """TES input oracle: per-slot Euclidean distances between edge and target."""
+    out = []
+    for a, b in zip(edge_embs, target_embs):
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if a.shape != b.shape:
+            raise ContractError("edge/target embedding dimension mismatch")
+        diff = a - b
+        out.append(np.sqrt((diff * diff).sum()))
+    return np.array(out)
 
 
 def walk_products(pairs, values, start, end, length):
@@ -61,7 +100,17 @@ def walk_products(pairs, values, start, end, length):
     return total, count
 
 
-# -- combine -------------------------------------------------------------------
+def p_on_oracle(gc, values, L):
+    pairs = list(zip(gc.pair_src.tolist(), gc.pair_dst.tolist()))
+    expected = 0.0
+    for length in range(1, L + 1):
+        total, count = walk_products(pairs, values, gc.head_local, gc.tail_local, length)
+        if count:
+            expected += (total / count) ** (1.0 / length)
+    return expected / L
+
+
+# -- combine (the TES input oracles) ---------------------------------------------
 
 
 def test_combine_cat_zero():
@@ -114,7 +163,7 @@ def test_combine_euc_matches_loop_oracle():
         assert out[i] == pytest.approx(math.sqrt(acc), rel=1e-12)
 
 
-# -- tes_score_edges -------------------------------------------------------------
+# -- TES scoring (ExplainJob.final_mask) --------------------------------------------
 
 
 def test_tes_zero_weights_scores_half():
@@ -125,7 +174,7 @@ def test_tes_zero_weights_scores_half():
     tes = init_tes("concatenation", 4, seed=0)
     for name in tes.store.params:
         tes.store.params[name][...] = 0.0
-    mask = tes_score_edges(tes, model, gc, target)
+    mask = tes_mask(tes, model, gc, target)
     assert np.all(mask.values == 0.5)
 
 
@@ -134,10 +183,9 @@ def test_tes_single_edge_support():
     target = TargetTriple(0, 0, 1)
     gc = full_graph(g, target)
     model = KgcModel(3, 1, dim=4, seed=1)
-    mask = tes_score_edges(init_tes("concatenation", 4, seed=1), model, gc, target)
-    dense = mask.to_dense()
-    assert np.count_nonzero(dense) == 1
-    assert dense[0, 1] > 0
+    mask = tes_mask(init_tes("concatenation", 4, seed=1), model, gc, target)
+    assert (mask.pair_src.tolist(), mask.pair_dst.tolist()) == ([0], [1])
+    assert mask.values[0] > 0
 
 
 @pytest.mark.parametrize("mode", ["concatenation", "euclidean"])
@@ -147,7 +195,7 @@ def test_tes_matches_per_edge_oracle(mode):
     gc = full_graph(g, target)
     model = KgcModel(4, 2, dim=4, seed=2)
     tes = init_tes(mode, 4, seed=3)
-    mask = tes_score_edges(tes, model, gc, target)
+    mask = tes_mask(tes, model, gc, target)
 
     H = encode(model, gc, None)
     R = model.relation_embeddings
@@ -172,7 +220,7 @@ def test_tes_multi_relation_pair_takes_max_with_provenance():
     gc = full_graph(g, target)
     model = KgcModel(2, 2, dim=4, seed=4)
     tes = init_tes("concatenation", 4, seed=5)
-    mask = tes_score_edges(tes, model, gc, target)
+    mask = tes_mask(tes, model, gc, target)
     assert gc.num_pairs == 1 and gc.num_edges == 2
     # provenance points at the arg-max triple
     H = encode(model, gc, None)
@@ -194,17 +242,16 @@ def test_tes_multi_relation_pair_takes_max_with_provenance():
 
 def test_power_step_chain():
     gc, mask = gc_with_mask([(0, 0, 1), (1, 0, 2)], [0.5, 0.8], target=(0, 0, 2))
-    u = initial_power_vector(mask, 0)
-    assert u.values.tolist() == [0.0, 0.5, 0.0]
-    u2 = power_step(u, mask)
-    assert u2.length == 2
-    assert u2.values[2] == pytest.approx(0.4)
+    chain = power_chain(gc, mask.values, 0, 2)
+    assert len(chain) == 2
+    assert chain[0].tolist() == [0.0, 0.5, 0.0]
+    assert chain[1][2] == pytest.approx(0.4)
 
 
 def test_power_step_no_walk_is_zero():
     gc, mask = gc_with_mask([(0, 0, 1)], [0.7], n_ent=3)
-    u = power_step(initial_power_vector(mask, 0), mask)
-    assert u.values[2] == 0.0
+    u2 = power_chain(gc, mask.values, 0, 2)[1]
+    assert u2[2] == 0.0
 
 
 def test_power_step_symbolic_expansion():
@@ -215,12 +262,12 @@ def test_power_step_symbolic_expansion():
     g = kg_from(triples, n_ent=n, n_rel=1)
     gc = full_graph(g, TargetTriple(2, 0, 3))
     vals = rng.uniform(0.05, 0.95, gc.num_pairs)
-    mask = EdgeScoreMatrix.from_values(gc, vals)
-    m = mask.to_dense()
-    u2 = power_step(initial_power_vector(mask, 2), mask)
+    m = np.zeros((n, n))
+    m[gc.pair_src, gc.pair_dst] = vals
+    u2 = power_chain(gc, vals, 2, 2)[1]
     for k in range(n):
         expected = sum(m[2, nn] * m[nn, k] for nn in range(n))
-        assert u2.values[k] == pytest.approx(expected, abs=1e-12)
+        assert u2[k] == pytest.approx(expected, abs=1e-12)
 
 
 def test_walk_sum_correctness_random_graphs():
@@ -231,43 +278,40 @@ def test_walk_sum_correctness_random_graphs():
         g = kg_from([(s, 0, d) for s, d in pairs], n_ent=n, n_rel=1)
         gc = full_graph(g, TargetTriple(0, 0, min(1, n - 1)))
         vals = rng.uniform(0.05, 0.95, gc.num_pairs)
-        mask = EdgeScoreMatrix.from_values(gc, vals)
         gc_pairs = list(zip(gc.pair_src.tolist(), gc.pair_dst.tolist()))
-        u = initial_power_vector(mask, 0)
+        chain = power_chain(gc, vals, 0, 4)
         for length in range(2, 5):
-            u = power_step(u, mask)
             for k in range(n):
                 expected, _ = walk_products(gc_pairs, vals, 0, k, length)
-                assert u.values[k] == pytest.approx(expected, abs=1e-9)
+                assert chain[length - 1][k] == pytest.approx(expected, abs=1e-9)
 
 
-# -- normalize_power ---------------------------------------------------------------
+# -- normalized_walk_mass -----------------------------------------------------------
 
 
 def test_normalize_single_walk():
     gc, mask = gc_with_mask([(0, 0, 1), (1, 0, 2)], [0.5, 0.8], target=(0, 0, 2))
-    u2 = power_step(initial_power_vector(mask, 0), mask)
+    u2 = power_chain(gc, mask.values, 0, 2)[1]
     counts = adjacency_power_row(gc, 0, 2)[1]
-    out = normalize_power(u2, counts)
-    assert out[2] == pytest.approx(math.sqrt(0.4))
+    out = normalized_walk_mass(u2, 2, counts[2], 2)
+    assert out[0] == pytest.approx(math.sqrt(0.4))
 
 
 def test_normalize_equal_scores_gives_score():
     triples = [(0, 0, 1), (0, 0, 2), (1, 0, 3), (2, 0, 3)]
     gc, mask = gc_with_mask(triples, [0.3] * 4, target=(0, 0, 3))
-    u2 = power_step(initial_power_vector(mask, 0), mask)
+    u2 = power_chain(gc, mask.values, 0, 2)[1]
     counts = adjacency_power_row(gc, 0, 2)[1]
-    out = normalize_power(u2, counts)
     assert counts[3] == 2
-    assert out[3] == pytest.approx(0.3)
+    out = normalized_walk_mass(u2, 3, counts[3], 2)
+    assert out[0] == pytest.approx(0.3)
 
 
 def test_normalize_zero_walks_is_zero():
+    # no length-2 walk reaches the tail, so that length adds 0 to the mean
     gc, mask = gc_with_mask([(0, 0, 1)], [0.9], n_ent=3)
-    u2 = power_step(initial_power_vector(mask, 0), mask)
-    counts = adjacency_power_row(gc, 0, 2)[1]
-    out = normalize_power(u2, counts)
-    assert out[2] == 0.0
+    assert adjacency_power_row(gc, 0, 2)[1][1] == 0
+    assert p_on(gc, mask.values, 2) == 0.9 / 2
 
 
 def test_normalized_entries_bounded_by_edge_scores():
@@ -278,29 +322,25 @@ def test_normalized_entries_bounded_by_edge_scores():
         g = kg_from([(s, 0, d) for s, d in pairs], n_ent=n, n_rel=1)
         gc = full_graph(g, TargetTriple(0, 0, 1))
         vals = rng.uniform(0.05, 0.95, gc.num_pairs)
-        mask = EdgeScoreMatrix.from_values(gc, vals)
-        u = initial_power_vector(mask, 0)
+        chain = power_chain(gc, vals, 0, 3)
         for length in range(2, 4):
-            u = power_step(u, mask)
             counts = adjacency_power_row(gc, 0, length)[length - 1]
-            out = normalize_power(u, counts)
-            pos = counts > 0
-            if pos.any():
-                assert out[pos].min() >= vals.min() - 1e-12
-                assert out[pos].max() <= vals.max() + 1e-12
+            for k in np.flatnonzero(counts > 0):
+                out = normalized_walk_mass(chain[length - 1], k, counts[k], length)[0]
+                assert vals.min() - 1e-12 <= out <= vals.max() + 1e-12
 
 
-# -- on_path_probability / path_loss -------------------------------------------------
+# -- on_path_probability and the path term ------------------------------------------
 
 
 def test_on_path_two_node_single_edge():
     gc, mask = gc_with_mask([(0, 0, 1)], [0.7])
-    assert on_path_probability(mask, gc, 2) == pytest.approx(0.7 / 2)
+    assert p_on(gc, mask.values, 2) == pytest.approx(0.7 / 2)
 
 
 def test_on_path_disconnected_is_zero():
     gc, mask = gc_with_mask([(1, 0, 0)], [0.9])  # edge in the wrong direction
-    assert on_path_probability(mask, gc, 3) == 0.0
+    assert p_on(gc, mask.values, 3) == 0.0
 
 
 def test_on_path_matches_exhaustive_oracle():
@@ -308,33 +348,30 @@ def test_on_path_matches_exhaustive_oracle():
     gc, _ = gc_with_mask(triples, [0.5] * 6, target=(0, 0, 3))
     rng = np.random.default_rng(9)
     vals = rng.uniform(0.1, 0.9, gc.num_pairs)
-    mask = EdgeScoreMatrix.from_values(gc, vals)
     L = 3
-    pairs = list(zip(gc.pair_src.tolist(), gc.pair_dst.tolist()))
-    expected = 0.0
-    for length in range(1, L + 1):
-        total, count = walk_products(pairs, vals, 0, 3, length)
-        if count:
-            expected += (total / count) ** (1.0 / length)
-    expected /= L
-    assert on_path_probability(mask, gc, L) == pytest.approx(expected, abs=1e-12)
+    assert p_on(gc, vals, L) == pytest.approx(p_on_oracle(gc, vals, L), abs=1e-12)
 
 
 def test_on_path_requires_min_order():
-    gc, mask = gc_with_mask([(0, 0, 1)], [0.5])
+    gc, _ = gc_with_mask([(0, 0, 1)], [0.5])
     with pytest.raises(ContractError):
-        on_path_probability(mask, gc, 1)
+        path_job(gc, TargetTriple(0, 0, 1), 1)
 
 
 def test_path_loss_values():
-    assert path_loss(1.0) == 0.0
-    assert path_loss(0.5) == pytest.approx(0.6931, abs=1e-4)
-    assert path_loss(0.0) == pytest.approx(27.631, abs=1e-3)
-    with pytest.raises(ContractError):
-        path_loss(1.5)
+    # path term = -log(P_on), with P_on clamped at 1e-12
+    target = TargetTriple(0, 0, 1)
+    for triples, values, expected, tol in (
+        ([(0, 0, 0), (0, 0, 1)], [1.0, 1.0], 0.0, 0.0),    # P_on = 1
+        ([(0, 0, 1)], [1.0], 0.6931, 1e-4),                # P_on = (1 + 0) / 2
+        ([(1, 0, 0)], [1.0], 27.631, 1e-3),                # P_on = 0
+    ):
+        gc, mask = gc_with_mask(triples, values)
+        path = scalar(path_job(gc, target, 2).loss_terms(mask.values)["path"])
+        assert path == pytest.approx(expected, abs=tol)
 
 
-# -- total_loss -----------------------------------------------------------------------
+# -- loss terms of a fixed mask (ExplainJob.loss_terms) --------------------------------
 
 
 def test_total_loss_vanishes_for_perfect_instance():
@@ -351,10 +388,11 @@ def test_total_loss_vanishes_for_perfect_instance():
     p["basis_0_0"][...] = 0.0
     p["basis_0_1"][...] = 0.0
     mask = EdgeScoreMatrix.constant(gc, 1.0)
-    loss = total_loss(model, gc, mask, target, gamma=0.0, L=2)
-    assert loss.prediction == 0.0
-    assert loss.path == 0.0
-    assert loss.total == 0.0
+    job = ExplainJob(model, gc, target, ExplainConfig(gamma=0.0, power_order=2))
+    terms = {name: scalar(v) for name, v in job.loss_terms(mask.values).items()}
+    assert terms["prediction"] == 0.0
+    assert terms["path"] == 0.0
+    assert sum(terms.values()) == 0.0
 
 
 def test_total_loss_single_edge_regularization():
@@ -362,9 +400,9 @@ def test_total_loss_single_edge_regularization():
     target = TargetTriple(0, 0, 1)
     gc = full_graph(g, target)
     model = KgcModel(2, 1, dim=4, seed=1)
-    mask = EdgeScoreMatrix.from_values(gc, np.array([0.6]))
-    loss = total_loss(model, gc, mask, target, gamma=1.0, L=2)
-    assert loss.regularization == pytest.approx(0.6, rel=1e-12)
+    job = ExplainJob(model, gc, target, ExplainConfig(gamma=1.0, power_order=2))
+    reg = scalar(job.loss_terms(np.array([0.6]))["regularization"])
+    assert reg == pytest.approx(0.6, rel=1e-12)
 
 
 def test_total_loss_matches_term_by_term_oracle():
@@ -375,16 +413,17 @@ def test_total_loss_matches_term_by_term_oracle():
     rng = np.random.default_rng(10)
     mask = EdgeScoreMatrix.from_values(gc, rng.uniform(0.2, 0.8, gc.num_pairs))
     gamma, L = 0.25, 3
-    got = total_loss(model, gc, mask, target, gamma, L)
+    job = ExplainJob(model, gc, target, ExplainConfig(gamma=gamma, power_order=L))
+    got = {name: scalar(v) for name, v in job.loss_terms(mask.values).items()}
     pred = -math.log(max(score_target_masked(model, gc, mask, target).probability, 1e-12))
-    path = path_loss(on_path_probability(mask, gc, L))
+    path = -math.log(max(p_on_oracle(gc, mask.values, L), 1e-12))
     reg = gamma * math.sqrt(float((mask.values ** 2).sum()))
-    assert got.prediction == pytest.approx(pred, abs=1e-12)
-    assert got.path == pytest.approx(path, abs=1e-12)
-    assert got.regularization == pytest.approx(reg, abs=1e-12)
-    assert got.total == pytest.approx(pred + path + reg, abs=1e-12)
+    assert got["prediction"] == pytest.approx(pred, abs=1e-12)
+    assert got["path"] == pytest.approx(path, abs=1e-12)
+    assert got["regularization"] == pytest.approx(reg, abs=1e-12)
+    assert sum(got.values()) == pytest.approx(pred + path + reg, abs=1e-12)
     with pytest.raises(ContractError):
-        total_loss(model, gc, mask, target, -0.1, L)
+        ExplainJob(model, gc, target, ExplainConfig(gamma=-0.1, power_order=L))
 
 
 # -- gradients through the powering chain ----------------------------------------------
@@ -399,14 +438,10 @@ def test_path_loss_gradient_matches_finite_differences():
     store = ad.ParamStore()
     store.add("mask", rng.uniform(0.2, 0.8, gc.num_pairs))
     awalks = adjacency_power_row(gc, gc.head_local, 3)
-    row_sel = np.flatnonzero(gc.pair_src == gc.head_local)
-
-    from kgexplain.explain import _pon_terms
 
     def loss(s, tape):
         v = tape.param(s, "mask") if tape is not None else s.params["mask"]
-        p_on = _pon_terms(gc, v, 3, awalks, row_sel)
-        return ad.neg(ad.log(p_on))
+        return ad.neg(ad.log(on_path_probability(gc, v, 3, awalks)))
 
     assert ad.finite_diff_check(loss, store, step=1e-5, tol=1e-4).passed
 
@@ -414,11 +449,9 @@ def test_path_loss_gradient_matches_finite_differences():
 def test_path_loss_monotone_in_on_path_scores():
     triples = [(0, 0, 1), (1, 0, 2), (0, 0, 3), (3, 0, 2)]
     gc, _ = gc_with_mask(triples, [0.5] * 4, target=(0, 0, 2))
+    job = path_job(gc, TargetTriple(0, 0, 2), 3)
     base = np.full(gc.num_pairs, 0.4)
-    losses = []
-    for bump in (0.0, 0.1, 0.2, 0.3):
-        mask = EdgeScoreMatrix.from_values(gc, base + bump)
-        losses.append(path_loss(on_path_probability(mask, gc, 3)))
+    losses = [scalar(job.loss_terms(base + bump)["path"]) for bump in (0.0, 0.1, 0.2, 0.3)]
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -603,9 +636,9 @@ def test_explain_job_loss_value_and_tape_agree():
     gc = prepare_computation_graph(inst.graph, inst.target, 1, 2)
     job = ExplainJob(model, gc, inst.target, ExplainConfig(seed=0))
     tes = init_tes("concatenation", 4, seed=0)
-    terms_v, _, _ = job.loss_terms(tes.store, None)
+    terms_v = job.objective(tes.store, None)[1]
     tape = ad.Tape()
-    terms_n, _, _ = job.loss_terms(tes.store, tape)
+    terms_n = job.objective(tes.store, tape)[1]
     for name in terms_v:
         assert float(np.asarray(terms_v[name]).reshape(())) == pytest.approx(
             float(np.asarray(ad._val(terms_n[name])).reshape(())), abs=0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,50 @@ def test_rank_matches_sort_oracle():
     assert expected == better.index(raws[k]) + 1 or True  # pessimistic ties
 
 
+def rank_loop_oracle(model, gc, target, mask=None):
+    """Rank by one `score` call per candidate node, ties counted against the tail."""
+    H = encode(model, gc, mask)
+    i = gc.local_of_global[target.head]
+    k = gc.local_of_global[target.tail]
+    h = H[i]
+    r = model.relation_embeddings[target.relation]
+    true_raw = score(model, h, r, H[k]).raw
+    ahead = 0
+    for cand in range(gc.num_nodes):
+        if cand == i or cand == k:
+            continue
+        if score(model, h, r, H[cand]).raw >= true_raw:
+            ahead += 1
+    return ahead + 1
+
+
+@pytest.mark.parametrize("decoder", ["distmult", "transe"])
+def test_rank_matches_per_candidate_loop(decoder):
+    rng = np.random.default_rng(12)
+    for seed in range(20):
+        n = int(rng.integers(2, 12))
+        triples = {(int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(n)))
+                   for _ in range(3 * n)}
+        g = kg_from(sorted(triples), n_ent=n, n_rel=2)
+        target = TargetTriple(int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(n)))
+        gc = full_graph(g, target)
+        model = KgcModel(n, 2, dim=int(rng.integers(2, 20)), decoder=decoder, seed=seed)
+        mask = rng.uniform(0.0, 1.0, gc.num_pairs) if seed % 2 else None
+        assert rank_target(model, gc, target, mask) == rank_loop_oracle(model, gc, target, mask)
+    # candidate 2 has the true tail's embedding: the tie counts against the tail
+    g = kg_from([(0, 0, 1), (0, 0, 2), (0, 0, 3)])
+    target = TargetTriple(0, 0, 1)
+    gc = full_graph(g, target)
+    model = KgcModel(4, 1, dim=2, layers=1, decoder=decoder, seed=0)
+    p = model.store.params
+    p["ent"][...] = [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.1, 0.2]]
+    p["rel"][...] = [[1.0, 1.0]]
+    p["self_0"][...] = np.eye(2)
+    p["basis_0_0"][...] = 0.0
+    p["basis_0_1"][...] = 0.0
+    assert rank_target(model, gc, target) == rank_loop_oracle(model, gc, target) == 2
+
+
 # -- train_kgc -------------------------------------------------------------------
 
 
@@ -328,6 +374,34 @@ def test_checkpoint_magic_and_vocab_hash(tmp_path, small_setup):
     bad.write_bytes(b"XXXX" + p.read_bytes()[4:])
     with pytest.raises(DataError, match="magic"):
         load_checkpoint(bad, g)
+
+
+def test_checkpoint_damage_raises_data_error(tmp_path):
+    g = kg_from([(0, 0, 1)])
+    model = KgcModel(2, 1, dim=2, layers=1, seed=0)
+    p = tmp_path / "m.plnk"
+    save_checkpoint(model, g, p)
+    data = p.read_bytes()
+    bad = tmp_path / "bad.plnk"
+    for cut in range(len(data)):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(DataError):
+            load_checkpoint(bad, g)
+    bad.write_bytes(data + b"\0")
+    with pytest.raises(DataError, match="tensor bytes"):
+        load_checkpoint(bad, g)
+    meta_len = int.from_bytes(data[6:10], "little")
+    meta = json.loads(data[10 : 10 + meta_len])
+    no_layers = {k: v for k, v in meta.items() if k != "layers"}
+    for edited in (dict(meta, dim=3), dict(meta, tensors=meta["tensors"][:-1]), no_layers):
+        blob = json.dumps(edited).encode()
+        bad.write_bytes(data[:6] + len(blob).to_bytes(4, "little") + blob
+                        + data[10 + meta_len :])
+        with pytest.raises(DataError):
+            load_checkpoint(bad, g)
+    loaded = load_checkpoint(p, g)
+    for name, value in model.store.params.items():
+        assert np.array_equal(loaded.store.params[name], value.astype("<f4"))
 
 
 def test_encode_operands_training_path(small_setup):

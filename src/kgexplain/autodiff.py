@@ -8,6 +8,14 @@ through to the identical numpy computation and returns a raw array, so
 the same model code serves both differentiable and value-only forward
 passes (bit-for-bit, since the op sequence is unchanged).
 
+A tape lives for one forward/backward pass. Open it with
+``with Tape() as tape:`` and run `backward` inside the block: leaving the
+block empties the tape and cuts every node off its parents and adjoint, so
+the pass's arrays are freed by refcounting the moment the block ends rather
+than whenever the cyclic collector next runs. After a tape's block ends its
+nodes can no longer be backpropagated; a node still referenced outside keeps
+only its own value.
+
 Scalars are represented as 0-d or length-1 arrays; `backward` accepts any
 single-element output. Forward values and backward adjoints are checked
 for NaN/Inf and raise :class:`NumericError` naming the offending op.
@@ -57,12 +65,23 @@ class Node:
 
 
 class Tape:
-    """Owns the node list for one forward/backward pass."""
+    """Owns the node list for one forward/backward pass; a context manager
+    whose exit ends the pass (see the module docstring)."""
 
     __slots__ = ("nodes",)
 
     def __init__(self):
         self.nodes: list[Node] = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for node in self.nodes:
+            node.parents = ()
+            node.bw = None
+            node.grad = None
+        self.nodes.clear()
 
     def leaf(self, value, op="leaf") -> Node:
         return Node(self, np.asarray(value, dtype=np.float64), (), None, op)
@@ -353,8 +372,8 @@ class ParamStore:
 
 def backward(tape: Tape, out: Node):
     """Accumulate d(out)/d(node) for every node, store-bound leaves included."""
-    if not isinstance(out, Node):
-        raise ContractError("backward target must be a Node on the tape")
+    if not isinstance(out, Node) or out.tape is not tape or not tape.nodes:
+        raise ContractError("backward target must be a Node on an open tape")
     if np.size(out.value) != 1:
         raise ContractError(f"backward requires a scalar output, got shape {out.shape}")
     out.grad = np.ones_like(np.asarray(out.value, dtype=np.float64))
@@ -416,10 +435,10 @@ def finite_diff_check(loss_fn, store: ParamStore, step=1e-5, tol=1e-4,
     """
     if step <= 0:
         raise ContractError("finite-difference step must be positive")
-    tape = Tape()
-    out = loss_fn(store, tape)
-    store.zero_grads()
-    backward(tape, out)
+    with Tape() as tape:
+        out = loss_fn(store, tape)
+        store.zero_grads()
+        backward(tape, out)
     analytic = {name: store.grads[name].copy() for name in store.params}
     per_param = {}
     for name, p in store.params.items():

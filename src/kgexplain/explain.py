@@ -112,7 +112,6 @@ class EdgeScoreMatrix:
     pair_dst: np.ndarray
     values: np.ndarray
     provenance: np.ndarray
-    num_nodes: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -125,16 +124,14 @@ class EdgeScoreMatrix:
     def from_values(cls, gc: ComputationGraph, values, provenance=None):
         if provenance is None:
             provenance = gc.pair_indptr[:-1].copy()
-        return cls(gc.pair_src.copy(), gc.pair_dst.copy(), values, provenance, gc.num_nodes)
+        return cls(gc.pair_src.copy(), gc.pair_dst.copy(), values, provenance)
 
     @classmethod
     def constant(cls, gc: ComputationGraph, value: float):
         return cls.from_values(gc, np.full(gc.num_pairs, float(value)))
 
     def complement(self) -> "EdgeScoreMatrix":
-        return EdgeScoreMatrix(
-            self.pair_src, self.pair_dst, 1.0 - self.values, self.provenance, self.num_nodes
-        )
+        return EdgeScoreMatrix(self.pair_src, self.pair_dst, 1.0 - self.values, self.provenance)
 
 
 def power_chain(gc: ComputationGraph, values, start: int, L: int) -> list:
@@ -266,8 +263,7 @@ class ExplainJob:
     def final_mask(self, store: ParamStore) -> EdgeScoreMatrix:
         pair_vals, argmax = self.pair_scores(store, None)
         return EdgeScoreMatrix(
-            self.gc.pair_src.copy(), self.gc.pair_dst.copy(), np.asarray(pair_vals),
-            argmax, self.gc.num_nodes,
+            self.gc.pair_src.copy(), self.gc.pair_dst.copy(), np.asarray(pair_vals), argmax
         )
 
 
@@ -287,10 +283,10 @@ def train_explainer(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
     tes = init_tes(config.combine_mode, model.dim, config.seed)
     trace = []
     for epoch in range(config.epochs):
-        tape = Tape()
-        objective, terms, _, _ = job.objective(tes.store, tape)
-        tes.store.zero_grads()
-        backward(tape, objective)
+        with Tape() as tape:
+            objective, terms, _, _ = job.objective(tes.store, tape)
+            tes.store.zero_grads()
+            backward(tape, objective)
         row = {"epoch": epoch}
         for name in ("prediction", "path", "regularization"):
             row[name] = (

@@ -508,7 +508,10 @@ def _random_instance_for_memory(n_edges, seed=0, dim=8):
 
 
 def measure_explain_memory(edge_counts=(1000, 10000, 100000), seed=0, epochs=2, dim=8):
-    """Peak auxiliary allocation of one explanation per edge count."""
+    """Peak auxiliary allocation of one explanation per edge count.
+
+    Each epoch's tape is freed when the epoch ends, so the peak does not
+    depend on `epochs`."""
     results = []
     cfg = ExplainConfig(epochs=epochs, power_order=3)
     for n_edges in edge_counts:

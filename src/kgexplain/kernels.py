@@ -23,10 +23,16 @@ def edge_spmv_bw(g_out, u, vals, src, dst):
 
 
 def scatter_add_rows(rows, idx, n):
-    """out[idx[e]] += rows[e] for a (E, d) row block."""
-    out = np.zeros((n, rows.shape[1]))
-    np.add.at(out, idx, rows)
-    return out
+    """out[idx[e]] += rows[e] for a (E, d) row block.
+
+    One bincount over flattened (row, column) cells: each output cell sums
+    its entries in edge order, as np.add.at does, so the result is identical.
+    (bincount returns int64 for an empty input, hence the cast.)
+    """
+    d = rows.shape[1]
+    cells = (idx[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(cells, weights=rows.ravel(), minlength=n * d)
+    return out.astype(np.float64, copy=False).reshape(n, d)
 
 
 def scatter_add_vec(vals, idx, n):

@@ -254,9 +254,6 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
     gc = full_graph(g)
     n_pos = g.num_triples
     for _ in range(config.epochs):
-        tape = Tape()
-        operands = {name: tape.param(model.store, name) for name in model.store.params}
-        H = encode_operands(model, gc, None, operands=operands)
         neg_h = np.repeat(g.heads, config.negatives)
         neg_r = np.repeat(g.rels, config.negatives)
         neg_t = np.repeat(g.tails, config.negatives)
@@ -267,23 +264,26 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
         all_h = np.concatenate([g.heads, neg_h])
         all_r = np.concatenate([g.rels, neg_r])
         all_t = np.concatenate([g.tails, neg_t])
-        raws = decoder_raw_batch(
-            model.decoder,
-            ad.gather(H, all_h),
-            ad.gather(operands["rel"], all_r),
-            ad.gather(H, all_t),
-        )
-        probs = ad.sigmoid(raws)
-        p_pos = ad.gather(probs, np.arange(n_pos))
-        p_neg = ad.gather(probs, np.arange(n_pos, len(all_h)))
-        # positives and negatives weighted equally regardless of the ratio
-        loss = ad.add(
-            ad.mul(ad.sumall(ad.neg(ad.log(p_pos))), 0.5 / n_pos),
-            ad.mul(ad.sumall(ad.neg(ad.log(ad.sub(1.0, p_neg)))), 0.5 / (len(all_h) - n_pos)),
-        )
-        model.store.zero_grads()
-        backward(tape, loss)
-        model.final_loss = float(ad._val(loss))
+        with Tape() as tape:
+            operands = {name: tape.param(model.store, name) for name in model.store.params}
+            H = encode_operands(model, gc, None, operands=operands)
+            raws = decoder_raw_batch(
+                model.decoder,
+                ad.gather(H, all_h),
+                ad.gather(operands["rel"], all_r),
+                ad.gather(H, all_t),
+            )
+            probs = ad.sigmoid(raws)
+            p_pos = ad.gather(probs, np.arange(n_pos))
+            p_neg = ad.gather(probs, np.arange(n_pos, len(all_h)))
+            # positives and negatives weighted equally regardless of the ratio
+            loss = ad.add(
+                ad.mul(ad.sumall(ad.neg(ad.log(p_pos))), 0.5 / n_pos),
+                ad.mul(ad.sumall(ad.neg(ad.log(ad.sub(1.0, p_neg)))), 0.5 / (len(all_h) - n_pos)),
+            )
+            model.store.zero_grads()
+            backward(tape, loss)
+            model.final_loss = float(ad._val(loss))
         sgd_step(model.store, config.lr)
     return model
 

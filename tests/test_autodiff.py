@@ -177,6 +177,29 @@ def test_backward_requires_scalar():
         ad.backward(tape, y)
 
 
+def test_tape_block_end_detaches_nodes():
+    store = ad.ParamStore()
+    store.add("x", np.array([1.0, 2.0]))
+    with ad.Tape() as tape:
+        x = tape.param(store, "x")
+        out = ad.sumall(ad.mul(x, x))
+        ad.backward(tape, out)
+        assert len(tape.nodes) == 3
+    np.testing.assert_array_equal(store.grads["x"], [2.0, 4.0])
+    assert tape.nodes == []
+    assert out.parents == () and out.bw is None and out.grad is None
+    assert float(out.value) == 5.0
+    with pytest.raises(ContractError, match="open tape"):
+        ad.backward(tape, out)
+
+
+def test_backward_rejects_node_of_another_tape():
+    a, b = ad.Tape(), ad.Tape()
+    out = ad.sumall(a.leaf(np.ones(2)))
+    with pytest.raises(ContractError, match="open tape"):
+        ad.backward(b, out)
+
+
 def test_nan_raises_naming_op():
     tape = ad.Tape()
     x = tape.leaf(np.array([1.0, -1.0]))

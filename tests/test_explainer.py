@@ -643,3 +643,35 @@ def test_explain_job_loss_value_and_tape_agree():
         assert float(np.asarray(terms_v[name]).reshape(())) == pytest.approx(
             float(np.asarray(ad._val(terms_n[name])).reshape(())), abs=0
         )
+
+
+def test_explainer_peak_memory_does_not_grow_with_epochs():
+    """Each epoch's tape is freed when the epoch ends, so a longer run peaks
+    no higher than a 2-epoch one."""
+    from kgexplain.harness import measure_explain_memory
+
+    (_, short_peak), = measure_explain_memory(edge_counts=(10000,), epochs=2)
+    (_, long_peak), = measure_explain_memory(edge_counts=(10000,), epochs=12)
+    assert long_peak <= 1.05 * short_peak, (short_peak, long_peak)
+
+
+def test_training_loops_leave_no_tape_nodes_for_the_cyclic_collector():
+    import gc as cyclic_gc
+
+    from kgexplain.explain import prepare_computation_graph
+    from kgexplain.model import ModelConfig, train_kgc
+
+    inst = make_planted(seed=4)
+    model = KgcModel(inst.graph.num_entities, inst.graph.num_relations, dim=4, seed=4)
+    graph = prepare_computation_graph(inst.graph, inst.target, 2, 2)
+    was_enabled = cyclic_gc.isenabled()
+    cyclic_gc.collect()
+    cyclic_gc.disable()
+    try:
+        train_explainer(model, graph, inst.target, ExplainConfig(epochs=3, seed=0))
+        train_kgc(inst.graph, ModelConfig(dim=4, epochs=3, seed=0))
+        left = sum(isinstance(o, ad.Node) for o in cyclic_gc.get_objects())
+    finally:
+        if was_enabled:
+            cyclic_gc.enable()
+    assert left == 0

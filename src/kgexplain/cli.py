@@ -1,9 +1,10 @@
 """Command-line entry point: train / explain / evaluate / suite.
 
-Every subcommand writes its fully resolved configuration to
-<out-dir>/config.json before doing any work. Flags mirror the run-config
-keys verbatim; any flag default can be overridden with an environment
-variable named KGEXPLAIN_<KEY> (e.g. KGEXPLAIN_EPOCHS=10).
+Before doing any work, train/explain/evaluate write <out-dir>/config.json:
+the subcommand name and the resolved value of each of its flags (presets
+applied). Flags share the run-config field names and defaults; any flag
+default can be overridden with an environment variable named
+KGEXPLAIN_<KEY> (e.g. KGEXPLAIN_EPOCHS=10). `suite` echoes its SuiteConfig.
 
 Exit codes: 0 success, 2 usage, 3 data, 4 numeric failure.
 """
@@ -15,14 +16,21 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ContractError, DataError, NumericError
-from .explain import ExplainConfig, generate_paths, prepare_computation_graph, train_explainer
+from .explain import (
+    COMBINE_MODES,
+    ExplainConfig,
+    generate_paths,
+    prepare_computation_graph,
+    train_explainer,
+)
 from .harness import SuiteConfig, run_suite
 from .kgraph import TargetTriple, load_triples
-from .metrics import EvalConfig, evaluate_batch, report_to_json, rows_to_csv
-from .model import ModelConfig, load_checkpoint, save_checkpoint, train_kgc
+from .metrics import THRESHOLD_RULES, EvalConfig, evaluate_batch, json_text, rows_to_csv
+from .model import DECODERS, ModelConfig, load_checkpoint, save_checkpoint, train_kgc
 
 log = logging.getLogger("kgexplain")
 
@@ -39,8 +47,6 @@ def _env_default(key, fallback, cast):
     raw = os.environ.get(ENV_PREFIX + key.upper())
     if raw is None:
         return fallback
-    if cast is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
     try:
         return cast(raw)
     except ValueError:
@@ -49,110 +55,63 @@ def _env_default(key, fallback, cast):
         ) from None
 
 
-def _add_opt(parser, name, default, cast, help_text):
-    parser.add_argument(
-        f"--{name}", type=cast, default=_env_default(name, default, cast), help=help_text
-    )
+def _add_opt(parser, name, default, cast, help_text, choices=None):
+    default = _env_default(name, default, cast)
+    if choices is not None and default is not None and default not in choices:
+        raise ContractError(f"{ENV_PREFIX}{name.upper()}={default!r} is not one of {choices}")
+    parser.add_argument(f"--{name}", type=cast, default=default, choices=choices, help=help_text)
 
 
-def _echo_config(out_dir: Path, config: dict):
+def _echo_config(args, omit=()) -> dict:
+    """Write <out_dir>/config.json: the subcommand and every parsed flag but
+    `omit` (explain and evaluate have never echoed --delimiter)."""
+    skip = {"command", "func", "out_dir", *omit}
+    config = {k: v for k, v in vars(args).items() if k not in skip}
+    config["subcommand"] = args.command
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True, default=str) + "\n"
-    )
+    (out_dir / "config.json").write_text(json_text(config))
+    return config
 
 
 def _resolve_preset(args):
-    preset = PRESETS[args.preset]
-    for key, value in preset.items():
-        if getattr(args, key, None) is None:
+    for key, value in PRESETS[args.preset].items():
+        if key in vars(args) and getattr(args, key) is None:
             setattr(args, key, value)
 
 
+def _from_args(cls, args, **overrides):
+    """A run config whose remaining fields take the same-named flags."""
+    values = {f.name: getattr(args, f.name) for f in fields(cls) if f.name not in overrides}
+    return cls(**values, **overrides)
+
+
+def _explain_config(args) -> ExplainConfig:
+    return _from_args(ExplainConfig, args, enable_path_loss=not args.no_path_loss,
+                      enable_mi_loss=not args.no_mi_loss)
+
+
 def cmd_train(args) -> int:
-    out_dir = Path(args.out_dir)
-    config = {
-        "subcommand": "train",
-        "train": args.train,
-        "delimiter": args.delimiter,
-        "dim": args.dim,
-        "layers": args.layers,
-        "bases": args.bases,
-        "decoder": args.decoder,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "negatives": args.negatives,
-        "seed": args.seed,
-    }
-    _echo_config(out_dir, config)
+    _echo_config(args)
     g = load_triples(args.train, args.delimiter)
-    model = train_kgc(
-        g,
-        ModelConfig(
-            dim=args.dim, layers=args.layers, bases=args.bases, decoder=args.decoder,
-            epochs=args.epochs, lr=args.lr, negatives=args.negatives, seed=args.seed,
-        ),
-    )
+    model = train_kgc(g, _from_args(ModelConfig, args))
+    out_dir = Path(args.out_dir)
     ckpt = out_dir / "model.plnk"
     save_checkpoint(model, g, ckpt)
-    (out_dir / "train_log.json").write_text(
-        json.dumps(
-            {
-                "final_loss": model.final_loss,
-                "num_entities": g.num_entities,
-                "num_relations": g.num_relations,
-                "num_triples": g.num_triples,
-                "duplicates_dropped": g.duplicates_dropped,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    (out_dir / "train_log.json").write_text(json_text({
+        "final_loss": model.final_loss,
+        "num_entities": g.num_entities,
+        "num_relations": g.num_relations,
+        "num_triples": g.num_triples,
+        "duplicates_dropped": g.duplicates_dropped,
+    }))
     log.info("checkpoint written to %s (final loss %.6f)", ckpt, model.final_loss)
     return 0
 
 
-def _explain_config(args) -> ExplainConfig:
-    return ExplainConfig(
-        epochs=args.epochs,
-        lr=args.lr,
-        gamma=args.gamma,
-        power_order=args.power_order,
-        combine_mode=args.combine_mode,
-        seed=args.seed,
-        enable_path_loss=not args.no_path_loss,
-        enable_mi_loss=not args.no_mi_loss,
-        num_paths=args.num_paths,
-    )
-
-
 def cmd_explain(args) -> int:
     _resolve_preset(args)
-    out_dir = Path(args.out_dir)
-    config = {
-        "subcommand": "explain",
-        "checkpoint": args.checkpoint,
-        "train": args.train,
-        "head": args.head,
-        "relation": args.relation,
-        "tail": args.tail,
-        "preset": args.preset,
-        "k_hop": args.k_hop,
-        "k_core": args.k_core,
-        "max_nodes": args.max_nodes,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "gamma": args.gamma,
-        "power_order": args.power_order,
-        "combine_mode": args.combine_mode,
-        "num_paths": args.num_paths,
-        "no_path_loss": args.no_path_loss,
-        "no_mi_loss": args.no_mi_loss,
-        "seed": args.seed,
-        "dot": args.dot,
-    }
-    _echo_config(out_dir, config)
+    config = _echo_config(args, omit=("delimiter",))
     g = load_triples(args.train, args.delimiter)
     model = load_checkpoint(args.checkpoint, g)
     target = TargetTriple(
@@ -165,9 +124,8 @@ def cmd_explain(args) -> int:
     explanation.loss_trace = result.loss_trace
     payload = explanation.to_json_dict(g)
     payload["config"] = config
-    (out_dir / "explanation.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    out_dir = Path(args.out_dir)
+    (out_dir / "explanation.json").write_text(json_text(payload))
     if args.dot:
         from .viz import to_dot
 
@@ -179,32 +137,10 @@ def cmd_explain(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _resolve_preset(args)
-    if args.sample_num is not None and args.sample_num < 1:
-        raise ContractError(f"sample_num must be >= 1, got {args.sample_num}")
-    out_dir = Path(args.out_dir)
-    config = {
-        "subcommand": "evaluate",
-        "checkpoint": args.checkpoint,
-        "train": args.train,
-        "test": args.test,
-        "preset": args.preset,
-        "k_hop": args.k_hop,
-        "k_core": args.k_core,
-        "max_nodes": args.max_nodes,
-        "sample_num": args.sample_num,
-        "threshold": args.threshold,
-        "workers": args.workers,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "gamma": args.gamma,
-        "power_order": args.power_order,
-        "combine_mode": args.combine_mode,
-        "num_paths": args.num_paths,
-        "no_path_loss": args.no_path_loss,
-        "no_mi_loss": args.no_mi_loss,
-        "seed": args.seed,
-    }
-    _echo_config(out_dir, config)
+    cfg = _from_args(EvalConfig, args, threshold_rule=args.threshold,
+                     explain=_explain_config(args))
+    cfg.validate()
+    _echo_config(args, omit=("delimiter",))
     g = load_triples(args.train, args.delimiter)
     model = load_checkpoint(args.checkpoint, g)
     test = load_triples(args.test, args.delimiter) if args.test else g
@@ -222,39 +158,37 @@ def cmd_evaluate(args) -> int:
             continue
     if not candidates:
         raise DataError("test split contains no triples over the training vocabulary")
-    cfg = EvalConfig(
-        sample_num=args.sample_num,
-        threshold_rule=args.threshold,
-        k_hop=args.k_hop,
-        k_core=args.k_core,
-        max_nodes=args.max_nodes,
-        seed=args.seed,
-        workers=args.workers,
-        explain=_explain_config(args),
-    )
     report, rows = evaluate_batch(model, g, candidates, cfg)
-    (out_dir / "report.json").write_text(report_to_json(report))
+    out_dir = Path(args.out_dir)
+    (out_dir / "report.json").write_text(json_text(report.to_json_dict()))
     (out_dir / "per_target.csv").write_text(rows_to_csv(rows))
     log.info("evaluated %d targets", report.n_samples)
     return 0
 
 
-def cmd_suite(args) -> int:
-    out_dir = Path(args.out_dir)
-    flat = {}
-    if args.config:
-        path = Path(args.config)
-        text = path.read_text()
-        if path.suffix == ".toml":
+def _read_suite_config(path) -> dict:
+    """Parse a JSON or (Python 3.11+) TOML suite config file."""
+    path = Path(path)
+    if path.suffix == ".toml":
+        try:
             import tomllib
+        except ImportError:
+            raise ContractError(f"{path}: TOML suite configs need Python 3.11+") from None
+        parse = tomllib.loads
+    else:
+        parse = json.loads
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not valid JSON/TOML
+        raise DataError(f"{path}: malformed suite config ({exc})") from None
 
-            flat = tomllib.loads(text)
-        else:
-            flat = json.loads(text)
+
+def cmd_suite(args) -> int:
+    flat = _read_suite_config(args.config) if args.config else {}
     suite = SuiteConfig.from_flat_dict(flat)
     if args.ablations:
         suite.ablations = True
-    report = run_suite(suite, out_dir)
+    report = run_suite(suite, Path(args.out_dir))
     log.info(
         "suite finished: recovery %.3f over %d instances",
         report["aggregate"]["modes"]["full"]["recovery_rate"],
@@ -274,17 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--train", required=True, help="training triples (TSV)")
     p_train.add_argument("--out_dir", "--out-dir", dest="out_dir", required=True)
     p_train.add_argument("--delimiter", default="\t")
-    _add_opt(p_train, "dim", 16, int, "embedding width")
-    _add_opt(p_train, "layers", 2, int, "encoder layers")
-    _add_opt(p_train, "bases", 2, int, "relation weight bases")
-    p_train.add_argument(
-        "--decoder", choices=("transe", "distmult"),
-        default=_env_default("decoder", "distmult", str),
-    )
-    _add_opt(p_train, "epochs", 300, int, "training epochs")
-    _add_opt(p_train, "lr", 0.5, float, "learning rate")
-    _add_opt(p_train, "negatives", 4, int, "negatives per positive")
-    _add_opt(p_train, "seed", 0, int, "rng seed")
+    _add_opt(p_train, "dim", ModelConfig.dim, int, "embedding width")
+    _add_opt(p_train, "layers", ModelConfig.layers, int, "encoder layers")
+    _add_opt(p_train, "bases", ModelConfig.bases, int, "relation weight bases")
+    _add_opt(p_train, "decoder", ModelConfig.decoder, str, "triple decoder", DECODERS)
+    _add_opt(p_train, "epochs", ModelConfig.epochs, int, "training epochs")
+    _add_opt(p_train, "lr", ModelConfig.lr, float, "learning rate")
+    _add_opt(p_train, "negatives", ModelConfig.negatives, int, "negatives per positive")
+    _add_opt(p_train, "seed", ModelConfig.seed, int, "rng seed")
     p_train.set_defaults(func=cmd_train)
 
     def common_explain(p):
@@ -292,26 +223,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train", required=True)
         p.add_argument("--out_dir", "--out-dir", dest="out_dir", required=True)
         p.add_argument("--delimiter", default="\t")
-        p.add_argument(
-            "--preset", choices=tuple(PRESETS), default=_env_default("preset", "dense", str)
-        )
+        _add_opt(p, "preset", "dense", str, "k_hop/max_nodes/sample_num/threshold defaults",
+                 tuple(PRESETS))
         _add_opt(p, "k_hop", None, int, "ego-graph radius (preset default)")
-        _add_opt(p, "k_core", 2, int, "k-core pruning threshold")
+        _add_opt(p, "k_core", EvalConfig.k_core, int, "k-core pruning threshold")
         _add_opt(p, "max_nodes", None, int, "ego-graph node cap (preset default)")
-        _add_opt(p, "epochs", 50, int, "explainer epochs")
-        _add_opt(p, "lr", 0.005, float, "explainer learning rate")
-        _add_opt(p, "gamma", 0.03, float, "mask regularisation weight")
-        _add_opt(p, "power_order", 3, int, "maximum enhanced path length")
-        p.add_argument(
-            "--combine_mode", choices=("concatenation", "euclidean"),
-            default=_env_default("combine_mode", "concatenation", str),
-        )
-        _add_opt(p, "num_paths", 3, int, "paths to extract")
+        _add_opt(p, "epochs", ExplainConfig.epochs, int, "explainer epochs")
+        _add_opt(p, "lr", ExplainConfig.lr, float, "explainer learning rate")
+        _add_opt(p, "gamma", ExplainConfig.gamma, float, "mask regularisation weight")
+        _add_opt(p, "power_order", ExplainConfig.power_order, int, "maximum enhanced path length")
+        _add_opt(p, "combine_mode", ExplainConfig.combine_mode, str, "TES input combination",
+                 COMBINE_MODES)
+        _add_opt(p, "num_paths", ExplainConfig.num_paths, int, "paths to extract")
         p.add_argument("--no_path_loss", "--no-path-loss", dest="no_path_loss",
                        action="store_true", help="ablation: mutual-information loss only")
         p.add_argument("--no_mi_loss", "--no-mi-loss", dest="no_mi_loss",
                        action="store_true", help="ablation: path loss only")
-        _add_opt(p, "seed", 0, int, "rng seed")
+        _add_opt(p, "seed", ExplainConfig.seed, int, "rng seed")
 
     p_explain = sub.add_parser("explain", help="explain one predicted triple")
     common_explain(p_explain)
@@ -325,12 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     common_explain(p_eval)
     p_eval.add_argument("--test", default=None, help="test triples (TSV)")
     _add_opt(p_eval, "sample_num", None, int, "targets to sample (preset default)")
-    p_eval.add_argument(
-        "--threshold", choices=("prob", "rank1"),
-        default=_env_default("threshold", None, str),
-        help="explainable-target rule (preset default)",
-    )
-    _add_opt(p_eval, "workers", 1, int, "parallel workers")
+    _add_opt(p_eval, "threshold", None, str, "explainable-target rule (preset default)",
+             THRESHOLD_RULES)
+    _add_opt(p_eval, "workers", EvalConfig.workers, int, "parallel workers")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_suite = sub.add_parser("suite", help="planted-path suite of the harness")

@@ -11,10 +11,10 @@ candidates to mis-rank.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import tracemalloc
+import typing
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataError
 from .explain import ExplainConfig, generate_paths, prepare_computation_graph, train_explainer
 from .kgraph import KnowledgeGraph, TargetTriple, full_graph
-from .metrics import HDR_PATH_COUNTS, measure_explanation
+from .metrics import HDR_PATH_COUNTS, csv_text, json_text, measure_explanation
 from .model import KgcModel, ModelConfig, train_kgc
 
 EXPLAIN_REL = 0
@@ -268,6 +268,15 @@ def reliant_model(g: KnowledgeGraph, target: TargetTriple, dim: int = 8, seed: i
 # suite driver
 
 
+MODEL_SOURCES = ("trained", "reliant")
+
+
+def _field_types(cls) -> dict:
+    """Field name -> the types its annotation allows."""
+    return {name: typing.get_args(hint) or (hint,)
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
 @dataclass
 class SuiteConfig:
     n_instances: int = 20
@@ -285,21 +294,32 @@ class SuiteConfig:
         return self.hops if self.hops is not None else max(1, self.instance.path_len // 2)
 
     @classmethod
-    def from_flat_dict(cls, flat: dict) -> "SuiteConfig":
-        """Flat key-value file format: instance.*/model.*/explain.* prefixes."""
+    def from_flat_dict(cls, flat) -> "SuiteConfig":
+        """Flat key-value file format: instance.*/model.*/explain.* prefixes.
+
+        Raises DataError unless `flat` is a table of known keys whose values
+        have their field's type (an int also fills a float field), with a
+        known model_source and at least one instance."""
+        if not isinstance(flat, dict):
+            raise DataError(f"suite config must be a table of keys, not a {type(flat).__name__}")
         cfg = cls()
+        sections = {"instance": cfg.instance, "model": cfg.model, "explain": cfg.explain}
         for key, value in flat.items():
-            if "." in key:
-                section, name = key.split(".", 1)
-                obj = {"instance": cfg.instance, "model": cfg.model,
-                       "explain": cfg.explain}.get(section)
-                if obj is None or not hasattr(obj, name):
-                    raise DataError(f"unknown suite config key {key!r}")
-                setattr(obj, name, value)
-            else:
-                if not hasattr(cfg, key):
-                    raise DataError(f"unknown suite config key {key!r}")
-                setattr(cfg, key, value)
+            section, _, name = key.rpartition(".")
+            obj = sections.get(section) if section else cfg
+            allowed = _field_types(type(obj)).get(name) if obj is not None else None
+            if allowed is None:
+                raise DataError(f"unknown suite config key {key!r}")
+            if not (type(value) in allowed or (type(value) is int and float in allowed)):
+                names = " or ".join(t.__name__ for t in allowed)
+                raise DataError(f"suite config key {key!r} must be {names}, got {value!r}")
+            setattr(obj, name, value)
+        if cfg.model_source not in MODEL_SOURCES:
+            raise DataError(
+                f"model_source must be one of {MODEL_SOURCES}, got {cfg.model_source!r}"
+            )
+        if cfg.n_instances < 1:
+            raise DataError(f"n_instances must be >= 1, got {cfg.n_instances}")
         return cfg
 
     def to_flat_dict(self):
@@ -380,15 +400,14 @@ def run_suite(suite: SuiteConfig, out_dir=None):
     out_dir is given) writes config echo, per-instance JSON, and aggregate
     JSON + CSV with deterministic bytes."""
     t0 = time.perf_counter()
+    flat = suite.to_flat_dict()
     out = None
     if out_dir is not None:
         from pathlib import Path
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "config.json").write_text(
-            json.dumps(suite.to_flat_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        (out / "config.json").write_text(json_text(flat))
     instances = [run_instance(suite, suite.base_seed + i) for i in range(suite.n_instances)]
     modes = MODES if suite.ablations else ("full",)
     agg = {"n_instances": suite.n_instances, "modes": {}}
@@ -412,35 +431,13 @@ def run_suite(suite: SuiteConfig, out_dir=None):
             other = [r[mode]["hit1"] for r in instances]
             diffs = [int(a) - int(b) for a, b in zip(full_hits, other)]
             agg[f"sign_test_full_vs_{mode}"] = sign_test_p(diffs)
-    report = {
-        "config": suite.to_flat_dict(),
-        "aggregate": agg,
-        "instances": instances,
-    }
+    report = {"config": flat, "aggregate": agg, "instances": instances}
     if out is not None:
         for r in instances:
-            (out / f"instance_{r['seed']}.json").write_text(
-                json.dumps(r, indent=2, sort_keys=True) + "\n"
-            )
-        (out / "aggregate.json").write_text(
-            json.dumps({"config": suite.to_flat_dict(), "aggregate": agg},
-                       indent=2, sort_keys=True) + "\n"
-        )
-        lines = [",".join(SUITE_CSV_COLUMNS)]
-        for r in instances:
-            for mode in modes:
-                row = r[mode]
-                cells = [str(r["seed"]), mode]
-                for c in SUITE_CSV_COLUMNS[2:]:
-                    v = row[c]
-                    if isinstance(v, bool):
-                        cells.append("1" if v else "0")
-                    elif isinstance(v, float):
-                        cells.append(repr(v))
-                    else:
-                        cells.append(str(v))
-                lines.append(",".join(cells))
-        (out / "aggregate.csv").write_text("\n".join(lines) + "\n")
+            (out / f"instance_{r['seed']}.json").write_text(json_text(r))
+        (out / "aggregate.json").write_text(json_text({"config": flat, "aggregate": agg}))
+        rows = [{**r[mode], "seed": r["seed"], "mode": mode} for r in instances for mode in modes]
+        (out / "aggregate.csv").write_text(csv_text(SUITE_CSV_COLUMNS, rows))
     report["wall_time_s"] = time.perf_counter() - t0
     return report
 

@@ -1,8 +1,7 @@
 """Knowledge-graph storage, ego-graph extraction, k-core pruning, walk counts.
 
-Triples are stored as parallel int64 columns. The binary adjacency (one
-entry per distinct (head, tail) pair regardless of relation multiplicity)
-is kept in CSR form, together with an undirected neighbour CSR used for
+Triples are stored as parallel int64 columns plus an undirected neighbour
+CSR (one entry per distinct neighbour, whatever the relations) used for
 breadth-first reachability: ego-graph distances treat edges as
 undirected, while stored edges keep their original direction.
 """
@@ -24,12 +23,12 @@ log = logging.getLogger(__name__)
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _csr_from_pairs(src, dst, n):
-    """CSR over already (src, dst)-lexsorted pair arrays."""
+def _csr_indptr(src, n):
+    """CSR row pointers over pairs already sorted by source."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.add.at(indptr, src + 1, 1)
     np.cumsum(indptr, out=indptr)
-    return indptr, dst.copy()
+    return indptr
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class TargetTriple:
 
 
 class KnowledgeGraph:
-    """Immutable triple store with vocabularies and CSR adjacency."""
+    """Immutable triple store with vocabularies and an undirected neighbour CSR."""
 
     def __init__(
         self,
@@ -79,7 +78,7 @@ class KnowledgeGraph:
         ]
         self.duplicates_dropped = int(duplicates_dropped)
         self._validate()
-        self._build_adjacency()
+        self._build_neighbours()
         self._name_index = None
 
     def _validate(self):
@@ -100,16 +99,12 @@ class KnowledgeGraph:
         if np.unique(key).size != key.size:
             raise ContractError("duplicate (head, relation, tail) triples")
 
-    def _build_adjacency(self):
+    def _build_neighbours(self):
         n = self.num_entities
-        pair = self.heads * n + self.tails
-        upair = np.unique(pair)
-        psrc = upair // n
-        pdst = upair % n
-        self.adj_indptr, self.adj_indices = _csr_from_pairs(psrc, pdst, n)
-        both = np.unique(np.concatenate([psrc * n + pdst, pdst * n + psrc]))
-        usrc, udst = both // n, both % n
-        self.und_indptr, self.und_indices = _csr_from_pairs(usrc, udst, n)
+        pairs = np.concatenate([self.heads * n + self.tails, self.tails * n + self.heads])
+        both = np.unique(pairs)
+        self.und_indptr = _csr_indptr(both // n, n)
+        self.und_indices = both % n
 
     # -- vocabulary -------------------------------------------------------
 
@@ -194,6 +189,14 @@ class KnowledgeGraph:
         return dist
 
 
+def _utf8_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_triples(path, delimiter="\t") -> KnowledgeGraph:
     """Parse a head<delim>relation<delim>tail file into a KnowledgeGraph.
 
@@ -206,28 +209,27 @@ def load_triples(path, delimiter="\t") -> KnowledgeGraph:
     heads, rels, tails = [], [], []
     dups = 0
     nonempty = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            nonempty += 1
-            fields = line.split(delimiter)
-            if len(fields) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 fields separated by {delimiter!r}, "
-                    f"got {len(fields)}"
-                )
-            h = ent_index.setdefault(fields[0], len(ent_index))
-            r = rel_index.setdefault(fields[1], len(rel_index))
-            t = ent_index.setdefault(fields[2], len(ent_index))
-            if (h, r, t) in seen:
-                dups += 1
-                continue
-            seen.add((h, r, t))
-            heads.append(h)
-            rels.append(r)
-            tails.append(t)
+    for lineno, line in enumerate(_utf8_lines(path), start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        nonempty += 1
+        fields = line.split(delimiter)
+        if len(fields) != 3:
+            raise DataError(
+                f"{path}:{lineno}: expected 3 fields separated by {delimiter!r}, "
+                f"got {len(fields)}"
+            )
+        h = ent_index.setdefault(fields[0], len(ent_index))
+        r = rel_index.setdefault(fields[1], len(rel_index))
+        t = ent_index.setdefault(fields[2], len(ent_index))
+        if (h, r, t) in seen:
+            dups += 1
+            continue
+        seen.add((h, r, t))
+        heads.append(h)
+        rels.append(r)
+        tails.append(t)
     if nonempty == 0:
         raise DataError(f"{path}: no triples found")
     if dups:
@@ -249,8 +251,8 @@ class ComputationGraph:
 
     Triples are lexsorted by (src, dst, rel); distinct (src, dst) pairs
     are therefore contiguous, and ``pair_indptr`` delimits each pair's
-    triple range. The binary local adjacency lives in ``adj_indptr`` /
-    ``adj_indices`` over pairs.
+    triple range. The pairs form the binary local adjacency, sorted by
+    source: ``adj_indptr`` delimits each node's range of outgoing pairs.
     """
 
     def __init__(self, nodes, src, rel, dst, head_local, tail_local):
@@ -278,7 +280,7 @@ class ComputationGraph:
             self.pair_src = np.zeros(0, dtype=np.int64)
             self.pair_dst = np.zeros(0, dtype=np.int64)
             self.pair_index = np.zeros(0, dtype=np.int64)
-        self.adj_indptr, self.adj_indices = _csr_from_pairs(self.pair_src, self.pair_dst, n)
+        self.adj_indptr = _csr_indptr(self.pair_src, n)
         self.in_degree = np.bincount(self.dst, minlength=n).astype(np.int64)
 
     @property

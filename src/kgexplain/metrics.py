@@ -101,10 +101,13 @@ def _unmasked_score(model, gc, target):
     return score_target_masked(model, gc, None, target)
 
 
+THRESHOLD_RULES = ("prob", "rank1")  # model probability > 0.5, or the true tail ranked first
+
+
 @dataclass
 class EvalConfig:
     sample_num: int = 20
-    threshold_rule: str = "prob"      # "prob" (> 0.5) or "rank1"
+    threshold_rule: str = "prob"
     k_hop: int = 1
     k_core: int = 2
     max_nodes: int | None = 1000
@@ -115,8 +118,8 @@ class EvalConfig:
     def validate(self):
         if self.sample_num < 1:
             raise ContractError("sample_num must be >= 1")
-        if self.threshold_rule not in ("prob", "rank1"):
-            raise ContractError("threshold_rule must be 'prob' or 'rank1'")
+        if self.threshold_rule not in THRESHOLD_RULES:
+            raise ContractError(f"threshold_rule must be one of {THRESHOLD_RULES}")
 
 
 def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
@@ -207,21 +210,26 @@ CSV_COLUMNS = (
 )
 
 
+def json_text(obj) -> str:
+    """The one JSON form of every output file: indented, keys sorted, with a
+    trailing newline, so equal content gives equal bytes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def csv_text(columns, rows) -> str:
+    """Header plus one line per row dict; bools as 1/0, floats by repr."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_csv_cell(r[c]) for c in columns) for r in rows)
+    return "\n".join(lines) + "\n"
+
+
 def rows_to_csv(rows) -> str:
-    out = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        cells = []
-        for c in CSV_COLUMNS:
-            v = r[c]
-            if isinstance(v, bool):
-                cells.append("1" if v else "0")
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
-
-
-def report_to_json(report: MetricReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return csv_text(CSV_COLUMNS, rows)

@@ -63,6 +63,8 @@ class KgcModel:
             raise ContractError(f"decoder must be one of {DECODERS}, got {decoder!r}")
         if dim < 2:
             raise ContractError("embedding dim must be >= 2")
+        if bases < 1:
+            raise ContractError("bases must be >= 1")
         self.num_entities = int(num_entities)
         self.num_relations = int(num_relations)
         self.dim = int(dim)
@@ -112,8 +114,7 @@ def _as_pair_values(mask, gc: ComputationGraph):
     return values
 
 
-def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, tape: Tape | None = None,
-                    operands=None):
+def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=None):
     """Message passing over gc; returns the (n, d) node-embedding matrix.
 
     `operands` maps parameter names to Nodes (training) or is None, in
@@ -248,6 +249,8 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
         raise ContractError("cannot train on an empty graph")
     if config.epochs < 1:
         raise ContractError("epochs must be >= 1")
+    if config.negatives < 1:
+        raise ContractError("negatives must be >= 1")
     model = KgcModel(g.num_entities, g.num_relations, dim=config.dim, layers=config.layers,
                      bases=config.bases, decoder=config.decoder, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)

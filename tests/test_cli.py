@@ -1,8 +1,13 @@
 import json
 import os
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgexplain.cli import main
 from kgexplain.harness import PlantedConfig, generate_planted
@@ -28,6 +33,21 @@ def run_train(tmp_path, train, extra=()):
         "--dim", "6", "--epochs", "20", "--seed", "1", *extra,
     ])
     return code, out
+
+
+@pytest.fixture
+def reliant_checkpoint(tmp_path, dataset):
+    """Directory holding model.plnk: the hand-set model that relies on the planted paths."""
+    from kgexplain.harness import reliant_model
+    from kgexplain.kgraph import load_triples
+    from kgexplain.model import save_checkpoint
+
+    train, inst = dataset
+    g = load_triples(train)
+    ckpt_dir = tmp_path / "reliant"
+    ckpt_dir.mkdir()
+    save_checkpoint(reliant_model(g, inst.target, seed=0), g, ckpt_dir / "model.plnk")
+    return ckpt_dir
 
 
 def test_train_writes_checkpoint_and_log(tmp_path, dataset):
@@ -158,16 +178,9 @@ def test_explain_env_override(tmp_path, dataset, monkeypatch):
     assert json.loads((out / "config.json").read_text())["epochs"] == 3
 
 
-def test_evaluate_runs_and_writes_report(tmp_path, dataset):
-    from kgexplain.harness import reliant_model
-    from kgexplain.kgraph import load_triples
-    from kgexplain.model import save_checkpoint
-
-    train, inst = dataset
-    g = load_triples(train)
-    model = reliant_model(g, inst.target, seed=0)
-    ckpt = tmp_path / "reliant.plnk"
-    save_checkpoint(model, g, ckpt)
+def test_evaluate_runs_and_writes_report(tmp_path, dataset, reliant_checkpoint):
+    train, _ = dataset
+    ckpt = reliant_checkpoint / "model.plnk"
     test_file = tmp_path / "test.tsv"
     test_file.write_text("head\ttarget\ttail\n")
     out = tmp_path / "run_eval"
@@ -218,6 +231,10 @@ def test_malformed_env_override_usage_error(tmp_path, dataset, monkeypatch, capl
     monkeypatch.setenv("KGEXPLAIN_EPOCHS", "abc")
     assert main(explain_args(train, ckpt, tmp_path / "o", inst)) == 2
     assert "KGEXPLAIN_EPOCHS='abc' is not a valid int" in caplog.text
+    monkeypatch.delenv("KGEXPLAIN_EPOCHS")
+    monkeypatch.setenv("KGEXPLAIN_PRESET", "bogus")
+    assert main(explain_args(train, ckpt, tmp_path / "o", inst)) == 2
+    assert "KGEXPLAIN_PRESET='bogus' is not one of ('dense', 'sparse')" in caplog.text
 
 
 def test_suite_subcommand(tmp_path):
@@ -277,3 +294,161 @@ def test_cli_defaults_match_run_config():
     assert PRESETS["dense"]["sample_num"] == 500
     assert PRESETS["sparse"]["sample_num"] == 200
     assert PRESETS["dense"]["max_nodes"] == 1000
+
+
+def test_config_json_holds_the_subcommand_flags(tmp_path, dataset, reliant_checkpoint):
+    train, inst = dataset
+    common = {
+        "subcommand", "checkpoint", "train", "preset", "k_hop", "k_core", "max_nodes",
+        "epochs", "lr", "gamma", "power_order", "combine_mode", "num_paths",
+        "no_path_loss", "no_mi_loss", "seed",
+    }
+    expected = {
+        "train": {"subcommand", "train", "delimiter", "dim", "layers", "bases", "decoder",
+                  "epochs", "lr", "negatives", "seed"},
+        "explain": common | {"head", "relation", "tail", "dot"},
+        "evaluate": common | {"test", "sample_num", "threshold", "workers"},
+    }
+    runs = {
+        "train": run_train(tmp_path, train)[1],
+        "explain": tmp_path / "e",
+        "evaluate": tmp_path / "v",
+    }
+    assert main(explain_args(train, reliant_checkpoint, runs["explain"], inst)) == 0
+    assert main([
+        "evaluate", "--train", str(train), "--checkpoint", str(reliant_checkpoint / "model.plnk"),
+        "--out_dir", str(runs["evaluate"]), "--k_hop", "2", "--epochs", "2",
+        "--sample_num", "1",
+    ]) == 0
+    for name, out in runs.items():
+        config = json.loads((out / "config.json").read_text())
+        assert set(config) == expected[name]
+        assert config["subcommand"] == name
+    explain_config = json.loads((runs["explain"] / "config.json").read_text())
+    assert explain_config["max_nodes"] == 1000  # filled by the dense preset
+    assert explain_config["k_hop"] == 2  # the flag wins over the preset
+    payload = json.loads((runs["explain"] / "explanation.json").read_text())
+    assert payload["config"] == explain_config
+    evaluate_config = json.loads((runs["evaluate"] / "config.json").read_text())
+    assert evaluate_config["threshold"] == "prob"
+
+
+def error_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("bad.json", b'{"n_instances": 1', "malformed suite config"),
+    ("bad.toml", b"n_instances = ", "malformed suite config"),
+    ("latin1.json", '{"model_source": "reliant\u00e9"}'.encode("latin-1"),
+     "malformed suite config"),
+    ("list.json", b"[1, 2]", "must be a table of keys, not a list"),
+    ("typed.json", b'{"n_instances": "abc"}', "'n_instances' must be int"),
+    ("source.json", b'{"model_source": "relaint"}', "model_source must be one of"),
+])
+def test_malformed_suite_config_exits_3(tmp_path, caplog, name, data, message):
+    if name.endswith(".toml"):
+        pytest.importorskip("tomllib")
+    cfg = tmp_path / name
+    cfg.write_bytes(data)
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 3
+    [line] = error_lines(caplog)
+    assert message in line and "\n" not in line
+
+
+def test_toml_suite_config_without_tomllib_is_usage_error(tmp_path, monkeypatch, caplog):
+    monkeypatch.setitem(sys.modules, "tomllib", None)  # as on Python 3.10
+    cfg = tmp_path / "suite.toml"
+    cfg.write_text("n_instances = 1\n")
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 2
+    assert "TOML suite configs need Python 3.11+" in caplog.text
+
+
+def test_non_utf8_tsv_exits_3(tmp_path, caplog):
+    p = tmp_path / "latin1.tsv"
+    p.write_bytes("caf\u00e9\tr\tb\n".encode("latin-1"))
+    assert main(["train", "--train", str(p), "--out_dir", str(tmp_path / "o")]) == 3
+    [line] = error_lines(caplog)
+    assert f"{p}: not UTF-8 text" in line
+
+
+@pytest.mark.parametrize("flag", ["negatives", "bases"])
+def test_zero_model_flag_usage_error(tmp_path, dataset, caplog, flag):
+    train, _ = dataset
+    code = main(["train", "--train", str(train), "--out_dir", str(tmp_path / "o"),
+                 "--epochs", "2", f"--{flag}", "0"])
+    assert code == 2
+    assert f"{flag} must be >= 1" in caplog.text
+
+
+# -- damaged inputs: every run ends in a documented exit code -----------------
+
+_INST = generate_planted(PlantedConfig(n_entities=12, n_distractors=3, n_context_groups=1,
+                                       seed=0))
+VALID_TSV = "".join(
+    f"{_INST.graph.entity_names[h]}\t{_INST.graph.relation_names[r]}\t"
+    f"{_INST.graph.entity_names[t]}\n" for h, r, t in _INST.graph.triples
+).encode()
+# Compact (no space for an edit to turn into a leading digit) and with every
+# setting given, so that a one-byte edit cannot make a valid but slow suite
+# (many instances, or a 300-epoch trained model).
+_SUITE = {"n_instances": 1, "model_source": "reliant", "hops": 2,
+          "instance.n_entities": 30, "instance.n_distractors": 5,
+          "instance.n_context_groups": 2, "model.epochs": 2, "model.dim": 4,
+          "explain.epochs": 2}
+VALID_SUITE_JSON = json.dumps(_SUITE, separators=(",", ":")).encode()
+VALID_SUITE_TOML = "".join(f'"{k}"={json.dumps(v)}\n' for k, v in _SUITE.items()).encode()
+
+
+# bytes that often keep a file parseable, so edits also reach the value checks
+_SYNTAX_BYTES = list(b"-.eE'\" ,:=#[]{}\t\nnulltruefalse")
+
+
+@st.composite
+def damaged(draw, data, truncate=True):
+    """`data` cut short, or with one byte replaced; half the edits hit a digit."""
+    if truncate and draw(st.booleans()):
+        return data[: draw(st.integers(0, len(data) - 1))]
+    digits = [i for i, b in enumerate(data) if chr(b).isdigit()]
+    i = draw(st.one_of(st.integers(0, len(data) - 1), st.sampled_from(digits)))
+    byte = draw(st.one_of(st.integers(0, 255), st.sampled_from(list(b"0123456789")),
+                          st.sampled_from(_SYNTAX_BYTES)))
+    return data[:i] + bytes([byte]) + data[i + 1 :]
+
+
+@settings(max_examples=40, deadline=None)
+@given(damaged(VALID_TSV))
+def test_damaged_tsv_exits_with_documented_code(data):
+    from kgexplain.harness import reliant_model
+    from kgexplain.kgraph import load_triples
+    from kgexplain.model import save_checkpoint
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "valid.tsv").write_bytes(VALID_TSV)
+        g = load_triples(tmp / "valid.tsv")
+        save_checkpoint(reliant_model(g, _INST.target, dim=4), g, tmp / "model.plnk")
+        tsv = tmp / "damaged.tsv"
+        tsv.write_bytes(data)
+        train = ["train", "--train", str(tsv), "--out_dir", str(tmp / "t"),
+                 "--dim", "2", "--layers", "1", "--epochs", "1"]
+        explain = ["explain", "--train", str(tsv), "--checkpoint", str(tmp / "model.plnk"),
+                   "--out_dir", str(tmp / "e"), "--head", "head", "--relation", "target",
+                   "--tail", "tail", "--epochs", "1"]
+        assert main(train) in (0, 2, 3)
+        assert main(explain) in (0, 2, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("suite.json"), damaged(VALID_SUITE_JSON)),
+    # an empty or cut TOML file is a valid table of fewer keys, so only edit bytes
+    st.tuples(st.just("suite.toml"), damaged(VALID_SUITE_TOML, truncate=False)),
+))
+def test_damaged_suite_config_exits_with_documented_code(case):
+    name, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / name
+        cfg.write_bytes(data)
+        code = main(["suite", "--config", str(cfg), "--out_dir", str(Path(tmp) / "o")])
+        assert code in (0, 2, 3)

@@ -135,6 +135,13 @@ def test_suite_flat_config_roundtrip():
         SuiteConfig.from_flat_dict({"bogus_key": 1})
     with pytest.raises(DataError):
         SuiteConfig.from_flat_dict({"instance.bogus": 1})
+    assert SuiteConfig.from_flat_dict({"explain.lr": 1, "max_nodes": None}).explain.lr == 1
+    for bad in ([1, 2], {"n_instances": "abc"}, {"hops": True}, {"ablations": 1},
+                {"explain.epochs": 5.0}, {"instance": {"path_len": 3}},
+                {"resolved_hops": 1}, {"explain.validate": 1}, {"model_source": "relaint"},
+                {"n_instances": 0}):
+        with pytest.raises(DataError):
+            SuiteConfig.from_flat_dict(bad)
 
 
 def test_memory_scaling_smoke():

@@ -393,11 +393,13 @@ def test_checkpoint_damage_raises_data_error(tmp_path):
     meta_len = int.from_bytes(data[6:10], "little")
     meta = json.loads(data[10 : 10 + meta_len])
     no_layers = {k: v for k, v in meta.items() if k != "layers"}
-    for edited in (dict(meta, dim=3), dict(meta, tensors=meta["tensors"][:-1]), no_layers):
+    for edited, reason in ((dict(meta, dim=3), None),
+                           (dict(meta, tensors=meta["tensors"][:-1]), None), (no_layers, None),
+                           (dict(meta, bases=0), "bases must be >= 1")):
         blob = json.dumps(edited).encode()
         bad.write_bytes(data[:6] + len(blob).to_bytes(4, "little") + blob
                         + data[10 + meta_len :])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=reason):
             load_checkpoint(bad, g)
     loaded = load_checkpoint(p, g)
     for name, value in model.store.params.items():

@@ -277,6 +277,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         log.error("missing input file: %s", exc)
         return 2
+    except OSError as exc:
+        log.error("cannot use file: %s", exc)
+        return 2
     except DataError as exc:
         log.error("%s", exc)
         return 3

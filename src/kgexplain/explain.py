@@ -8,6 +8,15 @@ graph's distinct (src, dst) positions; when several triples share a
 position the maximum score is stored and the arg-max triple recorded as
 provenance.
 
+The TES is one tape op (`TesOp`) with a hand-written backward. Its hidden
+activations, relu masks and their adjoints live in buffers allocated once
+per job, so an epoch allocates no (E, hidden) temporaries. In concatenation
+mode the first layer is split: the input [h_src, r, h_dst | h_i, r_t, h_k]
+has a last block that is the same target row for every edge, so
+`x @ w1 = xe @ w1[:3d] + (xt @ w1[3d:])`, with xe (E, 3d) and xt (3d,), and
+the bottom block of w1's gradient is `outer(xt, column sums of the layer-1
+adjoint)`. This halves the widest matmul and its backward.
+
 Training maximises the length-normalised on-path probability obtained by
 repeatedly multiplying the target row of the score matrix into the
 matrix (walk-product sums, normalised by walk counts and the l-th root),
@@ -63,10 +72,10 @@ class ExplainConfig:
             raise ContractError("epochs must be >= 1")
         if self.power_order < 2:
             raise ContractError("power_order must be >= 2")
-        if self.gamma < 0:
-            raise ContractError("gamma must be >= 0")
-        if self.lr <= 0:
-            raise ContractError("lr must be positive")
+        if not self.gamma >= 0:
+            raise ContractError(f"gamma must be >= 0, got {self.gamma}")
+        if not self.lr > 0:
+            raise ContractError(f"lr must be positive, got {self.lr}")
         if self.combine_mode not in COMBINE_MODES:
             raise ContractError(f"combine_mode must be one of {COMBINE_MODES}")
         if not (self.enable_path_loss or self.enable_mi_loss):
@@ -170,32 +179,106 @@ def on_path_probability(gc: ComputationGraph, values, L: int, walk_counts):
 
 
 # ---------------------------------------------------------------------------
-# TES forward
+# TES forward and backward
+
+TES_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
-def _tes_mlp(params, x):
-    z = ad.relu(ad.add(ad.matmul(x, params["w1"]), params["b1"]))
-    z = ad.relu(ad.add(ad.matmul(z, params["w2"]), params["b2"]))
-    z = ad.add(ad.matmul(z, params["w3"]), params["b3"])
-    return ad.reshape(ad.sigmoid(z), (np.shape(ad._val(x))[0],))
+class TesOp:
+    """The TES MLP as one tape op whose activations live in buffers it owns.
+
+    The (E, 64) and (E, 32) activations, their relu masks and their adjoints
+    are allocated once, so an epoch allocates no (E, hidden) temporaries. The
+    buffers hold one forward pass at a time: every call overwrites them, and
+    backpropagating a node whose buffers a later call has overwritten raises
+    `ContractError`.
+
+    `xe` and `xt` are the split first-layer input of concatenation mode
+    (see the module docstring); in euclidean mode `xe` is the (E, 3)
+    distance input and `xt` is None.
+    """
+
+    def __init__(self, xe, xt=None):
+        num_edges = xe.shape[0]
+        self.xe, self.xt = xe, xt
+        self.z1 = np.empty((num_edges, TES_HIDDEN[0]))
+        self.z2 = np.empty((num_edges, TES_HIDDEN[1]))
+        self.g1 = np.empty_like(self.z1)
+        self.g2 = np.empty_like(self.z2)
+        self.m1 = np.empty(self.z1.shape, dtype=bool)
+        self.m2 = np.empty(self.z2.shape, dtype=bool)
+        self.generation = 0
+
+    def __call__(self, params):
+        """Edge scores (E,) for `params` keyed by `TES_PARAMS`: a Node whose
+        parents are the six params when they are Nodes of one tape, a plain
+        array when they are arrays."""
+        w1, b1, w2, b2, w3, b3 = (ad._val(params[name]) for name in TES_PARAMS)
+        z1, z2, xe, xt = self.z1, self.z2, self.xe, self.xt
+        split = xe.shape[1]
+        np.matmul(xe, w1[:split], out=z1)
+        z1 += b1 if xt is None else xt @ w1[split:] + b1
+        ad._check_finite(z1, "tes_mlp:layer1")
+        np.maximum(z1, 0.0, out=z1)
+        np.matmul(z1, w2, out=z2)
+        z2 += b2
+        ad._check_finite(z2, "tes_mlp:layer2")
+        np.maximum(z2, 0.0, out=z2)
+        logit = z2 @ w3 + b3
+        ad._check_finite(logit, "tes_mlp:layer3")
+        out = ad._sigmoid_value(logit)
+        scores = out.reshape(xe.shape[0])
+        self.generation += 1
+        nodes = tuple(params[name] for name in TES_PARAMS)
+        tape = ad._tape_of(*nodes)
+        if tape is None:
+            return scores
+        generation = self.generation
+
+        def bw(g):
+            if self.generation != generation:
+                raise ContractError(
+                    "TES activations were overwritten by a later forward pass; "
+                    "run backward before the next TES forward"
+                )
+            g1, g2, m1, m2 = self.g1, self.g2, self.m1, self.m2
+            g3 = g.reshape(out.shape) * out * (1.0 - out)
+            ad._check_finite(g3, "tes_mlp:layer3 adjoint")
+            gw3, gb3 = z2.T @ g3, g3.sum(axis=0)
+            np.matmul(g3, w3.T, out=g2)
+            np.greater(z2, 0.0, out=m2)
+            np.multiply(g2, m2, out=g2)
+            ad._check_finite(g2, "tes_mlp:layer2 adjoint")
+            gw2, gb2 = z1.T @ g2, g2.sum(axis=0)
+            np.matmul(g2, w2.T, out=g1)
+            np.greater(z1, 0.0, out=m1)
+            np.multiply(g1, m1, out=g1)
+            ad._check_finite(g1, "tes_mlp:layer1 adjoint")
+            gb1 = g1.sum(axis=0)
+            gw1 = xe.T @ g1
+            if xt is not None:
+                gw1 = np.concatenate([gw1, np.outer(xt, gb1)])
+            return [gw1, gb1, gw2, gb2, gw3, gb3]
+
+        return ad.Node(tape, scores, nodes, bw, "tes_mlp")
 
 
 def _tes_inputs(H, R, gc: ComputationGraph, target: TargetTriple, combine_mode: str):
+    """(xe, xt) for `TesOp`: the edge blocks and the target row in
+    concatenation mode, the (E, 3) distances and None in euclidean mode."""
     i = gc.local_of_global[target.head]
     k = gc.local_of_global[target.tail]
     E = gc.num_edges
     hs, rr, ht = H[gc.src], R[gc.rel], H[gc.dst]
-    th = np.broadcast_to(H[i], (E, H.shape[1]))
-    tr = np.broadcast_to(R[target.relation], (E, R.shape[1]))
-    tt = np.broadcast_to(H[k], (E, H.shape[1]))
+    th, tr, tt = H[i], R[target.relation], H[k]
     if combine_mode == "concatenation":
-        return np.concatenate([hs, rr, ht, th, tr, tt], axis=1)
+        return np.concatenate([hs, rr, ht], axis=1), np.concatenate([th, tr, tt])
     cols = [
         np.sqrt(((hs - th) ** 2).sum(axis=1)),
         np.sqrt(((rr - tr) ** 2).sum(axis=1)),
         np.sqrt(((ht - tt) ** 2).sum(axis=1)),
     ]
-    return np.stack(cols, axis=1) if E else np.zeros((0, 3))
+    return (np.stack(cols, axis=1) if E else np.zeros((0, 3))), None
 
 
 def _collapse_to_pairs(edge_scores, gc: ComputationGraph):
@@ -225,7 +308,7 @@ class ExplainJob:
         self.config = config
         self.H = encode(model, gc, None)
         self.R = model.relation_embeddings
-        self.x = _tes_inputs(self.H, self.R, gc, target, config.combine_mode)
+        self.tes = TesOp(*_tes_inputs(self.H, self.R, gc, target, config.combine_mode))
         self.awalks = adjacency_power_row(gc, gc.head_local, config.power_order)
 
     def pair_scores(self, store: ParamStore, tape: Tape | None):
@@ -235,8 +318,7 @@ class ExplainJob:
             if tape is not None
             else store.params
         )
-        scores = _tes_mlp(params, self.x)
-        return _collapse_to_pairs(scores, self.gc)
+        return _collapse_to_pairs(self.tes(params), self.gc)
 
     def loss_terms(self, pair_vals):
         """Enabled loss terms plus the mask L2 penalty for one per-pair mask

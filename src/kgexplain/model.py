@@ -63,6 +63,8 @@ class KgcModel:
             raise ContractError(f"decoder must be one of {DECODERS}, got {decoder!r}")
         if dim < 2:
             raise ContractError("embedding dim must be >= 2")
+        if layers < 1:
+            raise ContractError("layers must be >= 1")
         if bases < 1:
             raise ContractError("bases must be >= 1")
         self.num_entities = int(num_entities)
@@ -251,6 +253,8 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
         raise ContractError("epochs must be >= 1")
     if config.negatives < 1:
         raise ContractError("negatives must be >= 1")
+    if not config.lr > 0:
+        raise ContractError(f"lr must be positive, got {config.lr}")
     model = KgcModel(g.num_entities, g.num_relations, dim=config.dim, layers=config.layers,
                      bases=config.bases, decoder=config.decoder, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)

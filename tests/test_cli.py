@@ -372,13 +372,53 @@ def test_non_utf8_tsv_exits_3(tmp_path, caplog):
     assert f"{p}: not UTF-8 text" in line
 
 
-@pytest.mark.parametrize("flag", ["negatives", "bases"])
+@pytest.mark.parametrize("flag", ["negatives", "bases", "layers"])
 def test_zero_model_flag_usage_error(tmp_path, dataset, caplog, flag):
     train, _ = dataset
     code = main(["train", "--train", str(train), "--out_dir", str(tmp_path / "o"),
                  "--epochs", "2", f"--{flag}", "0"])
     assert code == 2
     assert f"{flag} must be >= 1" in caplog.text
+
+
+@pytest.mark.parametrize("lr", ["-1", "0", "nan"])
+def test_train_bad_lr_usage_error(tmp_path, dataset, caplog, lr):
+    train, _ = dataset
+    out = tmp_path / "o"
+    assert main(["train", "--train", str(train), "--out_dir", str(out),
+                 "--epochs", "2", "--lr", lr]) == 2
+    [line] = error_lines(caplog)
+    assert "lr must be positive" in line
+    assert not (out / "model.plnk").exists()
+
+
+@pytest.mark.parametrize("flag, value, code, message", [
+    ("lr", "nan", 2, "lr must be positive, got nan"),
+    ("lr", "-0.1", 2, "lr must be positive"),
+    ("gamma", "nan", 2, "gamma must be >= 0, got nan"),
+    ("lr", "1e308", 4, "numeric failure"),
+])
+def test_explain_rate_flags_exit_codes(tmp_path, dataset, reliant_checkpoint, caplog,
+                                       flag, value, code, message):
+    train, inst = dataset
+    args = explain_args(train, reliant_checkpoint, tmp_path / "o", inst,
+                        extra=(f"--{flag}", value))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == code
+    [line] = error_lines(caplog)
+    assert message in line
+
+
+def test_input_path_os_errors_exit_2(tmp_path, dataset, caplog):
+    # a directory as the triple file, and an out_dir that is an existing file
+    train, _ = dataset
+    assert main(["train", "--train", str(tmp_path), "--out_dir", str(tmp_path / "o")]) == 2
+    [line] = error_lines(caplog)
+    assert "Is a directory" in line and str(tmp_path) in line
+    caplog.clear()
+    assert main(["train", "--train", str(train), "--out_dir", str(train)]) == 2
+    [line] = error_lines(caplog)
+    assert str(train) in line
 
 
 # -- damaged inputs: every run ends in a documented exit code -----------------

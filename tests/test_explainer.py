@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kgexplain import autodiff as ad
-from kgexplain.errors import ContractError
+from kgexplain.errors import ContractError, NumericError
 from kgexplain.explain import (
     EdgeScoreMatrix,
     ExplainConfig,
@@ -235,6 +235,135 @@ def test_tes_multi_relation_pair_takes_max_with_provenance():
         scores.append(float(1.0 / (1.0 + np.exp(-(z2 @ p["w3"] + p["b3"])[0]))))
     assert mask.values[0] == pytest.approx(max(scores), rel=1e-12)
     assert mask.provenance[0] == int(np.argmax(scores))
+
+
+# -- the TES tape op (ExplainJob.tes) ----------------------------------------------
+
+
+def tes_oracle(params, x):
+    """The TES MLP composed from generic tape ops over the full input x."""
+    z = ad.relu(ad.add(ad.matmul(x, params["w1"]), params["b1"]))
+    z = ad.relu(ad.add(ad.matmul(z, params["w2"]), params["b2"]))
+    z = ad.add(ad.matmul(z, params["w3"]), params["b3"])
+    return ad.reshape(ad.sigmoid(z), (x.shape[0],))
+
+
+def tes_case(mode, num_edges, dim=4, seed=0):
+    """A job over `num_edges` random triples, a TES with random biases, and
+    the oracle's (E, 6d) or (E, 3) input built edge by edge."""
+    rng = np.random.default_rng(seed)
+    n = 6
+    keys = rng.choice(n * 2 * n, size=num_edges, replace=False)
+    triples = [(int(k // (2 * n)), int(k // n % 2), int(k % n)) for k in keys]
+    g = kg_from(triples, n_ent=n, n_rel=2)
+    target = TargetTriple(0, 1, 1)
+    gc = full_graph(g, target)
+    model = KgcModel(n, 2, dim=dim, seed=seed)
+    job = ExplainJob(model, gc, target, ExplainConfig(combine_mode=mode))
+    tes = init_tes(mode, dim, seed=seed + 1)
+    for name in ("b1", "b2", "b3"):
+        tes.store.params[name][...] = rng.normal(0.0, 0.5, tes.store.params[name].shape)
+    H, R = job.H, model.relation_embeddings
+    tgt = (H[gc.head_local], R[target.relation], H[gc.tail_local])
+    combine = combine_cat if mode == "concatenation" else combine_euc
+    rows = [combine((H[s], R[r], H[d]), tgt) for s, r, d in zip(gc.src, gc.rel, gc.dst)]
+    width = 6 * dim if mode == "concatenation" else 3
+    x = np.array(rows).reshape(len(rows), width)
+    return job, tes.store, x, rng.normal(size=gc.num_edges)
+
+
+def scores_and_grads(fn, store, weights):
+    """Edge scores of `fn(params)` and d(sum(weights * scores))/d(params)."""
+    store.zero_grads()
+    with ad.Tape() as tape:
+        scores = fn({name: tape.param(store, name) for name in store.params})
+        ad.backward(tape, ad.sumall(ad.mul(scores, weights)))
+        values = np.array(scores.value)
+    return values, {name: g.copy() for name, g in store.grads.items()}
+
+
+def tes_loss(job, weights):
+    def loss(store, tape):
+        params = ({name: tape.param(store, name) for name in store.params}
+                  if tape is not None else store.params)
+        return ad.sumall(ad.mul(job.tes(params), weights))
+
+    return loss
+
+
+@pytest.mark.parametrize("mode", ["concatenation", "euclidean"])
+@pytest.mark.parametrize("num_edges", [0, 1, 40])
+def test_tes_op_matches_composed_oracle(mode, num_edges):
+    job, store, x, weights = tes_case(mode, num_edges)
+    got, got_grads = scores_and_grads(job.tes, store, weights)
+    want, want_grads = scores_and_grads(lambda p: tes_oracle(p, x), store, weights)
+    assert got.shape == (num_edges,)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(job.tes(store.params), want, rtol=1e-12, atol=0)
+    for name in store.params:
+        assert got_grads[name].shape == store.params[name].shape
+        np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=1e-12, atol=0,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("mode", ["concatenation", "euclidean"])
+def test_tes_op_passes_finite_differences(mode):
+    job, store, _, weights = tes_case(mode, 6, dim=3, seed=5)
+    report = ad.finite_diff_check(tes_loss(job, weights), store, step=1e-5, tol=1e-4)
+    assert report.passed, report
+
+
+def test_tes_op_is_one_tape_node():
+    job, store, _, _ = tes_case("concatenation", 5)
+    with ad.Tape() as tape:
+        job.pair_scores(store, tape)
+        ops = [node.op for node in tape.nodes]
+    assert ops == [f"param:{name}" for name in store.params] + ["tes_mlp", "segment_max"]
+
+
+@pytest.mark.parametrize("mode", ["concatenation", "euclidean"])
+def test_tes_op_overflow_names_the_layer(mode):
+    job, store, _, weights = tes_case(mode, 3)
+    xe = job.tes.xe
+    assert np.abs(xe[0]).sum() > 2.0
+    store.params["w1"][...] = 0.0
+    store.params["w1"][: xe.shape[1]] = 1e308 * np.sign(xe[0])[:, None]
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="tes_mlp:layer1"):
+            job.tes(store.params)
+        with pytest.raises(NumericError, match="tes_mlp:layer1"):
+            with ad.Tape() as tape:
+                job.pair_scores(store, tape)
+
+
+def test_tes_op_adjoint_overflow_names_the_layer():
+    # hidden layer 2 is all ones and the logit is 0, so every score is 0.5;
+    # a huge output adjoint times w3's large entries overflows the layer-2 adjoint
+    job, store, _, _ = tes_case("concatenation", 3)
+    p = store.params
+    p["w2"][...] = 0.0
+    p["b2"][...] = 1.0
+    p["w3"][...] = 0.0
+    p["w3"][:2, 0] = (1e10, -1e10)
+    p["b3"][...] = 0.0
+    np.testing.assert_array_equal(job.tes(p), 0.5)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="tes_mlp:layer2 adjoint"):
+        scores_and_grads(job.tes, store, np.full(3, 1e300))
+
+
+def test_tes_op_backward_after_a_later_forward_is_refused():
+    job, store, _, weights = tes_case("concatenation", 4)
+    with ad.Tape() as tape:
+        params = {name: tape.param(store, name) for name in store.params}
+        first = job.tes(params)
+        job.tes(params)
+        with pytest.raises(ContractError, match="overwritten"):
+            ad.backward(tape, ad.sumall(ad.mul(first, weights)))
+    with ad.Tape() as tape:
+        first = job.tes({name: tape.param(store, name) for name in store.params})
+        job.final_mask(store)
+        with pytest.raises(ContractError, match="overwritten"):
+            ad.backward(tape, ad.sumall(ad.mul(first, weights)))
 
 
 # -- powering ---------------------------------------------------------------------
@@ -503,6 +632,13 @@ def test_default_hyperparameters():
     assert cfg.gamma == 0.03
     assert cfg.power_order == 3
     assert cfg.combine_mode == "concatenation"
+
+
+@pytest.mark.parametrize("field, value", [("lr", math.nan), ("lr", 0.0), ("gamma", math.nan),
+                                          ("gamma", -0.1)])
+def test_config_rejects_bad_rates(field, value):
+    with pytest.raises(ContractError, match=field):
+        ExplainConfig(**{field: value}).validate()
 
 
 def test_both_losses_off_rejected():

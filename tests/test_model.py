@@ -395,7 +395,8 @@ def test_checkpoint_damage_raises_data_error(tmp_path):
     no_layers = {k: v for k, v in meta.items() if k != "layers"}
     for edited, reason in ((dict(meta, dim=3), None),
                            (dict(meta, tensors=meta["tensors"][:-1]), None), (no_layers, None),
-                           (dict(meta, bases=0), "bases must be >= 1")):
+                           (dict(meta, bases=0), "bases must be >= 1"),
+                           (dict(meta, layers=0), "layers must be >= 1")):
         blob = json.dumps(edited).encode()
         bad.write_bytes(data[:6] + len(blob).to_bytes(4, "little") + blob
                         + data[10 + meta_len :])

@@ -14,7 +14,8 @@ block empties the tape and cuts every node off its parents and adjoint, so
 the pass's arrays are freed by refcounting the moment the block ends rather
 than whenever the cyclic collector next runs. After a tape's block ends its
 nodes can no longer be backpropagated; a node still referenced outside keeps
-only its own value.
+only its own value. Entering the block also has glibc's malloc keep freed
+memory for the next pass instead of handing it back to the OS.
 
 Scalars are represented as 0-d or length-1 arrays; `backward` accepts any
 single-element output. Forward values and backward adjoints are checked
@@ -26,6 +27,8 @@ probability collapses; the adjoint uses the clamped argument as well.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 
 import numpy as np
@@ -64,6 +67,29 @@ class Node:
         return np.shape(self.value)
 
 
+@functools.cache
+def _reuse_freed_heap():
+    """Have glibc's malloc keep freed memory for the next pass (elsewhere a no-op).
+
+    glibc maps blocks above its mmap threshold afresh and hands the free top of
+    its heap back to the OS beyond its trim threshold. Both start at 128 KiB and
+    rise only after the process frees a larger mapped block. Every pass frees
+    its arrays when it ends, so the next pass faulted them in again unless
+    something earlier had happened to free a big block: on a 7.4k-triple
+    ego-graph, 611k minor page faults against 29k over 250 epochs, and 1.62 s
+    against 1.39 s a job. These values are the largest glibc would pick itself.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
 class Tape:
     """Owns the node list for one forward/backward pass; a context manager
     whose exit ends the pass (see the module docstring)."""
@@ -74,6 +100,7 @@ class Tape:
         self.nodes: list[Node] = []
 
     def __enter__(self):
+        _reuse_freed_heap()
         return self
 
     def __exit__(self, *exc):

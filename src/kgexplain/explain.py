@@ -209,6 +209,8 @@ class TesOp:
         self.m2 = np.empty(self.z2.shape, dtype=bool)
         self.generation = 0
 
+    # Overflow surfaces as the finite checks' NumericError, not as a warning.
+    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, params):
         """Edge scores (E,) for `params` keyed by `TES_PARAMS`: a Node whose
         parents are the six params when they are Nodes of one tape, a plain
@@ -235,6 +237,7 @@ class TesOp:
             return scores
         generation = self.generation
 
+        @np.errstate(over="ignore", invalid="ignore")
         def bw(g):
             if self.generation != generation:
                 raise ContractError(

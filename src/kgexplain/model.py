@@ -116,12 +116,14 @@ def _as_pair_values(mask, gc: ComputationGraph):
     return values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=None):
     """Message passing over gc; returns the (n, d) node-embedding matrix.
 
     `operands` maps parameter names to Nodes (training) or is None, in
     which case the model's raw arrays are used (frozen weights). `mask`
-    may be an EdgeScoreMatrix, a per-pair vector/Node, or None.
+    may be an EdgeScoreMatrix, a per-pair vector/Node, or None. Overflow
+    raises the ops' NumericError without a numpy warning first.
     """
     p = operands if operands is not None else model.store.params
     mask_vec = None if mask is None else _as_pair_values(mask, gc)

@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -191,6 +197,35 @@ def test_tape_block_end_detaches_nodes():
     assert float(out.value) == 5.0
     with pytest.raises(ContractError, match="open tape"):
         ad.backward(tape, out)
+
+
+_PASSES = """
+import resource
+import numpy as np
+from kgexplain.autodiff import Tape
+
+def one_pass():
+    with Tape():
+        arrays = [np.ones(1 << 17) for _ in range(20)]  # 20 blocks of 1 MiB
+
+one_pass()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    one_pass()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc settings")
+def test_later_passes_reuse_the_memory_earlier_passes_freed():
+    # A fresh interpreter starts from glibc's default malloc thresholds, under
+    # which each pass's 20 MiB is handed back to the OS and faulted in again
+    # (5 x 5120 pages).
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _PASSES], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) < 2000
 
 
 def test_backward_rejects_node_of_another_tape():

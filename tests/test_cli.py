@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -407,6 +408,28 @@ def test_explain_rate_flags_exit_codes(tmp_path, dataset, reliant_checkpoint, ca
         assert main(args) == code
     [line] = error_lines(caplog)
     assert message in line
+
+
+def test_numeric_failure_prints_one_line(tmp_path, dataset, reliant_checkpoint, capfd):
+    # A fresh interpreter, so stderr is what a user sees: numpy's default error
+    # state (no errstate around the run) and the CLI's own logging handler.
+    train, inst = dataset
+    args = explain_args(train, reliant_checkpoint, tmp_path / "o", inst, extra=("--lr", "1e308"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = subprocess.run([sys.executable, "-m", "kgexplain.cli", *args], env=env).returncode
+    assert code == 4
+    [line] = capfd.readouterr().err.splitlines()
+    assert line.startswith("ERROR numeric failure: non-finite value produced by op")
+
+
+@pytest.mark.parametrize("delimiter", ["", "\n", "\r", "x\r\n"])
+def test_empty_or_line_breaking_delimiter_usage_error(tmp_path, dataset, caplog, delimiter):
+    train, _ = dataset
+    assert main(["train", "--train", str(train), "--out_dir", str(tmp_path / "o"),
+                 "--delimiter", delimiter]) == 2
+    [line] = error_lines(caplog)
+    assert "delimiter must be non-empty and contain no line break" in line
 
 
 def test_input_path_os_errors_exit_2(tmp_path, dataset, caplog):

@@ -1,8 +1,16 @@
+import logging
 import os
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from kgexplain import kgraph
 from kgexplain.errors import ContractError, DataError, NumericError
 from kgexplain.kgraph import (
     ComputationGraph,
@@ -62,6 +70,153 @@ def test_load_custom_delimiter(tmp_path):
     p.write_text("a r1 b\nb r1 c\n")
     g = load_triples(p, delimiter=" ")
     assert g.num_triples == 2
+
+
+# The per-line loader that `load_triples` replaced, kept as its oracle.
+
+log = logging.getLogger(__name__)
+
+
+def _utf8_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def oracle_load_triples(path, delimiter="\t") -> KnowledgeGraph:
+    ent_index: dict[str, int] = {}
+    rel_index: dict[str, int] = {}
+    seen = set()
+    heads, rels, tails = [], [], []
+    dups = 0
+    nonempty = 0
+    for lineno, line in enumerate(_utf8_lines(path), start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        nonempty += 1
+        fields = line.split(delimiter)
+        if len(fields) != 3:
+            raise DataError(
+                f"{path}:{lineno}: expected 3 fields separated by {delimiter!r}, "
+                f"got {len(fields)}"
+            )
+        h = ent_index.setdefault(fields[0], len(ent_index))
+        r = rel_index.setdefault(fields[1], len(rel_index))
+        t = ent_index.setdefault(fields[2], len(ent_index))
+        if (h, r, t) in seen:
+            dups += 1
+            continue
+        seen.add((h, r, t))
+        heads.append(h)
+        rels.append(r)
+        tails.append(t)
+    if nonempty == 0:
+        raise DataError(f"{path}: no triples found")
+    if dups:
+        log.warning("%s: dropped %d duplicate triple line(s)", path, dups)
+    return KnowledgeGraph(
+        len(ent_index),
+        len(rel_index),
+        np.array(heads, dtype=np.int64),
+        np.array(rels, dtype=np.int64),
+        np.array(tails, dtype=np.int64),
+        list(ent_index),
+        list(rel_index),
+        duplicates_dropped=dups,
+    )
+
+
+def _load_outcome(load, path, delimiter):
+    try:
+        g = load(path, delimiter)
+    except DataError as exc:
+        return "error", str(exc)
+    return (g.heads.tolist(), g.rels.tolist(), g.tails.tolist(), g.entity_names,
+            g.relation_names, g.duplicates_dropped, g.vocab_hashes())
+
+
+# Field characters include the ones `str.splitlines` breaks at but file
+# iteration does not, and ":" so that a field can run into the "::" delimiter.
+_NAME = st.text(alphabet="ab:\u00e9\x0b\x0c\x1c\x85\u2028", max_size=3)
+_BLANK = st.text(alphabet=" \t\x0b\x0c\x85\u2028", max_size=3)
+
+
+@st.composite
+def tsv_case(draw):
+    """(file bytes, bytes without the non-UTF-8 damage, delimiter)."""
+    delimiter = draw(st.sampled_from(["\t", " ", "::"]))
+    triple = st.lists(_NAME, min_size=3, max_size=3).map(delimiter.join)
+    pool = draw(st.lists(triple, min_size=1, max_size=6))  # small, so lines repeat
+    bad = st.lists(_NAME, min_size=1, max_size=5).map(delimiter.join)
+    line = st.one_of(st.sampled_from(pool), st.sampled_from(pool), st.sampled_from(pool),
+                     _BLANK, bad)
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])),
+                          max_size=25))
+    text = "".join(body + end for body, end in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(lines[-1][1])]  # no final line break
+    clean = text.encode()
+    data = clean
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(clean)))
+        data = clean[:at] + b"\xff" + clean[at:]
+    return data, clean, delimiter
+
+
+@settings(max_examples=300, deadline=None)
+@given(tsv_case(), st.one_of(st.just(kgraph._BLOCK_CHARS), st.sampled_from([1, 2, 3, 5, 8])))
+def test_load_triples_matches_per_line_oracle(case, block_chars):
+    data, clean, delimiter = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        # tiny blocks put block edges mid-line and between "\r" and "\n"
+        mp.setattr(kgraph, "_BLOCK_CHARS", block_chars)
+        path = Path(tmp) / "kg.tsv"
+        path.write_bytes(clean)
+        clean_outcome = _load_outcome(oracle_load_triples, path, delimiter)
+        path.write_bytes(data)
+        want = _load_outcome(oracle_load_triples, path, delimiter)
+        got = _load_outcome(load_triples, path, delimiter)
+    if data != clean and clean_outcome[0] == "error":
+        # a bad line and a non-UTF-8 byte: which one is met first depends
+        # on how far ahead the text is decoded
+        assert got[0] == want[0] == "error"
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    hnp.arrays(np.int64, st.integers(0, 60), elements=st.integers(-3, 3)),
+    hnp.arrays(np.int64, st.integers(0, 60)),
+    st.builds(np.full, st.integers(0, 20), st.integers(-2**63, 2**63 - 1),
+              st.just(np.int64)),
+))
+def test_sorted_unique_equals_np_unique(a):
+    got = kgraph._sorted_unique(a)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.unique(a))
+
+
+def _traced_peak(load, path):
+    tracemalloc.start()
+    try:
+        load(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_loader_peak_memory_within_per_line_loader(tmp_path):
+    rng = np.random.default_rng(0)
+    ents = [f"/m/0{i:06x}" for i in range(3000)]
+    rels = [f"/rel/domain_{i}/property" for i in range(60)]
+    h, r, t = rng.integers(0, 3000, 50_000), rng.integers(0, 60, 50_000), rng.integers(0, 3000, 50_000)
+    path = tmp_path / "kg.tsv"
+    path.write_text("".join(f"{ents[a]}\t{rels[b]}\t{ents[c]}\n" for a, b, c in zip(h, r, t)))
+    assert _traced_peak(load_triples, path) <= _traced_peak(oracle_load_triples, path)
 
 
 FB_TRAIN = os.environ.get("KGEXPLAIN_FB15K237_TRAIN", "")

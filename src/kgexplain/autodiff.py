@@ -208,7 +208,7 @@ def matmul(a, b):
             if va.ndim == 1:
                 gb = np.outer(va, g) if vb.ndim == 2 else g * va
             else:
-                gb = va.T @ g if vb.ndim == 2 else va.T @ g
+                gb = va.T @ g
             grads.append(gb.reshape(np.shape(vb)))
         return grads
 
@@ -278,16 +278,10 @@ def segment_max(vals, indptr):
     Ties route the adjoint to the first maximal element of the segment.
     """
     v = _val(vals)
-    nseg = len(indptr) - 1
-    if nseg == 0:
-        out = np.zeros(0)
-        argmax = np.zeros(0, dtype=np.int64)
-    else:
-        out = np.maximum.reduceat(v, indptr[:-1])
-        counts = np.diff(indptr)
-        seg_of = np.repeat(np.arange(nseg), counts)
-        hit = np.where(v == out[seg_of], np.arange(v.shape[0]), v.shape[0])
-        argmax = np.minimum.reduceat(hit, indptr[:-1])
+    out = np.maximum.reduceat(v, indptr[:-1])
+    seg_of = np.repeat(np.arange(len(out)), np.diff(indptr))
+    hit = np.where(v == out[seg_of], np.arange(v.shape[0]), v.shape[0])
+    argmax = np.minimum.reduceat(hit, indptr[:-1])
     if not isinstance(vals, Node):
         return out, argmax
 

@@ -144,18 +144,12 @@ def cmd_evaluate(args) -> int:
     g = load_triples(args.train, args.delimiter)
     model = load_checkpoint(args.checkpoint, g)
     test = load_triples(args.test, args.delimiter) if args.test else g
-    candidates = []
-    for h, r, t in zip(test.heads, test.rels, test.tails):
-        try:
-            candidates.append(
-                TargetTriple(
-                    g.entity_id(test.entity_names[h]),
-                    g.relation_id(test.relation_names[r]),
-                    g.entity_id(test.entity_names[t]),
-                )
-            )
-        except DataError:
-            continue
+    # by exact name only: a test name that is no training name is never read as an id
+    ents, rels = g.name_index()
+    ent_ids = [ents.get(name, -1) for name in test.entity_names]
+    rel_ids = [rels.get(name, -1) for name in test.relation_names]
+    triples = [(ent_ids[h], rel_ids[r], ent_ids[t]) for h, r, t in test.triples]
+    candidates = [TargetTriple(*ids) for ids in triples if min(ids) >= 0]
     if not candidates:
         raise DataError("test split contains no triples over the training vocabulary")
     report, rows = evaluate_batch(model, g, candidates, cfg)

@@ -126,7 +126,7 @@ class EdgeScoreMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != self.pair_src.shape:
             raise ContractError("one value per edge position required")
-        if self.values.size and not ((self.values >= 0.0).all() and (self.values <= 1.0).all()):
+        if not ((self.values >= 0.0).all() and (self.values <= 1.0).all()):
             raise NumericError("edge scores must lie in [0, 1]")
 
     @classmethod
@@ -269,11 +269,8 @@ class TesOp:
 def _tes_inputs(H, R, gc: ComputationGraph, target: TargetTriple, combine_mode: str):
     """(xe, xt) for `TesOp`: the edge blocks and the target row in
     concatenation mode, the (E, 3) distances and None in euclidean mode."""
-    i = gc.local_of_global[target.head]
-    k = gc.local_of_global[target.tail]
-    E = gc.num_edges
     hs, rr, ht = H[gc.src], R[gc.rel], H[gc.dst]
-    th, tr, tt = H[i], R[target.relation], H[k]
+    th, tr, tt = H[gc.head_local], R[target.relation], H[gc.tail_local]
     if combine_mode == "concatenation":
         return np.concatenate([hs, rr, ht], axis=1), np.concatenate([th, tr, tt])
     cols = [
@@ -281,16 +278,18 @@ def _tes_inputs(H, R, gc: ComputationGraph, target: TargetTriple, combine_mode: 
         np.sqrt(((rr - tr) ** 2).sum(axis=1)),
         np.sqrt(((ht - tt) ** 2).sum(axis=1)),
     ]
-    return (np.stack(cols, axis=1) if E else np.zeros((0, 3))), None
-
-
-def _collapse_to_pairs(edge_scores, gc: ComputationGraph):
-    """Max score per distinct (src, dst) pair; ties keep the first triple."""
-    return ad.segment_max(edge_scores, gc.pair_indptr)
+    return np.stack(cols, axis=1), None
 
 
 # ---------------------------------------------------------------------------
 # training
+
+
+def _check_endpoints(gc: ComputationGraph, target: TargetTriple):
+    """The explainer reads the target through gc.head_local and gc.tail_local,
+    so they must be the target's head and tail."""
+    if (gc.nodes[gc.head_local], gc.nodes[gc.tail_local]) != (target.head, target.tail):
+        raise ContractError("target endpoints are not the computation graph's head and tail")
 
 
 class ExplainJob:
@@ -303,8 +302,7 @@ class ExplainJob:
     def __init__(self, model: KgcModel, gc: ComputationGraph, target: TargetTriple,
                  config: ExplainConfig):
         config.validate()
-        if target.head not in gc.local_of_global or target.tail not in gc.local_of_global:
-            raise ContractError("target endpoints are not present in the computation graph")
+        _check_endpoints(gc, target)
         self.model = model
         self.gc = gc
         self.target = target
@@ -315,13 +313,14 @@ class ExplainJob:
         self.awalks = adjacency_power_row(gc, gc.head_local, config.power_order)
 
     def pair_scores(self, store: ParamStore, tape: Tape | None):
-        """TES scores collapsed to pairs: (per-pair values, arg-max triple rows)."""
+        """TES scores collapsed to pairs: (per-pair values, arg-max triple rows).
+        Each pair keeps its maximum score; ties keep the first triple."""
         params = (
             {name: tape.param(store, name) for name in store.params}
             if tape is not None
             else store.params
         )
-        return _collapse_to_pairs(self.tes(params), self.gc)
+        return ad.segment_max(self.tes(params), self.gc.pair_indptr)
 
     def loss_terms(self, pair_vals):
         """Enabled loss terms plus the mask L2 penalty for one per-pair mask
@@ -481,9 +480,10 @@ def generate_paths(gc: ComputationGraph, mask: EdgeScoreMatrix, target: TargetTr
         raise ContractError("num_paths must be >= 1")
     if len(mask.values) != gc.num_pairs:
         raise ContractError("mask support does not match the computation graph")
+    _check_endpoints(gc, target)
     i, k = gc.head_local, gc.tail_local
     paths = []
-    if i == k or gc.num_pairs == 0:
+    if i == k:
         return Explanation(target, paths, mask)
     with np.errstate(divide="ignore"):
         costs = 1.0 / mask.values
@@ -516,18 +516,14 @@ def generate_paths(gc: ComputationGraph, mask: EdgeScoreMatrix, target: TargetTr
 
 
 def prepare_computation_graph(g: KnowledgeGraph, target: TargetTriple, hops: int,
-                              k_core: int = 2, max_nodes: int | None = None,
-                              exclude_target_triple: bool = True) -> ComputationGraph:
-    """extract -> (drop the asserted triple itself) -> k-core prune.
+                              k_core: int = 2, max_nodes: int | None = None) -> ComputationGraph:
+    """extract -> drop the asserted triple itself -> k-core prune.
 
     The asserted triple, when present in the KG, is removed before
     explaining so the explanation cannot be the prediction restated.
     """
     gc = extract_computation_graph(g, target, hops, max_nodes)
-    if exclude_target_triple:
-        row = gc.triple_index_of(
-            gc.local_of_global[target.head], target.relation, gc.local_of_global[target.tail]
-        )
-        if row >= 0:
-            gc = gc.without_triples([row])
+    row = gc.triple_index_of(gc.head_local, target.relation, gc.tail_local)
+    if row >= 0:
+        gc = gc.without_triples([row])
     return k_core_prune(gc, k_core)

@@ -344,10 +344,6 @@ def _mode_config(base: ExplainConfig, mode: str, seed: int) -> ExplainConfig:
     return cfg
 
 
-def _paths_equal(a, b):
-    return list(a) == list(b)
-
-
 def run_instance(suite: SuiteConfig, seed: int):
     """Generate, train (or construct), explain per enabled mode, and measure."""
     inst = generate_planted(replace(suite.instance, seed=seed))
@@ -368,10 +364,8 @@ def run_instance(suite: SuiteConfig, seed: int):
         row = measure_explanation(model, gc, inst.target, result.mask, explanation)
         returned = [p.triples for p in explanation.paths]
         planted = inst.planted_paths
-        matches = [p for p in returned if any(_paths_equal(p, q) for q in planted)]
-        row["top1_match"] = bool(returned) and any(
-            _paths_equal(returned[0], q) for q in planted
-        )
+        matches = [p for p in returned if p in planted]
+        row["top1_match"] = bool(returned) and returned[0] in planted
         row["precision"] = len(matches) / len(returned) if returned else 0.0
         row["recall"] = len({tuple(map(tuple, p)) for p in matches}) / len(planted)
         row["n_paths"] = len(returned)

@@ -137,7 +137,8 @@ class KnowledgeGraph:
     def triples(self):
         return list(zip(self.heads.tolist(), self.rels.tolist(), self.tails.tolist()))
 
-    def _names(self):
+    def name_index(self):
+        """(entity name -> id, relation name -> id), built on first use."""
         if self._name_index is None:
             self._name_index = (
                 {name: i for i, name in enumerate(self.entity_names)},
@@ -146,10 +147,10 @@ class KnowledgeGraph:
         return self._name_index
 
     def entity_id(self, name_or_id):
-        return self._lookup(name_or_id, self._names()[0], self.num_entities, "entity")
+        return self._lookup(name_or_id, self.name_index()[0], self.num_entities, "entity")
 
     def relation_id(self, name_or_id):
-        return self._lookup(name_or_id, self._names()[1], self.num_relations, "relation")
+        return self._lookup(name_or_id, self.name_index()[1], self.num_relations, "relation")
 
     @staticmethod
     def _lookup(key, index, bound, kind):

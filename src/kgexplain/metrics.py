@@ -142,19 +142,6 @@ def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTri
     return row
 
 
-def evaluate_target(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
-                    cfg: ExplainConfig):
-    """Explain one target and measure it."""
-    t0 = time.perf_counter()
-    result = train_explainer(model, gc, target, cfg)
-    explanation = generate_paths(gc, result.mask, target, cfg.num_paths, cfg.power_order)
-    explanation.loss_trace = result.loss_trace
-    row = measure_explanation(model, gc, target, result.mask, explanation)
-    row["epochs"] = cfg.epochs
-    row["wall_time_s"] = time.perf_counter() - t0
-    return row, explanation
-
-
 def _is_explainable(model, g, target, cfg: EvalConfig):
     gc = prepare_computation_graph(g, target, cfg.k_hop, cfg.k_core, cfg.max_nodes)
     if cfg.threshold_rule == "prob":
@@ -163,9 +150,16 @@ def _is_explainable(model, g, target, cfg: EvalConfig):
 
 
 def _evaluate_one(args):
+    """Explain one target and measure it (module-level for the process pool)."""
     model, g, target, cfg = args
     gc = prepare_computation_graph(g, target, cfg.k_hop, cfg.k_core, cfg.max_nodes)
-    row, _ = evaluate_target(model, gc, target, cfg.explain)
+    t0 = time.perf_counter()
+    result = train_explainer(model, gc, target, cfg.explain)
+    explanation = generate_paths(gc, result.mask, target, cfg.explain.num_paths,
+                                 cfg.explain.power_order)
+    row = measure_explanation(model, gc, target, result.mask, explanation)
+    row["epochs"] = cfg.explain.epochs
+    row["wall_time_s"] = time.perf_counter() - t0
     return row
 
 

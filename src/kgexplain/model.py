@@ -9,7 +9,9 @@ ReLU between layers, identity on the last.
 
 All forward math goes through autodiff ops; with raw-array operands the
 ops fall through to plain numpy, so masked and unmasked, differentiable
-and value-only paths share one code sequence (and are bit-identical).
+and value-only paths share one code sequence (and are bit-identical). The
+sequence does not depend on the edge count: on an edgeless graph the
+message terms are empty arrays.
 """
 
 from __future__ import annotations
@@ -130,46 +132,25 @@ def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=N
     n = gc.num_nodes
     inv_deg = (1.0 / np.maximum(gc.in_degree, 1)).reshape(n, 1)
     h = ad.gather(p["ent"], gc.nodes)
-    if mask_vec is not None and gc.num_edges:
-        edge_mask = ad.reshape(ad.gather(mask_vec, gc.pair_index), (gc.num_edges, 1))
-    else:
-        edge_mask = None
+    edge_mask = (None if mask_vec is None
+                 else ad.reshape(ad.gather(mask_vec, gc.pair_index), (gc.num_edges, 1)))
+    # coef[r, b] is row r * bases + b of the (R * bases, 1) view of coef
+    coef_rows = gc.rel * model.bases
     for layer in range(model.layers):
         self_term = ad.matmul(h, p[f"self_{layer}"])
-        if gc.num_edges:
-            hs = ad.gather(h, gc.src)
-            coef = ad.gather(p[f"coef_{layer}"], gc.rel)
-            msg = None
-            for b in range(model.bases):
-                mb = ad.matmul(hs, p[f"basis_{layer}_{b}"])
-                cb = ad.reshape(gather_col(coef, b), (gc.num_edges, 1))
-                term = ad.mul(mb, cb)
-                msg = term if msg is None else ad.add(msg, term)
-            if edge_mask is not None:
-                msg = ad.mul(msg, edge_mask)
-            agg = ad.scatter_add(msg, gc.dst, n)
-            agg = ad.mul(agg, inv_deg)
-            h = ad.add(self_term, agg)
-        else:
-            h = self_term
+        hs = ad.gather(h, gc.src)
+        coef = ad.reshape(p[f"coef_{layer}"], (-1, 1))
+        msg = None
+        for b in range(model.bases):
+            term = ad.mul(ad.matmul(hs, p[f"basis_{layer}_{b}"]), ad.gather(coef, coef_rows + b))
+            msg = term if msg is None else ad.add(msg, term)
+        if edge_mask is not None:
+            msg = ad.mul(msg, edge_mask)
+        agg = ad.mul(ad.scatter_add(msg, gc.dst, n), inv_deg)
+        h = ad.add(self_term, agg)
         if layer < model.layers - 1:
             h = ad.relu(h)
     return h
-
-
-def gather_col(a, j):
-    """Column j of a 2-D operand as a 1-D vector."""
-    va = ad._val(a)
-    out = va[:, j]
-    if not isinstance(a, ad.Node):
-        return out
-
-    def bw(g):
-        gz = np.zeros_like(va)
-        gz[:, j] = g
-        return [gz]
-
-    return ad.Node(a.tape, out, (a,), bw, "gather_col")
 
 
 def encode(model: KgcModel, gc: ComputationGraph, mask=None):

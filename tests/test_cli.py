@@ -201,6 +201,43 @@ def test_evaluate_runs_and_writes_report(tmp_path, dataset, reliant_checkpoint):
     ]
 
 
+def test_evaluate_maps_test_names_exactly_in_test_order(tmp_path, dataset,
+                                                        reliant_checkpoint, monkeypatch):
+    # "12" parses as an id but is no training name; lookups never fuzzy-match
+    import difflib
+
+    import kgexplain.cli as cli
+    from kgexplain.kgraph import TargetTriple, load_triples
+
+    train, _ = dataset
+    g = load_triples(train)
+    test_file = tmp_path / "test.tsv"
+    test_file.write_text("mid0_0\texplains\ttail\n12\ttarget\ttail\nhead\ttarget\ttail\n"
+                         "head\ttarget\tnowhere\nhead\tnorel\ttail\nmid1_0\texplains\ttail\n")
+    seen = []
+
+    def record(model, graph, candidates, cfg):
+        seen.extend(candidates)
+        return real(model, graph, candidates, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("test names must not be fuzzy-matched")
+
+    real = cli.evaluate_batch
+    monkeypatch.setattr(cli, "evaluate_batch", record)
+    monkeypatch.setattr(difflib, "get_close_matches", refuse)
+    code = main([
+        "evaluate", "--train", str(train), "--test", str(test_file),
+        "--checkpoint", str(reliant_checkpoint / "model.plnk"), "--out_dir",
+        str(tmp_path / "o"), "--k_hop", "2", "--epochs", "2", "--threshold", "prob",
+    ])
+    assert code == 0
+    ent, rel = g.entity_id, g.relation_id
+    assert seen == [TargetTriple(ent(h), rel(r), ent(t)) for h, r, t in
+                    [("mid0_0", "explains", "tail"), ("head", "target", "tail"),
+                     ("mid1_0", "explains", "tail")]]
+
+
 def test_evaluate_sample_num_zero_usage_error(tmp_path, dataset, caplog):
     train, inst = dataset
     _, ckpt = run_train(tmp_path, train)

@@ -761,6 +761,24 @@ def test_generate_paths_validates():
         generate_paths(gc, mask, TargetTriple(0, 0, 1), num_paths=0)
 
 
+def test_target_must_be_the_graphs_head_and_tail():
+    # full_graph(g) reads (0, 1) as head and tail; (2, 1, 3) is a pair inside it
+    g = kg_from([(0, 0, 1), (1, 1, 2), (2, 1, 3), (3, 0, 1)])
+    gc = full_graph(g)
+    target = TargetTriple(2, 1, 3)
+    model = KgcModel(g.num_entities, g.num_relations, dim=4, seed=0)
+    with pytest.raises(ContractError, match="head and tail"):
+        train_explainer(model, gc, target, ExplainConfig(epochs=1))
+    with pytest.raises(ContractError, match="head and tail"):
+        generate_paths(gc, EdgeScoreMatrix.constant(gc, 0.5), target)
+    swapped = TargetTriple(1, 0, 0)
+    with pytest.raises(ContractError, match="head and tail"):
+        ExplainJob(model, gc, swapped, ExplainConfig())
+    gc = full_graph(g, target)
+    explanation = generate_paths(gc, EdgeScoreMatrix.constant(gc, 0.5), target)
+    assert explanation.paths[0].triples == [(2, 1, 3)]
+
+
 # -- memory scaling (module-level quick check; full sizes in acceptance) -------------
 
 

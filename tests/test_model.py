@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgexplain import autodiff as ad
 from kgexplain.errors import ContractError, DataError
 from kgexplain.explain import EdgeScoreMatrix
-from kgexplain.kgraph import KnowledgeGraph, TargetTriple, full_graph
+from kgexplain.kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph
 from kgexplain.model import (
     KgcModel,
     ModelConfig,
@@ -415,3 +417,93 @@ def test_encode_operands_training_path(small_setup):
     node = encode_operands(model, gc, None, operands=operands)
     plain = encode(model, gc, None)
     assert np.array_equal(node.value, plain)
+
+
+# -- encoder against a dense per-relation oracle ------------------------------------
+
+
+def oracle_encode(model, gc, pair_mask=None):
+    """R-GCN forward written per edge with dense relation weights
+    W_r = sum_b coef[r, b] B_b: each message h[src] W_r is scaled by its
+    (src, dst) position's mask value and averaged over the in-degree count."""
+    p = model.store.params
+    mask_of = {}
+    if pair_mask is not None:
+        for s, d, m in zip(gc.pair_src.tolist(), gc.pair_dst.tolist(), pair_mask):
+            mask_of[s, d] = m
+    h = p["ent"][gc.nodes]
+    for layer in range(model.layers):
+        weights = [sum(p[f"coef_{layer}"][r, b] * p[f"basis_{layer}_{b}"]
+                       for b in range(model.bases)) for r in range(model.num_relations)]
+        agg = np.zeros_like(h)
+        count = np.zeros(gc.num_nodes)
+        for s, r, d in gc.edges:
+            agg[d] += mask_of.get((s, d), 1.0) * (h[s] @ weights[r])
+            count[d] += 1
+        h = h @ p[f"self_{layer}"] + agg / np.maximum(count, 1)[:, None]
+        if layer < model.layers - 1:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+@st.composite
+def encoder_cases(draw):
+    """(model, gc, pair mask or None) over 2-6 nodes, 3-4 relations and 0-16
+    triples; layers and bases 1-3."""
+    n = draw(st.integers(2, 6))
+    n_rel = draw(st.integers(3, 4))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n_rel - 1), st.integers(0, n - 1))
+    triples = sorted(draw(st.sets(cells, max_size=16)))
+    src, rel, dst = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    gc = ComputationGraph(np.arange(n), src, rel, dst, 0, 1)
+    model = KgcModel(n, n_rel, dim=draw(st.integers(2, 4)), layers=draw(st.integers(1, 3)),
+                     bases=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mask = rng.uniform(0.1, 0.9, gc.num_pairs) if draw(st.booleans()) else None
+    return model, gc, mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(encoder_cases())
+def test_encoder_matches_dense_per_relation_oracle(case):
+    model, gc, mask = case
+    np.testing.assert_allclose(encode(model, gc, mask), oracle_encode(model, gc, mask),
+                               rtol=1e-12, atol=1e-12)
+
+    store = ad.ParamStore()
+    coef_names = [f"coef_{layer}" for layer in range(model.layers)]
+    for name in coef_names:
+        store.add(name, model.store.params[name])
+    if mask is not None:
+        store.add("mask", mask)
+    weights = np.random.default_rng(0).normal(size=(gc.num_nodes, model.dim))
+
+    def loss(s, tape):
+        leaf = (lambda name: tape.param(s, name)) if tape is not None else s.params.get
+        operands = {**model.store.params, **{name: leaf(name) for name in coef_names}}
+        vals = None if mask is None else leaf("mask")
+        return ad.sumall(ad.mul(encode_operands(model, gc, vals, operands), weights))
+
+    report = ad.finite_diff_check(loss, store, step=1e-6, tol=1e-6, floor=1e-3)
+    assert report.passed, report
+
+
+def test_edgeless_graph_runs_the_same_ops_and_backward():
+    model = KgcModel(3, 2, dim=3, layers=2, bases=2, seed=5)
+    with_edges = ComputationGraph(np.arange(3), [0, 2], [1, 0], [1, 1], 0, 1)
+    edgeless = ComputationGraph(np.arange(3), [], [], [], 0, 1)
+    ops = []
+    for gc in (with_edges, edgeless):
+        with ad.Tape() as tape:
+            operands = {name: tape.param(model.store, name) for name in model.store.params}
+            mask = tape.leaf(np.full(gc.num_pairs, 0.5))
+            H = encode_operands(model, gc, mask, operands)
+            model.store.zero_grads()
+            ad.backward(tape, ad.sumall(H))
+            ops.append([node.op for node in tape.nodes])
+            assert mask.grad.shape == (gc.num_pairs,)
+    assert ops[0] == ops[1]
+    # with no messages only the self-loop chain carries gradient
+    assert not model.store.grads["coef_0"].any()
+    assert not model.store.grads["basis_1_1"].any()
+    assert model.store.grads["self_1"].any()

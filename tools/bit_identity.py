@@ -1,0 +1,229 @@
+"""Print sha256 digests of the package's deterministic outputs.
+
+Run from anywhere: ``python3 tools/bit_identity.py``. The script imports the
+package from the ``src/`` directory of its own checkout, so two checkouts
+whose outputs agree bit for bit print the same lines; ``diff`` the output of
+two runs to compare a change with its parent. Each line is
+``<sha256>  <label>``; the last line digests all the others.
+
+What is digested (float64 arrays by their raw bytes, floats by ``repr``):
+
+- ``train_kgc`` for both decoders with ``layers`` and ``bases`` in {1, 2, 3}:
+  every parameter, the final loss and the checkpoint file's bytes;
+- the explainer on planted instances, in the ``full``, ``path_off`` and
+  ``mi_off`` modes and both TES combine modes: the mask values, the
+  provenance and the loss trace;
+- metric rows, extracted paths and ``rank_target`` on those instances and on
+  an edgeless ego-graph (the target is the only triple between its two
+  endpoints and is excluded before explaining);
+- the CLI's output files for the train/explain/evaluate/suite script of the
+  determinism acceptance test, plus an ``evaluate --test`` run whose test
+  split holds an unknown name, with the wall-time column of
+  ``per_target.csv`` removed.
+
+It takes about ten seconds on one core.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import logging
+import os
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from kgexplain.cli import main as cli_main  # noqa: E402
+from kgexplain.explain import (  # noqa: E402
+    ExplainConfig,
+    generate_paths,
+    prepare_computation_graph,
+    train_explainer,
+)
+from kgexplain.harness import (  # noqa: E402
+    MODES,
+    PlantedConfig,
+    generate_planted,
+    reliant_model,
+)
+from kgexplain.kgraph import KnowledgeGraph, TargetTriple  # noqa: E402
+from kgexplain.metrics import measure_explanation  # noqa: E402
+from kgexplain.model import (  # noqa: E402
+    DECODERS,
+    ModelConfig,
+    rank_target,
+    save_checkpoint,
+    train_kgc,
+)
+
+PLANTED_SEEDS = (0, 1)
+SIZES = (1, 2, 3)
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(str((part.dtype.str, part.shape)).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        elif isinstance(part, bytes):
+            h.update(part)
+        else:
+            h.update(json.dumps(part, sort_keys=True, default=repr).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def checkpoint_bytes(model, g) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.plnk"
+        save_checkpoint(model, g, path)
+        return path.read_bytes()
+
+
+def mode_config(mode: str, **fields) -> ExplainConfig:
+    return ExplainConfig(enable_path_loss=mode != "path_off",
+                         enable_mi_loss=mode != "mi_off", **fields)
+
+
+def explain_lines(label, model, g, target, hops, modes=MODES, combine_modes=("concatenation",)):
+    """Mask, provenance, loss trace, metric row, paths and rank per mode."""
+    gc = prepare_computation_graph(g, target, hops)
+    yield digest(rank_target(model, gc, target), gc.num_nodes, gc.num_edges), f"{label} rank"
+    for combine in combine_modes:
+        for mode in modes:
+            cfg = mode_config(mode, combine_mode=combine)
+            result = train_explainer(model, gc, target, cfg)
+            explanation = generate_paths(gc, result.mask, target, cfg.num_paths,
+                                         cfg.power_order)
+            row = measure_explanation(model, gc, target, result.mask, explanation)
+            name = f"{label} {combine} {mode}"
+            yield digest(result.mask.values, result.mask.provenance), f"{name} mask"
+            yield digest(result.loss_trace), f"{name} loss trace"
+            yield digest(row), f"{name} metric row"
+            yield digest([(p.triples, p.triple_indices, p.edge_scores, p.mean_score)
+                          for p in explanation.paths]), f"{name} paths"
+
+
+def training_lines():
+    inst = generate_planted(PlantedConfig(seed=0))
+    g = inst.graph
+    for decoder in DECODERS:
+        for layers in SIZES:
+            for bases in SIZES:
+                cfg = ModelConfig(decoder=decoder, layers=layers, bases=bases, dim=8)
+                model = train_kgc(g, cfg)
+                label = f"train_kgc {decoder} layers={layers} bases={bases}"
+                params = [model.store.params[name] for name in model.tensor_names()]
+                yield (digest(*params, model.final_loss, checkpoint_bytes(model, g)),
+                       f"{label} checkpoint")
+                yield from explain_lines(label, model, g, inst.target, hops=1, modes=("full",))
+
+
+def planted_lines():
+    for seed in PLANTED_SEEDS:
+        inst = generate_planted(PlantedConfig(seed=seed))
+        model = train_kgc(inst.graph, replace(ModelConfig(), seed=seed))
+        yield from explain_lines(f"planted seed={seed} trained", model, inst.graph,
+                                 inst.target, hops=1,
+                                 combine_modes=("concatenation", "euclidean"))
+        model = reliant_model(inst.graph, inst.target, seed=seed)
+        yield from explain_lines(f"planted seed={seed} reliant", model, inst.graph,
+                                 inst.target, hops=2)
+
+
+def edgeless_lines():
+    """Target (0, 0, 1) is the only triple touching entities 0 and 1."""
+    triples = np.array([(0, 0, 1), (2, 0, 3), (3, 1, 4), (4, 0, 2), (2, 1, 5)])
+    g = KnowledgeGraph(6, 2, triples[:, 0], triples[:, 1], triples[:, 2])
+    model = train_kgc(g, ModelConfig(dim=4, epochs=20))
+    target = TargetTriple(0, 0, 1)
+    yield from explain_lines("edgeless", model, g, target, hops=1,
+                             combine_modes=("concatenation", "euclidean"))
+
+
+def cli_lines():
+    """The determinism acceptance test's script, run in a temporary directory
+    with relative paths so config echoes do not name the directory."""
+    inst = generate_planted(PlantedConfig(n_entities=30, n_distractors=10,
+                                          n_context_groups=2, seed=0))
+    g = inst.graph
+    cases = {
+        "train": ["train", "--train", "train.tsv", "--out_dir", "t", "--dim", "6",
+                  "--epochs", "10", "--seed", "4"],
+        "explain": ["explain", "--train", "train.tsv", "--checkpoint", "model.plnk",
+                    "--out_dir", "e", "--head", "head", "--relation", "target", "--tail",
+                    "tail", "--k_hop", "2", "--epochs", "5", "--seed", "4", "--dot"],
+        "evaluate": ["evaluate", "--train", "train.tsv", "--checkpoint", "model.plnk",
+                     "--out_dir", "v", "--k_hop", "2", "--epochs", "5", "--sample_num", "1",
+                     "--threshold", "prob", "--seed", "4"],
+        "evaluate-test": ["evaluate", "--train", "train.tsv", "--checkpoint", "model.plnk",
+                          "--test", "test.tsv", "--out_dir", "w", "--k_hop", "2", "--epochs",
+                          "5", "--threshold", "prob", "--seed", "4"],
+        "suite": ["suite", "--config", "suite.json", "--out_dir", "s"],
+    }
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("train.tsv").write_text("\n".join(
+                f"{g.entity_names[h]}\t{g.relation_names[r]}\t{g.entity_names[t]}"
+                for h, r, t in g.triples) + "\n")
+            Path("test.tsv").write_text("mid0_0\texplains\ttail\nhead\ttarget\ttail\n"
+                                        "head\ttarget\tnowhere\nhead\texplains\tmid1_0\n")
+            from kgexplain.kgraph import load_triples
+
+            loaded = load_triples("train.tsv")
+            target = TargetTriple(loaded.entity_id("head"), loaded.relation_id("target"),
+                                  loaded.entity_id("tail"))
+            save_checkpoint(reliant_model(loaded, target, seed=0), loaded, "model.plnk")
+            Path("suite.json").write_text(json.dumps({
+                "n_instances": 1, "model_source": "reliant", "hops": 2,
+                "instance.n_entities": 30, "instance.n_distractors": 10,
+                "instance.n_context_groups": 2, "explain.epochs": 5,
+            }))
+            for name, args in cases.items():
+                if cli_main(args) != 0:
+                    raise SystemExit(f"bit_identity: `kgexplain {name}` failed")
+                out_dir = Path(args[args.index("--out_dir") + 1])
+                for p in sorted(out_dir.rglob("*")):
+                    if p.is_file():
+                        data = p.read_bytes()
+                        if p.name == "per_target.csv":
+                            data = _without_column(data, "wall_time_s")
+                        yield digest(data), f"cli {name} {p.relative_to(out_dir)}"
+        finally:
+            os.chdir(cwd)
+
+
+def _without_column(data: bytes, column: str) -> bytes:
+    lines = data.decode().splitlines()
+    drop = lines[0].split(",").index(column)
+    return "\n".join(",".join(c for i, c in enumerate(line.split(",")) if i != drop)
+                     for line in lines).encode()
+
+
+def main() -> int:
+    logging.basicConfig(level=logging.WARNING)
+    total = hashlib.sha256()
+    for section in (training_lines, planted_lines, edgeless_lines, cli_lines):
+        with contextlib.redirect_stderr(io.StringIO()):
+            lines = list(section())
+        for value, label in lines:
+            line = f"{value}  {label}"
+            print(line)
+            total.update(line.encode() + b"\n")
+    print(f"{total.hexdigest()}  all")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

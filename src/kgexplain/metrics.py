@@ -76,13 +76,19 @@ def sparsity(mask: EdgeScoreMatrix, gc: ComputationGraph | None = None) -> float
     return 1.0 - float(mask.values.sum()) / n_edges
 
 
-def _graph_without_paths(gc: ComputationGraph, explanation: Explanation, m: int):
-    rows = []
-    for p in explanation.paths[: min(m, len(explanation.paths))]:
-        rows.extend(p.triple_indices)
-    if not rows:
-        return gc
-    return gc.without_triples(sorted(set(rows)))
+def _hdr_hits(model, gc, explanation, target, ms, base_raw):
+    """{m: HDR:m hit}; each distinct set of deleted rows (the triples on the
+    top-m paths) is built and scored once, since m beyond the path count
+    deletes what the path count does."""
+    removed_raw = {}
+    hits = {}
+    for m in ms:
+        rows = tuple(sorted({r for p in explanation.paths[:m] for r in p.triple_indices}))
+        if rows not in removed_raw:
+            gt = gc.without_triples(rows) if rows else gc
+            removed_raw[rows] = _unmasked_score(model, gt, target).raw
+        hits[m] = not (removed_raw[rows] > base_raw)
+    return hits
 
 
 def h_delta_r(model: KgcModel, gc: ComputationGraph, explanation: Explanation,
@@ -92,9 +98,7 @@ def h_delta_r(model: KgcModel, gc: ComputationGraph, explanation: Explanation,
         raise ContractError("m must be >= 1")
     if base_raw is None:
         base_raw = _unmasked_score(model, gc, target).raw
-    gt = _graph_without_paths(gc, explanation, m)
-    removed_raw = _unmasked_score(model, gt, target).raw
-    return not (removed_raw > base_raw)
+    return _hdr_hits(model, gc, explanation, target, (m,), base_raw)[m]
 
 
 def _unmasked_score(model, gc, target):
@@ -135,10 +139,9 @@ def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTri
         "f_minus": fidelity_minus(model, gc, mask, target, base_prob=base.probability),
         "sparsity": sparsity(mask, gc),
     }
-    for m in HDR_PATH_COUNTS:
-        row[f"hit{m}"] = bool(
-            h_delta_r(model, gc, explanation, target, m, base_raw=base.raw)
-        )
+    for m, hit in _hdr_hits(model, gc, explanation, target, HDR_PATH_COUNTS,
+                            base.raw).items():
+        row[f"hit{m}"] = hit
     return row
 
 

@@ -12,6 +12,15 @@ ops fall through to plain numpy, so masked and unmasked, differentiable
 and value-only paths share one code sequence (and are bit-identical). The
 sequence does not depend on the edge count: on an edgeless graph the
 message terms are empty arrays.
+
+Scoring one target reads only the head and tail rows of the last layer, so
+`target_score_nodes` (the explainer's prediction term, F+, F-, HDR:m and the
+`prob` filter) runs each layer on the target's receptive field: layer l of
+L keeps the edges whose dst lies within L-1-l in-hops of {head, tail}. The
+per-edge mask is gathered once over all edges and each layer takes its rows
+from that, so the scores equal the full pass bit for bit, and the mask
+gradients do too wherever it was checked (the tests allow rtol 1e-12).
+`encode`, `rank_target` and training need every row and run the full pass.
 """
 
 from __future__ import annotations
@@ -118,14 +127,35 @@ def _as_pair_values(mask, gc: ComputationGraph):
     return values
 
 
+def _receptive_field(gc: ComputationGraph, rows, layers: int):
+    """Per-layer edge rows that reach the output rows `rows` of an encoder of
+    `layers` layers: layer l keeps the edges whose dst lies within
+    layers - 1 - l in-hops of `rows` (a reverse BFS over dst -> src). None
+    stands for every edge, so a field that covers the graph costs nothing."""
+    need = np.zeros(gc.num_nodes, dtype=bool)
+    need[rows] = True
+    fields = [None] * layers
+    for layer in reversed(range(layers)):
+        edges = np.flatnonzero(need[gc.dst])
+        if edges.size < gc.num_edges:
+            fields[layer] = edges
+        need[gc.src[edges]] = True
+    return fields
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=None):
+def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=None,
+                    rows=None):
     """Message passing over gc; returns the (n, d) node-embedding matrix.
 
     `operands` maps parameter names to Nodes (training) or is None, in
     which case the model's raw arrays are used (frozen weights). `mask`
     may be an EdgeScoreMatrix, a per-pair vector/Node, or None. Overflow
     raises the ops' NumericError without a numpy warning first.
+
+    With `rows` (local node indices), each layer sends messages only along
+    the edges of the rows' receptive field: the result equals the full pass
+    bit for bit at `rows` and is meaningless elsewhere.
     """
     p = operands if operands is not None else model.store.params
     mask_vec = None if mask is None else _as_pair_values(mask, gc)
@@ -136,17 +166,23 @@ def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=N
                  else ad.reshape(ad.gather(mask_vec, gc.pair_index), (gc.num_edges, 1)))
     # coef[r, b] is row r * bases + b of the (R * bases, 1) view of coef
     coef_rows = gc.rel * model.bases
-    for layer in range(model.layers):
+    fields = [None] * model.layers if rows is None else _receptive_field(gc, rows, model.layers)
+    for layer, keep in enumerate(fields):
+        src, dst, coef_row, layer_mask = gc.src, gc.dst, coef_rows, edge_mask
+        if keep is not None:
+            src, dst, coef_row = src[keep], dst[keep], coef_row[keep]
+            if edge_mask is not None:
+                layer_mask = ad.gather(edge_mask, keep)
         self_term = ad.matmul(h, p[f"self_{layer}"])
-        hs = ad.gather(h, gc.src)
+        hs = ad.gather(h, src)
         coef = ad.reshape(p[f"coef_{layer}"], (-1, 1))
         msg = None
         for b in range(model.bases):
-            term = ad.mul(ad.matmul(hs, p[f"basis_{layer}_{b}"]), ad.gather(coef, coef_rows + b))
+            term = ad.mul(ad.matmul(hs, p[f"basis_{layer}_{b}"]), ad.gather(coef, coef_row + b))
             msg = term if msg is None else ad.add(msg, term)
-        if edge_mask is not None:
-            msg = ad.mul(msg, edge_mask)
-        agg = ad.mul(ad.scatter_add(msg, gc.dst, n), inv_deg)
+        if layer_mask is not None:
+            msg = ad.mul(msg, layer_mask)
+        agg = ad.mul(ad.scatter_add(msg, dst, n), inv_deg)
         h = ad.add(self_term, agg)
         if layer < model.layers - 1:
             h = ad.relu(h)
@@ -191,9 +227,9 @@ def target_score_nodes(model: KgcModel, gc: ComputationGraph, mask, target: Targ
     the mask is a Node, plain arrays otherwise."""
     if target.head not in gc.local_of_global or target.tail not in gc.local_of_global:
         raise ContractError("target endpoints are not present in the computation graph")
-    H = encode_operands(model, gc, mask)
     i = gc.local_of_global[target.head]
     k = gc.local_of_global[target.tail]
+    H = encode_operands(model, gc, mask, rows=[i, k])
     h = ad.reshape(ad.gather(H, np.array([i])), (model.dim,))
     t = ad.reshape(ad.gather(H, np.array([k])), (model.dim,))
     r = model.relation_embeddings[target.relation]
@@ -316,8 +352,9 @@ def save_checkpoint(model: KgcModel, g: KnowledgeGraph, path):
 def load_checkpoint(path, g: KnowledgeGraph) -> KgcModel:
     """Read a checkpoint written by save_checkpoint for the dataset `g`.
 
-    Raises DataError when the file is cut short, carries trailing bytes, or
-    its metadata does not describe the tensors that follow.
+    Raises DataError when the file is cut short, carries trailing bytes, its
+    metadata does not describe the tensors that follow, or a tensor holds a
+    NaN or Inf value.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -342,23 +379,32 @@ def load_checkpoint(path, g: KnowledgeGraph) -> KgcModel:
     if (meta["entity_vocab_sha256"], meta["relation_vocab_sha256"], meta["num_entities"],
             meta["num_relations"]) != (ent_hash, rel_hash, g.num_entities, g.num_relations):
         raise DataError(f"{path}: checkpoint vocabulary does not match the dataset")
+    tensor_bytes = len(data) - offset
     try:
+        # KgcModel's parameter count: settings that would outgrow the file are
+        # refused before anything is allocated
+        dim, layers, bases, n_rel = meta["dim"], meta["layers"], meta["bases"], g.num_relations
+        needed = 4 * ((g.num_entities + n_rel) * dim
+                      + layers * ((1 + bases) * dim * dim + n_rel * bases))
+        if needed > tensor_bytes:
+            raise DataError(f"{path}: checkpoint settings need {needed} tensor bytes, "
+                            f"the file holds {tensor_bytes}")
         model = KgcModel(
-            meta["num_entities"], meta["num_relations"], dim=meta["dim"], layers=meta["layers"],
-            bases=meta["bases"], decoder=meta["decoder"],
+            meta["num_entities"], meta["num_relations"], dim=dim, layers=layers,
+            bases=bases, decoder=meta["decoder"],
         )
     except (ContractError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad checkpoint model settings ({exc})") from None
     if meta["tensors"] != _tensor_layout(model):
         raise DataError(f"{path}: checkpoint tensor list does not match its model settings")
     nbytes = sum(4 * p.size for p in model.store.params.values())
-    if len(data) - offset != nbytes:
-        raise DataError(
-            f"{path}: checkpoint holds {len(data) - offset} tensor bytes, expected {nbytes}"
-        )
+    if tensor_bytes != nbytes:
+        raise DataError(f"{path}: checkpoint holds {tensor_bytes} tensor bytes, expected {nbytes}")
     for name in model.tensor_names():
         param = model.store.params[name]
         arr = np.frombuffer(data, dtype="<f4", count=param.size, offset=offset)
         offset += param.size * 4
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: checkpoint tensor {name} holds NaN or Inf values")
         param[...] = arr.reshape(param.shape).astype(np.float64)
     return model

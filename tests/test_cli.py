@@ -375,6 +375,30 @@ def error_lines(caplog):
     return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
 
 
+@pytest.mark.parametrize("name, value", [("ent", float("nan")), ("self_0", float("inf"))])
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_non_finite_checkpoint_tensor_exits_3(tmp_path, dataset, reliant_checkpoint, caplog,
+                                              command, name, value):
+    from kgexplain.kgraph import load_triples
+    from kgexplain.model import load_checkpoint, save_checkpoint
+
+    train, inst = dataset
+    g = load_triples(train)
+    ckpt = reliant_checkpoint / "model.plnk"
+    model = load_checkpoint(ckpt, g)
+    model.store.params[name].flat[0] = value
+    save_checkpoint(model, g, ckpt)
+    out = tmp_path / "o"
+    args = (explain_args(train, reliant_checkpoint, out, inst) if command == "explain" else
+            ["evaluate", "--train", str(train), "--checkpoint", str(ckpt), "--out_dir", str(out),
+             "--k_hop", "2", "--epochs", "2", "--sample_num", "1"])
+    assert main(args) == 3
+    [line] = error_lines(caplog)
+    assert f"{ckpt}: checkpoint tensor {name} holds NaN or Inf values" in line
+    assert not any(p.suffix in (".json", ".csv") and p.name != "config.json"
+                   for p in out.rglob("*"))
+
+
 @pytest.mark.parametrize("name, data, message", [
     ("bad.json", b'{"n_instances": 1', "malformed suite config"),
     ("bad.toml", b"n_instances = ", "malformed suite config"),

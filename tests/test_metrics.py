@@ -13,7 +13,7 @@ from kgexplain.explain import (
     train_explainer,
 )
 from kgexplain.harness import PlantedConfig, generate_planted, reliant_model
-from kgexplain.kgraph import KnowledgeGraph, TargetTriple, full_graph
+from kgexplain.kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph
 from kgexplain.metrics import (
     EvalConfig,
     evaluate_batch,
@@ -134,6 +134,35 @@ def test_hdr_planted_instance_supporting_path_drops_score():
     gt = gc.without_triples(rows)
     assert mx._unmasked_score(model, gt, inst.target).raw < base.raw
     assert h_delta_r(model, gc, ex, inst.target, 1) is True
+
+
+@pytest.mark.parametrize("n_paths, builds", [(0, 0), (1, 1), (2, 2), (3, 2)])
+def test_hdr_builds_and_scores_each_deleted_row_set_once(monkeypatch, n_paths, builds):
+    # HDR:3 and HDR:5 delete the same rows when at most 3 paths exist
+    inst = generate_planted(PlantedConfig(seed=0))
+    model = reliant_model(inst.graph, inst.target, seed=0)
+    gc = prepare_computation_graph(inst.graph, inst.target, 2, 2)
+
+    def path(rows):
+        triples = [(int(gc.nodes[gc.src[r]]), int(gc.rel[r]), int(gc.nodes[gc.dst[r]]))
+                   for r in rows]
+        return ExplanationPath(triples, rows, [0.5] * len(rows), 0.5)
+
+    ex = Explanation(inst.target, [path(rows) for rows in ([0, 6], [1, 8], [2])][:n_paths])
+    expected = {f"hit{m}": h_delta_r(model, gc, ex, inst.target, m)
+                for m in mx.HDR_PATH_COUNTS}
+    built = []
+    original = ComputationGraph.without_triples
+
+    def counting(self, rows):
+        built.append(tuple(rows))
+        return original(self, rows)
+
+    monkeypatch.setattr(ComputationGraph, "without_triples", counting)
+    row = mx.measure_explanation(model, gc, inst.target, EdgeScoreMatrix.constant(gc, 0.5), ex)
+    assert len(built) == len(set(built)) == builds
+    assert {k: row[k] for k in expected} == expected
+    assert all(type(row[k]) is bool for k in expected)
 
 
 # -- per-target caching ------------------------------------------------------------

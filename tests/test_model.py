@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from kgexplain.errors import ContractError, DataError
 from kgexplain.explain import EdgeScoreMatrix
 from kgexplain.kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph
 from kgexplain.model import (
+    DECODERS,
     KgcModel,
     ModelConfig,
+    _receptive_field,
+    decoder_raw,
     encode,
     encode_operands,
     load_checkpoint,
@@ -507,3 +512,186 @@ def test_edgeless_graph_runs_the_same_ops_and_backward():
     assert not model.store.grads["coef_0"].any()
     assert not model.store.grads["basis_1_1"].any()
     assert model.store.grads["self_1"].any()
+
+
+# -- target scoring on the receptive field ------------------------------------------
+
+
+def full_pass_target_score(model, gc, mask, target):
+    """The unrestricted target score: every layer sends messages along every
+    edge, then the decoder reads the head and tail rows."""
+    H = encode_operands(model, gc, mask)
+    i, k = gc.local_of_global[target.head], gc.local_of_global[target.tail]
+    h = ad.reshape(ad.gather(H, np.array([i])), (model.dim,))
+    t = ad.reshape(ad.gather(H, np.array([k])), (model.dim,))
+    raw = decoder_raw(model.decoder, h, model.relation_embeddings[target.relation], t)
+    return raw, ad.sigmoid(raw)
+
+
+def scores_and_mask_grad(score_fn, model, gc, mask, target, mask_kind):
+    """(raw, prob, d(-log prob)/d(mask) or None) for a mask given as None, an
+    array or a Node on a tape."""
+    if mask_kind != "node":
+        raw, prob = score_fn(model, gc, None if mask_kind == "none" else mask, target)
+        return raw, prob, None
+    with ad.Tape() as tape:
+        leaf = tape.leaf(mask)
+        raw, prob = score_fn(model, gc, leaf, target)
+        ad.backward(tape, ad.neg(ad.log(prob)))
+        return raw.value, prob.value, leaf.grad
+
+
+@st.composite
+def target_score_cases(draw):
+    """Random graphs of 0-40 triples over 1-8 nodes (self-loops, parallel and
+    repeated triples allowed), head == tail allowed, tails often unreachable."""
+    n = draw(st.integers(1, 8))
+    n_rel = draw(st.integers(1, 3))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n_rel - 1), st.integers(0, n - 1))
+    triples = draw(st.lists(cells, max_size=40))
+    src, rel, dst = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    head, tail = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    gc = ComputationGraph(np.arange(n), src, rel, dst, head, tail)
+    model = KgcModel(n, n_rel, dim=draw(st.integers(2, 4)), layers=draw(st.integers(1, 3)),
+                     bases=draw(st.integers(1, 3)), decoder=draw(st.sampled_from(DECODERS)),
+                     seed=draw(st.integers(0, 2**16)))
+    mask = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(0.05, 0.95,
+                                                                       gc.num_pairs)
+    target = TargetTriple(head, draw(st.integers(0, n_rel - 1)), tail)
+    return model, gc, mask, target, draw(st.sampled_from(["none", "array", "node"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(target_score_cases())
+def test_target_score_on_receptive_field_equals_full_pass(case):
+    model, gc, mask, target, mask_kind = case
+    raw, prob, grad = scores_and_mask_grad(target_score_nodes, model, gc, mask, target,
+                                           mask_kind)
+    full_raw, full_prob, full_grad = scores_and_mask_grad(full_pass_target_score, model, gc,
+                                                          mask, target, mask_kind)
+    np.testing.assert_array_equal(raw, full_raw)
+    np.testing.assert_array_equal(prob, full_prob)
+    if mask_kind == "node":
+        np.testing.assert_allclose(grad, full_grad, rtol=1e-12, atol=0)
+
+
+def test_receptive_field_of_a_chain_is_a_strict_subset():
+    # 0 -> 1 -> 2 -> 3 -> 4 -> 5, target (5, 0, 0): the last layer needs the
+    # edge into 5, the first one also the edge into 4
+    chain = [(i, 0, i + 1) for i in range(5)]
+    src, rel, dst = np.array(chain).T
+    gc = ComputationGraph(np.arange(6), src, rel, dst, 5, 0)
+    target = TargetTriple(5, 0, 0)
+    fields = _receptive_field(gc, [5, 0], 2)
+    assert [f.tolist() for f in fields] == [[3, 4], [4]]
+    assert _receptive_field(gc, [5, 0], 6)[0] is None  # deep enough to need every edge
+
+    model = KgcModel(6, 1, dim=3, layers=2, bases=2, seed=3)
+    mask = np.linspace(0.2, 0.9, gc.num_pairs)
+    restricted = encode_operands(model, gc, mask, rows=[5, 0])
+    full = encode_operands(model, gc, mask)
+    np.testing.assert_array_equal(restricted[[5, 0]], full[[5, 0]])
+    assert not np.array_equal(restricted[2], full[2])  # row 2 lost its message
+    raw, prob, grad = scores_and_mask_grad(target_score_nodes, model, gc, mask, target, "node")
+    full_raw, full_prob, full_grad = scores_and_mask_grad(full_pass_target_score, model, gc,
+                                                          mask, target, "node")
+    assert (raw, prob) == (full_raw, full_prob)
+    np.testing.assert_allclose(grad, full_grad, rtol=1e-12, atol=0)
+    assert not grad[:3].any() and grad[4] != 0  # edges 0-2 lie outside the field
+
+
+# -- non-finite and damaged checkpoints ------------------------------------------------
+
+
+def checkpoint_with(model, g, path, name, row, value):
+    """Save `model` to `path`, then overwrite element `row` of tensor `name`."""
+    save_checkpoint(model, g, path)
+    data = bytearray(path.read_bytes())
+    offset = 10 + int.from_bytes(data[6:10], "little")
+    for other in model.tensor_names():
+        if other == name:
+            break
+        offset += 4 * model.store.params[other].size
+    offset += 4 * row
+    data[offset : offset + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("ent", np.nan), ("self_0", np.inf), ("coef_1", -np.inf), ("rel", -np.nan),
+])
+def test_checkpoint_non_finite_tensor_raises_data_error(tmp_path, small_setup, name, value):
+    g, _, _, model = small_setup
+    p = tmp_path / "m.plnk"
+    checkpoint_with(model, g, p, name, 1, value)
+    with pytest.raises(DataError, match=f"checkpoint tensor {name} holds NaN or Inf"):
+        load_checkpoint(p, g)
+    checkpoint_with(model, g, p, name, 1, 3.0e38)  # large but finite loads
+    assert load_checkpoint(p, g).store.params[name].flat[1] == np.float32(3.0e38)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 10**12), ("layers", 10**12), ("bases", 10**9), ("dim", 1e300), ("dim", 3),
+])
+def test_checkpoint_settings_larger_than_the_file_raise_before_allocating(tmp_path, field,
+                                                                          value):
+    # dim 10**12 made KgcModel raise MemoryError; layers 10**12 set out to build them all
+    g = kg_from([(0, 0, 1)])
+    p = tmp_path / "m.plnk"
+    save_checkpoint(KgcModel(2, 1, dim=2, layers=1, seed=0), g, p)
+    data = p.read_bytes()
+    meta_len = int.from_bytes(data[6:10], "little")
+    blob = json.dumps(dict(json.loads(data[10 : 10 + meta_len]), **{field: value})).encode()
+    p.write_bytes(data[:6] + len(blob).to_bytes(4, "little") + blob + data[10 + meta_len :])
+    with pytest.raises(DataError, match="checkpoint settings need .* tensor bytes, the file "
+                                        "holds 80"):
+        load_checkpoint(p, g)
+
+
+_CKPT_GRAPH = kg_from([(0, 0, 1), (1, 1, 2), (2, 0, 0)])
+
+
+def _valid_checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.plnk"
+        save_checkpoint(KgcModel(3, 2, dim=2, layers=1, bases=1, seed=0), _CKPT_GRAPH, path)
+        return path.read_bytes()
+
+
+VALID_CHECKPOINT = _valid_checkpoint_bytes()
+# a float32's top byte of 0x7f/0xff makes it Inf or NaN when the byte below
+# has its top bit set; half the edits hit a top byte
+_FLOAT_BYTES = list(b"\x7f\xff\x80\xc0")
+_TOP_BYTES = list(range(13 + int.from_bytes(VALID_CHECKPOINT[6:10], "little"),
+                        len(VALID_CHECKPOINT), 4))
+
+
+@st.composite
+def damaged_checkpoints(draw):
+    """VALID_CHECKPOINT after one to four byte edits, cuts or insertions."""
+    data = VALID_CHECKPOINT
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["edit", "cut", "insert"]))
+        i = draw(st.one_of(st.integers(0, max(len(data) - 1, 0)), st.sampled_from(_TOP_BYTES)))
+        byte = bytes([draw(st.one_of(st.integers(0, 255), st.sampled_from(_FLOAT_BYTES),
+                                     st.sampled_from(list(b"0123456789"))))])
+        if kind == "edit":
+            data = data[:i] + byte + data[i + 1 :]
+        elif kind == "cut":
+            data = data[:i] + data[i + draw(st.integers(1, 8)) :]
+        else:
+            data = data[:i] + byte + data[i:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_checkpoints())
+def test_damaged_checkpoint_loads_finite_or_raises_data_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged.plnk"
+        path.write_bytes(data)
+        try:
+            model = load_checkpoint(path, _CKPT_GRAPH)
+        except DataError:
+            return
+    assert all(np.isfinite(v).all() for v in model.store.params.values())

@@ -16,6 +16,10 @@ What is digested (float64 arrays by their raw bytes, floats by ``repr``):
 - metric rows, extracted paths and ``rank_target`` on those instances and on
   an edgeless ego-graph (the target is the only triple between its two
   endpoints and is excluded before explaining);
+- the same outputs on a seeded random ego-graph of a few hundred triples at
+  ``layers`` 2 and 3, where the encoder's receptive field of the target's
+  head and tail leaves out most edges of the last layer (the planted graphs
+  are small enough for the field to hold every edge);
 - the CLI's output files for the train/explain/evaluate/suite script of the
   determinism acceptance test, plus an ``evaluate --test`` run whose test
   split holds an unknown name, with the wall-time column of
@@ -58,6 +62,7 @@ from kgexplain.kgraph import KnowledgeGraph, TargetTriple  # noqa: E402
 from kgexplain.metrics import measure_explanation  # noqa: E402
 from kgexplain.model import (  # noqa: E402
     DECODERS,
+    KgcModel,
     ModelConfig,
     rank_target,
     save_checkpoint,
@@ -150,6 +155,26 @@ def edgeless_lines():
                              combine_modes=("concatenation", "euclidean"))
 
 
+def random_ego_lines():
+    """A random KG of 60 entities and 900 triples; the target's 1-hop
+    ego-graph holds a few hundred of them."""
+    rng = np.random.default_rng(7)
+    triples = np.unique(np.stack([rng.integers(0, 60, 900), rng.integers(0, 5, 900),
+                                  rng.integers(0, 60, 900)], axis=1), axis=0)
+    g = KnowledgeGraph(60, 5, triples[:, 0], triples[:, 1], triples[:, 2])
+    h, r, t = (int(x) for x in triples[0])
+    target = TargetTriple(h, r, t)
+    gc = prepare_computation_graph(g, target, 1)
+    into_target = int(np.isin(gc.dst, [gc.head_local, gc.tail_local]).sum())
+    if not 0 < into_target < gc.num_edges // 4:
+        raise SystemExit("bit_identity: the random ego-graph lost its small last-layer field")
+    for layers in (2, 3):
+        model = KgcModel(g.num_entities, g.num_relations, dim=8, layers=layers, seed=layers)
+        label = (f"random ego layers={layers} ({gc.num_edges} triples, "
+                 f"{into_target} into head and tail)")
+        yield from explain_lines(label, model, g, target, hops=1, modes=("full", "path_off"))
+
+
 def cli_lines():
     """The determinism acceptance test's script, run in a temporary directory
     with relative paths so config echoes do not name the directory."""
@@ -214,7 +239,8 @@ def _without_column(data: bytes, column: str) -> bytes:
 def main() -> int:
     logging.basicConfig(level=logging.WARNING)
     total = hashlib.sha256()
-    for section in (training_lines, planted_lines, edgeless_lines, cli_lines):
+    for section in (training_lines, planted_lines, edgeless_lines, random_ego_lines,
+                    cli_lines):
         with contextlib.redirect_stderr(io.StringIO()):
             lines = list(section())
         for value, label in lines:

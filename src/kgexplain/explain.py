@@ -148,10 +148,10 @@ def power_chain(gc: ComputationGraph, values, start: int, L: int) -> list:
     u_l[k] sums edge-score products over all length-l walks start -> k.
     `values` holds one score per pair and may be a Node."""
     n = gc.num_nodes
-    row_sel = np.flatnonzero(gc.pair_src == start)
-    u = ad.scatter_add(ad.gather(values, row_sel), gc.pair_dst[row_sel], n)
-    chain = [u]
-    for _ in range(2, L + 1):
+    u = np.zeros(n)
+    u[start] = 1.0
+    chain = []
+    for _ in range(L):
         u = ad.edge_spmv(u, values, gc.pair_src, gc.pair_dst, n)
         chain.append(u)
     return chain

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataError
 from .explain import ExplainConfig, generate_paths, prepare_computation_graph, train_explainer
-from .kgraph import KnowledgeGraph, TargetTriple, full_graph
+from .kgraph import KnowledgeGraph, TargetTriple, full_graph, hop_distances
 from .metrics import HDR_PATH_COUNTS, csv_text, json_text, measure_explanation
 from .model import KgcModel, ModelConfig, train_kgc
 
@@ -53,24 +53,11 @@ class PlantedInstance:
 
 
 def _directed_distances(n, edges, start, reverse=False):
-    adj = [[] for _ in range(n)]
-    for h, _, t in edges:
-        if reverse:
-            adj[t].append(h)
-        else:
-            adj[h].append(t)
-    dist = [-1] * n
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    """Directed hops from `start` over (h, r, t) triples (t -> h when
+    `reverse`), -1 where unreachable."""
+    h, _, t = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    src, dst = (t, h) if reverse else (h, t)
+    return hop_distances(n, src, dst, [start], n)
 
 
 def generate_planted(config: PlantedConfig) -> PlantedInstance:
@@ -166,6 +153,12 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
             put(chain[j], EXPLAIN_REL, chain[j + 1])
         put(gh, TARGET_REL, gt)
 
+    distinct = cfg.n_entities * (cfg.n_entities - 1) * len(distract_rels)
+    if cfg.n_distractors > distinct:
+        raise DataError(
+            f"n_distractors={cfg.n_distractors} exceeds the {distinct} distinct "
+            "distractor triples of this instance; use more entities or fewer distractors"
+        )
     distractors = []
     attempts = 0
     max_attempts = 200 * max(cfg.n_distractors, 1)

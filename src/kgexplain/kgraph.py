@@ -1,9 +1,9 @@
 """Knowledge-graph storage, ego-graph extraction, k-core pruning, walk counts.
 
-Triples are stored as parallel int64 columns plus an undirected neighbour
-CSR (one entry per distinct neighbour, whatever the relations) used for
-breadth-first reachability: ego-graph distances treat edges as
-undirected, while stored edges keep their original direction.
+Triples are stored as parallel int64 columns. `hop_distances` is the
+package's one breadth-first search, over any edge list: ego-graph distances
+treat the triples as undirected edges, while stored edges keep their
+original direction.
 """
 
 from __future__ import annotations
@@ -52,6 +52,28 @@ def _csr_indptr(src, n):
     return indptr
 
 
+def hop_distances(n, src, dst, sources, max_dist, undirected=False):
+    """Hops from the nearest of `sources` to each of the n nodes along the
+    edges src -> dst (either way when `undirected`), -1 beyond `max_dist`.
+
+    Breadth-first by frontier masks: each round looks at every edge once.
+    """
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[sources] = 0
+    frontier = dist == 0
+    for d in range(1, max_dist + 1):
+        reached = np.zeros(n, dtype=bool)
+        reached[dst[frontier[src]]] = True
+        if undirected:
+            reached[src[frontier[dst]]] = True
+        reached &= dist < 0
+        if not reached.any():
+            break
+        dist[reached] = d
+        frontier = reached
+    return dist
+
+
 @dataclass(frozen=True)
 class TargetTriple:
     """The triple whose prediction is being explained."""
@@ -73,7 +95,7 @@ class TargetTriple:
 
 
 class KnowledgeGraph:
-    """Immutable triple store with vocabularies and an undirected neighbour CSR."""
+    """Immutable triple store with vocabularies."""
 
     def __init__(
         self,
@@ -99,7 +121,6 @@ class KnowledgeGraph:
         ]
         self.duplicates_dropped = int(duplicates_dropped)
         self._validate()
-        self._build_neighbours()
         self._name_index = None
 
     def _validate(self):
@@ -119,13 +140,6 @@ class KnowledgeGraph:
         key = (self.heads * self.num_relations + self.rels) * self.num_entities + self.tails
         if _sorted_unique(key).size != key.size:
             raise ContractError("duplicate (head, relation, tail) triples")
-
-    def _build_neighbours(self):
-        n = self.num_entities
-        pairs = np.concatenate([self.heads * n + self.tails, self.tails * n + self.heads])
-        both = _sorted_unique(pairs)
-        self.und_indptr = _csr_indptr(both // n, n)
-        self.und_indices = both % n
 
     # -- vocabulary -------------------------------------------------------
 
@@ -190,25 +204,6 @@ class KnowledgeGraph:
             hashlib.sha256(self.entity_vocab_json().encode()).hexdigest(),
             hashlib.sha256(self.relation_vocab_json().encode()).hexdigest(),
         )
-
-    # -- traversal --------------------------------------------------------
-
-    def undirected_distances(self, start, max_dist):
-        """BFS distances over the undirected pair adjacency, -1 beyond max_dist."""
-        dist = np.full(self.num_entities, -1, dtype=np.int64)
-        dist[start] = 0
-        frontier = [start]
-        for d in range(1, max_dist + 1):
-            nxt = []
-            for u in frontier:
-                for v in self.und_indices[self.und_indptr[u] : self.und_indptr[u + 1]]:
-                    if dist[v] < 0:
-                        dist[v] = d
-                        nxt.append(int(v))
-            if not nxt:
-                break
-            frontier = nxt
-        return dist
 
 
 def _line_blocks(path):
@@ -428,24 +423,12 @@ def extract_computation_graph(
     if max_nodes is not None and max_nodes < 2:
         raise ContractError("max_nodes must be >= 2")
     target.validate(g)
-    dh = g.undirected_distances(target.head, hops)
-    dt = g.undirected_distances(target.tail, hops)
-    in_h = dh >= 0
-    in_t = dt >= 0
-    cand = np.flatnonzero(in_h | in_t)
-    mind = np.where(
-        in_h[cand] & in_t[cand],
-        np.minimum(dh[cand], dt[cand]),
-        np.where(in_h[cand], dh[cand], dt[cand]),
-    )
-    order = np.lexsort((cand, mind))
-    selected = cand[order]
-    if max_nodes is not None and selected.size > max_nodes:
-        selected = selected[:max_nodes]
-    chosen = set(selected.tolist())
-    chosen.add(target.head)
-    chosen.add(target.tail)
-    nodes = np.array(sorted(chosen), dtype=np.int64)
+    dist = hop_distances(g.num_entities, g.heads, g.tails, [target.head, target.tail], hops,
+                         undirected=True)
+    cand = np.flatnonzero(dist >= 0)
+    ranked = cand[np.lexsort((cand, dist[cand]))]
+    # head and tail are the only nodes at distance 0, so the cut keeps them
+    nodes = np.sort(ranked[:max_nodes])
     member = np.zeros(g.num_entities, dtype=bool)
     member[nodes] = True
     keep = member[g.heads] & member[g.tails]

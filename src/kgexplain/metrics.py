@@ -124,6 +124,8 @@ class EvalConfig:
             raise ContractError("sample_num must be >= 1")
         if self.threshold_rule not in THRESHOLD_RULES:
             raise ContractError(f"threshold_rule must be one of {THRESHOLD_RULES}")
+        if self.workers < 1:
+            raise ContractError("workers must be >= 1")
 
 
 def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
@@ -184,10 +186,12 @@ def evaluate_batch(model: KgcModel, g: KnowledgeGraph, candidates, cfg: EvalConf
     else:
         sampled = explainable
     jobs = [(model, g, t, cfg) for t in sampled]
-    if cfg.workers > 1:
+    # the pool starts every worker it is sized for, so size it by the jobs
+    workers = min(cfg.workers, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_evaluate_one, jobs))
     else:
         rows = [_evaluate_one(j) for j in jobs]

@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tape, backward, sgd_step
 from .errors import ContractError, DataError
-from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph
+from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph, hop_distances
 
 DECODERS = ("transe", "distmult")
 
@@ -130,16 +130,14 @@ def _as_pair_values(mask, gc: ComputationGraph):
 def _receptive_field(gc: ComputationGraph, rows, layers: int):
     """Per-layer edge rows that reach the output rows `rows` of an encoder of
     `layers` layers: layer l keeps the edges whose dst lies within
-    layers - 1 - l in-hops of `rows` (a reverse BFS over dst -> src). None
+    layers - 1 - l in-hops of `rows` (hop distances over dst -> src). None
     stands for every edge, so a field that covers the graph costs nothing."""
-    need = np.zeros(gc.num_nodes, dtype=bool)
-    need[rows] = True
-    fields = [None] * layers
-    for layer in reversed(range(layers)):
-        edges = np.flatnonzero(need[gc.dst])
-        if edges.size < gc.num_edges:
-            fields[layer] = edges
-        need[gc.src[edges]] = True
+    reach = hop_distances(gc.num_nodes, gc.dst, gc.src, rows, layers - 1)[gc.dst]
+    reach[reach < 0] = layers  # no layer reaches the rows from there
+    fields = []
+    for layer in range(layers):
+        edges = np.flatnonzero(reach < layers - layer)
+        fields.append(None if edges.size == gc.num_edges else edges)
     return fields
 
 
@@ -170,6 +168,11 @@ def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=N
     for layer, keep in enumerate(fields):
         src, dst, coef_row, layer_mask = gc.src, gc.dst, coef_rows, edge_mask
         if keep is not None:
+            if keep.size == 1:
+                # numpy multiplies a one-row matrix with a BLAS kernel that
+                # rounds differently from the many-row product, so a lone edge
+                # takes a second one, whose dst lies outside the field
+                keep = np.union1d(keep, [int(keep[0] == 0)])
             src, dst, coef_row = src[keep], dst[keep], coef_row[keep]
             if edge_mask is not None:
                 layer_mask = ad.gather(edge_mask, keep)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,59 @@ def test_evaluate_sample_num_zero_usage_error(tmp_path, dataset, caplog):
     assert "sample_num must be >= 1" in caplog.text
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_evaluate_workers_below_one_usage_error(tmp_path, dataset, reliant_checkpoint, caplog,
+                                                workers):
+    train, _ = dataset
+    code = main([
+        "evaluate", "--train", str(train), "--checkpoint",
+        str(reliant_checkpoint / "model.plnk"), "--out_dir", str(tmp_path / "o"),
+        "--workers", workers,
+    ])
+    assert code == 2
+    assert error_lines(caplog) == ["usage error: workers must be >= 1"]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("sample_num, pool_sizes", [("3", [3]), ("1", [])])
+def test_evaluate_pool_is_sized_by_the_sampled_targets(tmp_path, dataset, reliant_checkpoint,
+                                                       monkeypatch, sample_num, pool_sizes):
+    import concurrent.futures
+
+    train, _ = dataset
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    reports = []
+    for workers in ("5000", "1"):
+        out = tmp_path / workers
+        assert main([
+            "evaluate", "--train", str(train), "--checkpoint",
+            str(reliant_checkpoint / "model.plnk"), "--out_dir", str(out), "--k_hop", "2",
+            "--epochs", "2", "--sample_num", sample_num, "--workers", workers,
+        ]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert RecordingPool.sizes == pool_sizes
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["n_samples"] == int(sample_num)
+
+
 def test_zero_epochs_usage_error(tmp_path, dataset, caplog):
     train, inst = dataset
     _, ckpt = run_train(tmp_path, train)
@@ -291,6 +345,18 @@ def test_suite_subcommand(tmp_path):
     assert code == 0
     assert (out / "aggregate.csv").exists()
     assert (out / "instance_0.json").exists()
+
+
+@pytest.mark.parametrize("n_distractors", [7000, 10**9])
+def test_suite_with_more_distractors_than_distinct_triples_exits_3(tmp_path, caplog,
+                                                                  n_distractors):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"n_instances": 1, "instance.n_distractors": n_distractors}))
+    t0 = time.perf_counter()
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 3
+    assert time.perf_counter() - t0 < 10
+    [line] = error_lines(caplog)
+    assert f"n_distractors={n_distractors} exceeds the 6240 distinct" in line
 
 
 def test_usage_error_unknown_subcommand():

@@ -45,6 +45,20 @@ def test_generate_distractors_never_shortcut():
     assert len(inst.distractor_edges) == 50
 
 
+def test_directed_distances_forward_and_reverse():
+    edges = [(0, 0, 1), (1, 0, 2), (3, 1, 2), (2, 1, 2)]
+    assert _directed_distances(5, edges, 0).tolist() == [0, 1, 2, -1, -1]
+    assert _directed_distances(5, edges, 2, reverse=True).tolist() == [2, 1, 0, 1, -1]
+    assert _directed_distances(3, [], 1).tolist() == [-1, 0, -1]
+
+
+def test_generate_more_distractors_than_distinct_triples_raises():
+    # 40 entities and 4 noise relations give 40 * 39 * 4 distinct distractors
+    generate_planted(PlantedConfig(n_distractors=0))
+    with pytest.raises(DataError, match="exceeds the 6240 distinct distractor triples"):
+        generate_planted(PlantedConfig(n_distractors=6241))
+
+
 def test_generate_deterministic():
     a = generate_planted(PlantedConfig(seed=5))
     b = generate_planted(PlantedConfig(seed=5))

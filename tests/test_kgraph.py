@@ -2,6 +2,7 @@ import logging
 import os
 import tempfile
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,82 @@ def test_extract_matches_bfs_oracle():
 
         expected = ball(target.head, 2) | ball(target.tail, 2)
         assert set(gc.nodes.tolist()) == expected
+
+
+def test_extract_matches_bfs_oracle_at_hops_1_to_3_with_cuts():
+    """The documented rule: nodes by ascending (min undirected distance to
+    head or tail, global id) up to max_nodes, head and tail always kept, and
+    every stored triple between kept nodes."""
+    rng = np.random.default_rng(3)
+    for trial in range(150):
+        n = int(rng.integers(2, 40))
+        triples = {(int(rng.integers(n)), int(rng.integers(3)), int(rng.integers(n)))
+                   for _ in range(int(rng.integers(1, 3 * n)))}
+        g = kg_from(sorted(triples), n_ent=n, n_rel=3)
+        target = TargetTriple(int(rng.integers(n)), 0, int(rng.integers(n)))
+        hops = int(rng.integers(1, 4))
+        max_nodes = None if trial % 4 == 0 else int(rng.integers(2, n + 2))
+        gc = extract_computation_graph(g, target, hops, max_nodes)
+
+        und = {i: set() for i in range(n)}
+        for h, _, t in triples:
+            und[h].add(t)
+            und[t].add(h)
+        dist = {target.head: 0, target.tail: 0}
+        frontier = set(dist)
+        for d in range(1, hops + 1):
+            frontier = {v for u in frontier for v in und[u]} - set(dist)
+            dist.update(dict.fromkeys(frontier, d))
+        ranked = sorted(dist, key=lambda v: (dist[v], v))
+        kept = set(ranked if max_nodes is None else ranked[:max_nodes])
+        kept |= {target.head, target.tail}
+        assert gc.nodes.tolist() == sorted(kept)
+        local_edges = sorted((int(gc.nodes[s]), r, int(gc.nodes[d])) for s, r, d in gc.edges)
+        assert local_edges == sorted(t for t in triples if t[0] in kept and t[2] in kept)
+
+
+def oracle_hop_distances(n, edges, sources, max_dist, undirected):
+    """Queue BFS over adjacency lists."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        if undirected:
+            adj[v].append(u)
+    dist = [-1] * n
+    queue = deque()
+    for s in sources:
+        if dist[s] < 0:
+            dist[s] = 0
+            queue.append(s)
+    while queue:
+        u = queue.popleft()
+        if dist[u] == max_dist:
+            continue
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@st.composite
+def hop_case(draw):
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    # self-loops, parallel edges and isolated nodes all occur
+    edges = draw(st.lists(st.tuples(node, node), max_size=30))
+    sources = draw(st.lists(node, min_size=1, max_size=3))
+    return n, edges, sources, draw(st.integers(0, n + 1)), draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(hop_case())
+def test_hop_distances_matches_queue_bfs(case):
+    n, edges, sources, max_dist, undirected = case
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    dist = kgraph.hop_distances(n, e[:, 0], e[:, 1], sources, max_dist, undirected)
+    assert dist.dtype == np.int64
+    assert dist.tolist() == oracle_hop_distances(n, edges, sources, max_dist, undirected)
 
 
 def test_extract_monotone_in_hops():

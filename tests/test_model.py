@@ -695,3 +695,38 @@ def test_damaged_checkpoint_loads_finite_or_raises_data_error(data):
         except DataError:
             return
     assert all(np.isfinite(v).all() for v in model.store.params.values())
+
+
+def oracle_receptive_field(gc, rows, layers):
+    """Python frontier loop: the last layer takes the edges into `rows`, and
+    each earlier layer also the edges into the sources of the later layer's."""
+    need = {int(r) for r in rows}
+    fields = []
+    for _ in range(layers):
+        edges = [e for e in range(gc.num_edges) if int(gc.dst[e]) in need]
+        need |= {int(gc.src[e]) for e in edges}
+        fields.append(edges)
+    return fields[::-1]
+
+
+@st.composite
+def receptive_field_cases(draw):
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    triples = draw(st.lists(st.tuples(node, st.integers(0, 1), node), max_size=30))
+    src, rel, dst = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    gc = ComputationGraph(np.arange(n), src, rel, dst, 0, n - 1)
+    return gc, draw(st.lists(node, max_size=3)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(receptive_field_cases())
+def test_receptive_field_matches_frontier_oracle(case):
+    gc, rows, layers = case
+    fields = _receptive_field(gc, rows, layers)
+    assert len(fields) == layers
+    for got, want in zip(fields, oracle_receptive_field(gc, rows, layers)):
+        if got is None:
+            assert want == list(range(gc.num_edges))
+        else:
+            assert got.tolist() == want and len(want) < gc.num_edges

@@ -20,6 +20,9 @@ What is digested (float64 arrays by their raw bytes, floats by ``repr``):
   ``layers`` 2 and 3, where the encoder's receptive field of the target's
   head and tail leaves out most edges of the last layer (the planted graphs
   are small enough for the field to hold every edge);
+- ``prepare_computation_graph``'s ``nodes``, ``src``, ``rel`` and ``dst`` on a
+  seeded random KG at ``k_hop`` 1, 2 and 3, uncut and with a ``max_nodes``
+  cut that falls inside a run of nodes at equal distance;
 - the CLI's output files for the train/explain/evaluate/suite script of the
   determinism acceptance test, plus an ``evaluate --test`` run whose test
   split holds an unknown name, with the wall-time column of
@@ -58,7 +61,11 @@ from kgexplain.harness import (  # noqa: E402
     generate_planted,
     reliant_model,
 )
-from kgexplain.kgraph import KnowledgeGraph, TargetTriple  # noqa: E402
+from kgexplain.kgraph import (  # noqa: E402
+    KnowledgeGraph,
+    TargetTriple,
+    extract_computation_graph,
+)
 from kgexplain.metrics import measure_explanation  # noqa: E402
 from kgexplain.model import (  # noqa: E402
     DECODERS,
@@ -175,6 +182,30 @@ def random_ego_lines():
         yield from explain_lines(label, model, g, target, hops=1, modes=("full", "path_off"))
 
 
+def extraction_lines():
+    """Ego-graphs of a random KG of 300 entities and 1200 triples: each target
+    uncut and cut at the middle of its last distance ring, where the
+    (distance, id) order decides which nodes stay."""
+    rng = np.random.default_rng(11)
+    triples = np.unique(np.stack([rng.integers(0, 300, 1200), rng.integers(0, 7, 1200),
+                                  rng.integers(0, 300, 1200)], axis=1), axis=0)
+    g = KnowledgeGraph(300, 7, triples[:, 0], triples[:, 1], triples[:, 2])
+    for row in (0, 400, 800):
+        target = TargetTriple(*(int(x) for x in triples[row]))
+        for hops in (1, 2, 3):
+            full = extract_computation_graph(g, target, hops)
+            near = (extract_computation_graph(g, target, hops - 1).num_nodes if hops > 1
+                    else len({target.head, target.tail}))
+            cut = (near + full.num_nodes) // 2
+            if not near < cut < full.num_nodes:
+                raise SystemExit("bit_identity: an extraction cut missed its distance ring")
+            for max_nodes in (None, cut):
+                gc = prepare_computation_graph(g, target, hops, max_nodes=max_nodes)
+                yield (digest(gc.nodes, gc.src, gc.rel, gc.dst),
+                       f"extract triple {row} k_hop={hops} max_nodes={max_nodes} "
+                       f"({gc.num_nodes} nodes, {gc.num_edges} triples)")
+
+
 def cli_lines():
     """The determinism acceptance test's script, run in a temporary directory
     with relative paths so config echoes do not name the directory."""
@@ -240,7 +271,7 @@ def main() -> int:
     logging.basicConfig(level=logging.WARNING)
     total = hashlib.sha256()
     for section in (training_lines, planted_lines, edgeless_lines, random_ego_lines,
-                    cli_lines):
+                    extraction_lines, cli_lines):
         with contextlib.redirect_stderr(io.StringIO()):
             lines = list(section())
         for value, label in lines:

@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_opt(p_eval, "sample_num", None, int, "targets to sample (preset default)")
     _add_opt(p_eval, "threshold", None, str, "explainable-target rule (preset default)",
              THRESHOLD_RULES)
-    _add_opt(p_eval, "workers", EvalConfig.workers, int, "parallel workers")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_suite = sub.add_parser("suite", help="planted-path suite of the harness")

@@ -52,12 +52,12 @@ class PlantedInstance:
     seed: int
 
 
-def _directed_distances(n, edges, start, reverse=False):
+def _directed_distances(n, edges, start, reverse=False, max_dist=None):
     """Directed hops from `start` over (h, r, t) triples (t -> h when
-    `reverse`), -1 where unreachable."""
+    `reverse`), -1 where unreachable or beyond `max_dist` (default n)."""
     h, _, t = np.array(edges, dtype=np.int64).reshape(-1, 3).T
     src, dst = (t, h) if reverse else (h, t)
-    return hop_distances(n, src, dst, [start], n)
+    return hop_distances(n, src, dst, [start], n if max_dist is None else max_dist)
 
 
 def generate_planted(config: PlantedConfig) -> PlantedInstance:
@@ -72,6 +72,11 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
     cfg = config
     if cfg.path_len not in (1, 2, 3, 4):
         raise DataError("path_len must be in {1, 2, 3, 4}")
+    if cfg.n_planted_paths < 1:
+        raise DataError(f"n_planted_paths must be >= 1, got {cfg.n_planted_paths}")
+    for name in ("n_distractors", "n_decoy_paths", "n_context_groups"):
+        if getattr(cfg, name) < 0:
+            raise DataError(f"{name} must be >= 0, got {getattr(cfg, name)}")
     inner = cfg.path_len - 1
     reserved = (
         2
@@ -162,6 +167,10 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
     distractors = []
     attempts = 0
     max_attempts = 200 * max(cfg.n_distractors, 1)
+    # hops from head and to tail over the current edges, up to path_len - 1
+    # (a farther node closes no route of at most path_len); a rejected
+    # candidate adds no edge, so they are searched again only after an accept
+    d_h = d_t = None
     while len(distractors) < cfg.n_distractors:
         attempts += 1
         if attempts > max_attempts:
@@ -174,12 +183,15 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
         r = int(rng.choice(distract_rels))
         if a == b or (a, r, b) in seen:
             continue
-        d_h = _directed_distances(cfg.n_entities, edges, head)
-        d_t = _directed_distances(cfg.n_entities, edges, tail, reverse=True)
+        if d_h is None:
+            d_h = _directed_distances(cfg.n_entities, edges, head, max_dist=inner)
+            d_t = _directed_distances(cfg.n_entities, edges, tail, reverse=True,
+                                      max_dist=inner)
         if d_h[a] >= 0 and d_t[b] >= 0 and d_h[a] + 1 + d_t[b] <= cfg.path_len:
             continue
         put(a, r, b)
         distractors.append((a, r, b))
+        d_h = d_t = None
 
     # the asserted fact itself, trained on so the model predicts it confidently
     put(head, TARGET_REL, tail)

@@ -54,7 +54,7 @@ def fidelity_plus(model: KgcModel, gc: ComputationGraph, mask: EdgeScoreMatrix,
     """|score on gc - score on gc with the explanation removed| via the
     complement mask (1 - M)."""
     if base_prob is None:
-        base_prob = _unmasked_score(model, gc, target).probability
+        base_prob = score_target_masked(model, gc, None, target).probability
     removed = score_target_masked(model, gc, mask.complement(), target).probability
     return abs(base_prob - removed)
 
@@ -63,7 +63,7 @@ def fidelity_minus(model: KgcModel, gc: ComputationGraph, mask: EdgeScoreMatrix,
                    target: TargetTriple, base_prob: float | None = None) -> float:
     """|score on the explanatory subgraph - score on gc|."""
     if base_prob is None:
-        base_prob = _unmasked_score(model, gc, target).probability
+        base_prob = score_target_masked(model, gc, None, target).probability
     kept = score_target_masked(model, gc, mask, target).probability
     return abs(kept - base_prob)
 
@@ -86,7 +86,7 @@ def _hdr_hits(model, gc, explanation, target, ms, base_raw):
         rows = tuple(sorted({r for p in explanation.paths[:m] for r in p.triple_indices}))
         if rows not in removed_raw:
             gt = gc.without_triples(rows) if rows else gc
-            removed_raw[rows] = _unmasked_score(model, gt, target).raw
+            removed_raw[rows] = score_target_masked(model, gt, None, target).raw
         hits[m] = not (removed_raw[rows] > base_raw)
     return hits
 
@@ -97,12 +97,8 @@ def h_delta_r(model: KgcModel, gc: ComputationGraph, explanation: Explanation,
     if m < 1:
         raise ContractError("m must be >= 1")
     if base_raw is None:
-        base_raw = _unmasked_score(model, gc, target).raw
+        base_raw = score_target_masked(model, gc, None, target).raw
     return _hdr_hits(model, gc, explanation, target, (m,), base_raw)[m]
-
-
-def _unmasked_score(model, gc, target):
-    return score_target_masked(model, gc, None, target)
 
 
 THRESHOLD_RULES = ("prob", "rank1")  # model probability > 0.5, or the true tail ranked first
@@ -116,7 +112,6 @@ class EvalConfig:
     k_core: int = 2
     max_nodes: int | None = 1000
     seed: int = 0
-    workers: int = 1
     explain: ExplainConfig = field(default_factory=ExplainConfig)
 
     def validate(self):
@@ -124,15 +119,13 @@ class EvalConfig:
             raise ContractError("sample_num must be >= 1")
         if self.threshold_rule not in THRESHOLD_RULES:
             raise ContractError(f"threshold_rule must be one of {THRESHOLD_RULES}")
-        if self.workers < 1:
-            raise ContractError("workers must be >= 1")
 
 
 def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
                         mask: EdgeScoreMatrix, explanation: Explanation):
     """Metric row for an already-computed explanation; a single unmasked
     forward pass feeds every metric."""
-    base = _unmasked_score(model, gc, target)
+    base = score_target_masked(model, gc, None, target)
     row = {
         "head": target.head,
         "relation": target.relation,
@@ -150,13 +143,12 @@ def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTri
 def _is_explainable(model, g, target, cfg: EvalConfig):
     gc = prepare_computation_graph(g, target, cfg.k_hop, cfg.k_core, cfg.max_nodes)
     if cfg.threshold_rule == "prob":
-        return _unmasked_score(model, gc, target).probability > 0.5
+        return score_target_masked(model, gc, None, target).probability > 0.5
     return rank_target(model, gc, target) == 1
 
 
-def _evaluate_one(args):
-    """Explain one target and measure it (module-level for the process pool)."""
-    model, g, target, cfg = args
+def _evaluate_one(model, g, target, cfg: EvalConfig):
+    """Explain one target and measure it."""
     gc = prepare_computation_graph(g, target, cfg.k_hop, cfg.k_core, cfg.max_nodes)
     t0 = time.perf_counter()
     result = train_explainer(model, gc, target, cfg.explain)
@@ -185,16 +177,7 @@ def evaluate_batch(model: KgcModel, g: KnowledgeGraph, candidates, cfg: EvalConf
         sampled = [explainable[i] for i in sorted(idx.tolist())]
     else:
         sampled = explainable
-    jobs = [(model, g, t, cfg) for t in sampled]
-    # the pool starts every worker it is sized for, so size it by the jobs
-    workers = min(cfg.workers, len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_one, jobs))
-    else:
-        rows = [_evaluate_one(j) for j in jobs]
+    rows = [_evaluate_one(model, g, t, cfg) for t in sampled]
     report = MetricReport(
         fidelity_plus=float(np.mean([r["f_plus"] for r in rows])),
         fidelity_minus=float(np.mean([r["f_minus"] for r in rows])),

@@ -251,57 +251,33 @@ def test_evaluate_sample_num_zero_usage_error(tmp_path, dataset, caplog):
     assert "sample_num must be >= 1" in caplog.text
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_evaluate_workers_below_one_usage_error(tmp_path, dataset, reliant_checkpoint, caplog,
-                                                workers):
+@pytest.mark.parametrize("sample_num", ["3", "1"])
+def test_evaluate_reruns_write_equal_reports(tmp_path, dataset, reliant_checkpoint, sample_num):
     train, _ = dataset
-    code = main([
-        "evaluate", "--train", str(train), "--checkpoint",
-        str(reliant_checkpoint / "model.plnk"), "--out_dir", str(tmp_path / "o"),
-        "--workers", workers,
-    ])
-    assert code == 2
-    assert error_lines(caplog) == ["usage error: workers must be >= 1"]
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps serially."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
-@pytest.mark.parametrize("sample_num, pool_sizes", [("3", [3]), ("1", [])])
-def test_evaluate_pool_is_sized_by_the_sampled_targets(tmp_path, dataset, reliant_checkpoint,
-                                                       monkeypatch, sample_num, pool_sizes):
-    import concurrent.futures
-
-    train, _ = dataset
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     reports = []
-    for workers in ("5000", "1"):
-        out = tmp_path / workers
+    for run in ("a", "b"):
+        out = tmp_path / run
         assert main([
             "evaluate", "--train", str(train), "--checkpoint",
             str(reliant_checkpoint / "model.plnk"), "--out_dir", str(out), "--k_hop", "2",
-            "--epochs", "2", "--sample_num", sample_num, "--workers", workers,
+            "--epochs", "2", "--sample_num", sample_num,
         ]) == 0
         reports.append((out / "report.json").read_bytes())
-    assert RecordingPool.sizes == pool_sizes
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["n_samples"] == int(sample_num)
+
+
+def test_evaluate_workers_is_an_unknown_flag(tmp_path, dataset, reliant_checkpoint, capsys):
+    train, _ = dataset
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "evaluate", "--train", str(train), "--checkpoint",
+            str(reliant_checkpoint / "model.plnk"), "--out_dir", str(tmp_path / "o"),
+            "--workers", "2",
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_zero_epochs_usage_error(tmp_path, dataset, caplog):
@@ -359,6 +335,19 @@ def test_suite_with_more_distractors_than_distinct_triples_exits_3(tmp_path, cap
     assert f"n_distractors={n_distractors} exceeds the 6240 distinct" in line
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("instance.n_planted_paths", 0, "n_planted_paths must be >= 1, got 0"),
+    ("instance.n_distractors", -3, "n_distractors must be >= 0, got -3"),
+    ("instance.n_decoy_paths", -1, "n_decoy_paths must be >= 0, got -1"),
+    ("instance.n_context_groups", -2, "n_context_groups must be >= 0, got -2"),
+])
+def test_suite_with_bad_planted_count_exits_3(tmp_path, caplog, key, value, message):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"n_instances": 1, key: value}))
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 3
+    assert error_lines(caplog) == [message]
+
+
 def test_usage_error_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -411,7 +400,7 @@ def test_config_json_holds_the_subcommand_flags(tmp_path, dataset, reliant_check
         "train": {"subcommand", "train", "delimiter", "dim", "layers", "bases", "decoder",
                   "epochs", "lr", "negatives", "seed"},
         "explain": common | {"head", "relation", "tail", "dot"},
-        "evaluate": common | {"test", "sample_num", "threshold", "workers"},
+        "evaluate": common | {"test", "sample_num", "threshold"},
     }
     runs = {
         "train": run_train(tmp_path, train)[1],

@@ -1,12 +1,15 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from kgexplain import harness as hs
 from kgexplain.errors import DataError
 from kgexplain.harness import (
     PlantedConfig,
     SuiteConfig,
     _directed_distances,
+    ablation_suite_config,
     generate_planted,
     linear_fit_r2,
     measure_explain_memory,
@@ -14,7 +17,7 @@ from kgexplain.harness import (
     run_suite,
     sign_test_p,
 )
-from kgexplain.metrics import _unmasked_score
+from kgexplain.model import score_target_masked
 from kgexplain.explain import prepare_computation_graph
 
 
@@ -50,6 +53,24 @@ def test_directed_distances_forward_and_reverse():
     assert _directed_distances(5, edges, 0).tolist() == [0, 1, 2, -1, -1]
     assert _directed_distances(5, edges, 2, reverse=True).tolist() == [2, 1, 0, 1, -1]
     assert _directed_distances(3, [], 1).tolist() == [-1, 0, -1]
+
+
+@pytest.mark.parametrize("instance", [PlantedConfig(), ablation_suite_config().instance],
+                         ids=["default", "ablation"])
+def test_generate_searches_twice_per_accepted_distractor(monkeypatch, instance):
+    # a candidate rejected as a shortcut reuses the last searches; the final
+    # shortest-path check is the one extra search
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _directed_distances(*args, **kwargs)
+
+    monkeypatch.setattr(hs, "_directed_distances", counting)
+    for seed in range(10):
+        calls.clear()
+        generate_planted(replace(instance, seed=seed))
+        assert len(calls) == 2 * instance.n_distractors + 1
 
 
 def test_generate_more_distractors_than_distinct_triples_raises():
@@ -100,14 +121,14 @@ def test_reliant_model_score_tracks_chains():
     inst = generate_planted(PlantedConfig(n_decoy_paths=2, seed=0))
     model = reliant_model(inst.graph, inst.target, seed=0)
     gc = prepare_computation_graph(inst.graph, inst.target, 2, 2)
-    base = _unmasked_score(model, gc, inst.target)
+    base = score_target_masked(model, gc, None, inst.target)
     assert base.probability > 0.5
 
     def removed(path):
         rows = [gc.triple_index_of(gc.local_of_global[h], r, gc.local_of_global[t])
                 for h, r, t in path]
-        return _unmasked_score(model, gc.without_triples([r for r in rows if r >= 0]),
-                               inst.target).raw
+        return score_target_masked(model, gc.without_triples([r for r in rows if r >= 0]),
+                                   None, inst.target).raw
 
     for path in inst.planted_paths:
         assert removed(path) <= base.raw

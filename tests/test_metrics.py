@@ -23,7 +23,7 @@ from kgexplain.metrics import (
     rows_to_csv,
     sparsity,
 )
-from kgexplain.model import KgcModel
+from kgexplain.model import KgcModel, score_target_masked
 
 
 def kg_from(triples, n_ent=None, n_rel=None):
@@ -130,9 +130,9 @@ def test_hdr_planted_instance_supporting_path_drops_score():
         rows.append(row)
         triples.append((h, r, t))
     ex = Explanation(inst.target, [ExplanationPath(triples, rows, [0.9] * len(rows), 0.9)])
-    base = mx._unmasked_score(model, gc, inst.target)
+    base = score_target_masked(model, gc, None, inst.target)
     gt = gc.without_triples(rows)
-    assert mx._unmasked_score(model, gt, inst.target).raw < base.raw
+    assert score_target_masked(model, gt, None, inst.target).raw < base.raw
     assert h_delta_r(model, gc, ex, inst.target, 1) is True
 
 
@@ -171,13 +171,13 @@ def test_hdr_builds_and_scores_each_deleted_row_set_once(monkeypatch, n_paths, b
 def test_one_unmasked_forward_per_target(setup, monkeypatch):
     _, gc, target, model = setup
     calls = []
-    original = mx._unmasked_score
 
-    def counting(model_, gc_, target_):
-        calls.append(gc_)
-        return original(model_, gc_, target_)
+    def counting(model_, gc_, mask_, target_):
+        if mask_ is None:
+            calls.append(gc_)
+        return score_target_masked(model_, gc_, mask_, target_)
 
-    monkeypatch.setattr(mx, "_unmasked_score", counting)
+    monkeypatch.setattr(mx, "score_target_masked", counting)
     mask = EdgeScoreMatrix.constant(gc, 0.5)
     ex = generate_paths(gc, mask, target, 3, 3)
     mx.measure_explanation(model, gc, target, mask, ex)
@@ -248,19 +248,6 @@ def test_evaluate_batch_deterministic(tmp_path):
     assert r1.to_json_dict() == r2.to_json_dict()
     strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
     assert strip(rows1) == strip(rows2)
-
-
-def test_evaluate_batch_workers_reduce_in_order():
-    inst, model = planted_batch_setup()
-    base = EvalConfig(sample_num=2, threshold_rule="prob", k_hop=2,
-                      explain=ExplainConfig(epochs=3, seed=0), seed=0)
-    report1, rows1 = evaluate_batch(model, inst.graph, [inst.target], base)
-    parallel = EvalConfig(sample_num=2, threshold_rule="prob", k_hop=2,
-                          explain=ExplainConfig(epochs=3, seed=0), seed=0, workers=2)
-    report2, rows2 = evaluate_batch(model, inst.graph, [inst.target], parallel)
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
-    assert strip(rows1) == strip(rows2)
-    assert report1.to_json_dict() == report2.to_json_dict()
 
 
 def test_eval_config_validation():

@@ -20,6 +20,8 @@ What is digested (float64 arrays by their raw bytes, floats by ``repr``):
   ``layers`` 2 and 3, where the encoder's receptive field of the target's
   head and tail leaves out most edges of the last layer (the planted graphs
   are small enough for the field to hold every edge);
+- ``generate_planted`` instances of the default, ablation and power-order
+  suites at seeds 0-39: the triples, distractors, planted and decoy paths;
 - ``prepare_computation_graph``'s ``nodes``, ``src``, ``rel`` and ``dst`` on a
   seeded random KG at ``k_hop`` 1, 2 and 3, uncut and with a ``max_nodes``
   cut that falls inside a run of nodes at equal distance;
@@ -58,7 +60,10 @@ from kgexplain.explain import (  # noqa: E402
 from kgexplain.harness import (  # noqa: E402
     MODES,
     PlantedConfig,
+    SuiteConfig,
+    ablation_suite_config,
     generate_planted,
+    power_order_suite_config,
     reliant_model,
 )
 from kgexplain.kgraph import (  # noqa: E402
@@ -77,6 +82,7 @@ from kgexplain.model import (  # noqa: E402
 )
 
 PLANTED_SEEDS = (0, 1)
+INSTANCE_SEEDS = range(40)
 SIZES = (1, 2, 3)
 
 
@@ -160,6 +166,21 @@ def edgeless_lines():
     target = TargetTriple(0, 0, 1)
     yield from explain_lines("edgeless", model, g, target, hops=1,
                              combine_modes=("concatenation", "euclidean"))
+
+
+def instance_lines():
+    """One line per suite instance config: its instances at seeds 0-39, which
+    guard the distractor rejection loop that places most of their triples."""
+    configs = {"default": SuiteConfig().instance, "ablation": ablation_suite_config().instance,
+               "power_order=4": power_order_suite_config(4).instance}
+    for name, instance in configs.items():
+        parts = []
+        for seed in INSTANCE_SEEDS:
+            inst = generate_planted(replace(instance, seed=seed))
+            g = inst.graph
+            parts += [g.heads, g.rels, g.tails, inst.distractor_edges, inst.planted_paths,
+                      inst.decoy_paths]
+        yield digest(*parts), f"generate_planted {name} seeds 0-39"
 
 
 def random_ego_lines():
@@ -270,8 +291,8 @@ def _without_column(data: bytes, column: str) -> bytes:
 def main() -> int:
     logging.basicConfig(level=logging.WARNING)
     total = hashlib.sha256()
-    for section in (training_lines, planted_lines, edgeless_lines, random_ego_lines,
-                    extraction_lines, cli_lines):
+    for section in (training_lines, planted_lines, edgeless_lines, instance_lines,
+                    random_ego_lines, extraction_lines, cli_lines):
         with contextlib.redirect_stderr(io.StringIO()):
             lines = list(section())
         for value, label in lines:

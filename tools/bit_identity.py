@@ -9,7 +9,11 @@ two runs to compare a change with its parent. Each line is
 What is digested (float64 arrays by their raw bytes, floats by ``repr``):
 
 - ``train_kgc`` for both decoders with ``layers`` and ``bases`` in {1, 2, 3}:
-  every parameter, the final loss and the checkpoint file's bytes;
+  every parameter, the final loss and the checkpoint file's bytes, on a
+  planted instance and on three edge-case graphs (one triple; self-loops, an
+  unused relation and isolated entities; the edgeless ego-graph's KG below),
+  the latter with 1 and 4 negatives per positive, and once with a step
+  large enough that the loss's log clamp is reached;
 - the explainer on planted instances, in the ``full``, ``path_off`` and
   ``mi_off`` modes and both TES combine modes: the mask values, the
   provenance and the loss trace;
@@ -107,6 +111,12 @@ def checkpoint_bytes(model, g) -> bytes:
         return path.read_bytes()
 
 
+def checkpoint_digest(model, g) -> str:
+    """Every parameter, the final loss and the checkpoint file's bytes."""
+    params = [model.store.params[name] for name in model.tensor_names()]
+    return digest(*params, model.final_loss, checkpoint_bytes(model, g))
+
+
 def mode_config(mode: str, **fields) -> ExplainConfig:
     return ExplainConfig(enable_path_loss=mode != "path_off",
                          enable_mi_loss=mode != "mi_off", **fields)
@@ -140,10 +150,35 @@ def training_lines():
                 cfg = ModelConfig(decoder=decoder, layers=layers, bases=bases, dim=8)
                 model = train_kgc(g, cfg)
                 label = f"train_kgc {decoder} layers={layers} bases={bases}"
-                params = [model.store.params[name] for name in model.tensor_names()]
-                yield (digest(*params, model.final_loss, checkpoint_bytes(model, g)),
-                       f"{label} checkpoint")
+                yield checkpoint_digest(model, g), f"{label} checkpoint"
                 yield from explain_lines(label, model, g, inst.target, hops=1, modes=("full",))
+
+
+EDGE_CASE_GRAPHS = {
+    "one triple": (2, 1, [(0, 0, 1)]),
+    "self-loops": (7, 3, [(0, 0, 0), (0, 0, 1), (1, 1, 1), (1, 0, 2), (2, 1, 0), (3, 0, 3)]),
+    "edgeless": (6, 2, [(0, 0, 1), (2, 0, 3), (3, 1, 4), (4, 0, 2), (2, 1, 5)]),
+}
+
+
+def edge_training_lines():
+    """Checkpoints trained on tiny graphs, where single rows, self-loops,
+    empty relations and isolated entities reach every training op."""
+    for name, (n_ent, n_rel, triples) in EDGE_CASE_GRAPHS.items():
+        h, r, t = np.array(triples).T
+        g = KnowledgeGraph(n_ent, n_rel, h, r, t)
+        for decoder in DECODERS:
+            for layers in SIZES:
+                for bases in SIZES:
+                    for negatives in (1, 4):
+                        cfg = ModelConfig(decoder=decoder, layers=layers, bases=bases, dim=4,
+                                          epochs=100, negatives=negatives)
+                        yield (checkpoint_digest(train_kgc(g, cfg), g),
+                               f"train_kgc {name} {decoder} layers={layers} bases={bases} "
+                               f"negatives={negatives} checkpoint")
+            # a step this large drives some probabilities past the log clamp
+            model = train_kgc(g, ModelConfig(decoder=decoder, dim=4, epochs=100, lr=5.0))
+            yield checkpoint_digest(model, g), f"train_kgc {name} {decoder} lr=5.0 checkpoint"
 
 
 def planted_lines():
@@ -291,7 +326,7 @@ def _without_column(data: bytes, column: str) -> bytes:
 def main() -> int:
     logging.basicConfig(level=logging.WARNING)
     total = hashlib.sha256()
-    for section in (training_lines, planted_lines, edgeless_lines, instance_lines,
+    for section in (training_lines, edge_training_lines, planted_lines, edgeless_lines, instance_lines,
                     random_ego_lines, extraction_lines, cli_lines):
         with contextlib.redirect_stderr(io.StringIO()):
             lines = list(section())

@@ -17,6 +17,13 @@ nodes can no longer be backpropagated; a node still referenced outside keeps
 only its own value. Entering the block also has glibc's malloc keep freed
 memory for the next pass instead of handing it back to the OS.
 
+Hand-written ops join the same tape: an op computes its value from plain
+arrays and, when an operand is a Node, appends one Node whose backward
+returns the adjoint of each Node operand. The explainer's edge scorer
+(`explain.TesOp`), each encoder layer (`model.RgcnLayerOp`) and the training
+loss (`model.KgcLossOp`) are such ops, so a training epoch records a
+handful of nodes instead of one per numpy operation.
+
 Scalars are represented as 0-d or length-1 arrays; `backward` accepts any
 single-element output. Forward values and backward adjoints are checked
 for NaN/Inf and raise :class:`NumericError` naming the offending op.
@@ -353,16 +360,6 @@ def norm(a):
 
 def sumall(a):
     return _unary(a, lambda x: x.sum(), lambda g, x, o: np.broadcast_to(g, x.shape).copy(), "sum")
-
-
-def sum_rows(a):
-    """Sum over axis 1 of a 2-D array."""
-    return _unary(
-        a,
-        lambda x: x.sum(axis=1),
-        lambda g, x, o: np.repeat(np.asarray(g)[:, None], x.shape[1], axis=1),
-        "sum_rows",
-    )
 
 
 # ---------------------------------------------------------------------------

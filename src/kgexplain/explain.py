@@ -76,6 +76,12 @@ class ExplainConfig:
             raise ContractError(f"gamma must be >= 0, got {self.gamma}")
         if not self.lr > 0:
             raise ContractError(f"lr must be positive, got {self.lr}")
+        if not math.isfinite(self.gamma):
+            raise ContractError(f"gamma must be finite, got {self.gamma}")
+        if not math.isfinite(self.lr):
+            raise ContractError(f"lr must be finite, got {self.lr}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.combine_mode not in COMBINE_MODES:
             raise ContractError(f"combine_mode must be one of {COMBINE_MODES}")
         if not (self.enable_path_loss or self.enable_mi_loss):

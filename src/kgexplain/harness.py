@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ContractError, DataError
 from .explain import ExplainConfig, generate_paths, prepare_computation_graph, train_explainer
 from .kgraph import KnowledgeGraph, TargetTriple, full_graph, hop_distances
 from .metrics import HDR_PATH_COUNTS, csv_text, json_text, measure_explanation
@@ -304,7 +304,8 @@ class SuiteConfig:
 
         Raises DataError unless `flat` is a table of known keys whose values
         have their field's type (an int also fills a float field), with a
-        known model_source and at least one instance."""
+        known model_source and at least one instance, and ContractError for
+        a negative base_seed."""
         if not isinstance(flat, dict):
             raise DataError(f"suite config must be a table of keys, not a {type(flat).__name__}")
         cfg = cls()
@@ -325,6 +326,8 @@ class SuiteConfig:
             )
         if cfg.n_instances < 1:
             raise DataError(f"n_instances must be >= 1, got {cfg.n_instances}")
+        if cfg.base_seed < 0:
+            raise ContractError(f"base_seed must be >= 0, got {cfg.base_seed}")
         return cfg
 
     def to_flat_dict(self):

@@ -119,6 +119,9 @@ class EvalConfig:
             raise ContractError("sample_num must be >= 1")
         if self.threshold_rule not in THRESHOLD_RULES:
             raise ContractError(f"threshold_rule must be one of {THRESHOLD_RULES}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        self.explain.validate()
 
 
 def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTriple,

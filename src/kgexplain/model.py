@@ -7,11 +7,15 @@ by that edge's mask value, then mean-aggregates incoming messages by
 in-degree count (not mask sum) and adds an unmasked self-loop term.
 ReLU between layers, identity on the last.
 
-All forward math goes through autodiff ops; with raw-array operands the
-ops fall through to plain numpy, so masked and unmasked, differentiable
-and value-only paths share one code sequence (and are bit-identical). The
-sequence does not depend on the edge count: on an edgeless graph the
-message terms are empty arrays.
+Each encoder layer is one hand-written op on the autodiff tape
+(`RgcnLayerOp`), and so is the training loss (`KgcLossOp`: the row
+gathers, the decoder, the sigmoid and the clamped cross-entropy). Their
+backwards repeat, in the same order, the numpy operations that the generic
+autodiff ops would run, so trained checkpoints are the same bytes as with
+the generic-op composition the tests keep as their oracle. Given only
+arrays the ops return arrays, so masked and unmasked, differentiable and
+value-only passes share one implementation. Nothing depends on the edge
+count: on an edgeless graph the message terms are empty arrays.
 
 Scoring one target reads only the head and tail rows of the last layer, so
 `target_score_nodes` (the explainer's prediction term, F+, F-, HDR:m and the
@@ -25,6 +29,7 @@ gradients do too wherever it was checked (the tests allow rtol 1e-12).
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import struct
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .autodiff import ParamStore, Tape, backward, sgd_step
 from .errors import ContractError, DataError
 from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph, hop_distances
@@ -141,9 +147,137 @@ def _receptive_field(gc: ComputationGraph, rows, layers: int):
     return fields
 
 
-@np.errstate(over="ignore", invalid="ignore")
+class RgcnLayerOp:
+    """One encoder layer as one tape op with a hand-written backward.
+
+    Built for one graph and one edge subset `keep` of it (None for every
+    edge), so a training run builds its layers once and every epoch reuses
+    their index arrays and, through `kernels.scatter_add_rows`'s `cells`,
+    the flattened scatter cells of src and dst. A call takes h, the
+    parameter dict and the (E, 1) edge mask or None; each may hold Nodes or
+    arrays. It returns a Node whose parents are the Node operands, or a plain
+    array when there is none, so training, the frozen encode and the masked
+    target score run one implementation. The op keeps no buffers across
+    calls.
+
+    Only the pre-activation is finite-checked in the forward (relu(-inf) is
+    0, and every other intermediate reaches it), as `rgcn:layer<l>`; the
+    input adjoint is checked as `rgcn:layer<l> adjoint`.
+    """
+
+    def __init__(self, model: KgcModel, gc: ComputationGraph, layer: int, keep=None):
+        self.name = f"rgcn:layer{layer}"
+        self.names = (f"self_{layer}", f"coef_{layer}",
+                      *(f"basis_{layer}_{b}" for b in range(model.bases)))
+        self.relu = layer < model.layers - 1
+        self.dim, self.n, self.num_edges = model.dim, gc.num_nodes, gc.num_edges
+        src, dst, rel = gc.src, gc.dst, gc.rel
+        if keep is not None:
+            if keep.size == 1:
+                # numpy multiplies a one-row matrix with a BLAS kernel that
+                # rounds differently from the many-row product, so a lone edge
+                # takes a second one, whose dst lies outside the field
+                keep = np.union1d(keep, [int(keep[0] == 0)])
+            src, dst, rel = src[keep], dst[keep], rel[keep]
+        self.keep, self.src, self.dst = keep, src, dst
+        # coef[r, b] is row r * bases + b of the (R * bases, 1) view of coef
+        self.coef_rows = [rel * model.bases + b for b in range(model.bases)]
+        self.inv_deg = (1.0 / np.maximum(gc.in_degree, 1)).reshape(self.n, 1)
+
+    @functools.cached_property
+    def src_cells(self):
+        return kernels.scatter_cells(self.src, self.dim)
+
+    @functools.cached_property
+    def dst_cells(self):
+        return kernels.scatter_cells(self.dst, self.dim)
+
+    # Overflow surfaces as the finite checks' NumericError, not as a warning.
+    @np.errstate(over="ignore", invalid="ignore")
+    def __call__(self, h, params, mask=None):
+        w_self, coef, *basis = (params[name] for name in self.names)
+        vh, vw, vc = ad._val(h), ad._val(w_self), ad._val(coef)
+        vb = [ad._val(b) for b in basis]
+        coef_col = vc.reshape(-1, 1)
+        hs = vh[self.src]
+        mms, cgs, msg = [], [], None
+        for b, rows in enumerate(self.coef_rows):  # basis messages summed in ascending b
+            mms.append(hs @ vb[b])
+            cgs.append(coef_col[rows])
+            term = mms[b] * cgs[b]
+            msg = term if msg is None else msg + term
+        vm = None if mask is None else ad._val(mask)
+        if vm is not None and self.keep is not None:
+            vm = vm[self.keep]
+        sent = msg if vm is None else msg * vm
+        agg = kernels.scatter_add_rows(sent, self.dst, self.n, cells=self.dst_cells)
+        pre = vh @ vw + agg * self.inv_deg
+        ad._check_finite(pre, self.name)
+        out = np.maximum(pre, 0.0) if self.relu else pre
+        operands = (h, w_self, coef, *basis, mask)
+        need = [isinstance(x, ad.Node) for x in operands]
+        if not any(need):
+            return out
+
+        def bw(g):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return backward_adjoints(g)
+
+        def backward_adjoints(g):
+            # Bit for bit the adjoints of the generic-op composition (see the
+            # module docstring), taken in its reverse tape order: the forward
+            # sums the basis messages in ascending b, so the coef scatters
+            # and the g_mm @ basis_b.T terms of the hs adjoint add up in
+            # descending b; the coefficient adjoint is the row sum
+            # _unbroadcast takes; each gather adjoint is a bincount scatter,
+            # whose cells for a one-column block are its row indices.
+            adj = [None] * len(operands)
+            if self.relu:
+                g = g * (pre > 0.0)
+            g_msg = (g * self.inv_deg)[self.dst]
+            if need[-1]:
+                g_vm = (g_msg * msg).sum(axis=1, keepdims=True)
+                adj[-1] = (g_vm if self.keep is None else kernels.scatter_add_rows(
+                    g_vm, self.keep, self.num_edges, cells=self.keep))
+            if vm is not None and (need[0] or any(need[2:-1])):
+                g_msg = g_msg * vm
+            g_hs = None
+            for b in reversed(range(len(vb))):
+                if need[2]:
+                    rows = self.coef_rows[b]
+                    scat = kernels.scatter_add_rows((g_msg * mms[b]).sum(axis=1, keepdims=True),
+                                                    rows, len(coef_col), cells=rows)
+                    adj[2] = scat if adj[2] is None else adj[2] + scat
+                if need[0] or need[3 + b]:
+                    g_mm = g_msg * cgs[b]
+                    if need[3 + b]:
+                        adj[3 + b] = hs.T @ g_mm
+                    if need[0]:
+                        g_hs = g_mm @ vb[b].T if g_hs is None else g_hs + g_mm @ vb[b].T
+            if need[0]:
+                adj[0] = (kernels.scatter_add_rows(g_hs, self.src, self.n, cells=self.src_cells)
+                          + g @ vw.T)
+                ad._check_finite(adj[0], f"{self.name} adjoint")
+            if need[1]:
+                adj[1] = vh.T @ g
+            if need[2]:
+                adj[2] = adj[2].reshape(vc.shape)
+            return [a for a, wanted in zip(adj, need) if wanted]
+
+        parents = tuple(x for x in operands if isinstance(x, ad.Node))
+        return ad.Node(parents[0].tape, out, parents, bw, self.name)
+
+
+def encoder_layers(model: KgcModel, gc: ComputationGraph, rows=None):
+    """One `RgcnLayerOp` per layer of `model` over gc. With `rows` (local
+    node indices), layer l runs only along the edges of the rows' receptive
+    field (see `_receptive_field`)."""
+    fields = [None] * model.layers if rows is None else _receptive_field(gc, rows, model.layers)
+    return [RgcnLayerOp(model, gc, layer, keep) for layer, keep in enumerate(fields)]
+
+
 def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=None,
-                    rows=None):
+                    rows=None, layer_ops=None):
     """Message passing over gc; returns the (n, d) node-embedding matrix.
 
     `operands` maps parameter names to Nodes (training) or is None, in
@@ -153,42 +287,17 @@ def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=N
 
     With `rows` (local node indices), each layer sends messages only along
     the edges of the rows' receptive field: the result equals the full pass
-    bit for bit at `rows` and is meaningless elsewhere.
+    bit for bit at `rows` and is meaningless elsewhere. `layer_ops`, the
+    `encoder_layers(model, gc, rows)` of an earlier call, saves building
+    them again.
     """
     p = operands if operands is not None else model.store.params
     mask_vec = None if mask is None else _as_pair_values(mask, gc)
-    n = gc.num_nodes
-    inv_deg = (1.0 / np.maximum(gc.in_degree, 1)).reshape(n, 1)
     h = ad.gather(p["ent"], gc.nodes)
     edge_mask = (None if mask_vec is None
                  else ad.reshape(ad.gather(mask_vec, gc.pair_index), (gc.num_edges, 1)))
-    # coef[r, b] is row r * bases + b of the (R * bases, 1) view of coef
-    coef_rows = gc.rel * model.bases
-    fields = [None] * model.layers if rows is None else _receptive_field(gc, rows, model.layers)
-    for layer, keep in enumerate(fields):
-        src, dst, coef_row, layer_mask = gc.src, gc.dst, coef_rows, edge_mask
-        if keep is not None:
-            if keep.size == 1:
-                # numpy multiplies a one-row matrix with a BLAS kernel that
-                # rounds differently from the many-row product, so a lone edge
-                # takes a second one, whose dst lies outside the field
-                keep = np.union1d(keep, [int(keep[0] == 0)])
-            src, dst, coef_row = src[keep], dst[keep], coef_row[keep]
-            if edge_mask is not None:
-                layer_mask = ad.gather(edge_mask, keep)
-        self_term = ad.matmul(h, p[f"self_{layer}"])
-        hs = ad.gather(h, src)
-        coef = ad.reshape(p[f"coef_{layer}"], (-1, 1))
-        msg = None
-        for b in range(model.bases):
-            term = ad.mul(ad.matmul(hs, p[f"basis_{layer}_{b}"]), ad.gather(coef, coef_row + b))
-            msg = term if msg is None else ad.add(msg, term)
-        if layer_mask is not None:
-            msg = ad.mul(msg, layer_mask)
-        agg = ad.mul(ad.scatter_add(msg, dst, n), inv_deg)
-        h = ad.add(self_term, agg)
-        if layer < model.layers - 1:
-            h = ad.relu(h)
+    for op in layer_ops or encoder_layers(model, gc, rows):
+        h = op(h, p, edge_mask)
     return h
 
 
@@ -206,14 +315,97 @@ def decoder_raw(decoder, h, r, t):
     raise ContractError(f"unknown decoder {decoder!r}")
 
 
-def decoder_raw_batch(decoder, H, R, T):
-    """Row-wise decoder scores for (E, d) stacks."""
+def _decode_rows(decoder, H, R, T):
+    """Row-wise decoder scores of (E, d) stacks (a (d,) operand broadcasts),
+    and the intermediates `KgcLossOp`'s adjoint reads."""
     if decoder == "transe":
-        x = ad.sub(ad.add(H, R), T)
-        return ad.neg(ad.powc(ad.sum_rows(ad.mul(x, x)), 0.5))
+        x = (H + R) - T
+        sq = (x * x).sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            return -np.power(sq, 0.5), (x, sq)
     if decoder == "distmult":
-        return ad.sum_rows(ad.mul(ad.mul(H, R), T))
+        hr = H * R
+        return (hr * T).sum(axis=1), (hr,)
     raise ContractError(f"unknown decoder {decoder!r}")
+
+
+class KgcLossOp:
+    """The training loss as one tape op with a hand-written backward.
+
+    One call gathers the head, relation and tail rows of every scored
+    triple, decodes them, and returns the binary cross-entropy of the first
+    `n_pos` (positives) and the rest (negatives), each side averaged and
+    weighted 1/2 regardless of the ratio. Probabilities are clamped at
+    `autodiff.LOG_CLAMP` inside the logs, and so are the adjoints, as the
+    generic `log` op does. The relation rows are fixed for a training run,
+    so their scatter cells are built once. The raw scores are
+    finite-checked as `kgc_loss`, since the sigmoid and the clamp would turn
+    -inf into a finite loss; the entity adjoint as `kgc_loss adjoint`.
+    """
+
+    def __init__(self, model: KgcModel, rels, n_pos: int):
+        self.decoder, self.dim = model.decoder, model.dim
+        self.rels = rels
+        self.num_relations = model.num_relations
+        self.pos = np.arange(n_pos)
+        self.neg = np.arange(n_pos, len(rels))
+
+    @functools.cached_property
+    def rel_cells(self):
+        return kernels.scatter_cells(self.rels, self.dim)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __call__(self, H, rel, heads, tails):
+        vH, vR = ad._val(H), ad._val(rel)
+        hh, rr, tt = vH[heads], vR[self.rels], vH[tails]
+        raws, saved = _decode_rows(self.decoder, hh, rr, tt)
+        ad._check_finite(raws, "kgc_loss")
+        probs = ad._sigmoid_value(raws)
+        n, n_pos, n_neg = len(raws), len(self.pos), len(self.neg)
+        p_pos, q_neg = probs[self.pos], 1.0 - probs[self.neg]
+        loss = ((-np.log(np.maximum(p_pos, ad.LOG_CLAMP))).sum() * (0.5 / n_pos)
+                + (-np.log(np.maximum(q_neg, ad.LOG_CLAMP))).sum() * (0.5 / n_neg))
+        parents = tuple(x for x in (H, rel) if isinstance(x, ad.Node))
+        if not parents:
+            return loss
+
+        def bw(g):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return backward_adjoints(g)
+
+        def backward_adjoints(g):
+            # Bit for bit the adjoints of the generic-op composition, taken
+            # in its reverse tape order: the log adjoint divides by the
+            # clamped argument, the sigmoid's is (g * o) * (1 - o), TransE's
+            # mul(x, x) gives g*x + g*x, and each gather adjoint is a
+            # bincount scatter.
+            g_neg = -(-np.full(n_neg, g * (0.5 / n_neg)) / np.maximum(q_neg, ad.LOG_CLAMP))
+            g_pos = -np.full(n_pos, g * (0.5 / n_pos)) / np.maximum(p_pos, ad.LOG_CLAMP)
+            g_probs = (kernels.scatter_add_vec(g_neg, self.neg, n)
+                       + kernels.scatter_add_vec(g_pos, self.pos, n))
+            g_raw = (g_probs * probs) * (1.0 - probs)
+            if self.decoder == "transe":
+                x, sq = saved
+                g_sq = -g_raw * np.where(sq == 0.0, 0.0,
+                                         0.5 * np.power(np.where(sq == 0.0, 1.0, sq), -0.5))
+                g_x = g_sq[:, None] * x + g_sq[:, None] * x
+                g_h, g_r, g_t = g_x, g_x, -g_x
+            else:
+                (hr,) = saved
+                g_hr = g_raw[:, None] * tt
+                g_h, g_r, g_t = g_hr * rr, g_hr * hh, g_raw[:, None] * hr
+            grads = []
+            if isinstance(H, ad.Node):
+                g_H = (kernels.scatter_add_rows(g_t, tails, vH.shape[0])
+                       + kernels.scatter_add_rows(g_h, heads, vH.shape[0]))
+                ad._check_finite(g_H, "kgc_loss adjoint")
+                grads.append(g_H)
+            if isinstance(rel, ad.Node):
+                grads.append(kernels.scatter_add_rows(g_r, self.rels, self.num_relations,
+                                                      cells=self.rel_cells))
+            return grads
+
+        return ad.Node(parents[0].tape, loss, parents, bw, "kgc_loss")
 
 
 def score(model: KgcModel, h_emb, r_emb, t_emb) -> TripleScore:
@@ -256,7 +448,7 @@ def rank_target(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
     i = gc.local_of_global[target.head]
     k = gc.local_of_global[target.tail]
     r = model.relation_embeddings[target.relation]
-    raws = decoder_raw_batch(model.decoder, H[i], r, H)
+    raws, _ = _decode_rows(model.decoder, H[i], r, H)
     ahead = raws >= raws[k]
     ahead[[i, k]] = False
     return int(ahead.sum()) + 1
@@ -277,39 +469,30 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
         raise ContractError("negatives must be >= 1")
     if not config.lr > 0:
         raise ContractError(f"lr must be positive, got {config.lr}")
+    if not np.isfinite(config.lr):
+        raise ContractError(f"lr must be finite, got {config.lr}")
+    if config.seed < 0:
+        raise ContractError(f"seed must be >= 0, got {config.seed}")
     model = KgcModel(g.num_entities, g.num_relations, dim=config.dim, layers=config.layers,
                      bases=config.bases, decoder=config.decoder, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     gc = full_graph(g)
-    n_pos = g.num_triples
+    layer_ops = encoder_layers(model, gc)
+    all_r = np.concatenate([g.rels, np.repeat(g.rels, config.negatives)])
+    loss_op = KgcLossOp(model, all_r, g.num_triples)
     for _ in range(config.epochs):
         neg_h = np.repeat(g.heads, config.negatives)
-        neg_r = np.repeat(g.rels, config.negatives)
         neg_t = np.repeat(g.tails, config.negatives)
         corrupt_head = rng.random(len(neg_h)) < 0.5
         repl = rng.integers(0, g.num_entities, size=len(neg_h))
         neg_h = np.where(corrupt_head, repl, neg_h)
         neg_t = np.where(corrupt_head, neg_t, repl)
         all_h = np.concatenate([g.heads, neg_h])
-        all_r = np.concatenate([g.rels, neg_r])
         all_t = np.concatenate([g.tails, neg_t])
         with Tape() as tape:
             operands = {name: tape.param(model.store, name) for name in model.store.params}
-            H = encode_operands(model, gc, None, operands=operands)
-            raws = decoder_raw_batch(
-                model.decoder,
-                ad.gather(H, all_h),
-                ad.gather(operands["rel"], all_r),
-                ad.gather(H, all_t),
-            )
-            probs = ad.sigmoid(raws)
-            p_pos = ad.gather(probs, np.arange(n_pos))
-            p_neg = ad.gather(probs, np.arange(n_pos, len(all_h)))
-            # positives and negatives weighted equally regardless of the ratio
-            loss = ad.add(
-                ad.mul(ad.sumall(ad.neg(ad.log(p_pos))), 0.5 / n_pos),
-                ad.mul(ad.sumall(ad.neg(ad.log(ad.sub(1.0, p_neg)))), 0.5 / (len(all_h) - n_pos)),
-            )
+            H = encode_operands(model, gc, None, operands=operands, layer_ops=layer_ops)
+            loss = loss_op(H, operands["rel"], all_h, all_t)
             model.store.zero_grads()
             backward(tape, loss)
             model.final_loss = float(ad._val(loss))

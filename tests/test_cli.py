@@ -526,6 +526,41 @@ def test_explain_rate_flags_exit_codes(tmp_path, dataset, reliant_checkpoint, ca
     assert message in line
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train", "seed", "-1", "seed must be >= 0, got -1"),
+    ("train", "lr", "inf", "lr must be finite, got inf"),
+    ("explain", "seed", "-1", "seed must be >= 0, got -1"),
+    ("explain", "lr", "inf", "lr must be finite, got inf"),
+    ("explain", "gamma", "inf", "gamma must be finite, got inf"),
+    ("evaluate", "seed", "-1", "seed must be >= 0, got -1"),
+    ("evaluate", "lr", "inf", "lr must be finite, got inf"),
+    ("evaluate", "gamma", "inf", "gamma must be finite, got inf"),
+])
+def test_negative_seed_or_non_finite_rate_usage_error(tmp_path, dataset, reliant_checkpoint,
+                                                      caplog, recwarn, command, flag, value,
+                                                      message):
+    train, inst = dataset
+    out = tmp_path / "o"
+    args = {
+        "train": ["train", "--train", str(train), "--out_dir", str(out), "--epochs", "2"],
+        "explain": explain_args(train, reliant_checkpoint, out, inst),
+        "evaluate": ["evaluate", "--train", str(train), "--checkpoint",
+                     str(reliant_checkpoint / "model.plnk"), "--out_dir", str(out),
+                     "--k_hop", "2", "--epochs", "2", "--sample_num", "1"],
+    }[command]
+    assert main([*args, f"--{flag}", value]) == 2
+    assert error_lines(caplog) == [f"usage error: {message}"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "model.plnk").exists()
+
+
+def test_suite_negative_base_seed_usage_error(tmp_path, caplog):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"n_instances": 1, "base_seed": -1}))
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 2
+    assert error_lines(caplog) == ["usage error: base_seed must be >= 0, got -1"]
+
+
 def test_numeric_failure_prints_one_line(tmp_path, dataset, reliant_checkpoint, capfd):
     # A fresh interpreter, so stderr is what a user sees: numpy's default error
     # state (no errstate around the run) and the CLI's own logging handler.

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgexplain import autodiff as ad
-from kgexplain.errors import ContractError, DataError
+from kgexplain.errors import ContractError, DataError, NumericError
 from kgexplain.explain import EdgeScoreMatrix
 from kgexplain.kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph
 from kgexplain.model import (
     DECODERS,
+    KgcLossOp,
     KgcModel,
     ModelConfig,
     _receptive_field,
@@ -730,3 +731,228 @@ def test_receptive_field_matches_frontier_oracle(case):
             assert want == list(range(gc.num_edges))
         else:
             assert got.tolist() == want and len(want) < gc.num_edges
+
+
+# -- the encoder layer and loss ops against their generic-op composition ---------------
+
+
+def generic_encode_operands(model, gc, mask=None, operands=None, rows=None):
+    """The encoder composed from generic tape ops, one per numpy operation.
+    `mask` is a per-pair vector or Node; with `rows` each layer runs on the
+    rows' receptive field."""
+    p = operands if operands is not None else model.store.params
+    n = gc.num_nodes
+    inv_deg = (1.0 / np.maximum(gc.in_degree, 1)).reshape(n, 1)
+    h = ad.gather(p["ent"], gc.nodes)
+    edge_mask = (None if mask is None
+                 else ad.reshape(ad.gather(mask, gc.pair_index), (gc.num_edges, 1)))
+    fields = [None] * model.layers if rows is None else _receptive_field(gc, rows, model.layers)
+    for layer, keep in enumerate(fields):
+        src, dst, rel, layer_mask = gc.src, gc.dst, gc.rel, edge_mask
+        if keep is not None:
+            src, dst, rel = src[keep], dst[keep], rel[keep]
+            if edge_mask is not None:
+                layer_mask = ad.gather(edge_mask, keep)
+        self_term = ad.matmul(h, p[f"self_{layer}"])
+        hs = ad.gather(h, src)
+        coef = ad.reshape(p[f"coef_{layer}"], (-1, 1))
+        msg = None
+        for b in range(model.bases):
+            term = ad.mul(ad.matmul(hs, p[f"basis_{layer}_{b}"]),
+                          ad.gather(coef, rel * model.bases + b))
+            msg = term if msg is None else ad.add(msg, term)
+        if layer_mask is not None:
+            msg = ad.mul(msg, layer_mask)
+        h = ad.add(self_term, ad.mul(ad.scatter_add(msg, dst, n), inv_deg))
+        if layer < model.layers - 1:
+            h = ad.relu(h)
+    return h
+
+
+def generic_kgc_loss(model, H, rel, heads, rels, tails, n_pos):
+    """The training loss composed from generic tape ops: half the mean -log p
+    of the first n_pos triples plus half the mean -log(1 - p) of the rest."""
+    hh, rr, tt = ad.gather(H, heads), ad.gather(rel, rels), ad.gather(H, tails)
+    ones = np.ones(model.dim)
+    if model.decoder == "transe":
+        x = ad.sub(ad.add(hh, rr), tt)
+        raws = ad.neg(ad.powc(ad.matmul(ad.mul(x, x), ones), 0.5))
+    else:
+        raws = ad.matmul(ad.mul(ad.mul(hh, rr), tt), ones)
+    probs = ad.sigmoid(raws)
+    p_pos = ad.gather(probs, np.arange(n_pos))
+    p_neg = ad.gather(probs, np.arange(n_pos, len(heads)))
+    return ad.add(ad.mul(ad.sumall(ad.neg(ad.log(p_pos))), 0.5 / n_pos),
+                  ad.mul(ad.sumall(ad.neg(ad.log(ad.sub(1.0, p_neg)))),
+                         0.5 / (len(heads) - n_pos)))
+
+
+def op_loss(model, H, rel, heads, rels, tails, n_pos):
+    return KgcLossOp(model, rels, n_pos)(H, rel, heads, tails)
+
+
+# 0 -> 1 -> 2 -> 3 -> 4 with parallel triples 1 -> 2 and self-loops at 2 and 4;
+# relation 2 is unused. Rows {4, 3} leave edges out of the last layer's field,
+# rows {1, 0} leave it one edge.
+OP_CHAIN = ComputationGraph(np.arange(5), [0, 1, 1, 2, 2, 3, 4], [0, 1, 0, 1, 0, 1, 0],
+                            [1, 2, 2, 2, 3, 4, 4], 4, 3)
+OP_ONE_EDGE = ComputationGraph(np.arange(2), [0], [0], [1], 0, 1)
+
+
+def op_batch(gc, seed):
+    """Every triple of gc as a positive, then two corruptions of each."""
+    rng = np.random.default_rng(seed)
+    neg = rng.integers(0, gc.num_nodes, 2 * gc.num_edges)
+    heads = np.concatenate([gc.src, np.repeat(gc.src, 2)])
+    tails = np.concatenate([gc.dst, neg])
+    rels = np.concatenate([gc.rel, np.repeat(gc.rel, 2)])
+    return heads, rels, tails, gc.num_edges
+
+
+def op_pass(encode_fn, loss_fn, model, gc, mask, mask_kind, params_kind, rows):
+    """Values and adjoints of one pass: the encoder output (at `rows` when
+    given), the objective, and the gradient of every parameter and of the mask
+    when they are Nodes. Without rows the objective is the training loss over
+    op_batch, with rows a weighted sum of the rows' embeddings."""
+    with ad.Tape() as tape:
+        params = ({name: tape.param(model.store, name) for name in model.store.params}
+                  if params_kind == "nodes" else dict(model.store.params))
+        m = {"none": None, "array": mask, "node": tape.leaf(mask)}[mask_kind]
+        H = encode_fn(model, gc, m, params, rows=rows)
+        if rows is None:
+            out = {"H": np.array(ad._val(H))}
+            objective = loss_fn(model, H, params["rel"], *op_batch(gc, 3))
+        else:
+            out = {"H": np.array(ad._val(H))[rows]}
+            weights = np.linspace(-1.0, 1.5, len(rows) * model.dim).reshape(len(rows), -1)
+            objective = ad.sumall(ad.mul(ad.gather(H, np.array(rows)), weights))
+        out["objective"] = np.asarray(ad._val(objective))
+        if isinstance(objective, ad.Node):
+            model.store.zero_grads()
+            ad.backward(tape, objective)
+            if params_kind == "nodes":
+                out.update({name: g.copy() for name, g in model.store.grads.items()})
+            if mask_kind == "node":
+                out["mask"] = m.grad.copy()
+            model.store.zero_grads()
+    return out
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("bases", [1, 2, 3])
+def test_layer_and_loss_ops_match_generic_op_composition(decoder, layers, bases):
+    for gc, row_sets in ((OP_CHAIN, (None, [4, 3], [1, 0])), (OP_ONE_EDGE, (None, [1, 0]))):
+        model = KgcModel(gc.num_nodes, 3, dim=3, layers=layers, bases=bases, decoder=decoder,
+                         seed=7 * layers + bases)
+        mask = np.random.default_rng(layers).uniform(0.1, 0.9, gc.num_pairs)
+        for params_kind in ("nodes", "arrays"):
+            for mask_kind in ("none", "array", "node"):
+                for rows in row_sets:
+                    case = (model, gc, mask, mask_kind, params_kind, rows)
+                    got = op_pass(encode_operands, op_loss, *case)
+                    want = op_pass(generic_encode_operands, generic_kgc_loss, *case)
+                    assert got.keys() == want.keys()
+                    for key in want:
+                        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0,
+                                                   err_msg=f"{key} {case[3:]}")
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_layer_and_loss_ops_pass_finite_differences(decoder, size):
+    gc = OP_CHAIN
+    model = KgcModel(gc.num_nodes, 3, dim=2, layers=size, bases=size, decoder=decoder,
+                     seed=size)
+    store = ad.ParamStore()
+    for name, value in model.store.params.items():
+        store.add(name, value)
+    store.add("mask", np.random.default_rng(size).uniform(0.2, 0.8, gc.num_pairs))
+    batch = op_batch(gc, size)
+    weights = np.array([[0.5, -1.0], [1.5, 0.25]])
+
+    def loss(s, tape):
+        leaf = (lambda name: tape.param(s, name)) if tape is not None else s.params.get
+        params = {name: leaf(name) for name in model.store.params}
+        mask = leaf("mask")
+        H = encode_operands(model, gc, mask, params)
+        field = encode_operands(model, gc, mask, params, rows=[1, 0])
+        return ad.add(op_loss(model, H, params["rel"], *batch),
+                      ad.sumall(ad.mul(ad.gather(field, np.array([1, 0])), weights)))
+
+    report = ad.finite_diff_check(loss, store, step=1e-6, tol=1e-6, floor=1e-3)
+    assert report.passed, report
+    assert set(report.per_param) == set(store.params)
+
+
+@pytest.mark.parametrize("scale", [-1e308, 1e308])
+def test_layer_op_non_finite_pre_activation_names_the_layer(scale):
+    # h @ self_0 overflows to -inf or inf while the messages are 0; relu(-inf)
+    # is 0, so only the layer's own check can catch the -inf
+    model = KgcModel(OP_CHAIN.num_nodes, 3, dim=2, layers=2, bases=1, seed=0)
+    p = model.store.params
+    p["ent"][...] = 1.0
+    p["basis_0_0"][...] = 0.0
+    p["self_0"][...] = scale
+    with pytest.raises(NumericError, match=r"op 'rgcn:layer0'$"):
+        encode(model, OP_CHAIN)
+    with ad.Tape() as tape:
+        params = {name: tape.param(model.store, name) for name in p}
+        with pytest.raises(NumericError, match=r"op 'rgcn:layer0'$"):
+            encode_operands(model, OP_CHAIN, tape.leaf(np.full(OP_CHAIN.num_pairs, 0.5)),
+                            params, rows=[4, 3])
+
+
+def test_layer_op_adjoint_overflow_names_the_layer():
+    # tiny embeddings keep the forward finite; a huge output adjoint times
+    # self_1's large entries overflows the layer's input adjoint
+    model = KgcModel(OP_CHAIN.num_nodes, 3, dim=2, layers=2, bases=1, seed=0)
+    p = model.store.params
+    p["ent"][...] = 1e-20
+    p["self_1"][...] = 1e10
+    with ad.Tape() as tape:
+        params = {name: tape.param(model.store, name) for name in p}
+        H = encode_operands(model, OP_CHAIN, None, params)
+        objective = ad.sumall(ad.mul(H, np.full(H.shape, 1e300)))
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match=r"op 'rgcn:layer1 adjoint'$"):
+            ad.backward(tape, objective)
+
+
+@pytest.mark.parametrize("decoder, H, rel", [
+    # h * r overflows to -inf: sigmoid(-inf) is 0, which the clamp makes finite
+    ("distmult", np.full((2, 2), 1e200), np.full((1, 2), -1e200)),
+    # (h - t)**2 overflows to inf, so the raw score -sqrt is -inf
+    ("transe", np.array([[1e200, 1e200], [-1e200, -1e200]]), np.zeros((1, 2))),
+])
+def test_loss_op_non_finite_raw_score_names_the_op(decoder, H, rel):
+    model = KgcModel(2, 1, dim=2, decoder=decoder)
+    op = KgcLossOp(model, np.array([0, 0]), 1)
+    heads, tails = np.array([0, 1]), np.array([1, 0])
+    with pytest.raises(NumericError, match=r"op 'kgc_loss'$"):
+        op(H, rel, heads, tails)
+    with ad.Tape() as tape:
+        with pytest.raises(NumericError, match=r"op 'kgc_loss'$"):
+            op(tape.leaf(H), tape.leaf(rel), heads, tails)
+
+
+@pytest.mark.parametrize("layers, bases", [(2, 2), (1, 1), (3, 3)])
+def test_training_epoch_is_params_one_gather_layers_and_the_loss(monkeypatch, layers, bases):
+    from kgexplain import model as model_module
+    from kgexplain.harness import PlantedConfig, generate_planted
+
+    sizes = []
+
+    class CountingTape(ad.Tape):
+        __slots__ = ()
+
+        def __exit__(self, *exc):
+            sizes.append(len(self.nodes))
+            return super().__exit__(*exc)
+
+    monkeypatch.setattr(model_module, "Tape", CountingTape)
+    g = generate_planted(PlantedConfig(seed=0)).graph
+    model = train_kgc(g, ModelConfig(layers=layers, bases=bases, epochs=3))
+    assert sizes == [len(model.store.params) + layers + 2] * 3
+    if (layers, bases) == (2, 2):
+        assert sizes[0] == 14

@@ -22,24 +22,15 @@ def edge_spmv_bw(g_out, u, vals, src, dst):
     return g_u, g_vals
 
 
-def scatter_cells(idx, d):
-    """The flattened (row, column) output cells of `scatter_add_rows` for
-    (E, d) rows scattered to rows idx."""
-    return (idx[:, None] * d + np.arange(d)).ravel()
-
-
-def scatter_add_rows(rows, idx, n, cells=None):
+def scatter_add_rows(rows, idx, n):
     """out[idx[e]] += rows[e] for a (E, d) row block.
 
     One bincount over flattened (row, column) cells: each output cell sums
     its entries in edge order, as np.add.at does, so the result is identical.
-    A caller that scatters along the same idx many times passes
-    `cells=scatter_cells(idx, d)`, built once. (bincount returns int64 for an
-    empty input, hence the cast.)
+    (bincount returns int64 for an empty input, hence the cast.)
     """
     d = rows.shape[1]
-    if cells is None:
-        cells = scatter_cells(idx, d)
+    cells = (idx[:, None] * d + np.arange(d)).ravel()
     out = np.bincount(cells, weights=rows.ravel(), minlength=n * d)
     return out.astype(np.float64, copy=False).reshape(n, d)
 

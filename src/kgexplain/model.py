@@ -29,7 +29,6 @@ gradients do too wherever it was checked (the tests allow rtol 1e-12).
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import struct
@@ -151,14 +150,11 @@ class RgcnLayerOp:
     """One encoder layer as one tape op with a hand-written backward.
 
     Built for one graph and one edge subset `keep` of it (None for every
-    edge), so a training run builds its layers once and every epoch reuses
-    their index arrays and, through `kernels.scatter_add_rows`'s `cells`,
-    the flattened scatter cells of src and dst. A call takes h, the
-    parameter dict and the (E, 1) edge mask or None; each may hold Nodes or
-    arrays. It returns a Node whose parents are the Node operands, or a plain
-    array when there is none, so training, the frozen encode and the masked
-    target score run one implementation. The op keeps no buffers across
-    calls.
+    edge). A call takes h, the parameter dict and the (E, 1) edge mask or
+    None; each may hold Nodes or arrays. It returns a Node whose parents are
+    the Node operands, or a plain array when there is none, so training, the
+    frozen encode and the masked target score run one implementation. The op
+    keeps no buffers across calls.
 
     Only the pre-activation is finite-checked in the forward (relu(-inf) is
     0, and every other intermediate reaches it), as `rgcn:layer<l>`; the
@@ -170,7 +166,7 @@ class RgcnLayerOp:
         self.names = (f"self_{layer}", f"coef_{layer}",
                       *(f"basis_{layer}_{b}" for b in range(model.bases)))
         self.relu = layer < model.layers - 1
-        self.dim, self.n, self.num_edges = model.dim, gc.num_nodes, gc.num_edges
+        self.n, self.num_edges = gc.num_nodes, gc.num_edges
         src, dst, rel = gc.src, gc.dst, gc.rel
         if keep is not None:
             if keep.size == 1:
@@ -183,14 +179,6 @@ class RgcnLayerOp:
         # coef[r, b] is row r * bases + b of the (R * bases, 1) view of coef
         self.coef_rows = [rel * model.bases + b for b in range(model.bases)]
         self.inv_deg = (1.0 / np.maximum(gc.in_degree, 1)).reshape(self.n, 1)
-
-    @functools.cached_property
-    def src_cells(self):
-        return kernels.scatter_cells(self.src, self.dim)
-
-    @functools.cached_property
-    def dst_cells(self):
-        return kernels.scatter_cells(self.dst, self.dim)
 
     # Overflow surfaces as the finite checks' NumericError, not as a warning.
     @np.errstate(over="ignore", invalid="ignore")
@@ -210,7 +198,7 @@ class RgcnLayerOp:
         if vm is not None and self.keep is not None:
             vm = vm[self.keep]
         sent = msg if vm is None else msg * vm
-        agg = kernels.scatter_add_rows(sent, self.dst, self.n, cells=self.dst_cells)
+        agg = kernels.scatter_add_rows(sent, self.dst, self.n)
         pre = vh @ vw + agg * self.inv_deg
         ad._check_finite(pre, self.name)
         out = np.maximum(pre, 0.0) if self.relu else pre
@@ -221,63 +209,49 @@ class RgcnLayerOp:
 
         def bw(g):
             with np.errstate(over="ignore", invalid="ignore"):
-                return backward_adjoints(g)
-
-        def backward_adjoints(g):
-            # Bit for bit the adjoints of the generic-op composition (see the
-            # module docstring), taken in its reverse tape order: the forward
-            # sums the basis messages in ascending b, so the coef scatters
-            # and the g_mm @ basis_b.T terms of the hs adjoint add up in
-            # descending b; the coefficient adjoint is the row sum
-            # _unbroadcast takes; each gather adjoint is a bincount scatter,
-            # whose cells for a one-column block are its row indices.
-            adj = [None] * len(operands)
-            if self.relu:
-                g = g * (pre > 0.0)
-            g_msg = (g * self.inv_deg)[self.dst]
-            if need[-1]:
-                g_vm = (g_msg * msg).sum(axis=1, keepdims=True)
-                adj[-1] = (g_vm if self.keep is None else kernels.scatter_add_rows(
-                    g_vm, self.keep, self.num_edges, cells=self.keep))
-            if vm is not None and (need[0] or any(need[2:-1])):
-                g_msg = g_msg * vm
-            g_hs = None
-            for b in reversed(range(len(vb))):
+                # Bit for bit the adjoints of the generic-op composition (see the
+                # module docstring), taken in its reverse tape order: the forward
+                # sums the basis messages in ascending b, so the coef scatters
+                # and the g_mm @ basis_b.T terms of the hs adjoint add up in
+                # descending b; the coefficient adjoint is the row sum
+                # _unbroadcast takes; each gather adjoint is a bincount scatter.
+                adj = [None] * len(operands)
+                if self.relu:
+                    g = g * (pre > 0.0)
+                g_msg = (g * self.inv_deg)[self.dst]
+                if need[-1]:
+                    g_vm = (g_msg * msg).sum(axis=1, keepdims=True)
+                    adj[-1] = (g_vm if self.keep is None
+                               else kernels.scatter_add_rows(g_vm, self.keep, self.num_edges))
+                if vm is not None and (need[0] or any(need[2:-1])):
+                    g_msg = g_msg * vm
+                g_hs = None
+                for b in reversed(range(len(vb))):
+                    if need[2]:
+                        scat = kernels.scatter_add_rows((g_msg * mms[b]).sum(axis=1, keepdims=True),
+                                                        self.coef_rows[b], len(coef_col))
+                        adj[2] = scat if adj[2] is None else adj[2] + scat
+                    if need[0] or need[3 + b]:
+                        g_mm = g_msg * cgs[b]
+                        if need[3 + b]:
+                            adj[3 + b] = hs.T @ g_mm
+                        if need[0]:
+                            g_hs = g_mm @ vb[b].T if g_hs is None else g_hs + g_mm @ vb[b].T
+                if need[0]:
+                    adj[0] = kernels.scatter_add_rows(g_hs, self.src, self.n) + g @ vw.T
+                    ad._check_finite(adj[0], f"{self.name} adjoint")
+                if need[1]:
+                    adj[1] = vh.T @ g
                 if need[2]:
-                    rows = self.coef_rows[b]
-                    scat = kernels.scatter_add_rows((g_msg * mms[b]).sum(axis=1, keepdims=True),
-                                                    rows, len(coef_col), cells=rows)
-                    adj[2] = scat if adj[2] is None else adj[2] + scat
-                if need[0] or need[3 + b]:
-                    g_mm = g_msg * cgs[b]
-                    if need[3 + b]:
-                        adj[3 + b] = hs.T @ g_mm
-                    if need[0]:
-                        g_hs = g_mm @ vb[b].T if g_hs is None else g_hs + g_mm @ vb[b].T
-            if need[0]:
-                adj[0] = (kernels.scatter_add_rows(g_hs, self.src, self.n, cells=self.src_cells)
-                          + g @ vw.T)
-                ad._check_finite(adj[0], f"{self.name} adjoint")
-            if need[1]:
-                adj[1] = vh.T @ g
-            if need[2]:
-                adj[2] = adj[2].reshape(vc.shape)
-            return [a for a, wanted in zip(adj, need) if wanted]
+                    adj[2] = adj[2].reshape(vc.shape)
+                return [a for a, wanted in zip(adj, need) if wanted]
 
         parents = tuple(x for x in operands if isinstance(x, ad.Node))
         return ad.Node(parents[0].tape, out, parents, bw, self.name)
 
 
-def encoder_layers(model: KgcModel, gc: ComputationGraph, rows=None):
-    """One `RgcnLayerOp` per layer of `model` over gc. With `rows` (local
-    node indices), layer l runs only along the edges of the rows' receptive
-    field (see `_receptive_field`)."""
-    fields = [None] * model.layers if rows is None else _receptive_field(gc, rows, model.layers)
-    return [RgcnLayerOp(model, gc, layer, keep) for layer, keep in enumerate(fields)]
-
-
 def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=None,
-                    rows=None, layer_ops=None):
+                    rows=None):
     """Message passing over gc; returns the (n, d) node-embedding matrix.
 
     `operands` maps parameter names to Nodes (training) or is None, in
@@ -287,17 +261,17 @@ def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=N
 
     With `rows` (local node indices), each layer sends messages only along
     the edges of the rows' receptive field: the result equals the full pass
-    bit for bit at `rows` and is meaningless elsewhere. `layer_ops`, the
-    `encoder_layers(model, gc, rows)` of an earlier call, saves building
-    them again.
+    bit for bit at `rows` and is meaningless elsewhere. Each layer is one
+    `RgcnLayerOp`.
     """
     p = operands if operands is not None else model.store.params
     mask_vec = None if mask is None else _as_pair_values(mask, gc)
     h = ad.gather(p["ent"], gc.nodes)
     edge_mask = (None if mask_vec is None
                  else ad.reshape(ad.gather(mask_vec, gc.pair_index), (gc.num_edges, 1)))
-    for op in layer_ops or encoder_layers(model, gc, rows):
-        h = op(h, p, edge_mask)
+    fields = [None] * model.layers if rows is None else _receptive_field(gc, rows, model.layers)
+    for layer, keep in enumerate(fields):
+        h = RgcnLayerOp(model, gc, layer, keep)(h, p, edge_mask)
     return h
 
 
@@ -337,22 +311,17 @@ class KgcLossOp:
     `n_pos` (positives) and the rest (negatives), each side averaged and
     weighted 1/2 regardless of the ratio. Probabilities are clamped at
     `autodiff.LOG_CLAMP` inside the logs, and so are the adjoints, as the
-    generic `log` op does. The relation rows are fixed for a training run,
-    so their scatter cells are built once. The raw scores are
-    finite-checked as `kgc_loss`, since the sigmoid and the clamp would turn
-    -inf into a finite loss; the entity adjoint as `kgc_loss adjoint`.
+    generic `log` op does. The raw scores are finite-checked as `kgc_loss`,
+    since the sigmoid and the clamp would turn -inf into a finite loss; the
+    entity adjoint as `kgc_loss adjoint`.
     """
 
     def __init__(self, model: KgcModel, rels, n_pos: int):
-        self.decoder, self.dim = model.decoder, model.dim
+        self.decoder = model.decoder
         self.rels = rels
         self.num_relations = model.num_relations
         self.pos = np.arange(n_pos)
         self.neg = np.arange(n_pos, len(rels))
-
-    @functools.cached_property
-    def rel_cells(self):
-        return kernels.scatter_cells(self.rels, self.dim)
 
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, H, rel, heads, tails):
@@ -371,39 +340,35 @@ class KgcLossOp:
 
         def bw(g):
             with np.errstate(over="ignore", invalid="ignore"):
-                return backward_adjoints(g)
-
-        def backward_adjoints(g):
-            # Bit for bit the adjoints of the generic-op composition, taken
-            # in its reverse tape order: the log adjoint divides by the
-            # clamped argument, the sigmoid's is (g * o) * (1 - o), TransE's
-            # mul(x, x) gives g*x + g*x, and each gather adjoint is a
-            # bincount scatter.
-            g_neg = -(-np.full(n_neg, g * (0.5 / n_neg)) / np.maximum(q_neg, ad.LOG_CLAMP))
-            g_pos = -np.full(n_pos, g * (0.5 / n_pos)) / np.maximum(p_pos, ad.LOG_CLAMP)
-            g_probs = (kernels.scatter_add_vec(g_neg, self.neg, n)
-                       + kernels.scatter_add_vec(g_pos, self.pos, n))
-            g_raw = (g_probs * probs) * (1.0 - probs)
-            if self.decoder == "transe":
-                x, sq = saved
-                g_sq = -g_raw * np.where(sq == 0.0, 0.0,
-                                         0.5 * np.power(np.where(sq == 0.0, 1.0, sq), -0.5))
-                g_x = g_sq[:, None] * x + g_sq[:, None] * x
-                g_h, g_r, g_t = g_x, g_x, -g_x
-            else:
-                (hr,) = saved
-                g_hr = g_raw[:, None] * tt
-                g_h, g_r, g_t = g_hr * rr, g_hr * hh, g_raw[:, None] * hr
-            grads = []
-            if isinstance(H, ad.Node):
-                g_H = (kernels.scatter_add_rows(g_t, tails, vH.shape[0])
-                       + kernels.scatter_add_rows(g_h, heads, vH.shape[0]))
-                ad._check_finite(g_H, "kgc_loss adjoint")
-                grads.append(g_H)
-            if isinstance(rel, ad.Node):
-                grads.append(kernels.scatter_add_rows(g_r, self.rels, self.num_relations,
-                                                      cells=self.rel_cells))
-            return grads
+                # Bit for bit the adjoints of the generic-op composition, taken
+                # in its reverse tape order: the log adjoint divides by the
+                # clamped argument, the sigmoid's is (g * o) * (1 - o), TransE's
+                # mul(x, x) gives g*x + g*x, and each gather adjoint is a
+                # bincount scatter.
+                g_neg = -(-np.full(n_neg, g * (0.5 / n_neg)) / np.maximum(q_neg, ad.LOG_CLAMP))
+                g_pos = -np.full(n_pos, g * (0.5 / n_pos)) / np.maximum(p_pos, ad.LOG_CLAMP)
+                g_probs = (kernels.scatter_add_vec(g_neg, self.neg, n)
+                           + kernels.scatter_add_vec(g_pos, self.pos, n))
+                g_raw = (g_probs * probs) * (1.0 - probs)
+                if self.decoder == "transe":
+                    x, sq = saved
+                    g_sq = -g_raw * np.where(sq == 0.0, 0.0,
+                                             0.5 * np.power(np.where(sq == 0.0, 1.0, sq), -0.5))
+                    g_x = g_sq[:, None] * x + g_sq[:, None] * x
+                    g_h, g_r, g_t = g_x, g_x, -g_x
+                else:
+                    (hr,) = saved
+                    g_hr = g_raw[:, None] * tt
+                    g_h, g_r, g_t = g_hr * rr, g_hr * hh, g_raw[:, None] * hr
+                grads = []
+                if isinstance(H, ad.Node):
+                    g_H = (kernels.scatter_add_rows(g_t, tails, vH.shape[0])
+                           + kernels.scatter_add_rows(g_h, heads, vH.shape[0]))
+                    ad._check_finite(g_H, "kgc_loss adjoint")
+                    grads.append(g_H)
+                if isinstance(rel, ad.Node):
+                    grads.append(kernels.scatter_add_rows(g_r, self.rels, self.num_relations))
+                return grads
 
         return ad.Node(parents[0].tape, loss, parents, bw, "kgc_loss")
 
@@ -477,7 +442,6 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
                      bases=config.bases, decoder=config.decoder, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     gc = full_graph(g)
-    layer_ops = encoder_layers(model, gc)
     all_r = np.concatenate([g.rels, np.repeat(g.rels, config.negatives)])
     loss_op = KgcLossOp(model, all_r, g.num_triples)
     for _ in range(config.epochs):
@@ -491,7 +455,7 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
         all_t = np.concatenate([g.tails, neg_t])
         with Tape() as tape:
             operands = {name: tape.param(model.store, name) for name in model.store.params}
-            H = encode_operands(model, gc, None, operands=operands, layer_ops=layer_ops)
+            H = encode_operands(model, gc, None, operands=operands)
             loss = loss_op(H, operands["rel"], all_h, all_t)
             model.store.zero_grads()
             backward(tape, loss)

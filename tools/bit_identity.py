@@ -34,7 +34,7 @@ What is digested (float64 arrays by their raw bytes, floats by ``repr``):
   split holds an unknown name, with the wall-time column of
   ``per_target.csv`` removed.
 
-It takes about ten seconds on one core.
+It takes about fifteen seconds on one core.
 """
 
 from __future__ import annotations

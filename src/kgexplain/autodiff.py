@@ -19,10 +19,19 @@ memory for the next pass instead of handing it back to the OS.
 
 Hand-written ops join the same tape: an op computes its value from plain
 arrays and, when an operand is a Node, appends one Node whose backward
-returns the adjoint of each Node operand. The explainer's edge scorer
-(`explain.TesOp`), each encoder layer (`model.RgcnLayerOp`) and the training
-loss (`model.KgcLossOp`) are such ops, so a training epoch records a
-handful of nodes instead of one per numpy operation.
+returns the adjoint of each Node operand. An op that stands for several
+uses of one operand may return a tuple of adjoints for it, which `backward`
+adds one after another in the tuple's order, as the separate uses' nodes
+would be in reverse tape order. These ops are hand-written:
+
+- `explain.TesOp`, the explainer's edge scorer;
+- `explain.PathLossOp`, the path term's power steps, walk masses and -log;
+- `model.RgcnLayerOp`, one encoder layer;
+- `model.TargetHeadOp`, the target's row gathers, decoder, sigmoid and -log;
+- `model.KgcLossOp`, the training loss.
+
+So a training or explainer epoch records a handful of nodes instead of one
+per numpy operation.
 
 Scalars are represented as 0-d or length-1 arrays; `backward` accepts any
 single-element output. Forward values and backward adjoints are checked
@@ -228,7 +237,8 @@ def matmul(a, b):
 
 
 def gather(x, idx):
-    """Row (2-D) or element (1-D) gather; adjoint is a scatter-add."""
+    """Row (2-D) or element (1-D) gather; adjoint is a scatter-add. An element
+    gather takes the shape of `idx`, so an (E, 1) index gives an (E, 1) column."""
     idx = np.asarray(idx, dtype=np.int64)
     vx = _val(x)
     out = vx[idx]
@@ -240,7 +250,7 @@ def gather(x, idx):
         g = np.ascontiguousarray(g)
         if vx.ndim == 2:
             return [kernels.scatter_add_rows(g, idx, n)]
-        return [kernels.scatter_add_vec(g, idx, n)]
+        return [kernels.scatter_add_vec(g.ravel(), idx.ravel(), n)]
 
     return Node(x.tape, out, (x,), bw, "gather")
 
@@ -401,10 +411,12 @@ def backward(tape: Tape, out: Node):
             continue
         if node.bw is not None:
             for parent, pg in zip(node.parents, node.bw(g)):
-                pg = np.asarray(pg, dtype=np.float64)
-                if not np.isfinite(pg).all():
-                    raise NumericError(f"NaN/Inf adjoint flowing into op '{parent.op}'")
-                parent.grad = pg if parent.grad is None else parent.grad + pg
+                # a tuple holds the adjoints of several uses, added in its order
+                for piece in pg if isinstance(pg, tuple) else (pg,):
+                    piece = np.asarray(piece, dtype=np.float64)
+                    if not np.isfinite(piece).all():
+                        raise NumericError(f"NaN/Inf adjoint flowing into op '{parent.op}'")
+                    parent.grad = piece if parent.grad is None else parent.grad + piece
         if node.store is not None:
             node.store.grads[node.pname] += g.reshape(node.store.grads[node.pname].shape)
 

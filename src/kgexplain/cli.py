@@ -1,6 +1,7 @@
 """Command-line entry point: train / explain / evaluate / suite.
 
-Before doing any work, train/explain/evaluate write <out-dir>/config.json:
+Once their settings pass validation, and before doing any other work,
+train/explain/evaluate write <out-dir>/config.json:
 the subcommand name and the resolved value of each of its flags (presets
 applied). Flags share the run-config field names and defaults; any flag
 default can be overridden with an environment variable named
@@ -92,9 +93,11 @@ def _explain_config(args) -> ExplainConfig:
 
 
 def cmd_train(args) -> int:
+    cfg = _from_args(ModelConfig, args)
+    cfg.validate()
     _echo_config(args)
     g = load_triples(args.train, args.delimiter)
-    model = train_kgc(g, _from_args(ModelConfig, args))
+    model = train_kgc(g, cfg)
     out_dir = Path(args.out_dir)
     ckpt = out_dir / "model.plnk"
     save_checkpoint(model, g, ckpt)
@@ -111,6 +114,8 @@ def cmd_train(args) -> int:
 
 def cmd_explain(args) -> int:
     _resolve_preset(args)
+    cfg = _explain_config(args)
+    cfg.validate()
     config = _echo_config(args, omit=("delimiter",))
     g = load_triples(args.train, args.delimiter)
     model = load_checkpoint(args.checkpoint, g)
@@ -118,7 +123,6 @@ def cmd_explain(args) -> int:
         g.entity_id(args.head), g.relation_id(args.relation), g.entity_id(args.tail)
     )
     gc = prepare_computation_graph(g, target, args.k_hop, args.k_core, args.max_nodes)
-    cfg = _explain_config(args)
     result = train_explainer(model, gc, target, cfg)
     explanation = generate_paths(gc, result.mask, target, cfg.num_paths, cfg.power_order)
     explanation.loss_trace = result.loss_trace

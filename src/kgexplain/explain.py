@@ -24,6 +24,17 @@ together with the prediction term -log P(Y=1 | masked graph) and an L2
 penalty on the mask. Paths are then read off with Dijkstra on inverse
 scores, removing each found path's edges before searching again.
 
+An epoch records a handful of tape nodes: the six TES parameters, `TesOp`,
+`segment_max`, the prediction term (one mask gather, the encoder's
+`RgcnLayerOp`s on the target's receptive field and `model.TargetHeadOp`,
+all built once per job by `model.TargetScorer`), the path term
+(`PathLossOp`: the L power steps, the walk masses and -log), the L2 penalty
+and its weight, and the adds that sum the terms: 17 at two encoder layers.
+Each term stays its own node so that it can be backpropagated alone. The
+hand-written backwards repeat the generic ops' numpy operations in reverse
+tape order, so masks, loss traces and paths are the same bits as with the
+generic-op composition the tests keep as their oracle.
+
 Note on walks vs paths: the powering chain counts walks (node revisits
 allowed) exactly as the matrix algebra dictates; simple-path constraints
 apply only at extraction time.
@@ -38,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .autodiff import ParamStore, Tape, backward, sgd_step
 from .errors import ContractError, NumericError
 from .kgraph import (
@@ -48,7 +60,7 @@ from .kgraph import (
     extract_computation_graph,
     k_core_prune,
 )
-from .model import KgcModel, encode, target_score_nodes
+from .model import KgcModel, TargetScorer, encode
 
 COMBINE_MODES = ("concatenation", "euclidean")
 
@@ -149,39 +161,116 @@ class EdgeScoreMatrix:
         return EdgeScoreMatrix(self.pair_src, self.pair_dst, 1.0 - self.values, self.provenance)
 
 
+def _one_hot(n: int, start: int):
+    u = np.zeros(n)
+    u[start] = 1.0
+    return u
+
+
 def power_chain(gc: ComputationGraph, values, start: int, L: int) -> list:
     """[u_1, ..., u_L] with u_l = e_start . M^l for the pair-score matrix M:
     u_l[k] sums edge-score products over all length-l walks start -> k.
-    `values` holds one score per pair and may be a Node."""
-    n = gc.num_nodes
-    u = np.zeros(n)
-    u[start] = 1.0
+    `values` holds one score per pair."""
+    u = _one_hot(gc.num_nodes, start)
     chain = []
     for _ in range(L):
-        u = ad.edge_spmv(u, values, gc.pair_src, gc.pair_dst, n)
+        u = kernels.edge_spmv(u, values, gc.pair_src, gc.pair_dst, gc.num_nodes)
         chain.append(u)
     return chain
 
 
+@np.errstate(invalid="ignore")
 def normalized_walk_mass(u, node: int, count: int, length: int):
     """(u[node] / count) ** (1 / length), shape (1,): the length-th root of
     the mean edge-score product over the `count` > 0 walks that reach `node`."""
-    return ad.powc(ad.mul(ad.gather(u, np.array([node])), 1.0 / count), 1.0 / length)
+    return np.power(u[[node]] * (1.0 / count), 1.0 / length)
+
+
+def _walk_mean(chain, node: int, walk_counts):
+    """Mean over l = 1..L of the normalised walk mass of `node` in the power
+    chain, shape (1,); the l = 1 term is the direct-edge score, and a length
+    with no walk contributes 0."""
+    total = chain[0][[node]]
+    for length in range(2, len(chain) + 1):
+        count = int(walk_counts[length - 1][node])
+        if count > 0:
+            total = total + normalized_walk_mass(chain[length - 1], node, count, length)
+    return total * (1.0 / len(chain))
 
 
 def on_path_probability(gc: ComputationGraph, values, L: int, walk_counts):
     """Mean over l = 1..L of the normalised walk mass from the target head to
-    the tail, shape (1,). The l = 1 term is the direct-edge score; a length
-    with no walk contributes 0. `walk_counts` is
+    the tail, shape (1,). `walk_counts` is
     `adjacency_power_row(gc, gc.head_local, L)`."""
-    chain = power_chain(gc, values, gc.head_local, L)
-    k = gc.tail_local
-    total = ad.gather(chain[0], np.array([k]))
-    for length in range(2, L + 1):
-        count = int(walk_counts[length - 1][k])
-        if count > 0:
-            total = ad.add(total, normalized_walk_mass(chain[length - 1], k, count, length))
-    return ad.mul(total, 1.0 / L)
+    return _walk_mean(power_chain(gc, values, gc.head_local, L), gc.tail_local, walk_counts)
+
+
+class PathLossOp:
+    """The path term -log(P_on) as one tape op with a hand-written backward.
+
+    P_on is `on_path_probability`, clamped at `autodiff.LOG_CLAMP` inside the
+    log. A call takes the per-pair scores and returns an array, or a Node
+    when the scores are one. The op stands for the L power steps, so its
+    adjoint of the scores is a tuple with one piece per step that receives an
+    adjoint, from the last step to the first, which `backward` adds up in
+    that order. The first step's input is the constant one-hot start, so its
+    adjoint is never formed. Each chain vector is finite-checked as
+    `path_loss`, each chain adjoint as `path_loss adjoint`.
+    """
+
+    name = "path_loss"
+
+    def __init__(self, gc: ComputationGraph, L: int, walk_counts):
+        self.gc, self.L, self.walk_counts = gc, L, walk_counts
+
+    # Overflow surfaces as the finite checks' NumericError, not as a warning.
+    @np.errstate(over="ignore", invalid="ignore")
+    def __call__(self, values):
+        gc, L, k = self.gc, self.L, self.gc.tail_local
+        vv = ad._val(values)
+        chain = power_chain(gc, vv, gc.head_local, L)
+        for u in chain:
+            ad._check_finite(u, self.name)
+        p = _walk_mean(chain, k, self.walk_counts)
+        loss = -np.log(np.maximum(p, ad.LOG_CLAMP))
+        if not isinstance(values, ad.Node):
+            return loss
+
+        @np.errstate(over="ignore", invalid="ignore")
+        def bw(g):
+            # Bit for bit the adjoints of the generic-op composition, taken in
+            # its reverse tape order: each chain vector's gather adjoint comes
+            # before the next step's, and the steps' score adjoints from the
+            # last step to the first.
+            n, src, dst, at = gc.num_nodes, gc.pair_src, gc.pair_dst, np.array([k])
+            g_total = (-g / np.maximum(p, ad.LOG_CLAMP)) * (1.0 / L)
+            g_chain = [None] * L
+            for length in range(L, 1, -1):
+                count = int(self.walk_counts[length - 1][k])
+                if count > 0:
+                    x = chain[length - 1][at] * (1.0 / count)
+                    c = 1.0 / length
+                    slope = np.where(x == 0.0, 0.0, c * np.power(np.where(x == 0.0, 1.0, x),
+                                                                 c - 1.0))
+                    g_x = (g_total * slope) * (1.0 / count)
+                    g_chain[length - 1] = kernels.scatter_add_vec(g_x, at, n)
+            g_chain[0] = kernels.scatter_add_vec(g_total, at, n)
+            pieces = []
+            for step in reversed(range(L)):
+                g_u = g_chain[step]
+                if g_u is None:
+                    continue
+                ad._check_finite(g_u, f"{self.name} adjoint")
+                if step == 0:
+                    pieces.append(_one_hot(n, gc.head_local)[src] * g_u[dst])
+                    continue
+                g_prev, g_vals = kernels.edge_spmv_bw(g_u, chain[step - 1], vv, src, dst)
+                pieces.append(g_vals)
+                before = g_chain[step - 1]
+                g_chain[step - 1] = g_prev if before is None else before + g_prev
+            return [tuple(pieces)]
+
+        return ad.Node(values.tape, loss, (values,), bw, self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +343,7 @@ class TesOp:
             g3 = g.reshape(out.shape) * out * (1.0 - out)
             ad._check_finite(g3, "tes_mlp:layer3 adjoint")
             gw3, gb3 = z2.T @ g3, g3.sum(axis=0)
-            np.matmul(g3, w3.T, out=g2)
+            np.multiply(g3, w3.T, out=g2)
             np.greater(z2, 0.0, out=m2)
             np.multiply(g2, m2, out=g2)
             ad._check_finite(g2, "tes_mlp:layer2 adjoint")
@@ -317,6 +406,9 @@ class ExplainJob:
         self.R = model.relation_embeddings
         self.tes = TesOp(*_tes_inputs(self.H, self.R, gc, target, config.combine_mode))
         self.awalks = adjacency_power_row(gc, gc.head_local, config.power_order)
+        self.prediction = TargetScorer(model, gc, target) if config.enable_mi_loss else None
+        self.path = (PathLossOp(gc, config.power_order, self.awalks)
+                     if config.enable_path_loss else None)
 
     def pair_scores(self, store: ParamStore, tape: Tape | None):
         """TES scores collapsed to pairs: (per-pair values, arg-max triple rows).
@@ -331,15 +423,12 @@ class ExplainJob:
     def loss_terms(self, pair_vals):
         """Enabled loss terms plus the mask L2 penalty for one per-pair mask
         (an array, or a Node on the training tape), keyed by name."""
-        cfg = self.config
         terms = {}
-        if cfg.enable_mi_loss:
-            _, prob = target_score_nodes(self.model, self.gc, pair_vals, self.target)
-            terms["prediction"] = ad.neg(ad.log(prob))
-        if cfg.enable_path_loss:
-            p_on = on_path_probability(self.gc, pair_vals, cfg.power_order, self.awalks)
-            terms["path"] = ad.neg(ad.log(p_on))
-        terms["regularization"] = ad.mul(ad.norm(pair_vals), cfg.gamma)
+        if self.prediction is not None:
+            terms["prediction"] = self.prediction(pair_vals)[2]
+        if self.path is not None:
+            terms["path"] = self.path(pair_vals)
+        terms["regularization"] = ad.mul(ad.norm(pair_vals), self.config.gamma)
         return terms
 
     def objective(self, store: ParamStore, tape: Tape | None):

@@ -347,18 +347,8 @@ class ComputationGraph:
         return len(self.pair_src)
 
     @property
-    def global_of_local(self):
-        return self.nodes
-
-    @property
     def edges(self):
         return list(zip(self.src.tolist(), self.rel.tolist(), self.dst.tolist()))
-
-    def local_adjacency_dense(self):
-        n = self.num_nodes
-        a = np.zeros((n, n), dtype=bool)
-        a[self.pair_src, self.pair_dst] = True
-        return a
 
     def undirected_degrees(self, alive=None):
         """Distinct-neighbour degree over the binary pair graph, self-loops excluded."""

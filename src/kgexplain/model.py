@@ -8,29 +8,34 @@ in-degree count (not mask sum) and adds an unmasked self-loop term.
 ReLU between layers, identity on the last.
 
 Each encoder layer is one hand-written op on the autodiff tape
-(`RgcnLayerOp`), and so is the training loss (`KgcLossOp`: the row
-gathers, the decoder, the sigmoid and the clamped cross-entropy). Their
-backwards repeat, in the same order, the numpy operations that the generic
-autodiff ops would run, so trained checkpoints are the same bytes as with
-the generic-op composition the tests keep as their oracle. Given only
-arrays the ops return arrays, so masked and unmasked, differentiable and
-value-only passes share one implementation. Nothing depends on the edge
-count: on an edgeless graph the message terms are empty arrays.
+(`RgcnLayerOp`), and so are the training loss (`KgcLossOp`: the row
+gathers, the decoder, the sigmoid and the clamped cross-entropy) and the
+prediction head of one target (`TargetHeadOp`: the head and tail rows, the
+decoder, the sigmoid and the clamped -log). Their backwards repeat, in the
+same order, the numpy operations that the generic autodiff ops would run,
+so trained checkpoints and explainer masks are the same bytes as with the
+generic-op composition the tests keep as their oracle. Given only arrays
+the ops return arrays, so masked and unmasked, differentiable and
+value-only passes share one implementation: `score`, F+, F-, HDR:m and the
+`prob` filter read the same head op as the explainer. Nothing depends on
+the edge count: on an edgeless graph the message terms are empty arrays.
 
 Scoring one target reads only the head and tail rows of the last layer, so
-`target_score_nodes` (the explainer's prediction term, F+, F-, HDR:m and the
-`prob` filter) runs each layer on the target's receptive field: layer l of
-L keeps the edges whose dst lies within L-1-l in-hops of {head, tail}. The
-per-edge mask is gathered once over all edges and each layer takes its rows
-from that, so the scores equal the full pass bit for bit, and the mask
-gradients do too wherever it was checked (the tests allow rtol 1e-12).
-`encode`, `rank_target` and training need every row and run the full pass.
+`TargetScorer` runs each layer on the target's receptive field: layer l of
+L keeps the edges whose dst lies within L-1-l in-hops of {head, tail}. It
+finds the field and builds its layer ops once, so the explainer does that
+once per job rather than once per epoch. The per-edge mask is gathered once
+over all edges and each layer takes its rows from that, so the scores equal
+the full pass bit for bit, and the mask gradients do too wherever it was
+checked (the tests allow rtol 1e-12). `encode`, `rank_target` and training
+need every row and run the full pass.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -58,6 +63,17 @@ class TripleScore:
     probability: float
 
 
+def _check_model_settings(dim, layers, bases, decoder):
+    if decoder not in DECODERS:
+        raise ContractError(f"decoder must be one of {DECODERS}, got {decoder!r}")
+    if dim < 2:
+        raise ContractError("embedding dim must be >= 2")
+    if layers < 1:
+        raise ContractError("layers must be >= 1")
+    if bases < 1:
+        raise ContractError("bases must be >= 1")
+
+
 @dataclass
 class ModelConfig:
     dim: int = 16
@@ -69,20 +85,26 @@ class ModelConfig:
     negatives: int = 4
     seed: int = 0
 
+    def validate(self):
+        _check_model_settings(self.dim, self.layers, self.bases, self.decoder)
+        if self.epochs < 1:
+            raise ContractError("epochs must be >= 1")
+        if self.negatives < 1:
+            raise ContractError("negatives must be >= 1")
+        if not self.lr > 0:
+            raise ContractError(f"lr must be positive, got {self.lr}")
+        if not np.isfinite(self.lr):
+            raise ContractError(f"lr must be finite, got {self.lr}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
+
 
 class KgcModel:
     """Entity/relation embeddings plus encoder weights and a decoder tag."""
 
     def __init__(self, num_entities, num_relations, dim=16, layers=2, bases=2,
                  decoder="distmult", seed=0):
-        if decoder not in DECODERS:
-            raise ContractError(f"decoder must be one of {DECODERS}, got {decoder!r}")
-        if dim < 2:
-            raise ContractError("embedding dim must be >= 2")
-        if layers < 1:
-            raise ContractError("layers must be >= 1")
-        if bases < 1:
-            raise ContractError("bases must be >= 1")
+        _check_model_settings(dim, layers, bases, decoder)
         self.num_entities = int(num_entities)
         self.num_relations = int(num_relations)
         self.dim = int(dim)
@@ -102,10 +124,6 @@ class KgcModel:
             s.add(f"coef_{layer}", rng.normal(0.0, 1.0 / np.sqrt(bases),
                                               size=(num_relations, bases)))
         self.store = s
-
-    @property
-    def entity_embeddings(self):
-        return self.store.params["ent"]
 
     @property
     def relation_embeddings(self):
@@ -179,27 +197,49 @@ class RgcnLayerOp:
         # coef[r, b] is row r * bases + b of the (R * bases, 1) view of coef
         self.coef_rows = [rel * model.bases + b for b in range(model.bases)]
         self.inv_deg = (1.0 / np.maximum(gc.in_degree, 1)).reshape(self.n, 1)
+        self.fixed = None
 
-    # Overflow surfaces as the finite checks' NumericError, not as a warning.
-    @np.errstate(over="ignore", invalid="ignore")
-    def __call__(self, h, params, mask=None):
-        w_self, coef, *basis = (params[name] for name in self.names)
-        vh, vw, vc = ad._val(h), ad._val(w_self), ad._val(coef)
-        vb = [ad._val(b) for b in basis]
+    def _messages(self, vh, vc, vb):
+        """hs, the products hs @ basis_b, their coefficient columns and the
+        unmasked message, which sums the basis messages in ascending b."""
         coef_col = vc.reshape(-1, 1)
         hs = vh[self.src]
         mms, cgs, msg = [], [], None
-        for b, rows in enumerate(self.coef_rows):  # basis messages summed in ascending b
+        for b, rows in enumerate(self.coef_rows):
             mms.append(hs @ vb[b])
             cgs.append(coef_col[rows])
             term = mms[b] * cgs[b]
             msg = term if msg is None else msg + term
+        return hs, mms, cgs, msg
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def fix_input(self, h, params):
+        """Compute the messages and the self term of the array input `h` under
+        the array weights in `params` once. Later calls given the same `h` and
+        weight arrays reuse them, so those arrays must not change in place."""
+        weights = [params[name] for name in self.names]
+        w_self, coef, *basis = weights
+        self.fixed = (h, weights, self._messages(h, coef, basis), h @ w_self)
+
+    # Overflow surfaces as the finite checks' NumericError, not as a warning.
+    @np.errstate(over="ignore", invalid="ignore")
+    def __call__(self, h, params, mask=None):
+        weights = [params[name] for name in self.names]
+        w_self, coef, *basis = weights
+        vh, vw, vc = ad._val(h), ad._val(w_self), ad._val(coef)
+        vb = [ad._val(b) for b in basis]
+        fixed = self.fixed
+        if fixed is not None and h is fixed[0] and all(map(operator.is_, weights, fixed[1])):
+            (hs, mms, cgs, msg), self_term = fixed[2], fixed[3]
+        else:
+            hs, mms, cgs, msg = self._messages(vh, vc, vb)
+            self_term = vh @ vw
         vm = None if mask is None else ad._val(mask)
         if vm is not None and self.keep is not None:
             vm = vm[self.keep]
         sent = msg if vm is None else msg * vm
         agg = kernels.scatter_add_rows(sent, self.dst, self.n)
-        pre = vh @ vw + agg * self.inv_deg
+        pre = self_term + agg * self.inv_deg
         ad._check_finite(pre, self.name)
         out = np.maximum(pre, 0.0) if self.relu else pre
         operands = (h, w_self, coef, *basis, mask)
@@ -229,7 +269,7 @@ class RgcnLayerOp:
                 for b in reversed(range(len(vb))):
                     if need[2]:
                         scat = kernels.scatter_add_rows((g_msg * mms[b]).sum(axis=1, keepdims=True),
-                                                        self.coef_rows[b], len(coef_col))
+                                                        self.coef_rows[b], vc.size)
                         adj[2] = scat if adj[2] is None else adj[2] + scat
                     if need[0] or need[3 + b]:
                         g_mm = g_msg * cgs[b]
@@ -250,8 +290,15 @@ class RgcnLayerOp:
         return ad.Node(parents[0].tape, out, parents, bw, self.name)
 
 
+def layer_ops(model: KgcModel, gc: ComputationGraph, rows=None) -> list:
+    """One `RgcnLayerOp` per encoder layer: on every edge, or with `rows`
+    (local node indices) on the edges of the rows' receptive field."""
+    fields = [None] * model.layers if rows is None else _receptive_field(gc, rows, model.layers)
+    return [RgcnLayerOp(model, gc, layer, keep) for layer, keep in enumerate(fields)]
+
+
 def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=None,
-                    rows=None):
+                    layers=None, h=None):
     """Message passing over gc; returns the (n, d) node-embedding matrix.
 
     `operands` maps parameter names to Nodes (training) or is None, in
@@ -259,34 +306,24 @@ def encode_operands(model: KgcModel, gc: ComputationGraph, mask=None, operands=N
     may be an EdgeScoreMatrix, a per-pair vector/Node, or None. Overflow
     raises the ops' NumericError without a numpy warning first.
 
-    With `rows` (local node indices), each layer sends messages only along
-    the edges of the rows' receptive field: the result equals the full pass
-    bit for bit at `rows` and is meaningless elsewhere. Each layer is one
-    `RgcnLayerOp`.
+    `layers` are the `layer_ops` to run, every edge's by default. Built for
+    some rows' receptive field, they give a result that equals the full
+    pass bit for bit at those rows and is meaningless elsewhere. `h` is the
+    first layer's input, by default the graph's rows of the entity table.
     """
     p = operands if operands is not None else model.store.params
     mask_vec = None if mask is None else _as_pair_values(mask, gc)
-    h = ad.gather(p["ent"], gc.nodes)
-    edge_mask = (None if mask_vec is None
-                 else ad.reshape(ad.gather(mask_vec, gc.pair_index), (gc.num_edges, 1)))
-    fields = [None] * model.layers if rows is None else _receptive_field(gc, rows, model.layers)
-    for layer, keep in enumerate(fields):
-        h = RgcnLayerOp(model, gc, layer, keep)(h, p, edge_mask)
+    if h is None:
+        h = ad.gather(p["ent"], gc.nodes)
+    edge_mask = None if mask_vec is None else ad.gather(mask_vec, gc.pair_index[:, None])
+    for op in layers or layer_ops(model, gc):
+        h = op(h, p, edge_mask)
     return h
 
 
 def encode(model: KgcModel, gc: ComputationGraph, mask=None):
     """Value-only forward pass (frozen weights); returns an (n, d) array."""
     return ad._val(encode_operands(model, gc, mask))
-
-
-def decoder_raw(decoder, h, r, t):
-    """Decoder score for single vectors (operands may be Nodes or arrays)."""
-    if decoder == "transe":
-        return ad.neg(ad.norm(ad.sub(ad.add(h, r), t)))
-    if decoder == "distmult":
-        return ad.sumall(ad.mul(ad.mul(h, r), t))
-    raise ContractError(f"unknown decoder {decoder!r}")
 
 
 def _decode_rows(decoder, H, R, T):
@@ -373,34 +410,102 @@ class KgcLossOp:
         return ad.Node(parents[0].tape, loss, parents, bw, "kgc_loss")
 
 
+class TargetHeadOp:
+    """The prediction head as one tape op with a hand-written backward.
+
+    A call reads rows `head` and `tail` of the (n, d) embeddings H, decodes
+    them with the relation vector `r` (TransE: -||h + r - t||, DistMult:
+    sum(h * r * t)) and returns (raw, prob, nll): the raw score and its
+    sigmoid as arrays, and -log of the probability clamped at
+    `autodiff.LOG_CLAMP`, which is a Node when H is one. The raw score is
+    finite-checked as `target_head`, since the sigmoid and the clamp would
+    turn -inf into a finite loss; the adjoint of H as `target_head adjoint`.
+    """
+
+    name = "target_head"
+
+    def __init__(self, decoder: str, head: int, tail: int, r):
+        self.decoder, self.head, self.tail, self.r = decoder, head, tail, r
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __call__(self, H):
+        vH, r = ad._val(H), self.r
+        h, t = vH[self.head], vH[self.tail]
+        if self.decoder == "transe":
+            x = (h + r) - t
+            dist = np.sqrt((x * x).sum())
+            raw = -dist
+        else:
+            hr = h * r
+            raw = (hr * t).sum()
+        ad._check_finite(raw, self.name)
+        prob = ad._sigmoid_value(raw)
+        nll = -np.log(np.maximum(prob, ad.LOG_CLAMP))
+        if not isinstance(H, ad.Node):
+            return raw, prob, nll
+
+        def bw(g):
+            with np.errstate(over="ignore", invalid="ignore"):
+                # Bit for bit the adjoints of the generic-op composition, taken
+                # in its reverse tape order: the log adjoint divides by the
+                # clamped argument, the sigmoid's is (g * o) * (1 - o), the
+                # norm's (g * x) / max(norm, 1e-30), and the tail row's scatter
+                # comes first.
+                g_raw = ((-g / np.maximum(prob, ad.LOG_CLAMP)) * prob) * (1.0 - prob)
+                if self.decoder == "transe":
+                    g_h = (-g_raw * x) / max(float(dist), 1e-30)
+                    g_t = -g_h
+                else:
+                    g_h, g_t = (g_raw * t) * r, g_raw * hr
+                n = vH.shape[0]
+                g_H = (kernels.scatter_add_rows(g_t.reshape(1, -1), np.array([self.tail]), n)
+                       + kernels.scatter_add_rows(g_h.reshape(1, -1), np.array([self.head]), n))
+                ad._check_finite(g_H, f"{self.name} adjoint")
+                return [g_H]
+
+        return raw, prob, ad.Node(H.tape, nll, (H,), bw, self.name)
+
+
 def score(model: KgcModel, h_emb, r_emb, t_emb) -> TripleScore:
     """TransE: -||h + r - t||; DistMult: sum(h*r*t); probability = sigmoid."""
     for v in (h_emb, r_emb, t_emb):
         if np.shape(v) != (model.dim,):
             raise ContractError("embedding dimension mismatch")
-    raw = decoder_raw(model.decoder, np.asarray(h_emb), np.asarray(r_emb), np.asarray(t_emb))
-    return TripleScore(float(raw), float(ad._val(ad.sigmoid(raw))))
+    H = np.stack([np.asarray(h_emb, dtype=np.float64), np.asarray(t_emb, dtype=np.float64)])
+    raw, prob, _ = TargetHeadOp(model.decoder, 0, 1, np.asarray(r_emb))(H)
+    return TripleScore(float(raw), float(prob))
 
 
-def target_score_nodes(model: KgcModel, gc: ComputationGraph, mask, target: TargetTriple):
-    """(raw, prob) for the target under a masked forward; Node-valued when
-    the mask is a Node, plain arrays otherwise."""
-    if target.head not in gc.local_of_global or target.tail not in gc.local_of_global:
-        raise ContractError("target endpoints are not present in the computation graph")
-    i = gc.local_of_global[target.head]
-    k = gc.local_of_global[target.tail]
-    H = encode_operands(model, gc, mask, rows=[i, k])
-    h = ad.reshape(ad.gather(H, np.array([i])), (model.dim,))
-    t = ad.reshape(ad.gather(H, np.array([k])), (model.dim,))
-    r = model.relation_embeddings[target.relation]
-    raw = decoder_raw(model.decoder, h, r, t)
-    return raw, ad.sigmoid(raw)
+class TargetScorer:
+    """The target's score under an edge mask, built once per model, graph
+    and target: the encoder's layer ops on the receptive field of the head
+    and tail rows, then `TargetHeadOp`. A call takes the mask (see
+    `encode_operands`) and returns the head op's (raw, prob, nll).
+
+    The model's weights count as frozen: the first layer's input and its
+    unmasked messages are computed here, once, from the weights as they are.
+    """
+
+    def __init__(self, model: KgcModel, gc: ComputationGraph, target: TargetTriple):
+        if target.head not in gc.local_of_global or target.tail not in gc.local_of_global:
+            raise ContractError("target endpoints are not present in the computation graph")
+        i = gc.local_of_global[target.head]
+        k = gc.local_of_global[target.tail]
+        self.model, self.gc = model, gc
+        self.h = model.store.params["ent"][gc.nodes]
+        self.layers = layer_ops(model, gc, [i, k])
+        self.layers[0].fix_input(self.h, model.store.params)
+        self.head = TargetHeadOp(model.decoder, i, k, model.relation_embeddings[target.relation])
+
+    def __call__(self, mask):
+        return self.head(encode_operands(self.model, self.gc, mask, layers=self.layers,
+                                         h=self.h))
 
 
 def score_target_masked(model: KgcModel, gc: ComputationGraph, mask,
                         target: TargetTriple) -> TripleScore:
-    raw, prob = target_score_nodes(model, gc, mask, target)
-    return TripleScore(float(ad._val(raw)), float(ad._val(prob)))
+    raw, prob, _ = TargetScorer(model, gc, target)(mask)
+    return TripleScore(float(raw), float(prob))
 
 
 def rank_target(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
@@ -428,16 +533,7 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
     """
     if g.num_triples == 0:
         raise ContractError("cannot train on an empty graph")
-    if config.epochs < 1:
-        raise ContractError("epochs must be >= 1")
-    if config.negatives < 1:
-        raise ContractError("negatives must be >= 1")
-    if not config.lr > 0:
-        raise ContractError(f"lr must be positive, got {config.lr}")
-    if not np.isfinite(config.lr):
-        raise ContractError(f"lr must be finite, got {config.lr}")
-    if config.seed < 0:
-        raise ContractError(f"seed must be >= 0, got {config.seed}")
+    config.validate()
     model = KgcModel(g.num_entities, g.num_relations, dim=config.dim, layers=config.layers,
                      bases=config.bases, decoder=config.decoder, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)

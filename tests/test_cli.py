@@ -554,6 +554,23 @@ def test_negative_seed_or_non_finite_rate_usage_error(tmp_path, dataset, reliant
     assert not (out / "model.plnk").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "explain", "evaluate"])
+def test_invalid_settings_leave_no_config_json(tmp_path, dataset, reliant_checkpoint, caplog,
+                                               command):
+    train, inst = dataset
+    out = tmp_path / "o"
+    args = {
+        "train": ["train", "--train", str(train), "--out_dir", str(out), "--epochs", "2"],
+        "explain": explain_args(train, reliant_checkpoint, out, inst),
+        "evaluate": ["evaluate", "--train", str(train), "--checkpoint",
+                     str(reliant_checkpoint / "model.plnk"), "--out_dir", str(out),
+                     "--k_hop", "2", "--epochs", "2", "--sample_num", "1"],
+    }[command]
+    assert main([*args, "--seed", "-1"]) == 2
+    assert error_lines(caplog) == ["usage error: seed must be >= 0, got -1"]
+    assert not (out / "config.json").exists()
+
+
 def test_suite_negative_base_seed_usage_error(tmp_path, caplog):
     cfg = tmp_path / "suite.json"
     cfg.write_text(json.dumps({"n_instances": 1, "base_seed": -1}))

@@ -1,8 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_model import assert_same_bits, generic_head
 
 from kgexplain import autodiff as ad
 from kgexplain.errors import ContractError, NumericError
@@ -10,6 +14,7 @@ from kgexplain.explain import (
     EdgeScoreMatrix,
     ExplainConfig,
     ExplainJob,
+    PathLossOp,
     generate_paths,
     init_tes,
     normalized_walk_mass,
@@ -17,8 +22,14 @@ from kgexplain.explain import (
     power_chain,
     train_explainer,
 )
-from kgexplain.kgraph import KnowledgeGraph, TargetTriple, adjacency_power_row, full_graph
-from kgexplain.model import KgcModel, encode, score_target_masked
+from kgexplain.kgraph import (
+    ComputationGraph,
+    KnowledgeGraph,
+    TargetTriple,
+    adjacency_power_row,
+    full_graph,
+)
+from kgexplain.model import DECODERS, KgcModel, encode, layer_ops, score_target_masked
 
 
 def kg_from(triples, n_ent=None, n_rel=None):
@@ -570,7 +581,7 @@ def test_path_loss_gradient_matches_finite_differences():
 
     def loss(s, tape):
         v = tape.param(s, "mask") if tape is not None else s.params["mask"]
-        return ad.neg(ad.log(on_path_probability(gc, v, 3, awalks)))
+        return PathLossOp(gc, 3, awalks)(v)
 
     assert ad.finite_diff_check(loss, store, step=1e-5, tol=1e-4).passed
 
@@ -582,6 +593,199 @@ def test_path_loss_monotone_in_on_path_scores():
     base = np.full(gc.num_pairs, 0.4)
     losses = [scalar(job.loss_terms(base + bump)["path"]) for bump in (0.0, 0.1, 0.2, 0.3)]
     assert all(b < a for a, b in zip(losses, losses[1:]))
+
+
+# -- the fused loss ops against their generic-op composition ----------------------------
+
+
+def generic_on_path_probability(gc, values, L, walk_counts):
+    """The on-path probability composed from generic tape ops, one per numpy
+    operation."""
+    n = gc.num_nodes
+    u = np.zeros(n)
+    u[gc.head_local] = 1.0
+    chain = []
+    for _ in range(L):
+        u = ad.edge_spmv(u, values, gc.pair_src, gc.pair_dst, n)
+        chain.append(u)
+    k = gc.tail_local
+    total = ad.gather(chain[0], np.array([k]))
+    for length in range(2, L + 1):
+        count = int(walk_counts[length - 1][k])
+        if count > 0:
+            mass = ad.powc(ad.mul(ad.gather(chain[length - 1], np.array([k])), 1.0 / count),
+                           1.0 / length)
+            total = ad.add(total, mass)
+    return ad.mul(total, 1.0 / L)
+
+
+def generic_loss_terms(job, pair_vals):
+    """`ExplainJob.loss_terms` composed from generic tape ops, apart from the
+    encoder layers: the mask gather and reshape, the prediction head, the
+    power chain and the walk masses."""
+    cfg, gc, model, target = job.config, job.gc, job.model, job.target
+    terms = {}
+    if cfg.enable_mi_loss:
+        rows = gc.local_of_global[target.head], gc.local_of_global[target.tail]
+        h = model.store.params["ent"][gc.nodes]
+        edge_mask = ad.reshape(ad.gather(pair_vals, gc.pair_index), (gc.num_edges, 1))
+        for op in layer_ops(model, gc, list(rows)):
+            h = op(h, model.store.params, edge_mask)
+        r = model.relation_embeddings[target.relation]
+        terms["prediction"] = generic_head(model, h, rows, r)[2]
+    if cfg.enable_path_loss:
+        p_on = generic_on_path_probability(gc, pair_vals, cfg.power_order, job.awalks)
+        terms["path"] = ad.neg(ad.log(p_on))
+    terms["regularization"] = ad.mul(ad.norm(pair_vals), cfg.gamma)
+    return terms
+
+
+def terms_and_mask_adjoints(loss_terms, mask):
+    """Each term's value as an array and on the tape, and the mask adjoint of
+    the summed objective and of each term alone."""
+    out = {f"{name} array": v for name, v in loss_terms(mask).items()}
+    names = list(out)
+    for which in ["objective", *(name.split()[0] for name in names)]:
+        with ad.Tape() as tape:
+            leaf = tape.leaf(mask)
+            terms = loss_terms(leaf)
+            node = None
+            for t in terms.values():
+                node = t if node is None else ad.add(node, t)
+            node = node if which == "objective" else terms[which]
+            ad.backward(tape, node)
+            out[which] = node.value
+            out[f"{which} mask adjoint"] = leaf.grad
+    return out
+
+
+def assert_fused_terms_match(job, mask):
+    got = terms_and_mask_adjoints(job.loss_terms, mask)
+    want = terms_and_mask_adjoints(lambda v: generic_loss_terms(job, v), mask)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert_same_bits(got[key], want[key])
+
+
+# head 0, tail 1: a direct edge, and every other walk three or more hops long
+NO_TWO_WALK = [(0, 1, 1), (0, 0, 2), (2, 1, 3), (3, 0, 1), (0, 1, 4), (4, 0, 5), (5, 1, 1),
+               (2, 0, 4), (3, 1, 5), (4, 1, 2)]
+# 0 -> 2 -> 1 and 0 -> 3 -> 1 beside the direct edge, with a 3-cycle through 1
+TWO_WALKS = [(0, 0, 1), (0, 1, 2), (2, 0, 1), (0, 0, 3), (3, 1, 1), (1, 0, 4), (4, 1, 2),
+             (2, 1, 3)]
+
+
+def loss_case(triples, decoder, mode, L, layers=2, seed=0):
+    g = kg_from(triples)
+    target = TargetTriple(0, 0, 1)
+    gc = full_graph(g, target)
+    model = KgcModel(g.num_entities, g.num_relations, dim=4, layers=layers, decoder=decoder,
+                     seed=seed)
+    cfg = ExplainConfig(power_order=L, gamma=0.25, enable_path_loss=mode != "path_off",
+                        enable_mi_loss=mode != "mi_off")
+    return gc, ExplainJob(model, gc, target, cfg)
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("mode", ["full", "path_off", "mi_off"])
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_fused_loss_terms_match_generic_op_composition(decoder, mode, L):
+    rng = np.random.default_rng(L)
+    for triples in (NO_TWO_WALK, TWO_WALKS):
+        gc, job = loss_case(triples, decoder, mode, L)
+        for _ in range(3):
+            assert_fused_terms_match(job, rng.uniform(0.05, 0.95, gc.num_pairs))
+
+
+def test_fused_loss_terms_take_the_empty_length_and_zero_mass_branches():
+    gc, job = loss_case(NO_TWO_WALK, "distmult", "full", 4)
+    k = gc.tail_local
+    assert job.awalks[1][k] == 0 and job.awalks[2][k] > 0  # no length-2 walk
+    assert_fused_terms_match(job, np.full(gc.num_pairs, 0.5))
+    gc, job = loss_case(TWO_WALKS, "transe", "full", 3)
+    mask = np.full(gc.num_pairs, 0.5)
+    # pairs (0, 2) and (0, 3) start both length-2 walks, so u_2[tail] == 0
+    mask[[p for p in range(gc.num_pairs) if gc.pair_src[p] == 0 and gc.pair_dst[p] > 1]] = 0.0
+    u2 = power_chain(gc, mask, gc.head_local, 3)[1]
+    assert job.awalks[1][k] == 2 and u2[k] == 0.0
+    assert_fused_terms_match(job, mask)
+    mask[:] = 0.0  # every walk mass is 0, and the path term sits at the clamp
+    assert_fused_terms_match(job, mask)
+
+
+@st.composite
+def loss_term_cases(draw):
+    """Random graphs of 0-30 triples over 1-7 nodes (self-loops and parallel
+    triples allowed, head == tail allowed) with masks that hold exact zeros."""
+    n = draw(st.integers(1, 7))
+    n_rel = draw(st.integers(1, 3))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n_rel - 1), st.integers(0, n - 1))
+    triples = draw(st.lists(cells, max_size=30, unique=True))
+    src, rel, dst = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    head, tail = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    gc = ComputationGraph(np.arange(n), src, rel, dst, head, tail)
+    target = TargetTriple(head, draw(st.integers(0, n_rel - 1)), tail)
+    model = KgcModel(n, n_rel, dim=draw(st.integers(2, 4)), layers=draw(st.integers(1, 3)),
+                     bases=draw(st.integers(1, 2)), decoder=draw(st.sampled_from(DECODERS)),
+                     seed=draw(st.integers(0, 2**16)))
+    mode = draw(st.sampled_from(["full", "path_off", "mi_off"]))
+    cfg = ExplainConfig(power_order=draw(st.integers(2, 4)), enable_path_loss=mode != "path_off",
+                        enable_mi_loss=mode != "mi_off")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mask = rng.uniform(0.0, 1.0, gc.num_pairs)
+    mask[rng.random(gc.num_pairs) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return ExplainJob(model, gc, target, cfg), mask
+
+
+@settings(max_examples=120, deadline=None)
+@given(loss_term_cases())
+def test_fused_loss_terms_match_generic_op_composition_on_random_graphs(case):
+    assert_fused_terms_match(*case)
+
+
+@pytest.mark.parametrize("mode, nodes", [("full", 15), ("path_off", 13), ("mi_off", 12)])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_explainer_epoch_tape_nodes(monkeypatch, mode, nodes, layers):
+    # six TES params, the TES and segment_max, the terms (the prediction term:
+    # the mask gather, the layers and the head; the path loss; the norm and
+    # its weight) and the adds that sum them
+    from kgexplain import explain as explain_module
+
+    sizes = []
+
+    class CountingTape(ad.Tape):
+        __slots__ = ()
+
+        def __exit__(self, *exc):
+            sizes.append(len(self.nodes))
+            return super().__exit__(*exc)
+
+    monkeypatch.setattr(explain_module, "Tape", CountingTape)
+    _, job = loss_case(TWO_WALKS, "distmult", mode, 3, layers=layers)
+    train_explainer(job.model, job.gc, job.target, replace(job.config, epochs=3))
+    want = nodes + (layers if mode != "mi_off" else 0)
+    assert sizes == [want] * 3
+    if (mode, layers) == ("full", 2):
+        assert want == 17
+
+
+def test_path_loss_op_non_finite_chain_names_the_op():
+    gc, job = loss_case(TWO_WALKS, "distmult", "mi_off", 3)
+    with pytest.raises(NumericError, match=r"op 'path_loss'$"):
+        job.path(np.full(gc.num_pairs, 1e300))
+    with ad.Tape() as tape:
+        with pytest.raises(NumericError, match=r"op 'path_loss'$"):
+            job.path(tape.leaf(np.full(gc.num_pairs, 1e300)))
+
+
+def test_path_loss_op_adjoint_overflow_names_the_op():
+    # P_on is tiny, so a huge objective weight divided by it overflows
+    gc, job = loss_case(NO_TWO_WALK, "distmult", "mi_off", 2)
+    with ad.Tape() as tape:
+        leaf = tape.leaf(np.full(gc.num_pairs, 1e-20))
+        loss = ad.mul(job.path(leaf), 1e300)
+        with pytest.raises(NumericError, match=r"op 'path_loss adjoint'$"):
+            ad.backward(tape, loss)
 
 
 # -- train_explainer ---------------------------------------------------------------------

@@ -418,10 +418,10 @@ def test_extract_validates_args():
 def test_index_maps_are_mutual_inverses():
     g = kg_from([(0, 0, 5), (5, 0, 9), (9, 0, 0)], n_ent=10, n_rel=1)
     gc = extract_computation_graph(g, TargetTriple(0, 0, 9), hops=2)
-    for local, glob in enumerate(gc.global_of_local):
+    for local, glob in enumerate(gc.nodes):
         assert gc.local_of_global[int(glob)] == local
     for glob, local in gc.local_of_global.items():
-        assert int(gc.global_of_local[local]) == glob
+        assert int(gc.nodes[local]) == glob
 
 
 # -- k_core_prune -------------------------------------------------------------
@@ -551,7 +551,8 @@ def test_power_row_matches_dense_matrix_power():
         pairs = {(int(rng.integers(n)), int(rng.integers(n))) for _ in range(3 * n)}
         g = kg_from([(h, 0, t) for h, t in sorted(pairs)], n_ent=n, n_rel=1)
         gc = full_graph(g, TargetTriple(0, 0, min(1, n - 1)))
-        a = gc.local_adjacency_dense().astype(np.int64)
+        a = np.zeros((n, n), dtype=np.int64)
+        a[gc.pair_src, gc.pair_dst] = 1
         rows = adjacency_power_row(gc, 0, 4)
         power = np.eye(n, dtype=np.int64)
         for length in range(1, 5):

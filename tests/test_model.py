@@ -16,16 +16,17 @@ from kgexplain.model import (
     KgcLossOp,
     KgcModel,
     ModelConfig,
+    TargetHeadOp,
+    TargetScorer,
     _receptive_field,
-    decoder_raw,
     encode,
     encode_operands,
+    layer_ops,
     load_checkpoint,
     rank_target,
     save_checkpoint,
     score,
     score_target_masked,
-    target_score_nodes,
     train_kgc,
 )
 
@@ -59,7 +60,7 @@ def test_encode_all_ones_mask_equals_unmasked_bitwise(small_setup):
 def test_encode_all_zeros_mask_is_self_loop_only(small_setup):
     _, gc, _, model = small_setup
     zeros = encode(model, gc, EdgeScoreMatrix.constant(gc, 0.0))
-    h = model.entity_embeddings[gc.nodes]
+    h = model.store.params["ent"][gc.nodes]
     for layer in range(model.layers):
         h = h @ model.store.params[f"self_{layer}"]
         if layer < model.layers - 1:
@@ -210,8 +211,7 @@ def test_mask_gradient_matches_finite_differences(small_setup):
 
     def loss(s, tape):
         mask = tape.param(s, "mask") if tape is not None else s.params["mask"]
-        _, prob = target_score_nodes(model, gc, mask, target)
-        return ad.neg(ad.log(prob))
+        return TargetScorer(model, gc, target)(mask)[2]
 
     report = ad.finite_diff_check(loss, store, step=1e-5, tol=1e-4)
     assert report.passed, report
@@ -518,28 +518,46 @@ def test_edgeless_graph_runs_the_same_ops_and_backward():
 # -- target scoring on the receptive field ------------------------------------------
 
 
+def decoder_raw(decoder, h, r, t):
+    """Decoder score of single vectors composed from generic tape ops."""
+    if decoder == "transe":
+        return ad.neg(ad.norm(ad.sub(ad.add(h, r), t)))
+    return ad.sumall(ad.mul(ad.mul(h, r), t))
+
+
+def generic_head(model, H, target_rows, r):
+    """`TargetHeadOp` composed from generic tape ops: (raw, prob, -log prob)."""
+    i, k = target_rows
+    h = ad.reshape(ad.gather(H, np.array([i])), (model.dim,))
+    t = ad.reshape(ad.gather(H, np.array([k])), (model.dim,))
+    raw = decoder_raw(model.decoder, h, r, t)
+    prob = ad.sigmoid(raw)
+    return raw, prob, ad.neg(ad.log(prob))
+
+
 def full_pass_target_score(model, gc, mask, target):
     """The unrestricted target score: every layer sends messages along every
     edge, then the decoder reads the head and tail rows."""
-    H = encode_operands(model, gc, mask)
-    i, k = gc.local_of_global[target.head], gc.local_of_global[target.tail]
-    h = ad.reshape(ad.gather(H, np.array([i])), (model.dim,))
-    t = ad.reshape(ad.gather(H, np.array([k])), (model.dim,))
-    raw = decoder_raw(model.decoder, h, model.relation_embeddings[target.relation], t)
-    return raw, ad.sigmoid(raw)
+    rows = gc.local_of_global[target.head], gc.local_of_global[target.tail]
+    return generic_head(model, encode_operands(model, gc, mask), rows,
+                        model.relation_embeddings[target.relation])
+
+
+def field_target_score(model, gc, mask, target):
+    return TargetScorer(model, gc, target)(mask)
 
 
 def scores_and_mask_grad(score_fn, model, gc, mask, target, mask_kind):
     """(raw, prob, d(-log prob)/d(mask) or None) for a mask given as None, an
     array or a Node on a tape."""
     if mask_kind != "node":
-        raw, prob = score_fn(model, gc, None if mask_kind == "none" else mask, target)
+        raw, prob, _ = score_fn(model, gc, None if mask_kind == "none" else mask, target)
         return raw, prob, None
     with ad.Tape() as tape:
         leaf = tape.leaf(mask)
-        raw, prob = score_fn(model, gc, leaf, target)
-        ad.backward(tape, ad.neg(ad.log(prob)))
-        return raw.value, prob.value, leaf.grad
+        raw, prob, nll = score_fn(model, gc, leaf, target)
+        ad.backward(tape, nll)
+        return ad._val(raw), ad._val(prob), leaf.grad
 
 
 @st.composite
@@ -566,7 +584,7 @@ def target_score_cases(draw):
 @given(target_score_cases())
 def test_target_score_on_receptive_field_equals_full_pass(case):
     model, gc, mask, target, mask_kind = case
-    raw, prob, grad = scores_and_mask_grad(target_score_nodes, model, gc, mask, target,
+    raw, prob, grad = scores_and_mask_grad(field_target_score, model, gc, mask, target,
                                            mask_kind)
     full_raw, full_prob, full_grad = scores_and_mask_grad(full_pass_target_score, model, gc,
                                                           mask, target, mask_kind)
@@ -589,11 +607,11 @@ def test_receptive_field_of_a_chain_is_a_strict_subset():
 
     model = KgcModel(6, 1, dim=3, layers=2, bases=2, seed=3)
     mask = np.linspace(0.2, 0.9, gc.num_pairs)
-    restricted = encode_operands(model, gc, mask, rows=[5, 0])
+    restricted = encode_operands(model, gc, mask, layers=layer_ops(model, gc, [5, 0]))
     full = encode_operands(model, gc, mask)
     np.testing.assert_array_equal(restricted[[5, 0]], full[[5, 0]])
     assert not np.array_equal(restricted[2], full[2])  # row 2 lost its message
-    raw, prob, grad = scores_and_mask_grad(target_score_nodes, model, gc, mask, target, "node")
+    raw, prob, grad = scores_and_mask_grad(field_target_score, model, gc, mask, target, "node")
     full_raw, full_prob, full_grad = scores_and_mask_grad(full_pass_target_score, model, gc,
                                                           mask, target, "node")
     assert (raw, prob) == (full_raw, full_prob)
@@ -787,6 +805,10 @@ def generic_kgc_loss(model, H, rel, heads, rels, tails, n_pos):
                          0.5 / (len(heads) - n_pos)))
 
 
+def op_encode(model, gc, mask, operands, rows):
+    return encode_operands(model, gc, mask, operands, layer_ops(model, gc, rows))
+
+
 def op_loss(model, H, rel, heads, rels, tails, n_pos):
     return KgcLossOp(model, rels, n_pos)(H, rel, heads, tails)
 
@@ -818,7 +840,7 @@ def op_pass(encode_fn, loss_fn, model, gc, mask, mask_kind, params_kind, rows):
         params = ({name: tape.param(model.store, name) for name in model.store.params}
                   if params_kind == "nodes" else dict(model.store.params))
         m = {"none": None, "array": mask, "node": tape.leaf(mask)}[mask_kind]
-        H = encode_fn(model, gc, m, params, rows=rows)
+        H = encode_fn(model, gc, m, params, rows)
         if rows is None:
             out = {"H": np.array(ad._val(H))}
             objective = loss_fn(model, H, params["rel"], *op_batch(gc, 3))
@@ -850,7 +872,7 @@ def test_layer_and_loss_ops_match_generic_op_composition(decoder, layers, bases)
             for mask_kind in ("none", "array", "node"):
                 for rows in row_sets:
                     case = (model, gc, mask, mask_kind, params_kind, rows)
-                    got = op_pass(encode_operands, op_loss, *case)
+                    got = op_pass(op_encode, op_loss, *case)
                     want = op_pass(generic_encode_operands, generic_kgc_loss, *case)
                     assert got.keys() == want.keys()
                     for key in want:
@@ -876,7 +898,7 @@ def test_layer_and_loss_ops_pass_finite_differences(decoder, size):
         params = {name: leaf(name) for name in model.store.params}
         mask = leaf("mask")
         H = encode_operands(model, gc, mask, params)
-        field = encode_operands(model, gc, mask, params, rows=[1, 0])
+        field = op_encode(model, gc, mask, params, [1, 0])
         return ad.add(op_loss(model, H, params["rel"], *batch),
                       ad.sumall(ad.mul(ad.gather(field, np.array([1, 0])), weights)))
 
@@ -899,8 +921,8 @@ def test_layer_op_non_finite_pre_activation_names_the_layer(scale):
     with ad.Tape() as tape:
         params = {name: tape.param(model.store, name) for name in p}
         with pytest.raises(NumericError, match=r"op 'rgcn:layer0'$"):
-            encode_operands(model, OP_CHAIN, tape.leaf(np.full(OP_CHAIN.num_pairs, 0.5)),
-                            params, rows=[4, 3])
+            op_encode(model, OP_CHAIN, tape.leaf(np.full(OP_CHAIN.num_pairs, 0.5)), params,
+                      [4, 3])
 
 
 def test_layer_op_adjoint_overflow_names_the_layer():
@@ -956,3 +978,89 @@ def test_training_epoch_is_params_one_gather_layers_and_the_loss(monkeypatch, la
     assert sizes == [len(model.store.params) + layers + 2] * 3
     if (layers, bases) == (2, 2):
         assert sizes[0] == 14
+
+
+def test_fixed_input_layer_reuses_messages_only_for_the_same_arrays():
+    gc = OP_CHAIN
+    model = KgcModel(gc.num_nodes, 3, dim=3, layers=2, bases=2, seed=1)
+    p = dict(model.store.params)
+    h = p["ent"][gc.nodes]
+    mask = np.linspace(0.1, 0.9, gc.num_edges).reshape(-1, 1)
+    plain, fixed = layer_ops(model, gc, [4, 3])[0], layer_ops(model, gc, [4, 3])[0]
+    fixed.fix_input(h, p)
+    assert_same_bits(fixed(h, p, mask), plain(h, p, mask))
+    with ad.Tape() as tape:
+        leaf = tape.leaf(mask)
+        ad.backward(tape, ad.sumall(fixed(h, p, leaf)))
+        fixed_grad = leaf.grad
+    with ad.Tape() as tape:
+        leaf = tape.leaf(mask)
+        ad.backward(tape, ad.sumall(plain(h, p, leaf)))
+        assert_same_bits(fixed_grad, leaf.grad)
+    # another input or weight array is not the fixed one
+    other = h + 1.0
+    assert_same_bits(fixed(other, p, mask), plain(other, p, mask))
+    p["self_0"] = p["self_0"] * 2.0
+    assert_same_bits(fixed(h, p, mask), plain(h, p, mask))
+
+
+# -- the prediction head op against its generic-op composition ------------------------
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def head_pass(head_fn, H, weight):
+    """raw, prob, nll and the adjoint of H for the objective weight * nll."""
+    with ad.Tape() as tape:
+        leaf = tape.leaf(H)
+        raw, prob, nll = head_fn(leaf)
+        ad.backward(tape, ad.mul(nll, weight))
+        return [np.asarray(ad._val(x)) for x in (raw, prob, nll)] + [leaf.grad.copy()]
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("rows", [(0, 3), (2, 2), (3, 1)])
+def test_target_head_op_matches_generic_op_composition(decoder, rows):
+    model = KgcModel(4, 1, dim=5, decoder=decoder)
+    rng = np.random.default_rng(rows[0])
+    # at scale 30 some probabilities fall below the log clamp and some round to 1
+    for scale in (0.1, 1.0, 30.0):
+        for _ in range(5):
+            H, r = rng.normal(0.0, scale, (4, 5)), rng.normal(0.0, scale, 5)
+            op = TargetHeadOp(decoder, *rows, r)
+            weight = rng.uniform(0.5, 2.0)
+            got = head_pass(op, H, weight)
+            want = head_pass(lambda leaf: generic_head(model, leaf, rows, r), H, weight)
+            for a, b in zip(got, want):
+                assert_same_bits(a, b)
+            for a, b in zip(op(H), want):
+                assert_same_bits(a, b)
+            assert_same_bits(score(model, H[rows[0]], r, H[rows[1]]).raw, want[0])
+
+
+@pytest.mark.parametrize("decoder, H, r", [
+    ("distmult", np.full((2, 2), 1e200), np.full(2, -1e200)),
+    ("transe", np.array([[1e200, 1e200], [-1e200, -1e200]]), np.zeros(2)),
+])
+def test_target_head_op_non_finite_raw_score_names_the_op(decoder, H, r):
+    op = TargetHeadOp(decoder, 0, 1, r)
+    with pytest.raises(NumericError, match=r"op 'target_head'$"):
+        op(H)
+    with ad.Tape() as tape:
+        with pytest.raises(NumericError, match=r"op 'target_head'$"):
+            op(tape.leaf(H))
+
+
+def test_target_head_op_adjoint_overflow_names_the_op():
+    # the probability sits below the log clamp, so the huge objective weight
+    # divided by the clamp overflows the score adjoint
+    op = TargetHeadOp("distmult", 0, 1, np.full(2, -3.0))
+    H = np.full((2, 2), 3.0)
+    assert op(H)[1] < ad.LOG_CLAMP
+    with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                   match=r"op 'target_head adjoint'$"):
+        head_pass(op, H, 1e300)

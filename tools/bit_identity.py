@@ -20,6 +20,9 @@ What is digested (float64 arrays by their raw bytes, floats by ``repr``):
 - metric rows, extracted paths and ``rank_target`` on those instances and on
   an edgeless ego-graph (the target is the only triple between its two
   endpoints and is excluded before explaining);
+- the explainer at ``power_order`` 2 and 4, for a TransE model in every
+  mode, and on a hand-built graph whose tail has no length-2 walk from the
+  head, so the path loss takes its empty-length branch (both decoders);
 - the same outputs on a seeded random ego-graph of a few hundred triples at
   ``layers`` 2 and 3, where the encoder's receptive field of the target's
   head and tail leaves out most edges of the last layer (the planted graphs
@@ -73,6 +76,7 @@ from kgexplain.harness import (  # noqa: E402
 from kgexplain.kgraph import (  # noqa: E402
     KnowledgeGraph,
     TargetTriple,
+    adjacency_power_row,
     extract_computation_graph,
 )
 from kgexplain.metrics import measure_explanation  # noqa: E402
@@ -122,13 +126,15 @@ def mode_config(mode: str, **fields) -> ExplainConfig:
                          enable_mi_loss=mode != "mi_off", **fields)
 
 
-def explain_lines(label, model, g, target, hops, modes=MODES, combine_modes=("concatenation",)):
-    """Mask, provenance, loss trace, metric row, paths and rank per mode."""
+def explain_lines(label, model, g, target, hops, modes=MODES, combine_modes=("concatenation",),
+                  **fields):
+    """Mask, provenance, loss trace, metric row, paths and rank per mode;
+    `fields` are further ExplainConfig settings."""
     gc = prepare_computation_graph(g, target, hops)
     yield digest(rank_target(model, gc, target), gc.num_nodes, gc.num_edges), f"{label} rank"
     for combine in combine_modes:
         for mode in modes:
-            cfg = mode_config(mode, combine_mode=combine)
+            cfg = mode_config(mode, combine_mode=combine, **fields)
             result = train_explainer(model, gc, target, cfg)
             explanation = generate_paths(gc, result.mask, target, cfg.num_paths,
                                          cfg.power_order)
@@ -201,6 +207,37 @@ def edgeless_lines():
     target = TargetTriple(0, 0, 1)
     yield from explain_lines("edgeless", model, g, target, hops=1,
                              combine_modes=("concatenation", "euclidean"))
+
+
+# Target (0, 0, 1) is removed before explaining; (0, 1, 1) keeps a direct
+# edge. Every head -> tail walk but the direct edge takes three or more hops.
+NO_TWO_WALK = [(0, 0, 1), (0, 1, 1), (0, 0, 2), (2, 1, 3), (3, 0, 1), (0, 1, 4), (4, 0, 5),
+               (5, 1, 1), (2, 0, 4), (3, 1, 5), (4, 1, 2)]
+
+
+def explainer_lines():
+    """The explainer beyond the planted runs' settings: power orders 2 and 4,
+    a TransE model in every mode, and a tail that no length-2 walk reaches."""
+    inst = generate_planted(PlantedConfig(seed=0))
+    model = train_kgc(inst.graph, ModelConfig())
+    for order in (2, 4):
+        yield from explain_lines(f"planted seed=0 trained power_order={order}", model,
+                                 inst.graph, inst.target, hops=1, power_order=order)
+    model = train_kgc(inst.graph, ModelConfig(decoder="transe"))
+    yield from explain_lines("planted seed=0 trained transe", model, inst.graph, inst.target,
+                             hops=2, combine_modes=("concatenation", "euclidean"))
+    triples = np.array(NO_TWO_WALK)
+    g = KnowledgeGraph(6, 2, triples[:, 0], triples[:, 1], triples[:, 2])
+    target = TargetTriple(0, 0, 1)
+    gc = prepare_computation_graph(g, target, 2)
+    walks = adjacency_power_row(gc, gc.head_local, 4)
+    if walks[1][gc.tail_local] != 0 or walks[2][gc.tail_local] == 0:
+        raise SystemExit("bit_identity: the no-2-walk graph gained a length-2 walk")
+    for decoder in DECODERS:
+        model = train_kgc(g, ModelConfig(decoder=decoder, dim=4, epochs=50))
+        for order in (3, 4):
+            yield from explain_lines(f"no 2-walk {decoder} power_order={order}", model, g,
+                                     target, hops=2, power_order=order)
 
 
 def instance_lines():
@@ -326,8 +363,9 @@ def _without_column(data: bytes, column: str) -> bytes:
 def main() -> int:
     logging.basicConfig(level=logging.WARNING)
     total = hashlib.sha256()
-    for section in (training_lines, edge_training_lines, planted_lines, edgeless_lines, instance_lines,
-                    random_ego_lines, extraction_lines, cli_lines):
+    for section in (training_lines, edge_training_lines, planted_lines, edgeless_lines,
+                    explainer_lines, instance_lines, random_ego_lines, extraction_lines,
+                    cli_lines):
         with contextlib.redirect_stderr(io.StringIO()):
             lines = list(section())
         for value, label in lines:

@@ -37,6 +37,19 @@ Scalars are represented as 0-d or length-1 arrays; `backward` accepts any
 single-element output. Forward values and backward adjoints are checked
 for NaN/Inf and raise :class:`NumericError` naming the offending op.
 
+Each value is checked once, where it is produced. A Node's value is checked
+when the Node is made, unless its op passes ``checked=True`` because the
+op's own checks already imply that the value is finite:
+
+- `explain.TesOp`'s scores are the sigmoid of its checked logits;
+- `model.RgcnLayerOp`'s output is the relu (or identity) of its checked
+  pre-activation;
+- `gather` and `segment_max` take entries and maxima of a Node's value,
+  which was checked.
+
+Scalar outputs keep their check, which costs next to nothing;
+`explain.PathLossOp` needs it, since a negative mask can make its loss NaN.
+
 log() clamps its argument to >= 1e-12 so -log(p) stays finite when a
 probability collapses; the adjoint uses the clamped argument as well.
 """
@@ -55,19 +68,28 @@ from .errors import ContractError, NumericError
 LOG_CLAMP = 1e-12
 
 
-def _check_finite(value, op):
+def _all_finite(value):
+    """True when every entry of `value` (an array or a scalar) is finite."""
     if isinstance(value, np.ndarray):
-        if not np.isfinite(value).all():
-            raise NumericError(f"non-finite value produced by op '{op}'")
-    elif not math.isfinite(value):
+        return np.logical_and.reduce(np.isfinite(value), axis=None)
+    return math.isfinite(value)
+
+
+def _check_finite(value, op):
+    if not _all_finite(value):
         raise NumericError(f"non-finite value produced by op '{op}'")
 
 
 class Node:
+    """One tape record. Its value is finite-checked here unless the op passes
+    `checked=True` because its own checks already imply it (see the module
+    docstring)."""
+
     __slots__ = ("tape", "value", "parents", "bw", "grad", "op", "store", "pname")
 
-    def __init__(self, tape, value, parents, bw, op):
-        _check_finite(value, op)
+    def __init__(self, tape, value, parents, bw, op, checked=False):
+        if not checked:
+            _check_finite(value, op)
         self.tape = tape
         self.value = value
         self.parents = parents
@@ -252,7 +274,8 @@ def gather(x, idx):
             return [kernels.scatter_add_rows(g, idx, n)]
         return [kernels.scatter_add_vec(g.ravel(), idx.ravel(), n)]
 
-    return Node(x.tape, out, (x,), bw, "gather")
+    # rows of a checked Node's value are finite
+    return Node(x.tape, out, (x,), bw, "gather", checked=True)
 
 
 def scatter_add(rows, idx, n):
@@ -289,15 +312,21 @@ def edge_spmv(u, vals, src, dst, n):
     return Node(tape, out, parents, bw, "edge_spmv")
 
 
-def segment_max(vals, indptr):
+def segment_max(vals, indptr, seg_of=None, positions=None):
     """Per-segment max over a 1-D array split at contiguous boundaries.
 
     Ties route the adjoint to the first maximal element of the segment.
+    `seg_of` (each element's segment, `gc.pair_index` for pairs) and
+    `positions` (`arange` of the length) are derived from `indptr` unless a
+    caller that keeps them passes them in.
     """
     v = _val(vals)
     out = np.maximum.reduceat(v, indptr[:-1])
-    seg_of = np.repeat(np.arange(len(out)), np.diff(indptr))
-    hit = np.where(v == out[seg_of], np.arange(v.shape[0]), v.shape[0])
+    if seg_of is None:
+        seg_of = np.repeat(np.arange(len(out)), np.diff(indptr))
+    if positions is None:
+        positions = np.arange(v.shape[0])
+    hit = np.where(v == out[seg_of], positions, v.shape[0])
     argmax = np.minimum.reduceat(hit, indptr[:-1])
     if not isinstance(vals, Node):
         return out, argmax
@@ -307,7 +336,8 @@ def segment_max(vals, indptr):
         gz[argmax] = g
         return [gz]
 
-    return Node(vals.tape, out, (vals,), bw, "segment_max"), argmax
+    # the max of a checked Node's values is finite
+    return Node(vals.tape, out, (vals,), bw, "segment_max", checked=True), argmax
 
 
 def reshape(a, shape):
@@ -413,8 +443,9 @@ def backward(tape: Tape, out: Node):
             for parent, pg in zip(node.parents, node.bw(g)):
                 # a tuple holds the adjoints of several uses, added in its order
                 for piece in pg if isinstance(pg, tuple) else (pg,):
-                    piece = np.asarray(piece, dtype=np.float64)
-                    if not np.isfinite(piece).all():
+                    if type(piece) is not np.ndarray or piece.dtype != np.float64:
+                        piece = np.asarray(piece, dtype=np.float64)
+                    if not _all_finite(piece):
                         raise NumericError(f"NaN/Inf adjoint flowing into op '{parent.op}'")
                     parent.grad = piece if parent.grad is None else parent.grad + piece
         if node.store is not None:

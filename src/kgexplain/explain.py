@@ -222,6 +222,9 @@ class PathLossOp:
 
     def __init__(self, gc: ComputationGraph, L: int, walk_counts):
         self.gc, self.L, self.walk_counts = gc, L, walk_counts
+        # the one-hot start at each pair's source: the first step's adjoint
+        # of the scores is this times the step's adjoint at the pair's dst
+        self.start_src = _one_hot(gc.num_nodes, gc.head_local)[gc.pair_src]
 
     # Overflow surfaces as the finite checks' NumericError, not as a warning.
     @np.errstate(over="ignore", invalid="ignore")
@@ -262,7 +265,7 @@ class PathLossOp:
                     continue
                 ad._check_finite(g_u, f"{self.name} adjoint")
                 if step == 0:
-                    pieces.append(_one_hot(n, gc.head_local)[src] * g_u[dst])
+                    pieces.append(self.start_src * g_u[dst])
                     continue
                 g_prev, g_vals = kernels.edge_spmv_bw(g_u, chain[step - 1], vv, src, dst)
                 pieces.append(g_vals)
@@ -358,7 +361,8 @@ class TesOp:
                 gw1 = np.concatenate([gw1, np.outer(xt, gb1)])
             return [gw1, gb1, gw2, gb2, gw3, gb3]
 
-        return ad.Node(tape, scores, nodes, bw, "tes_mlp")
+        # the sigmoid of the checked logits is finite
+        return ad.Node(tape, scores, nodes, bw, "tes_mlp", checked=True)
 
 
 def _tes_inputs(H, R, gc: ComputationGraph, target: TargetTriple, combine_mode: str):
@@ -391,7 +395,8 @@ class ExplainJob:
     """One explanation unit: owns the TES inputs, constants, and loss tape.
 
     Entity inputs to the TES are encoder outputs computed once on the
-    unmasked graph and frozen for the whole optimisation.
+    unmasked graph and frozen for the whole optimisation. Everything an epoch
+    only reads is built here too, `segment_max`'s edge positions included.
     """
 
     def __init__(self, model: KgcModel, gc: ComputationGraph, target: TargetTriple,
@@ -406,6 +411,7 @@ class ExplainJob:
         self.R = model.relation_embeddings
         self.tes = TesOp(*_tes_inputs(self.H, self.R, gc, target, config.combine_mode))
         self.awalks = adjacency_power_row(gc, gc.head_local, config.power_order)
+        self.positions = np.arange(gc.num_edges)
         self.prediction = TargetScorer(model, gc, target) if config.enable_mi_loss else None
         self.path = (PathLossOp(gc, config.power_order, self.awalks)
                      if config.enable_path_loss else None)
@@ -418,7 +424,8 @@ class ExplainJob:
             if tape is not None
             else store.params
         )
-        return ad.segment_max(self.tes(params), self.gc.pair_indptr)
+        gc = self.gc
+        return ad.segment_max(self.tes(params), gc.pair_indptr, gc.pair_index, self.positions)
 
     def loss_terms(self, pair_vals):
         """Enabled loss terms plus the mask L2 penalty for one per-pair mask
@@ -464,7 +471,6 @@ def train_explainer(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
     for epoch in range(config.epochs):
         with Tape() as tape:
             objective, terms, _, _ = job.objective(tes.store, tape)
-            tes.store.zero_grads()
             backward(tape, objective)
         row = {"epoch": epoch}
         for name in ("prediction", "path", "regularization"):

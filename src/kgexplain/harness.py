@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-import tracemalloc
 import typing
 from dataclasses import asdict, dataclass, field, replace
 
@@ -167,29 +166,45 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
     distractors = []
     attempts = 0
     max_attempts = 200 * max(cfg.n_distractors, 1)
+    stuck = ("could not place distractors without creating a head->tail shortcut; "
+             "use more entities or fewer distractors")
+    # taken[a, j, b]: (a, distract_rels[j], b) is a triple already or a self-loop
+    taken = np.zeros((cfg.n_entities, len(distract_rels), cfg.n_entities), dtype=bool)
+    for h, r, t in edges:
+        if r in distract_rels:
+            taken[h, distract_rels.index(r), t] = True
+    loops = np.arange(cfg.n_entities)
+    taken[loops, :, loops] = True
     # hops from head and to tail over the current edges, up to path_len - 1
     # (a farther node closes no route of at most path_len); a rejected
     # candidate adds no edge, so they are searched again only after an accept
     d_h = d_t = None
     while len(distractors) < cfg.n_distractors:
-        attempts += 1
-        if attempts > max_attempts:
-            raise DataError(
-                "could not place distractors without creating a head->tail shortcut; "
-                "use more entities or fewer distractors"
-            )
-        a = int(rng.integers(0, cfg.n_entities))
-        b = int(rng.integers(0, cfg.n_entities))
-        r = int(rng.choice(distract_rels))
-        if a == b or (a, r, b) in seen:
-            continue
         if d_h is None:
             d_h = _directed_distances(cfg.n_entities, edges, head, max_dist=inner)
             d_t = _directed_distances(cfg.n_entities, edges, tail, reverse=True,
                                       max_dist=inner)
+            # Edges only grow, so the triples that can still be placed only
+            # shrink, and each accept takes one of them: with too few left the
+            # attempts below could never succeed, so give up at once.
+            shortcut = ((d_h[:, None] >= 0) & (d_t[None, :] >= 0)
+                        & (d_h[:, None] + 1 + d_t[None, :] <= cfg.path_len))
+            placeable = np.count_nonzero(~(taken | shortcut[:, None, :]))
+            if placeable < cfg.n_distractors - len(distractors):
+                raise DataError(stuck)
+        attempts += 1
+        if attempts > max_attempts:
+            raise DataError(stuck)
+        a = int(rng.integers(0, cfg.n_entities))
+        b = int(rng.integers(0, cfg.n_entities))
+        r = int(rng.choice(distract_rels))
+        j = distract_rels.index(r)
+        if taken[a, j, b]:
+            continue
         if d_h[a] >= 0 and d_t[b] >= 0 and d_h[a] + 1 + d_t[b] <= cfg.path_len:
             continue
         put(a, r, b)
+        taken[a, j, b] = True
         distractors.append((a, r, b))
         d_h = d_t = None
 
@@ -479,55 +494,3 @@ def power_order_suite_config(power_order: int, n_instances: int = 20,
         explain=ExplainConfig(power_order=power_order),
         hops=2,
     )
-
-
-# ---------------------------------------------------------------------------
-# memory instrumentation (powering-chain scaling)
-
-
-def _random_instance_for_memory(n_edges, seed=0, dim=8):
-    rng = np.random.default_rng(seed)
-    n = max(n_edges // 10, 16)
-    key_bound = n * n * 4
-    keys = np.unique(rng.integers(0, key_bound, size=int(n_edges * 1.6)))
-    h = keys // (n * 4)
-    rest = keys % (n * 4)
-    t = rest // 4
-    r = rest % 4
-    keep = h != t
-    h, r, t = h[keep], r[keep], t[keep]
-    if h.size < n_edges:
-        raise DataError("could not build the requested edge count")
-    h, r, t = h[:n_edges], r[:n_edges], t[:n_edges]
-    g = KnowledgeGraph(n, 4, h, r, t)
-    model = KgcModel(n, 4, dim=dim, layers=1, bases=2, decoder="distmult", seed=seed)
-    target = TargetTriple(0, 0, 1)
-    gc = full_graph(g, target)
-    return model, gc, target
-
-
-def measure_explain_memory(edge_counts=(1000, 10000, 100000), seed=0, epochs=2, dim=8):
-    """Peak auxiliary allocation of one explanation per edge count.
-
-    Each epoch's tape is freed when the epoch ends, so the peak does not
-    depend on `epochs`."""
-    results = []
-    cfg = ExplainConfig(epochs=epochs, power_order=3)
-    for n_edges in edge_counts:
-        model, gc, target = _random_instance_for_memory(n_edges, seed=seed, dim=dim)
-        tracemalloc.start()
-        train_explainer(model, gc, target, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        results.append((int(gc.num_edges), int(peak)))
-    return results
-
-
-def linear_fit_r2(points) -> float:
-    x = np.array([p[0] for p in points], dtype=np.float64)
-    y = np.array([p[1] for p in points], dtype=np.float64)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = ((y - pred) ** 2).sum()
-    ss_tot = ((y - y.mean()) ** 2).sum()
-    return float(1.0 - ss_res / ss_tot)

@@ -22,15 +22,24 @@ def edge_spmv_bw(g_out, u, vals, src, dst):
     return g_u, g_vals
 
 
-def scatter_add_rows(rows, idx, n):
+def scatter_cells(idx, d):
+    """The flattened (row, column) cells that `scatter_add_rows` sums an
+    (E, d) block into; for d = 1 they are `idx` itself. An index that is
+    fixed for a run has its cells built once and passed as `cells=`."""
+    return (idx[:, None] * d + np.arange(d)).ravel()
+
+
+def scatter_add_rows(rows, idx, n, *, cells=None):
     """out[idx[e]] += rows[e] for a (E, d) row block.
 
     One bincount over flattened (row, column) cells: each output cell sums
     its entries in edge order, as np.add.at does, so the result is identical.
+    `cells` is `scatter_cells(idx, d)` when the caller keeps it.
     (bincount returns int64 for an empty input, hence the cast.)
     """
     d = rows.shape[1]
-    cells = (idx[:, None] * d + np.arange(d)).ravel()
+    if cells is None:
+        cells = scatter_cells(idx, d)
     out = np.bincount(cells, weights=rows.ravel(), minlength=n * d)
     return out.astype(np.float64, copy=False).reshape(n, d)
 

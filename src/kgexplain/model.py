@@ -29,10 +29,16 @@ over all edges and each layer takes its rows from that, so the scores equal
 the full pass bit for bit, and the mask gradients do too wherever it was
 checked (the tests allow rtol 1e-12). `encode`, `rank_target` and training
 need every row and run the full pass.
+
+Training builds what its epochs only read once per run: the layer ops
+(each with the scatter cells of its edge indices), the loss op (with those
+of the relation rows) and the repeated heads and tails the negatives are
+drawn from. An epoch then records and backpropagates its nodes and steps.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import operator
@@ -175,8 +181,11 @@ class RgcnLayerOp:
     keeps no buffers across calls.
 
     Only the pre-activation is finite-checked in the forward (relu(-inf) is
-    0, and every other intermediate reaches it), as `rgcn:layer<l>`; the
-    input adjoint is checked as `rgcn:layer<l> adjoint`.
+    0, and every other intermediate reaches it), as `rgcn:layer<l>`, so the
+    output Node is not checked again; the input adjoint is checked as
+    `rgcn:layer<l> adjoint`. The scatter cells of `dst` and `src` are built
+    once per op; the one-column scatters along `keep` and the coefficient
+    rows take those indices as their cells.
     """
 
     def __init__(self, model: KgcModel, gc: ComputationGraph, layer: int, keep=None):
@@ -194,10 +203,18 @@ class RgcnLayerOp:
                 keep = np.union1d(keep, [int(keep[0] == 0)])
             src, dst, rel = src[keep], dst[keep], rel[keep]
         self.keep, self.src, self.dst = keep, src, dst
+        self.dim = model.dim
+        self.dst_cells = kernels.scatter_cells(dst, model.dim)
         # coef[r, b] is row r * bases + b of the (R * bases, 1) view of coef
         self.coef_rows = [rel * model.bases + b for b in range(model.bases)]
         self.inv_deg = (1.0 / np.maximum(gc.in_degree, 1)).reshape(self.n, 1)
         self.fixed = None
+
+    @functools.cached_property
+    def src_cells(self):
+        """Only the input adjoint scatters along `src`, so a value-only op
+        never builds these cells."""
+        return kernels.scatter_cells(self.src, self.dim)
 
     def _messages(self, vh, vc, vb):
         """hs, the products hs @ basis_b, their coefficient columns and the
@@ -238,7 +255,7 @@ class RgcnLayerOp:
         if vm is not None and self.keep is not None:
             vm = vm[self.keep]
         sent = msg if vm is None else msg * vm
-        agg = kernels.scatter_add_rows(sent, self.dst, self.n)
+        agg = kernels.scatter_add_rows(sent, self.dst, self.n, cells=self.dst_cells)
         pre = self_term + agg * self.inv_deg
         ad._check_finite(pre, self.name)
         out = np.maximum(pre, 0.0) if self.relu else pre
@@ -262,14 +279,16 @@ class RgcnLayerOp:
                 if need[-1]:
                     g_vm = (g_msg * msg).sum(axis=1, keepdims=True)
                     adj[-1] = (g_vm if self.keep is None
-                               else kernels.scatter_add_rows(g_vm, self.keep, self.num_edges))
+                               else kernels.scatter_add_rows(g_vm, self.keep, self.num_edges,
+                                                             cells=self.keep))
                 if vm is not None and (need[0] or any(need[2:-1])):
                     g_msg = g_msg * vm
                 g_hs = None
                 for b in reversed(range(len(vb))):
                     if need[2]:
                         scat = kernels.scatter_add_rows((g_msg * mms[b]).sum(axis=1, keepdims=True),
-                                                        self.coef_rows[b], vc.size)
+                                                        self.coef_rows[b], vc.size,
+                                                        cells=self.coef_rows[b])
                         adj[2] = scat if adj[2] is None else adj[2] + scat
                     if need[0] or need[3 + b]:
                         g_mm = g_msg * cgs[b]
@@ -278,7 +297,8 @@ class RgcnLayerOp:
                         if need[0]:
                             g_hs = g_mm @ vb[b].T if g_hs is None else g_hs + g_mm @ vb[b].T
                 if need[0]:
-                    adj[0] = kernels.scatter_add_rows(g_hs, self.src, self.n) + g @ vw.T
+                    adj[0] = (kernels.scatter_add_rows(g_hs, self.src, self.n, cells=self.src_cells)
+                              + g @ vw.T)
                     ad._check_finite(adj[0], f"{self.name} adjoint")
                 if need[1]:
                     adj[1] = vh.T @ g
@@ -287,7 +307,7 @@ class RgcnLayerOp:
                 return [a for a, wanted in zip(adj, need) if wanted]
 
         parents = tuple(x for x in operands if isinstance(x, ad.Node))
-        return ad.Node(parents[0].tape, out, parents, bw, self.name)
+        return ad.Node(parents[0].tape, out, parents, bw, self.name, checked=True)
 
 
 def layer_ops(model: KgcModel, gc: ComputationGraph, rows=None) -> list:
@@ -356,6 +376,7 @@ class KgcLossOp:
     def __init__(self, model: KgcModel, rels, n_pos: int):
         self.decoder = model.decoder
         self.rels = rels
+        self.rel_cells = kernels.scatter_cells(rels, model.dim)
         self.num_relations = model.num_relations
         self.pos = np.arange(n_pos)
         self.neg = np.arange(n_pos, len(rels))
@@ -368,7 +389,7 @@ class KgcLossOp:
         ad._check_finite(raws, "kgc_loss")
         probs = ad._sigmoid_value(raws)
         n, n_pos, n_neg = len(raws), len(self.pos), len(self.neg)
-        p_pos, q_neg = probs[self.pos], 1.0 - probs[self.neg]
+        p_pos, q_neg = probs[:n_pos], 1.0 - probs[n_pos:]
         loss = ((-np.log(np.maximum(p_pos, ad.LOG_CLAMP))).sum() * (0.5 / n_pos)
                 + (-np.log(np.maximum(q_neg, ad.LOG_CLAMP))).sum() * (0.5 / n_neg))
         parents = tuple(x for x in (H, rel) if isinstance(x, ad.Node))
@@ -404,7 +425,8 @@ class KgcLossOp:
                     ad._check_finite(g_H, "kgc_loss adjoint")
                     grads.append(g_H)
                 if isinstance(rel, ad.Node):
-                    grads.append(kernels.scatter_add_rows(g_r, self.rels, self.num_relations))
+                    grads.append(kernels.scatter_add_rows(g_r, self.rels, self.num_relations,
+                                                          cells=self.rel_cells))
                 return grads
 
         return ad.Node(parents[0].tape, loss, parents, bw, "kgc_loss")
@@ -538,22 +560,22 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
                      bases=config.bases, decoder=config.decoder, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     gc = full_graph(g)
+    layers = layer_ops(model, gc)
     all_r = np.concatenate([g.rels, np.repeat(g.rels, config.negatives)])
     loss_op = KgcLossOp(model, all_r, g.num_triples)
+    base_h = np.repeat(g.heads, config.negatives)
+    base_t = np.repeat(g.tails, config.negatives)
     for _ in range(config.epochs):
-        neg_h = np.repeat(g.heads, config.negatives)
-        neg_t = np.repeat(g.tails, config.negatives)
-        corrupt_head = rng.random(len(neg_h)) < 0.5
-        repl = rng.integers(0, g.num_entities, size=len(neg_h))
-        neg_h = np.where(corrupt_head, repl, neg_h)
-        neg_t = np.where(corrupt_head, neg_t, repl)
+        corrupt_head = rng.random(len(base_h)) < 0.5
+        repl = rng.integers(0, g.num_entities, size=len(base_h))
+        neg_h = np.where(corrupt_head, repl, base_h)
+        neg_t = np.where(corrupt_head, base_t, repl)
         all_h = np.concatenate([g.heads, neg_h])
         all_t = np.concatenate([g.tails, neg_t])
         with Tape() as tape:
             operands = {name: tape.param(model.store, name) for name in model.store.params}
-            H = encode_operands(model, gc, None, operands=operands)
+            H = encode_operands(model, gc, None, operands=operands, layers=layers)
             loss = loss_op(H, operands["rel"], all_h, all_t)
-            model.store.zero_grads()
             backward(tape, loss)
             model.final_loss = float(ad._val(loss))
         sgd_step(model.store, config.lr)

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from test_explainer import linear_fit_r2, measure_explain_memory
 
 from kgexplain import autodiff as ad
 from kgexplain.cli import main as cli_main
@@ -31,8 +32,6 @@ from kgexplain.harness import (
     SuiteConfig,
     ablation_suite_config,
     generate_planted,
-    linear_fit_r2,
-    measure_explain_memory,
     power_order_suite_config,
     reliant_model,
     run_suite,

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgexplain import autodiff as ad
 from kgexplain.errors import ContractError, NumericError
+from kgexplain.kgraph import ComputationGraph
 
 
 def grad_of(build, x0):
@@ -355,3 +358,39 @@ def test_finite_diff_tes_with_path_loss_small_graph():
 
     report = ad.finite_diff_check(loss, tes.store, step=1e-5, tol=1e-4)
     assert report.passed, report
+
+
+@st.composite
+def pair_graphs(draw):
+    """A computation graph over 1-6 nodes with 0-20 triples (repeated pairs
+    allowed), and per-triple values from a small set, so that pairs tie."""
+    n = draw(st.integers(1, 6))
+    n_edges = draw(st.integers(0, 20))
+    node = st.integers(0, n - 1)
+    triples = draw(st.lists(st.tuples(node, st.integers(0, 2), node),
+                            min_size=n_edges, max_size=n_edges))
+    hrt = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    gc = ComputationGraph(np.arange(n), hrt[:, 0], hrt[:, 1], hrt[:, 2], 0, n - 1)
+    vals = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                  min_size=gc.num_edges, max_size=gc.num_edges)))
+    return gc, vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_graphs(), st.integers(0, 2**32 - 1))
+def test_segment_max_with_kept_indices_is_the_same_bytes(case, seed):
+    # the explainer passes gc.pair_index and one arange of the edges per job
+    gc, vals = case
+    kept = (gc.pair_index, np.arange(gc.num_edges))
+    want, want_arg = ad.segment_max(vals, gc.pair_indptr)
+    got, got_arg = ad.segment_max(vals, gc.pair_indptr, *kept)
+    assert got.tobytes() == want.tobytes() and got_arg.tobytes() == want_arg.tobytes()
+    g = np.random.default_rng(seed).standard_normal(gc.num_pairs)
+    adjoints = []
+    for extra in ((), kept):
+        with ad.Tape() as tape:
+            node, arg = ad.segment_max(tape.leaf(vals), gc.pair_indptr, *extra)
+            [adj] = node.bw(g)
+            adjoints.append((node.value.tobytes(), arg.tobytes(), adj.tobytes()))
+    assert adjoints[0] == adjoints[1]
+    assert adjoints[0][:2] == (want.tobytes(), want_arg.tobytes())

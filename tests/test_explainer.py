@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from test_model import assert_same_bits, generic_head
 
 from kgexplain import autodiff as ad
-from kgexplain.errors import ContractError, NumericError
+from kgexplain.errors import ContractError, DataError, NumericError
 from kgexplain.explain import (
     EdgeScoreMatrix,
     ExplainConfig,
@@ -1003,11 +1004,57 @@ def test_explain_job_loss_value_and_tape_agree():
         )
 
 
+def _random_instance_for_memory(n_edges, seed=0, dim=8):
+    rng = np.random.default_rng(seed)
+    n = max(n_edges // 10, 16)
+    key_bound = n * n * 4
+    keys = np.unique(rng.integers(0, key_bound, size=int(n_edges * 1.6)))
+    h = keys // (n * 4)
+    rest = keys % (n * 4)
+    t = rest // 4
+    r = rest % 4
+    keep = h != t
+    h, r, t = h[keep], r[keep], t[keep]
+    if h.size < n_edges:
+        raise DataError("could not build the requested edge count")
+    h, r, t = h[:n_edges], r[:n_edges], t[:n_edges]
+    g = KnowledgeGraph(n, 4, h, r, t)
+    model = KgcModel(n, 4, dim=dim, layers=1, bases=2, decoder="distmult", seed=seed)
+    target = TargetTriple(0, 0, 1)
+    gc = full_graph(g, target)
+    return model, gc, target
+
+
+def measure_explain_memory(edge_counts=(1000, 10000, 100000), seed=0, epochs=2, dim=8):
+    """Peak auxiliary allocation of one explanation per edge count.
+
+    Each epoch's tape is freed when the epoch ends, so the peak does not
+    depend on `epochs`."""
+    results = []
+    cfg = ExplainConfig(epochs=epochs, power_order=3)
+    for n_edges in edge_counts:
+        model, gc, target = _random_instance_for_memory(n_edges, seed=seed, dim=dim)
+        tracemalloc.start()
+        train_explainer(model, gc, target, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        results.append((int(gc.num_edges), int(peak)))
+    return results
+
+
+def linear_fit_r2(points) -> float:
+    x = np.array([p[0] for p in points], dtype=np.float64)
+    y = np.array([p[1] for p in points], dtype=np.float64)
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = ((y - pred) ** 2).sum()
+    ss_tot = ((y - y.mean()) ** 2).sum()
+    return float(1.0 - ss_res / ss_tot)
+
+
 def test_explainer_peak_memory_does_not_grow_with_epochs():
     """Each epoch's tape is freed when the epoch ends, so a longer run peaks
     no higher than a 2-epoch one."""
-    from kgexplain.harness import measure_explain_memory
-
     (_, short_peak), = measure_explain_memory(edge_counts=(10000,), epochs=2)
     (_, long_peak), = measure_explain_memory(edge_counts=(10000,), epochs=12)
     assert long_peak <= 1.05 * short_peak, (short_peak, long_peak)
@@ -1033,3 +1080,111 @@ def test_training_loops_leave_no_tape_nodes_for_the_cyclic_collector():
         if was_enabled:
             cyclic_gc.enable()
     assert left == 0
+
+
+def _injection_instance():
+    from kgexplain.explain import prepare_computation_graph
+
+    inst = make_planted(seed=4)
+    model = KgcModel(inst.graph.num_entities, inst.graph.num_relations, dim=4, seed=4)
+    return inst, model, prepare_computation_graph(inst.graph, inst.target, 2, 2)
+
+
+def _explainer_epoch(edit):
+    """One objective and backward after `edit(job, tes params)`."""
+    def run(monkeypatch):
+        inst, model, gc = _injection_instance()
+        cfg = ExplainConfig(seed=0)
+        job = ExplainJob(model, gc, inst.target, cfg)
+        tes = init_tes(cfg.combine_mode, model.dim, cfg.seed)
+        edit(job, tes.store.params)
+        with ad.Tape() as tape:
+            ad.backward(tape, job.objective(tes.store, tape)[0])
+    return run
+
+
+def _training(lr=0.5, fill=None):
+    """`train_kgc`; with `fill=(name, value)` every SGD step ends by filling
+    parameter `name` with `value`."""
+    def run(monkeypatch):
+        from kgexplain import model as model_module
+        from kgexplain.model import ModelConfig, train_kgc
+
+        if fill is not None:
+            def step(store, step_lr):
+                ad.sgd_step(store, step_lr)
+                store.params[fill[0]].fill(fill[1])
+
+            monkeypatch.setattr(model_module, "sgd_step", step)
+        inst, _, _ = _injection_instance()
+        train_kgc(inst.graph, ModelConfig(dim=4, epochs=3, lr=lr, seed=0))
+    return run
+
+
+def _through(build, values, per_edge=False):
+    """A leaf of mask values, `values(size)`, fed to `build(job, leaf)`, then
+    backward: one value per pair, or per edge for a build that starts with
+    segment_max."""
+    def run(monkeypatch):
+        inst, model, gc = _injection_instance()
+        job = ExplainJob(model, gc, inst.target, ExplainConfig(seed=0))
+        size = gc.num_edges if per_edge else gc.num_pairs
+        with ad.Tape() as tape:
+            ad.backward(tape, build(job, tape.leaf(values(size))))
+    return run
+
+
+def _pair_max(job, leaf):
+    return ad.segment_max(leaf, job.gc.pair_indptr)[0]
+
+
+def _first_negative(size):
+    values = np.full(size, 0.5)
+    values[0] = -1.0
+    return values
+
+
+# Each value is finite-checked once, where it is produced; these op names were
+# read off the code before the ops whose checks imply it stopped checking their
+# outputs again, and must not move.
+INJECTIONS = {
+    "tes parameter nan": (_explainer_epoch(lambda job, p: p["w2"].__setitem__((0, 0), np.nan)),
+                          "non-finite value produced by op 'param:w2'"),
+    "tes layer-1 overflow": (_explainer_epoch(lambda job, p: p["w1"].__imul__(1e308)),
+                             "non-finite value produced by op 'tes_mlp:layer1'"),
+    "tes layer-2 overflow": (_explainer_epoch(lambda job, p: p["w2"].__imul__(1e308)),
+                             "non-finite value produced by op 'tes_mlp:layer2'"),
+    "tes input inf": (_explainer_epoch(lambda job, p: job.tes.xe.__setitem__((0, 0), np.inf)),
+                      "non-finite value produced by op 'tes_mlp:layer1'"),
+    "encoder parameter nan after a step": (_training(fill=("basis_1_0", np.nan)),
+                                           "non-finite value produced by op 'param:basis_1_0'"),
+    "entity table 1e200 after a step": (_training(fill=("ent", 1e200)),
+                                        "non-finite value produced by op 'kgc_loss'"),
+    "training step lr 1e308": (_training(lr=1e308),
+                               "non-finite value produced by op 'rgcn:layer0'"),
+    "mask 1e308 through the layers": (_through(lambda job, m: job.prediction(m)[2],
+                                               lambda n: np.full(n, 1e308)),
+                                      "non-finite value produced by op 'rgcn:layer0'"),
+    "mask 1e200 through the layers": (_through(lambda job, m: job.prediction(m)[2],
+                                               lambda n: np.full(n, 1e200)),
+                                      "non-finite value produced by op 'rgcn:layer1'"),
+    "edge mask 1e200 through segment_max and the path loss": (
+        _through(lambda job, m: job.path(_pair_max(job, m)), lambda n: np.full(n, 1e200),
+                 per_edge=True),
+        "non-finite value produced by op 'path_loss'"),
+    "negative mask through the path loss": (
+        _through(lambda job, m: job.path(m), _first_negative),
+        "non-finite value produced by op 'path_loss'"),
+    "edge mask 1e-320 under a steep power": (
+        _through(lambda job, m: ad.sumall(ad.powc(_pair_max(job, m), 0.01)),
+                 lambda n: np.full(n, 1e-320), per_edge=True),
+        "NaN/Inf adjoint flowing into op 'segment_max'"),
+}
+
+
+@pytest.mark.parametrize("case", list(INJECTIONS))
+def test_numeric_error_names_the_op_that_produced_the_value(case, monkeypatch):
+    run, message = INJECTIONS[case]
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+        run(monkeypatch)
+    assert str(err.value) == message

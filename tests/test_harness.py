@@ -1,7 +1,9 @@
 import json
+import time
 from dataclasses import replace
 
 import pytest
+from test_explainer import linear_fit_r2, measure_explain_memory
 
 from kgexplain import harness as hs
 from kgexplain.errors import DataError
@@ -11,8 +13,6 @@ from kgexplain.harness import (
     _directed_distances,
     ablation_suite_config,
     generate_planted,
-    linear_fit_r2,
-    measure_explain_memory,
     reliant_model,
     run_suite,
     sign_test_p,
@@ -78,6 +78,15 @@ def test_generate_more_distractors_than_distinct_triples_raises():
     generate_planted(PlantedConfig(n_distractors=0))
     with pytest.raises(DataError, match="exceeds the 6240 distinct distractor triples"):
         generate_planted(PlantedConfig(n_distractors=6241))
+
+
+def test_generate_gives_up_once_too_few_distractors_can_still_be_placed():
+    # 6200 of the 6240 distinct triples: self-loops, duplicates and shortcuts
+    # leave fewer than that placeable, which once took about 40 s of draws
+    t0 = time.perf_counter()
+    with pytest.raises(DataError, match="could not place distractors"):
+        generate_planted(PlantedConfig(n_distractors=6200))
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_generate_deterministic():

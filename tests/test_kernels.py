@@ -82,3 +82,24 @@ def test_walk_step_stays_integer():
     out = kernels.walk_step(counts, src, dst, 3)
     assert out.dtype == np.int64
     assert out.tolist() == [0, 3, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_scatter_add_rows_with_kept_cells_is_the_same_bytes(edges, d, seed):
+    # cells built once for an index, as the layer and loss ops keep them,
+    # against cells built on every call; empty, one-edge and repeated indices
+    n, _, dst = edges
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((dst.size, d))
+    cells = kernels.scatter_cells(dst, d)
+    want = kernels.scatter_add_rows(rows, dst, n)
+    got = kernels.scatter_add_rows(rows, dst, n, cells=cells)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == (n, d)
+    assert got.tobytes() == want.tobytes()
+    if d == 1:  # one-column scatters pass their index as the cells
+        assert cells.tobytes() == dst.tobytes()
+    # the kept cells serve every call on the same index
+    rows = rng.standard_normal((dst.size, d))
+    assert (kernels.scatter_add_rows(rows, dst, n, cells=cells).tobytes()
+            == kernels.scatter_add_rows(rows, dst, n).tobytes())

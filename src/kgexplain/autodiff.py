@@ -312,21 +312,19 @@ def edge_spmv(u, vals, src, dst, n):
     return Node(tape, out, parents, bw, "edge_spmv")
 
 
-def segment_max(vals, indptr, seg_of=None, positions=None):
+def segment_max(vals, indptr, seg_of=None):
     """Per-segment max over a 1-D array split at contiguous boundaries.
 
     Ties route the adjoint to the first maximal element of the segment.
-    `seg_of` (each element's segment, `gc.pair_index` for pairs) and
-    `positions` (`arange` of the length) are derived from `indptr` unless a
-    caller that keeps them passes them in.
+    `seg_of` is each element's segment; the explainer passes its
+    `gc.pair_index`. Without it, it is derived from `indptr`, which the tests
+    keep as the reference for the passed-in index.
     """
     v = _val(vals)
     out = np.maximum.reduceat(v, indptr[:-1])
     if seg_of is None:
         seg_of = np.repeat(np.arange(len(out)), np.diff(indptr))
-    if positions is None:
-        positions = np.arange(v.shape[0])
-    hit = np.where(v == out[seg_of], positions, v.shape[0])
+    hit = np.where(v == out[seg_of], np.arange(v.shape[0]), v.shape[0])
     argmax = np.minimum.reduceat(hit, indptr[:-1])
     if not isinstance(vals, Node):
         return out, argmax

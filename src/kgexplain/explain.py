@@ -395,8 +395,7 @@ class ExplainJob:
     """One explanation unit: owns the TES inputs, constants, and loss tape.
 
     Entity inputs to the TES are encoder outputs computed once on the
-    unmasked graph and frozen for the whole optimisation. Everything an epoch
-    only reads is built here too, `segment_max`'s edge positions included.
+    unmasked graph and frozen for the whole optimisation.
     """
 
     def __init__(self, model: KgcModel, gc: ComputationGraph, target: TargetTriple,
@@ -411,7 +410,6 @@ class ExplainJob:
         self.R = model.relation_embeddings
         self.tes = TesOp(*_tes_inputs(self.H, self.R, gc, target, config.combine_mode))
         self.awalks = adjacency_power_row(gc, gc.head_local, config.power_order)
-        self.positions = np.arange(gc.num_edges)
         self.prediction = TargetScorer(model, gc, target) if config.enable_mi_loss else None
         self.path = (PathLossOp(gc, config.power_order, self.awalks)
                      if config.enable_path_loss else None)
@@ -424,8 +422,7 @@ class ExplainJob:
             if tape is not None
             else store.params
         )
-        gc = self.gc
-        return ad.segment_max(self.tes(params), gc.pair_indptr, gc.pair_index, self.positions)
+        return ad.segment_max(self.tes(params), self.gc.pair_indptr, self.gc.pair_index)
 
     def loss_terms(self, pair_vals):
         """Enabled loss terms plus the mask L2 penalty for one per-pair mask

@@ -59,6 +59,28 @@ def _directed_distances(n, edges, start, reverse=False, max_dist=None):
     return hop_distances(n, src, dst, [start], n if max_dist is None else max_dist)
 
 
+def _placeable_distractors(triples, is_rel, d_h, d_t, path_len):
+    """How many (a, r, b) with `is_rel[r]` a distractor could still be: no
+    self-loop, none of the (E, 3) `triples` yet, and no head->tail route of
+    at most `path_len` hops closed (d_h[a] + 1 + d_t[b] <= path_len).
+    O(n + edges): the shortcut pairs are counted from histograms of the hop
+    counts."""
+    n = len(d_h)
+
+    def shortcut(dh, dt):
+        return (dh >= 0) & (dt >= 0) & (dh + 1 + dt <= path_len)
+
+    hist_h = np.bincount(d_h[d_h >= 0], minlength=path_len)
+    # within_t[k]: nodes at most k hops before tail; reversed, it pairs each
+    # head distance i with the tail distances of at most path_len - 1 - i
+    within_t = np.cumsum(np.bincount(d_t[d_t >= 0], minlength=path_len))
+    pairs = int(hist_h @ within_t[::-1]) - np.count_nonzero(shortcut(d_h, d_t))
+    h, r, t = triples.T
+    own = is_rel[r] & (h != t)
+    existing = np.count_nonzero(~shortcut(d_h[h[own]], d_t[t[own]]))
+    return np.count_nonzero(is_rel) * (n * (n - 1) - pairs) - existing
+
+
 def generate_planted(config: PlantedConfig) -> PlantedInstance:
     """Deterministic planted instance; raises DataError when infeasible.
 
@@ -168,28 +190,21 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
     max_attempts = 200 * max(cfg.n_distractors, 1)
     stuck = ("could not place distractors without creating a head->tail shortcut; "
              "use more entities or fewer distractors")
-    # taken[a, j, b]: (a, distract_rels[j], b) is a triple already or a self-loop
-    taken = np.zeros((cfg.n_entities, len(distract_rels), cfg.n_entities), dtype=bool)
-    for h, r, t in edges:
-        if r in distract_rels:
-            taken[h, distract_rels.index(r), t] = True
-    loops = np.arange(cfg.n_entities)
-    taken[loops, :, loops] = True
+    is_distract = np.isin(np.arange(cfg.n_relations), distract_rels)
     # hops from head and to tail over the current edges, up to path_len - 1
     # (a farther node closes no route of at most path_len); a rejected
     # candidate adds no edge, so they are searched again only after an accept
     d_h = d_t = None
     while len(distractors) < cfg.n_distractors:
         if d_h is None:
-            d_h = _directed_distances(cfg.n_entities, edges, head, max_dist=inner)
-            d_t = _directed_distances(cfg.n_entities, edges, tail, reverse=True,
+            triples = np.array(edges, dtype=np.int64).reshape(-1, 3)
+            d_h = _directed_distances(cfg.n_entities, triples, head, max_dist=inner)
+            d_t = _directed_distances(cfg.n_entities, triples, tail, reverse=True,
                                       max_dist=inner)
             # Edges only grow, so the triples that can still be placed only
             # shrink, and each accept takes one of them: with too few left the
             # attempts below could never succeed, so give up at once.
-            shortcut = ((d_h[:, None] >= 0) & (d_t[None, :] >= 0)
-                        & (d_h[:, None] + 1 + d_t[None, :] <= cfg.path_len))
-            placeable = np.count_nonzero(~(taken | shortcut[:, None, :]))
+            placeable = _placeable_distractors(triples, is_distract, d_h, d_t, cfg.path_len)
             if placeable < cfg.n_distractors - len(distractors):
                 raise DataError(stuck)
         attempts += 1
@@ -198,13 +213,11 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
         a = int(rng.integers(0, cfg.n_entities))
         b = int(rng.integers(0, cfg.n_entities))
         r = int(rng.choice(distract_rels))
-        j = distract_rels.index(r)
-        if taken[a, j, b]:
+        if a == b or (a, r, b) in seen:
             continue
         if d_h[a] >= 0 and d_t[b] >= 0 and d_h[a] + 1 + d_t[b] <= cfg.path_len:
             continue
         put(a, r, b)
-        taken[a, j, b] = True
         distractors.append((a, r, b))
         d_h = d_t = None
 

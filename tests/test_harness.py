@@ -1,8 +1,12 @@
 import json
 import time
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_explainer import linear_fit_r2, measure_explain_memory
 
 from kgexplain import harness as hs
@@ -11,6 +15,7 @@ from kgexplain.harness import (
     PlantedConfig,
     SuiteConfig,
     _directed_distances,
+    _placeable_distractors,
     ablation_suite_config,
     generate_planted,
     reliant_model,
@@ -87,6 +92,47 @@ def test_generate_gives_up_once_too_few_distractors_can_still_be_placed():
     with pytest.raises(DataError, match="could not place distractors"):
         generate_planted(PlantedConfig(n_distractors=6200))
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_generate_on_many_entities_stays_small_and_fast():
+    # the give-up check counts in O(entities + edges); an entity x relation x
+    # entity table would take 1.6 GB here, for an instance of about 60 edges
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    inst = generate_planted(PlantedConfig(n_entities=20000, n_distractors=4))
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(inst.distractor_edges) == 4
+    assert peak < 32 * 2**20
+    assert elapsed < 2.0
+
+
+@st.composite
+def placeable_cases(draw):
+    """Triples over 1-7 entities and relations 0-4 (repeats and self-loops
+    allowed), a path length and a set of distractor relations."""
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    triples = draw(st.lists(st.tuples(node, st.integers(0, 4), node), max_size=25, unique=True))
+    rels = sorted(draw(st.sets(st.integers(0, 4), min_size=1)))
+    return n, triples, rels, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(placeable_cases())
+def test_placeable_distractors_matches_a_count_over_every_triple(case):
+    n, triples, rels, path_len = case
+    arr = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    d_h = _directed_distances(n, arr, 0, max_dist=path_len - 1)
+    d_t = _directed_distances(n, arr, n - 1, reverse=True, max_dist=path_len - 1)
+    want = sum(
+        1 for a in range(n) for r in rels for b in range(n)
+        if a != b and (a, r, b) not in triples
+        and not (d_h[a] >= 0 and d_t[b] >= 0 and d_h[a] + 1 + d_t[b] <= path_len)
+    )
+    is_rel = np.isin(np.arange(5), rels)
+    assert _placeable_distractors(arr, is_rel, d_h, d_t, path_len) == want
 
 
 def test_generate_deterministic():

@@ -50,6 +50,17 @@ op's own checks already imply that the value is finite:
 Scalar outputs keep their check, which costs next to nothing;
 `explain.PathLossOp` needs it, since a negative mask can make its loss NaN.
 
+A :class:`ParamStore` keeps its tensors in one buffer, so `Tape.params`
+checks every parameter in one call and makes their leaves unchecked; only
+when that check fails does it look for the first non-finite tensor, in
+store order, and name it as `Tape.param` would, ``param:<name>``.
+
+`backward` checks each adjoint piece as it flows into its parent, except
+the first parent's adjoint when the op passes ``adjoint_checked=True``
+because its backward has just checked that array itself:
+`model.RgcnLayerOp`'s input adjoint, `model.KgcLossOp`'s entity adjoint and
+`model.TargetHeadOp`'s adjoint.
+
 log() clamps its argument to >= 1e-12 so -log(p) stays finite when a
 probability collapses; the adjoint uses the clamped argument as well.
 """
@@ -82,12 +93,15 @@ def _check_finite(value, op):
 
 class Node:
     """One tape record. Its value is finite-checked here unless the op passes
-    `checked=True` because its own checks already imply it (see the module
-    docstring)."""
+    `checked=True` because its own checks already imply it, and `backward`
+    checks the adjoint of its first parent unless the op passes
+    `adjoint_checked=True` because its backward checks that one itself (see
+    the module docstring)."""
 
-    __slots__ = ("tape", "value", "parents", "bw", "grad", "op", "store", "pname")
+    __slots__ = ("tape", "value", "parents", "bw", "grad", "op", "store", "pname",
+                 "adjoint_checked")
 
-    def __init__(self, tape, value, parents, bw, op, checked=False):
+    def __init__(self, tape, value, parents, bw, op, checked=False, adjoint_checked=False):
         if not checked:
             _check_finite(value, op)
         self.tape = tape
@@ -98,6 +112,7 @@ class Node:
         self.op = op
         self.store = None
         self.pname = None
+        self.adjoint_checked = adjoint_checked
         tape.nodes.append(self)
 
     @property
@@ -151,11 +166,20 @@ class Tape:
     def leaf(self, value, op="leaf") -> Node:
         return Node(self, np.asarray(value, dtype=np.float64), (), None, op)
 
-    def param(self, store: "ParamStore", name: str) -> Node:
-        node = Node(self, store.params[name], (), None, f"param:{name}")
+    def param(self, store: "ParamStore", name: str, checked=False) -> Node:
+        node = Node(self, store.params[name], (), None, f"param:{name}", checked)
         node.store = store
         node.pname = name
         return node
+
+    def params(self, store: "ParamStore") -> dict:
+        """A leaf per tensor of `store`, keyed by name, after one finite check
+        of its buffer; when that fails, the first non-finite tensor in store
+        order is named as `param` would name it."""
+        if not _all_finite(store.flat):
+            for name, value in store.params.items():
+                _check_finite(value, f"param:{name}")
+        return {name: self.param(store, name, checked=True) for name in store.params}
 
 
 def _val(x):
@@ -405,25 +429,45 @@ def sumall(a):
 
 
 class ParamStore:
-    """Named float64 tensors with matching gradient accumulators."""
+    """Named float64 tensors with matching gradient accumulators.
 
-    def __init__(self):
+    The tensors are views into one contiguous buffer, `flat`, in the order
+    they were given, and their accumulators views into a second, `grad_flat`,
+    so a finite check, an SGD step or a zeroing is one numpy call per store.
+    Changing a tensor in place changes `flat`; rebinding `params[name]`
+    would not. `ParamStore(tensors)` allocates each buffer once; `add`
+    copies both buffers into larger ones, which moves every view.
+    """
+
+    def __init__(self, tensors=None):
+        self._build(dict(tensors or {}), {})
+
+    def _build(self, tensors, grads):
+        arrays = {name: np.asarray(value, dtype=np.float64) for name, value in tensors.items()}
+        self.flat = np.empty(sum(a.size for a in arrays.values()))
+        self.grad_flat = np.zeros(self.flat.size)
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, arr in arrays.items():
+            end = offset + arr.size
+            self.params[name] = self.flat[offset:end].reshape(arr.shape)
+            self.params[name][...] = arr
+            self.grads[name] = self.grad_flat[offset:end].reshape(arr.shape)
+            if name in grads:
+                self.grads[name][...] = grads[name]
+            offset = end
 
     def add(self, name, value):
         if name in self.params:
             raise ContractError(f"duplicate parameter {name!r}")
-        arr = np.array(value, dtype=np.float64)
-        self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
+        self._build({**self.params, name: value}, self.grads)
 
     def names(self):
         return list(self.params)
 
     def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.grad_flat[...] = 0.0
 
 
 def backward(tape: Tape, out: Node):
@@ -438,23 +482,25 @@ def backward(tape: Tape, out: Node):
         if g is None:
             continue
         if node.bw is not None:
+            checked = node.adjoint_checked
             for parent, pg in zip(node.parents, node.bw(g)):
                 # a tuple holds the adjoints of several uses, added in its order
                 for piece in pg if isinstance(pg, tuple) else (pg,):
                     if type(piece) is not np.ndarray or piece.dtype != np.float64:
                         piece = np.asarray(piece, dtype=np.float64)
-                    if not _all_finite(piece):
+                    if not checked and not _all_finite(piece):
                         raise NumericError(f"NaN/Inf adjoint flowing into op '{parent.op}'")
                     parent.grad = piece if parent.grad is None else parent.grad + piece
+                checked = False
         if node.store is not None:
             node.store.grads[node.pname] += g.reshape(node.store.grads[node.pname].shape)
 
 
 def sgd_step(store: ParamStore, lr: float):
-    """Plain gradient descent; zeroes the accumulators afterwards."""
-    for name in store.params:
-        store.params[name] -= lr * store.grads[name]
-        store.grads[name][...] = 0.0
+    """Plain gradient descent on the whole buffer; zeroes the accumulators
+    afterwards. Each entry is `p - lr * g`, as a step per tensor would be."""
+    store.flat -= lr * store.grad_flat
+    store.grad_flat[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

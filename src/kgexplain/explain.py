@@ -117,14 +117,14 @@ def init_tes(combine_mode: str, dim: int, seed: int = 0) -> TesParams:
         raise ContractError(f"combine_mode must be one of {COMBINE_MODES}")
     width = 6 * dim if combine_mode == "concatenation" else 3
     rng = np.random.default_rng(seed)
-    s = ParamStore()
-    s.add("w1", rng.normal(0.0, math.sqrt(2.0 / width), (width, TES_HIDDEN[0])))
-    s.add("b1", np.zeros(TES_HIDDEN[0]))
-    s.add("w2", rng.normal(0.0, math.sqrt(2.0 / TES_HIDDEN[0]), (TES_HIDDEN[0], TES_HIDDEN[1])))
-    s.add("b2", np.zeros(TES_HIDDEN[1]))
-    s.add("w3", rng.normal(0.0, 0.1 / math.sqrt(TES_HIDDEN[1]), (TES_HIDDEN[1], 1)))
-    s.add("b3", np.zeros(1))
-    return TesParams(combine_mode, s)
+    return TesParams(combine_mode, ParamStore({
+        "w1": rng.normal(0.0, math.sqrt(2.0 / width), (width, TES_HIDDEN[0])),
+        "b1": np.zeros(TES_HIDDEN[0]),
+        "w2": rng.normal(0.0, math.sqrt(2.0 / TES_HIDDEN[0]), (TES_HIDDEN[0], TES_HIDDEN[1])),
+        "b2": np.zeros(TES_HIDDEN[1]),
+        "w3": rng.normal(0.0, 0.1 / math.sqrt(TES_HIDDEN[1]), (TES_HIDDEN[1], 1)),
+        "b3": np.zeros(1),
+    }))
 
 
 @dataclass
@@ -239,39 +239,39 @@ class PathLossOp:
         if not isinstance(values, ad.Node):
             return loss
 
-        @np.errstate(over="ignore", invalid="ignore")
         def bw(g):
-            # Bit for bit the adjoints of the generic-op composition, taken in
-            # its reverse tape order: each chain vector's gather adjoint comes
-            # before the next step's, and the steps' score adjoints from the
-            # last step to the first.
-            n, src, dst, at = gc.num_nodes, gc.pair_src, gc.pair_dst, np.array([k])
-            g_total = (-g / np.maximum(p, ad.LOG_CLAMP)) * (1.0 / L)
-            g_chain = [None] * L
-            for length in range(L, 1, -1):
-                count = int(self.walk_counts[length - 1][k])
-                if count > 0:
-                    x = chain[length - 1][at] * (1.0 / count)
-                    c = 1.0 / length
-                    slope = np.where(x == 0.0, 0.0, c * np.power(np.where(x == 0.0, 1.0, x),
-                                                                 c - 1.0))
-                    g_x = (g_total * slope) * (1.0 / count)
-                    g_chain[length - 1] = kernels.scatter_add_vec(g_x, at, n)
-            g_chain[0] = kernels.scatter_add_vec(g_total, at, n)
-            pieces = []
-            for step in reversed(range(L)):
-                g_u = g_chain[step]
-                if g_u is None:
-                    continue
-                ad._check_finite(g_u, f"{self.name} adjoint")
-                if step == 0:
-                    pieces.append(self.start_src * g_u[dst])
-                    continue
-                g_prev, g_vals = kernels.edge_spmv_bw(g_u, chain[step - 1], vv, src, dst)
-                pieces.append(g_vals)
-                before = g_chain[step - 1]
-                g_chain[step - 1] = g_prev if before is None else before + g_prev
-            return [tuple(pieces)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                # Bit for bit the adjoints of the generic-op composition, taken
+                # in its reverse tape order: each chain vector's gather adjoint
+                # comes before the next step's, and the steps' score adjoints
+                # from the last step to the first.
+                n, src, dst, at = gc.num_nodes, gc.pair_src, gc.pair_dst, np.array([k])
+                g_total = (-g / np.maximum(p, ad.LOG_CLAMP)) * (1.0 / L)
+                g_chain = [None] * L
+                for length in range(L, 1, -1):
+                    count = int(self.walk_counts[length - 1][k])
+                    if count > 0:
+                        x = chain[length - 1][at] * (1.0 / count)
+                        c = 1.0 / length
+                        slope = np.where(x == 0.0, 0.0,
+                                         c * np.power(np.where(x == 0.0, 1.0, x), c - 1.0))
+                        g_x = (g_total * slope) * (1.0 / count)
+                        g_chain[length - 1] = kernels.scatter_add_vec(g_x, at, n)
+                g_chain[0] = kernels.scatter_add_vec(g_total, at, n)
+                pieces = []
+                for step in reversed(range(L)):
+                    g_u = g_chain[step]
+                    if g_u is None:
+                        continue
+                    ad._check_finite(g_u, f"{self.name} adjoint")
+                    if step == 0:
+                        pieces.append(self.start_src * g_u[dst])
+                        continue
+                    g_prev, g_vals = kernels.edge_spmv_bw(g_u, chain[step - 1], vv, src, dst)
+                    pieces.append(g_vals)
+                    before = g_chain[step - 1]
+                    g_chain[step - 1] = g_prev if before is None else before + g_prev
+                return [tuple(pieces)]
 
         return ad.Node(values.tape, loss, (values,), bw, self.name)
 
@@ -335,7 +335,6 @@ class TesOp:
             return scores
         generation = self.generation
 
-        @np.errstate(over="ignore", invalid="ignore")
         def bw(g):
             if self.generation != generation:
                 raise ContractError(
@@ -343,23 +342,24 @@ class TesOp:
                     "run backward before the next TES forward"
                 )
             g1, g2, m1, m2 = self.g1, self.g2, self.m1, self.m2
-            g3 = g.reshape(out.shape) * out * (1.0 - out)
-            ad._check_finite(g3, "tes_mlp:layer3 adjoint")
-            gw3, gb3 = z2.T @ g3, g3.sum(axis=0)
-            np.multiply(g3, w3.T, out=g2)
-            np.greater(z2, 0.0, out=m2)
-            np.multiply(g2, m2, out=g2)
-            ad._check_finite(g2, "tes_mlp:layer2 adjoint")
-            gw2, gb2 = z1.T @ g2, g2.sum(axis=0)
-            np.matmul(g2, w2.T, out=g1)
-            np.greater(z1, 0.0, out=m1)
-            np.multiply(g1, m1, out=g1)
-            ad._check_finite(g1, "tes_mlp:layer1 adjoint")
-            gb1 = g1.sum(axis=0)
-            gw1 = xe.T @ g1
-            if xt is not None:
-                gw1 = np.concatenate([gw1, np.outer(xt, gb1)])
-            return [gw1, gb1, gw2, gb2, gw3, gb3]
+            with np.errstate(over="ignore", invalid="ignore"):
+                g3 = g.reshape(out.shape) * out * (1.0 - out)
+                ad._check_finite(g3, "tes_mlp:layer3 adjoint")
+                gw3, gb3 = z2.T @ g3, g3.sum(axis=0)
+                np.multiply(g3, w3.T, out=g2)
+                np.greater(z2, 0.0, out=m2)
+                np.multiply(g2, m2, out=g2)
+                ad._check_finite(g2, "tes_mlp:layer2 adjoint")
+                gw2, gb2 = z1.T @ g2, g2.sum(axis=0)
+                np.matmul(g2, w2.T, out=g1)
+                np.greater(z1, 0.0, out=m1)
+                np.multiply(g1, m1, out=g1)
+                ad._check_finite(g1, "tes_mlp:layer1 adjoint")
+                gb1 = g1.sum(axis=0)
+                gw1 = xe.T @ g1
+                if xt is not None:
+                    gw1 = np.concatenate([gw1, np.outer(xt, gb1)])
+                return [gw1, gb1, gw2, gb2, gw3, gb3]
 
         # the sigmoid of the checked logits is finite
         return ad.Node(tape, scores, nodes, bw, "tes_mlp", checked=True)
@@ -417,11 +417,7 @@ class ExplainJob:
     def pair_scores(self, store: ParamStore, tape: Tape | None):
         """TES scores collapsed to pairs: (per-pair values, arg-max triple rows).
         Each pair keeps its maximum score; ties keep the first triple."""
-        params = (
-            {name: tape.param(store, name) for name in store.params}
-            if tape is not None
-            else store.params
-        )
+        params = tape.params(store) if tape is not None else store.params
         return ad.segment_max(self.tes(params), self.gc.pair_indptr, self.gc.pair_index)
 
     def loss_terms(self, pair_vals):

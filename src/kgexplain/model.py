@@ -119,17 +119,16 @@ class KgcModel:
         self.decoder = decoder
         self.final_loss = None
         rng = np.random.default_rng(seed)
-        s = ParamStore()
         scale = 1.0 / np.sqrt(dim)
-        s.add("ent", rng.normal(0.0, scale, size=(num_entities, dim)))
-        s.add("rel", rng.normal(0.0, scale, size=(num_relations, dim)))
+        t = {"ent": rng.normal(0.0, scale, size=(num_entities, dim)),
+             "rel": rng.normal(0.0, scale, size=(num_relations, dim))}
         for layer in range(layers):
-            s.add(f"self_{layer}", rng.normal(0.0, scale, size=(dim, dim)))
+            t[f"self_{layer}"] = rng.normal(0.0, scale, size=(dim, dim))
             for b in range(bases):
-                s.add(f"basis_{layer}_{b}", rng.normal(0.0, scale, size=(dim, dim)))
-            s.add(f"coef_{layer}", rng.normal(0.0, 1.0 / np.sqrt(bases),
-                                              size=(num_relations, bases)))
-        self.store = s
+                t[f"basis_{layer}_{b}"] = rng.normal(0.0, scale, size=(dim, dim))
+            t[f"coef_{layer}"] = rng.normal(0.0, 1.0 / np.sqrt(bases),
+                                            size=(num_relations, bases))
+        self.store = ParamStore(t)
 
     @property
     def relation_embeddings(self):
@@ -183,9 +182,10 @@ class RgcnLayerOp:
     Only the pre-activation is finite-checked in the forward (relu(-inf) is
     0, and every other intermediate reaches it), as `rgcn:layer<l>`, so the
     output Node is not checked again; the input adjoint is checked as
-    `rgcn:layer<l> adjoint`. The scatter cells of `dst` and `src` are built
-    once per op; the one-column scatters along `keep` and the coefficient
-    rows take those indices as their cells.
+    `rgcn:layer<l> adjoint`, and only there. The scatter cells of `dst` and
+    `src` are built once per op, and so are the coefficient cells
+    `rel * bases + b`, which the coefficient adjoint sums into in one
+    scatter; the one-column scatter along `keep` takes its indices as cells.
     """
 
     def __init__(self, model: KgcModel, gc: ComputationGraph, layer: int, keep=None):
@@ -206,7 +206,8 @@ class RgcnLayerOp:
         self.dim = model.dim
         self.dst_cells = kernels.scatter_cells(dst, model.dim)
         # coef[r, b] is row r * bases + b of the (R * bases, 1) view of coef
-        self.coef_rows = [rel * model.bases + b for b in range(model.bases)]
+        self.rel, self.coef_cells = rel, kernels.scatter_cells(rel, model.bases)
+        self.coef_rows = [self.coef_cells[b::model.bases] for b in range(model.bases)]
         self.inv_deg = (1.0 / np.maximum(gc.in_degree, 1)).reshape(self.n, 1)
         self.fixed = None
 
@@ -268,10 +269,11 @@ class RgcnLayerOp:
             with np.errstate(over="ignore", invalid="ignore"):
                 # Bit for bit the adjoints of the generic-op composition (see the
                 # module docstring), taken in its reverse tape order: the forward
-                # sums the basis messages in ascending b, so the coef scatters
-                # and the g_mm @ basis_b.T terms of the hs adjoint add up in
-                # descending b; the coefficient adjoint is the row sum
-                # _unbroadcast takes; each gather adjoint is a bincount scatter.
+                # sums the basis messages in ascending b, so the g_mm @ basis_b.T
+                # terms of the hs adjoint add up in descending b; the coefficient
+                # adjoint is the row sum _unbroadcast takes, and its per-basis
+                # scatters fill disjoint cells, so they are one scatter; each
+                # gather adjoint is a bincount scatter.
                 adj = [None] * len(operands)
                 if self.relu:
                     g = g * (pre > 0.0)
@@ -284,12 +286,11 @@ class RgcnLayerOp:
                 if vm is not None and (need[0] or any(need[2:-1])):
                     g_msg = g_msg * vm
                 g_hs = None
+                if need[2]:
+                    g_cg = np.empty((len(self.rel), len(vb)))
                 for b in reversed(range(len(vb))):
                     if need[2]:
-                        scat = kernels.scatter_add_rows((g_msg * mms[b]).sum(axis=1, keepdims=True),
-                                                        self.coef_rows[b], vc.size,
-                                                        cells=self.coef_rows[b])
-                        adj[2] = scat if adj[2] is None else adj[2] + scat
+                        g_cg[:, b] = (g_msg * mms[b]).sum(axis=1)
                     if need[0] or need[3 + b]:
                         g_mm = g_msg * cgs[b]
                         if need[3 + b]:
@@ -303,11 +304,13 @@ class RgcnLayerOp:
                 if need[1]:
                     adj[1] = vh.T @ g
                 if need[2]:
-                    adj[2] = adj[2].reshape(vc.shape)
+                    adj[2] = kernels.scatter_add_rows(g_cg, self.rel, vc.shape[0],
+                                                      cells=self.coef_cells)
                 return [a for a, wanted in zip(adj, need) if wanted]
 
         parents = tuple(x for x in operands if isinstance(x, ad.Node))
-        return ad.Node(parents[0].tape, out, parents, bw, self.name, checked=True)
+        return ad.Node(parents[0].tape, out, parents, bw, self.name, checked=True,
+                       adjoint_checked=need[0])
 
 
 def layer_ops(model: KgcModel, gc: ComputationGraph, rows=None) -> list:
@@ -370,7 +373,7 @@ class KgcLossOp:
     `autodiff.LOG_CLAMP` inside the logs, and so are the adjoints, as the
     generic `log` op does. The raw scores are finite-checked as `kgc_loss`,
     since the sigmoid and the clamp would turn -inf into a finite loss; the
-    entity adjoint as `kgc_loss adjoint`.
+    entity adjoint as `kgc_loss adjoint`, and only there.
     """
 
     def __init__(self, model: KgcModel, rels, n_pos: int):
@@ -429,7 +432,8 @@ class KgcLossOp:
                                                           cells=self.rel_cells))
                 return grads
 
-        return ad.Node(parents[0].tape, loss, parents, bw, "kgc_loss")
+        return ad.Node(parents[0].tape, loss, parents, bw, "kgc_loss",
+                       adjoint_checked=isinstance(H, ad.Node))
 
 
 class TargetHeadOp:
@@ -441,7 +445,8 @@ class TargetHeadOp:
     sigmoid as arrays, and -log of the probability clamped at
     `autodiff.LOG_CLAMP`, which is a Node when H is one. The raw score is
     finite-checked as `target_head`, since the sigmoid and the clamp would
-    turn -inf into a finite loss; the adjoint of H as `target_head adjoint`.
+    turn -inf into a finite loss; the adjoint of H as `target_head adjoint`,
+    and only there.
     """
 
     name = "target_head"
@@ -472,20 +477,20 @@ class TargetHeadOp:
                 # in its reverse tape order: the log adjoint divides by the
                 # clamped argument, the sigmoid's is (g * o) * (1 - o), the
                 # norm's (g * x) / max(norm, 1e-30), and the tail row's scatter
-                # comes first.
+                # comes first; a row written onto +0.0 is what a bincount gives.
                 g_raw = ((-g / np.maximum(prob, ad.LOG_CLAMP)) * prob) * (1.0 - prob)
                 if self.decoder == "transe":
                     g_h = (-g_raw * x) / max(float(dist), 1e-30)
                     g_t = -g_h
                 else:
                     g_h, g_t = (g_raw * t) * r, g_raw * hr
-                n = vH.shape[0]
-                g_H = (kernels.scatter_add_rows(g_t.reshape(1, -1), np.array([self.tail]), n)
-                       + kernels.scatter_add_rows(g_h.reshape(1, -1), np.array([self.head]), n))
+                g_H = np.zeros(vH.shape)
+                g_H[self.tail] += g_t
+                g_H[self.head] += g_h
                 ad._check_finite(g_H, f"{self.name} adjoint")
                 return [g_H]
 
-        return raw, prob, ad.Node(H.tape, nll, (H,), bw, self.name)
+        return raw, prob, ad.Node(H.tape, nll, (H,), bw, self.name, adjoint_checked=True)
 
 
 def score(model: KgcModel, h_emb, r_emb, t_emb) -> TripleScore:
@@ -573,8 +578,10 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
         all_h = np.concatenate([g.heads, neg_h])
         all_t = np.concatenate([g.tails, neg_t])
         with Tape() as tape:
-            operands = {name: tape.param(model.store, name) for name in model.store.params}
-            H = encode_operands(model, gc, None, operands=operands, layers=layers)
+            operands = tape.params(model.store)
+            # gc's nodes are every entity in order, so the table is the input
+            H = encode_operands(model, gc, None, operands=operands, layers=layers,
+                                h=operands["ent"])
             loss = loss_op(H, operands["rel"], all_h, all_t)
             backward(tape, loss)
             model.final_loss = float(ad._val(loss))

@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,156 @@ def test_sgd_descends_convex_quadratic():
         ad.backward(tape, loss)
         ad.sgd_step(store, 0.05)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+# -- the flat parameter store ------------------------------------------------
+
+# ±0.0, the smallest and largest subnormals, the smallest normal, and ordinary
+# values, so a step's signed zeros and gradual underflow are compared too
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+           2.2250738585072014e-308, 1.0, -3.5]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def flat_stores(draw):
+    """A store of 1-4 tensors, among them 0-d, empty and one-element ones, and
+    a gradient for each: (store, values, grads), the latter two as copies."""
+    shapes = draw(st.lists(st.sampled_from([(), (0,), (1,), (3,), (2, 3), (0, 4), (1, 1)]),
+                           min_size=1, max_size=4))
+    values, grads = {}, {}
+    for i, shape in enumerate(shapes):
+        size = int(np.prod(shape))
+        for out in (values, grads):
+            out[f"t{i}"] = np.array(draw(st.lists(VALUES, min_size=size, max_size=size)),
+                                    dtype=np.float64).reshape(shape)
+    store = ad.ParamStore(values)
+    for name, g in grads.items():
+        store.grads[name][...] = g
+    return store, values, grads
+
+
+def assert_views_of_the_buffers(store):
+    """Every tensor and gradient is a contiguous view of `flat` and
+    `grad_flat`, a non-empty one at its offset in store order, and together
+    they fill both. (numpy points an empty view at its base's start.)"""
+    offset = 0
+    for name, p in store.params.items():
+        g = store.grads[name]
+        for view, buf in ((p, store.flat), (g, store.grad_flat)):
+            assert view.base is buf and view.dtype == np.float64 and view.flags.c_contiguous
+            assert view.size == 0 or (view.__array_interface__["data"][0]
+                                      == buf.__array_interface__["data"][0] + 8 * offset)
+        offset += p.size
+    assert offset == store.flat.size == store.grad_flat.size
+
+
+def test_store_keeps_tensor_shapes_and_values_in_order():
+    store = ad.ParamStore({"a": np.arange(6.0).reshape(2, 3), "b": 7.0, "c": np.zeros(0)})
+    assert store.names() == ["a", "b", "c"]
+    assert [p.shape for p in store.params.values()] == [(2, 3), (), (0,)]
+    assert store.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+    assert not store.grad_flat.any()
+    assert_views_of_the_buffers(store)
+    store.grads["b"][...] = 2.0
+    store.add("d", [1.0, 2.0])
+    assert_views_of_the_buffers(store)
+    assert store.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 1.0, 2.0]
+    assert store.grad_flat.tolist() == [0.0] * 6 + [2.0, 0.0, 0.0]
+    with pytest.raises(ContractError, match="duplicate parameter 'a'"):
+        store.add("a", 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_stores(), st.sampled_from([1e-3, 0.05, 0.5, 1.0, 3.0]))
+def test_flat_sgd_step_is_the_per_tensor_loop_bit_for_bit(case, lr):
+    store, values, grads = case
+    want = {}
+    for name in values:
+        # the step per tensor that one step over the whole buffer replaces
+        p = values[name].copy()
+        p -= lr * grads[name]
+        want[name] = p
+    ad.sgd_step(store, lr)
+    assert_views_of_the_buffers(store)
+    for name in values:
+        assert store.params[name].tobytes() == want[name].tobytes()
+        assert store.grads[name].tobytes() == np.zeros_like(grads[name]).tobytes()
+    store.grad_flat[...] = 1.0
+    store.zero_grads()
+    assert_views_of_the_buffers(store)
+    assert store.grad_flat.tobytes() == np.zeros(store.flat.size).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(flat_stores())
+def test_finite_diff_check_leaves_the_views_aliased_and_the_values_unchanged(case):
+    store, values, _ = case
+
+    def loss(s, tape):
+        out = 0.0
+        for name in s.params:
+            p = tape.param(s, name) if tape is not None else s.params[name]
+            out = ad.add(out, ad.sumall(ad.mul(p, p)))
+        return out
+
+    report = ad.finite_diff_check(loss, store, step=1e-5, tol=1e-4)
+    assert report.passed, report
+    assert_views_of_the_buffers(store)
+    for name, value in values.items():
+        assert store.params[name].tobytes() == value.tobytes()
+    assert not store.grad_flat.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_stores(), st.data())
+def test_tape_params_names_the_first_non_finite_tensor_as_param_would(case, data):
+    store, _, _ = case
+    filled = [name for name, p in store.params.items() if p.size]
+    if filled:
+        for name in data.draw(st.lists(st.sampled_from(filled), min_size=1, max_size=2,
+                                       unique=True)):
+            flat = store.params[name].reshape(-1)
+            flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+    want = None
+    with ad.Tape() as tape:
+        for name in store.params:
+            try:
+                tape.param(store, name)
+            except NumericError as exc:
+                want = str(exc)
+                break
+    with ad.Tape() as tape:
+        if want is None:
+            nodes = tape.params(store)
+            assert list(nodes) == store.names()
+            for name, node in nodes.items():
+                assert node.value is store.params[name] and node.op == f"param:{name}"
+                assert node.store is store and node.pname == name
+            assert tape.nodes == list(nodes.values())
+        else:
+            assert want.startswith("non-finite value produced by op 'param:")
+            with pytest.raises(NumericError) as err:
+                tape.params(store)
+            assert str(err.value) == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**16))
+def test_model_stores_are_one_buffer_through_a_checkpoint(dim, layers, bases, seed):
+    from kgexplain.kgraph import KnowledgeGraph
+    from kgexplain.model import KgcModel, load_checkpoint, save_checkpoint
+
+    g = KnowledgeGraph(3, 2, np.array([0, 1]), np.array([0, 1]), np.array([1, 2]))
+    model = KgcModel(3, 2, dim=dim, layers=layers, bases=bases, seed=seed)
+    assert_views_of_the_buffers(model.store)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model, g, path)
+        loaded = load_checkpoint(path, g)
+    assert_views_of_the_buffers(loaded.store)
+    assert loaded.store.flat.tobytes() == model.store.flat.astype("<f4").astype(np.float64).tobytes()
 
 
 # -- finite_diff_check -------------------------------------------------------

@@ -1188,3 +1188,46 @@ def test_numeric_error_names_the_op_that_produced_the_value(case, monkeypatch):
     with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
         run(monkeypatch)
     assert str(err.value) == message
+
+
+# Finite checks per epoch at the default settings (2 layers, 2 bases). A
+# training epoch checks the parameter buffer once (1), each layer's
+# pre-activation (2), the raw scores and the loss (2), inside the ops the
+# entity adjoint and each layer's input adjoint (3), and in `backward` the
+# adjoints of the relation table and of each layer's 4 weights (9): 17. An
+# adjoint its op has checked is not checked again.
+CHECKS_PER_EPOCH = {"train": 17, "full": 41, "path_off": 30, "mi_off": 29}
+
+
+@pytest.mark.parametrize("run", list(CHECKS_PER_EPOCH))
+def test_finite_checks_per_epoch_are_pinned(run, monkeypatch):
+    from kgexplain.explain import prepare_computation_graph
+    from kgexplain.harness import _mode_config
+    from kgexplain.model import ModelConfig, train_kgc
+
+    inst = make_planted(seed=0)
+    calls = [0]
+    check = ad._all_finite
+
+    def counted(value):
+        calls[0] += 1
+        return check(value)
+
+    if run == "train":
+        def checks(epochs):
+            train_kgc(inst.graph, ModelConfig(epochs=epochs))
+    else:
+        model = KgcModel(inst.graph.num_entities, inst.graph.num_relations, seed=0)
+        gc = prepare_computation_graph(inst.graph, inst.target, 2, 2)
+
+        def checks(epochs):
+            cfg = _mode_config(ExplainConfig(epochs=epochs), run, 0)
+            train_explainer(model, gc, inst.target, cfg)
+
+    monkeypatch.setattr(ad, "_all_finite", counted)
+    counts = []
+    for epochs in (1, 3):
+        calls[0] = 0
+        checks(epochs)
+        counts.append(calls[0])
+    assert (counts[1] - counts[0]) / 2 == CHECKS_PER_EPOCH[run]

@@ -959,7 +959,7 @@ def test_loss_op_non_finite_raw_score_names_the_op(decoder, H, rel):
 
 
 @pytest.mark.parametrize("layers, bases", [(2, 2), (1, 1), (3, 3)])
-def test_training_epoch_is_params_one_gather_layers_and_the_loss(monkeypatch, layers, bases):
+def test_training_epoch_is_params_layers_and_the_loss(monkeypatch, layers, bases):
     from kgexplain import model as model_module
     from kgexplain.harness import PlantedConfig, generate_planted
 
@@ -975,9 +975,10 @@ def test_training_epoch_is_params_one_gather_layers_and_the_loss(monkeypatch, la
     monkeypatch.setattr(model_module, "Tape", CountingTape)
     g = generate_planted(PlantedConfig(seed=0)).graph
     model = train_kgc(g, ModelConfig(layers=layers, bases=bases, epochs=3))
-    assert sizes == [len(model.store.params) + layers + 2] * 3
+    # the entity table is the first layer's input as it is, without a gather
+    assert sizes == [len(model.store.params) + layers + 1] * 3
     if (layers, bases) == (2, 2):
-        assert sizes[0] == 14
+        assert sizes[0] == 13
 
 
 def test_fixed_input_layer_reuses_messages_only_for_the_same_arrays():

@@ -5,7 +5,6 @@ from .explain import (
     EdgeScoreMatrix,
     ExplainConfig,
     Explanation,
-    TesParams,
     generate_paths,
     init_tes,
     prepare_computation_graph,

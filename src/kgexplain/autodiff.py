@@ -429,42 +429,29 @@ def sumall(a):
 
 
 class ParamStore:
-    """Named float64 tensors with matching gradient accumulators.
+    """Named float64 tensors with matching gradient accumulators, built once
+    from the full dict of tensors.
 
     The tensors are views into one contiguous buffer, `flat`, in the order
     they were given, and their accumulators views into a second, `grad_flat`,
     so a finite check, an SGD step or a zeroing is one numpy call per store.
-    Changing a tensor in place changes `flat`; rebinding `params[name]`
-    would not. `ParamStore(tensors)` allocates each buffer once; `add`
-    copies both buffers into larger ones, which moves every view.
+    Each tensor is cast into its view, so no other copy is kept. Changing a
+    tensor in place changes `flat`; rebinding `params[name]` would not.
     """
 
-    def __init__(self, tensors=None):
-        self._build(dict(tensors or {}), {})
-
-    def _build(self, tensors, grads):
-        arrays = {name: np.asarray(value, dtype=np.float64) for name, value in tensors.items()}
-        self.flat = np.empty(sum(a.size for a in arrays.values()))
+    def __init__(self, tensors):
+        shapes = {name: np.shape(value) for name, value in tensors.items()}
+        self.flat = np.empty(sum(math.prod(shape) for shape in shapes.values()))
         self.grad_flat = np.zeros(self.flat.size)
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         offset = 0
-        for name, arr in arrays.items():
-            end = offset + arr.size
-            self.params[name] = self.flat[offset:end].reshape(arr.shape)
-            self.params[name][...] = arr
-            self.grads[name] = self.grad_flat[offset:end].reshape(arr.shape)
-            if name in grads:
-                self.grads[name][...] = grads[name]
+        for name, shape in shapes.items():
+            end = offset + math.prod(shape)
+            self.params[name] = self.flat[offset:end].reshape(shape)
+            self.params[name][...] = tensors[name]
+            self.grads[name] = self.grad_flat[offset:end].reshape(shape)
             offset = end
-
-    def add(self, name, value):
-        if name in self.params:
-            raise ContractError(f"duplicate parameter {name!r}")
-        self._build({**self.params, name: value}, self.grads)
-
-    def names(self):
-        return list(self.params)
 
     def zero_grads(self):
         self.grad_flat[...] = 0.0

@@ -102,13 +102,7 @@ class ExplainConfig:
             raise ContractError("num_paths must be >= 1")
 
 
-@dataclass
-class TesParams:
-    combine_mode: str
-    store: ParamStore
-
-
-def init_tes(combine_mode: str, dim: int, seed: int = 0) -> TesParams:
+def init_tes(combine_mode: str, dim: int, seed: int = 0) -> ParamStore:
     """MLP [input -> 64 -> 32 -> 1], ReLU hidden, sigmoid output.
 
     The final layer starts near zero so initial edge scores sit at ~0.5.
@@ -117,14 +111,14 @@ def init_tes(combine_mode: str, dim: int, seed: int = 0) -> TesParams:
         raise ContractError(f"combine_mode must be one of {COMBINE_MODES}")
     width = 6 * dim if combine_mode == "concatenation" else 3
     rng = np.random.default_rng(seed)
-    return TesParams(combine_mode, ParamStore({
+    return ParamStore({
         "w1": rng.normal(0.0, math.sqrt(2.0 / width), (width, TES_HIDDEN[0])),
         "b1": np.zeros(TES_HIDDEN[0]),
         "w2": rng.normal(0.0, math.sqrt(2.0 / TES_HIDDEN[0]), (TES_HIDDEN[0], TES_HIDDEN[1])),
         "b2": np.zeros(TES_HIDDEN[1]),
         "w3": rng.normal(0.0, 0.1 / math.sqrt(TES_HIDDEN[1]), (TES_HIDDEN[1], 1)),
         "b3": np.zeros(1),
-    }))
+    })
 
 
 @dataclass
@@ -407,7 +401,7 @@ class ExplainJob:
         self.target = target
         self.config = config
         self.H = encode(model, gc, None)
-        self.R = model.relation_embeddings
+        self.R = model.store.params["rel"]
         self.tes = TesOp(*_tes_inputs(self.H, self.R, gc, target, config.combine_mode))
         self.awalks = adjacency_power_row(gc, gc.head_local, config.power_order)
         self.prediction = TargetScorer(model, gc, target) if config.enable_mi_loss else None
@@ -448,7 +442,7 @@ class ExplainJob:
 
 @dataclass
 class ExplainResult:
-    tes: TesParams
+    tes: ParamStore
     mask: EdgeScoreMatrix
     loss_trace: list
 
@@ -463,7 +457,7 @@ def train_explainer(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
     trace = []
     for epoch in range(config.epochs):
         with Tape() as tape:
-            objective, terms, _, _ = job.objective(tes.store, tape)
+            objective, terms, _, _ = job.objective(tes, tape)
             backward(tape, objective)
         row = {"epoch": epoch}
         for name in ("prediction", "path", "regularization"):
@@ -472,8 +466,8 @@ def train_explainer(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
             )
         row["total"] = float(np.asarray(ad._val(objective)).reshape(()))
         trace.append(row)
-        sgd_step(tes.store, config.lr)
-    return ExplainResult(tes, job.final_mask(tes.store), trace)
+        sgd_step(tes, config.lr)
+    return ExplainResult(tes, job.final_mask(tes), trace)
 
 
 # ---------------------------------------------------------------------------

@@ -316,21 +316,12 @@ class ComputationGraph:
         self.tail_local = int(tail_local)
         n = len(self.nodes)
         self.local_of_global = {int(g): i for i, g in enumerate(self.nodes)}
-        if self.src.size:
-            key = self.src * n + self.dst
-            boundary = np.flatnonzero(np.diff(key)) + 1
-            starts = np.concatenate([[0], boundary])
-            self.pair_indptr = np.concatenate([starts, [self.src.size]]).astype(np.int64)
-            self.pair_src = self.src[starts]
-            self.pair_dst = self.dst[starts]
-            self.pair_index = np.repeat(
-                np.arange(len(starts), dtype=np.int64), np.diff(self.pair_indptr)
-            )
-        else:
-            self.pair_indptr = np.zeros(1, dtype=np.int64)
-            self.pair_src = np.zeros(0, dtype=np.int64)
-            self.pair_dst = np.zeros(0, dtype=np.int64)
-            self.pair_index = np.zeros(0, dtype=np.int64)
+        first = _run_starts(self.src * n + self.dst)
+        starts = np.flatnonzero(first)
+        self.pair_indptr = np.concatenate([starts, [self.src.size]]).astype(np.int64)
+        self.pair_src = self.src[starts]
+        self.pair_dst = self.dst[starts]
+        self.pair_index = np.cumsum(first, dtype=np.int64) - 1
         self.adj_indptr = _csr_indptr(self.pair_src, n)
         self.in_degree = np.bincount(self.dst, minlength=n).astype(np.int64)
 

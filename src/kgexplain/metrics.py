@@ -26,7 +26,7 @@ from .explain import (
     train_explainer,
 )
 from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple
-from .model import KgcModel, rank_target, score_target_masked
+from .model import KgcModel, TargetScorer, rank_target, score_target_masked
 
 HDR_PATH_COUNTS = (1, 3, 5)
 
@@ -50,22 +50,18 @@ class MetricReport:
 
 
 def fidelity_plus(model: KgcModel, gc: ComputationGraph, mask: EdgeScoreMatrix,
-                  target: TargetTriple, base_prob: float | None = None) -> float:
+                  target: TargetTriple) -> float:
     """|score on gc - score on gc with the explanation removed| via the
     complement mask (1 - M)."""
-    if base_prob is None:
-        base_prob = score_target_masked(model, gc, None, target).probability
-    removed = score_target_masked(model, gc, mask.complement(), target).probability
-    return abs(base_prob - removed)
+    scorer = TargetScorer(model, gc, target)
+    return abs(float(scorer(None)[1]) - float(scorer(mask.complement())[1]))
 
 
 def fidelity_minus(model: KgcModel, gc: ComputationGraph, mask: EdgeScoreMatrix,
-                   target: TargetTriple, base_prob: float | None = None) -> float:
+                   target: TargetTriple) -> float:
     """|score on the explanatory subgraph - score on gc|."""
-    if base_prob is None:
-        base_prob = score_target_masked(model, gc, None, target).probability
-    kept = score_target_masked(model, gc, mask, target).probability
-    return abs(kept - base_prob)
+    scorer = TargetScorer(model, gc, target)
+    return abs(float(scorer(mask)[1]) - float(scorer(None)[1]))
 
 
 def sparsity(mask: EdgeScoreMatrix, gc: ComputationGraph | None = None) -> float:
@@ -92,12 +88,11 @@ def _hdr_hits(model, gc, explanation, target, ms, base_raw):
 
 
 def h_delta_r(model: KgcModel, gc: ComputationGraph, explanation: Explanation,
-              target: TargetTriple, m: int, base_raw: float | None = None) -> bool:
+              target: TargetTriple, m: int) -> bool:
     """Hit when deleting the top-m paths' triples does not raise the raw score."""
     if m < 1:
         raise ContractError("m must be >= 1")
-    if base_raw is None:
-        base_raw = score_target_masked(model, gc, None, target).raw
+    base_raw = score_target_masked(model, gc, None, target).raw
     return _hdr_hits(model, gc, explanation, target, (m,), base_raw)[m]
 
 
@@ -126,19 +121,21 @@ class EvalConfig:
 
 def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
                         mask: EdgeScoreMatrix, explanation: Explanation):
-    """Metric row for an already-computed explanation; a single unmasked
-    forward pass feeds every metric."""
-    base = score_target_masked(model, gc, None, target)
+    """Metric row for an already-computed explanation. One scorer serves the
+    unmasked, complement and kept masks, and its single unmasked forward
+    pass feeds every metric."""
+    scorer = TargetScorer(model, gc, target)
+    base_raw, base_prob = map(float, scorer(None)[:2])
     row = {
         "head": target.head,
         "relation": target.relation,
         "tail": target.tail,
-        "f_plus": fidelity_plus(model, gc, mask, target, base_prob=base.probability),
-        "f_minus": fidelity_minus(model, gc, mask, target, base_prob=base.probability),
+        "f_plus": abs(base_prob - float(scorer(mask.complement())[1])),
+        "f_minus": abs(float(scorer(mask)[1]) - base_prob),
         "sparsity": sparsity(mask, gc),
     }
     for m, hit in _hdr_hits(model, gc, explanation, target, HDR_PATH_COUNTS,
-                            base.raw).items():
+                            base_raw).items():
         row[f"hit{m}"] = hit
     return row
 

@@ -41,7 +41,9 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 import operator
+import os
 import struct
 from dataclasses import dataclass
 
@@ -105,11 +107,55 @@ class ModelConfig:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
+def param_count(num_entities, num_relations, dim, layers, bases):
+    """The number of floats in a `KgcModel`'s tensors, in closed form."""
+    return ((num_entities + num_relations) * dim
+            + layers * ((1 + bases) * dim * dim + num_relations * bases))
+
+
+def _param_shapes(num_entities, num_relations, dim, layers, bases):
+    """Each tensor's shape, in store, draw and checkpoint order."""
+    shapes = {"ent": (num_entities, dim), "rel": (num_relations, dim)}
+    for layer in range(layers):
+        shapes[f"self_{layer}"] = (dim, dim)
+        for b in range(bases):
+            shapes[f"basis_{layer}_{b}"] = (dim, dim)
+        shapes[f"coef_{layer}"] = (num_relations, bases)
+    return shapes
+
+
+def _refuse_beyond_memory(nbytes, what):
+    """ContractError when `nbytes`, a lower bound on what a run needs, exceed
+    physical memory; skipped where `os.sysconf` cannot tell."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if 0 < physical < nbytes:
+        raise ContractError(f"{what} need {nbytes} bytes, more than the {physical} bytes "
+                            "of physical memory")
+
+
 class KgcModel:
     """Entity/relation embeddings plus encoder weights and a decoder tag."""
 
     def __init__(self, num_entities, num_relations, dim=16, layers=2, bases=2,
                  decoder="distmult", seed=0):
+        self._settle(num_entities, num_relations, dim, layers, bases, decoder)
+        settings = (self.num_entities, self.num_relations, self.dim, self.layers, self.bases)
+        _refuse_beyond_memory(16 * param_count(*settings), "model parameters and gradients "
+                              "(entities={}, relations={}, dim={}, layers={}, bases={})"
+                              .format(*settings))
+        rng = np.random.default_rng(seed)
+        scale, coef_scale = 1.0 / np.sqrt(dim), 1.0 / np.sqrt(bases)
+        self.store = ParamStore({
+            name: rng.normal(0.0, coef_scale if name.startswith("coef_") else scale, size=shape)
+            for name, shape in _param_shapes(num_entities, num_relations, dim, layers,
+                                             bases).items()
+        })
+
+    def _settle(self, num_entities, num_relations, dim, layers, bases, decoder):
+        """Check and keep the settings."""
         _check_model_settings(dim, layers, bases, decoder)
         self.num_entities = int(num_entities)
         self.num_relations = int(num_relations)
@@ -118,24 +164,6 @@ class KgcModel:
         self.bases = int(bases)
         self.decoder = decoder
         self.final_loss = None
-        rng = np.random.default_rng(seed)
-        scale = 1.0 / np.sqrt(dim)
-        t = {"ent": rng.normal(0.0, scale, size=(num_entities, dim)),
-             "rel": rng.normal(0.0, scale, size=(num_relations, dim))}
-        for layer in range(layers):
-            t[f"self_{layer}"] = rng.normal(0.0, scale, size=(dim, dim))
-            for b in range(bases):
-                t[f"basis_{layer}_{b}"] = rng.normal(0.0, scale, size=(dim, dim))
-            t[f"coef_{layer}"] = rng.normal(0.0, 1.0 / np.sqrt(bases),
-                                            size=(num_relations, bases))
-        self.store = ParamStore(t)
-
-    @property
-    def relation_embeddings(self):
-        return self.store.params["rel"]
-
-    def tensor_names(self):
-        return self.store.names()
 
 
 def _as_pair_values(mask, gc: ComputationGraph):
@@ -522,7 +550,7 @@ class TargetScorer:
         self.h = model.store.params["ent"][gc.nodes]
         self.layers = layer_ops(model, gc, [i, k])
         self.layers[0].fix_input(self.h, model.store.params)
-        self.head = TargetHeadOp(model.decoder, i, k, model.relation_embeddings[target.relation])
+        self.head = TargetHeadOp(model.decoder, i, k, model.store.params["rel"][target.relation])
 
     def __call__(self, mask):
         return self.head(encode_operands(self.model, self.gc, mask, layers=self.layers,
@@ -544,7 +572,7 @@ def rank_target(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
     H = encode(model, gc, mask)
     i = gc.local_of_global[target.head]
     k = gc.local_of_global[target.tail]
-    r = model.relation_embeddings[target.relation]
+    r = model.store.params["rel"][target.relation]
     raws, _ = _decode_rows(model.decoder, H[i], r, H)
     ahead = raws >= raws[k]
     ahead[[i, k]] = False
@@ -561,6 +589,9 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
     if g.num_triples == 0:
         raise ContractError("cannot train on an empty graph")
     config.validate()
+    _refuse_beyond_memory(3 * 8 * g.num_triples * (1 + config.negatives) * config.dim,
+                          f"one training epoch's head, relation and tail rows (triples="
+                          f"{g.num_triples}, negatives={config.negatives}, dim={config.dim})")
     model = KgcModel(g.num_entities, g.num_relations, dim=config.dim, layers=config.layers,
                      bases=config.bases, decoder=config.decoder, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
@@ -594,9 +625,8 @@ def train_kgc(g: KnowledgeGraph, config: ModelConfig) -> KgcModel:
 # metadata, then little-endian float32 tensors in the declared order.
 
 
-def _tensor_layout(model: KgcModel):
-    return [{"name": name, "shape": list(model.store.params[name].shape)}
-            for name in model.tensor_names()]
+def _tensor_layout(shapes):
+    return [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
 
 
 def save_checkpoint(model: KgcModel, g: KnowledgeGraph, path):
@@ -610,7 +640,7 @@ def save_checkpoint(model: KgcModel, g: KnowledgeGraph, path):
         "num_relations": model.num_relations,
         "entity_vocab_sha256": ent_hash,
         "relation_vocab_sha256": rel_hash,
-        "tensors": _tensor_layout(model),
+        "tensors": _tensor_layout({name: p.shape for name, p in model.store.params.items()}),
     }
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     buf = io.BytesIO()
@@ -618,8 +648,8 @@ def save_checkpoint(model: KgcModel, g: KnowledgeGraph, path):
     buf.write(struct.pack("<H", CHECKPOINT_VERSION))
     buf.write(struct.pack("<I", len(blob)))
     buf.write(blob)
-    for name in model.tensor_names():
-        buf.write(model.store.params[name].astype("<f4").tobytes())
+    for p in model.store.params.values():
+        buf.write(p.astype("<f4").tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
@@ -629,7 +659,7 @@ def load_checkpoint(path, g: KnowledgeGraph) -> KgcModel:
 
     Raises DataError when the file is cut short, carries trailing bytes, its
     metadata does not describe the tensors that follow, or a tensor holds a
-    NaN or Inf value.
+    NaN or Inf value. The store is built from the file, with no random draw.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -655,31 +685,30 @@ def load_checkpoint(path, g: KnowledgeGraph) -> KgcModel:
             meta["num_relations"]) != (ent_hash, rel_hash, g.num_entities, g.num_relations):
         raise DataError(f"{path}: checkpoint vocabulary does not match the dataset")
     tensor_bytes = len(data) - offset
+    settings = (meta["num_entities"], meta["num_relations"], meta["dim"], meta["layers"],
+                meta["bases"])
     try:
-        # KgcModel's parameter count: settings that would outgrow the file are
-        # refused before anything is allocated
-        dim, layers, bases, n_rel = meta["dim"], meta["layers"], meta["bases"], g.num_relations
-        needed = 4 * ((g.num_entities + n_rel) * dim
-                      + layers * ((1 + bases) * dim * dim + n_rel * bases))
+        # refuse settings larger than the file before allocating or looping
+        needed = 4 * param_count(g.num_entities, g.num_relations, *settings[2:])
         if needed > tensor_bytes:
             raise DataError(f"{path}: checkpoint settings need {needed} tensor bytes, "
                             f"the file holds {tensor_bytes}")
-        model = KgcModel(
-            meta["num_entities"], meta["num_relations"], dim=dim, layers=layers,
-            bases=bases, decoder=meta["decoder"],
-        )
+        model = KgcModel.__new__(KgcModel)  # its store comes from the file, not a draw
+        model._settle(*settings, meta["decoder"])
+        shapes = _param_shapes(*map(operator.index, settings))
     except (ContractError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad checkpoint model settings ({exc})") from None
-    if meta["tensors"] != _tensor_layout(model):
+    if meta["tensors"] != _tensor_layout(shapes):
         raise DataError(f"{path}: checkpoint tensor list does not match its model settings")
-    nbytes = sum(4 * p.size for p in model.store.params.values())
-    if tensor_bytes != nbytes:
-        raise DataError(f"{path}: checkpoint holds {tensor_bytes} tensor bytes, expected {nbytes}")
-    for name in model.tensor_names():
-        param = model.store.params[name]
-        arr = np.frombuffer(data, dtype="<f4", count=param.size, offset=offset)
-        offset += param.size * 4
+    if tensor_bytes != needed:
+        raise DataError(f"{path}: checkpoint holds {tensor_bytes} tensor bytes, expected {needed}")
+    tensors = {}
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        arr = np.frombuffer(data, dtype="<f4", count=size, offset=offset)
+        offset += size * 4
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: checkpoint tensor {name} holds NaN or Inf values")
-        param[...] = arr.reshape(param.shape).astype(np.float64)
+        tensors[name] = arr.reshape(shape)
+    model.store = ParamStore(tensors)
     return model

@@ -129,8 +129,7 @@ def test_criterion_2_gradient_correctness():
         model = KgcModel(inst.graph.num_entities, inst.graph.num_relations,
                          dim=4, layers=1, seed=seed)
         job = ExplainJob(model, gc, inst.target, ExplainConfig(seed=seed))
-        tes = init_tes("concatenation", 4, seed=seed + 100)
-        store = tes.store
+        store = init_tes("concatenation", 4, seed=seed + 100)
 
         def term_values():
             terms = job.objective(store, None)[1]

@@ -17,8 +17,7 @@ from kgexplain.kgraph import ComputationGraph
 
 def grad_of(build, x0):
     """d build(x) / dx at x0 for a scalar-to-scalar build."""
-    store = ad.ParamStore()
-    store.add("x", np.array(x0))
+    store = ad.ParamStore({"x": np.array(x0)})
     tape = ad.Tape()
     out = build(tape.param(store, "x"))
     ad.backward(tape, out)
@@ -53,10 +52,10 @@ PRIMITIVES = [
 def test_primitive_gradients_match_central_differences(name, build, arity):
     rng = np.random.default_rng(hash(name) % 2**32)
     for trial in range(5):
-        store = ad.ParamStore()
-        store.add("a", rng.normal(size=(3, 4)))
+        tensors = {"a": rng.normal(size=(3, 4))}
         if arity == 2:
-            store.add("b", rng.normal(size=(3, 4)))
+            tensors["b"] = rng.normal(size=(3, 4))
+        store = ad.ParamStore(tensors)
 
         def loss(s, tape):
             if tape is not None:
@@ -85,8 +84,7 @@ def test_matmul_vector_forms():
     A = rng.normal(size=(3, 4))
     v = rng.normal(size=4)
     w = rng.normal(size=3)
-    store = ad.ParamStore()
-    store.add("A", A)
+    store = ad.ParamStore({"A": A})
 
     def loss(s, tape):
         a = tape.param(s, "A") if tape is not None else s.params["A"]
@@ -101,9 +99,7 @@ def test_gather_scatter_and_segment_max_gradients():
     rng = np.random.default_rng(6)
     idx = np.array([0, 2, 2, 1, 0])
     seg = np.array([0, 2, 5])
-    store = ad.ParamStore()
-    store.add("x", rng.normal(size=(3, 2)))
-    store.add("v", rng.normal(size=5))
+    store = ad.ParamStore({"x": rng.normal(size=(3, 2)), "v": rng.normal(size=5)})
 
     def loss(s, tape):
         if tape is not None:
@@ -122,9 +118,7 @@ def test_edge_spmv_gradients():
     rng = np.random.default_rng(7)
     src = np.array([0, 0, 1, 2], dtype=np.int64)
     dst = np.array([1, 2, 2, 0], dtype=np.int64)
-    store = ad.ParamStore()
-    store.add("u", rng.random(3))
-    store.add("vals", rng.random(4))
+    store = ad.ParamStore({"u": rng.random(3), "vals": rng.random(4)})
 
     def loss(s, tape):
         if tape is not None:
@@ -145,8 +139,7 @@ def test_gradient_linearity_on_random_tapes():
         a, b = float(rng.normal()), float(rng.normal())
 
         def run(coef_f, coef_g):
-            store = ad.ParamStore()
-            store.add("x", x0.copy())
+            store = ad.ParamStore({"x": x0.copy()})
             tape = ad.Tape()
             x = tape.param(store, "x")
             f = ad.sumall(ad.mul(x, x))
@@ -165,8 +158,7 @@ def test_backward_determinism_bitwise():
     x0 = rng.normal(size=(4, 4))
 
     def run():
-        store = ad.ParamStore()
-        store.add("x", x0.copy())
+        store = ad.ParamStore({"x": x0.copy()})
         tape = ad.Tape()
         x = tape.param(store, "x")
         out = ad.sumall(ad.sigmoid(ad.matmul(x, x)))
@@ -178,8 +170,7 @@ def test_backward_determinism_bitwise():
 
 
 def test_backward_requires_scalar():
-    store = ad.ParamStore()
-    store.add("x", np.ones(3))
+    store = ad.ParamStore({"x": np.ones(3)})
     tape = ad.Tape()
     x = tape.param(store, "x")
     y = ad.mul(x, 2.0)
@@ -188,8 +179,7 @@ def test_backward_requires_scalar():
 
 
 def test_tape_block_end_detaches_nodes():
-    store = ad.ParamStore()
-    store.add("x", np.array([1.0, 2.0]))
+    store = ad.ParamStore({"x": np.array([1.0, 2.0])})
     with ad.Tape() as tape:
         x = tape.param(store, "x")
         out = ad.sumall(ad.mul(x, x))
@@ -259,8 +249,7 @@ def test_constant_passthrough_matches_tape_forward():
 
 
 def test_sgd_step_basic():
-    store = ad.ParamStore()
-    store.add("p", np.array([1.0]))
+    store = ad.ParamStore({"p": np.array([1.0])})
     store.grads["p"][...] = 2.0
     ad.sgd_step(store, 0.1)
     assert store.params["p"][0] == pytest.approx(0.8)
@@ -268,8 +257,7 @@ def test_sgd_step_basic():
 
 
 def test_sgd_zero_gradient_is_identity():
-    store = ad.ParamStore()
-    store.add("p", np.array([1.5, -2.0]))
+    store = ad.ParamStore({"p": np.array([1.5, -2.0])})
     before = store.params["p"].copy()
     ad.sgd_step(store, 0.5)
     assert np.array_equal(store.params["p"], before)
@@ -278,8 +266,7 @@ def test_sgd_zero_gradient_is_identity():
 def test_sgd_descends_convex_quadratic():
     rng = np.random.default_rng(11)
     target = rng.normal(size=5)
-    store = ad.ParamStore()
-    store.add("p", np.zeros(5))
+    store = ad.ParamStore({"p": np.zeros(5)})
     losses = []
     for _ in range(50):
         tape = ad.Tape()
@@ -337,18 +324,11 @@ def assert_views_of_the_buffers(store):
 
 def test_store_keeps_tensor_shapes_and_values_in_order():
     store = ad.ParamStore({"a": np.arange(6.0).reshape(2, 3), "b": 7.0, "c": np.zeros(0)})
-    assert store.names() == ["a", "b", "c"]
+    assert list(store.params) == list(store.grads) == ["a", "b", "c"]
     assert [p.shape for p in store.params.values()] == [(2, 3), (), (0,)]
     assert store.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
     assert not store.grad_flat.any()
     assert_views_of_the_buffers(store)
-    store.grads["b"][...] = 2.0
-    store.add("d", [1.0, 2.0])
-    assert_views_of_the_buffers(store)
-    assert store.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 1.0, 2.0]
-    assert store.grad_flat.tolist() == [0.0] * 6 + [2.0, 0.0, 0.0]
-    with pytest.raises(ContractError, match="duplicate parameter 'a'"):
-        store.add("a", 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -414,7 +394,7 @@ def test_tape_params_names_the_first_non_finite_tensor_as_param_would(case, data
     with ad.Tape() as tape:
         if want is None:
             nodes = tape.params(store)
-            assert list(nodes) == store.names()
+            assert list(nodes) == list(store.params)
             for name, node in nodes.items():
                 assert node.value is store.params[name] and node.op == f"param:{name}"
                 assert node.store is store and node.pname == name
@@ -441,14 +421,16 @@ def test_model_stores_are_one_buffer_through_a_checkpoint(dim, layers, bases, se
         loaded = load_checkpoint(path, g)
     assert_views_of_the_buffers(loaded.store)
     assert loaded.store.flat.tobytes() == model.store.flat.astype("<f4").astype(np.float64).tobytes()
+    loaded.store.flat[...] = np.arange(loaded.store.flat.size)  # a write shows in every tensor
+    assert np.concatenate([p.ravel() for p in loaded.store.params.values()]).tolist() == list(
+        range(loaded.store.flat.size))
 
 
 # -- finite_diff_check -------------------------------------------------------
 
 
 def test_finite_diff_quadratic_bowl():
-    store = ad.ParamStore()
-    store.add("p", np.array([0.3, -1.2, 2.0]))
+    store = ad.ParamStore({"p": np.array([0.3, -1.2, 2.0])})
 
     def loss(s, tape):
         p = tape.param(s, "p") if tape is not None else s.params["p"]
@@ -459,8 +441,7 @@ def test_finite_diff_quadratic_bowl():
 
 
 def test_finite_diff_rejects_corrupted_gradient():
-    store = ad.ParamStore()
-    store.add("p", np.array([0.5, 1.5]))
+    store = ad.ParamStore({"p": np.array([0.5, 1.5])})
 
     calls = {"n": 0}
 
@@ -481,8 +462,7 @@ def test_finite_diff_rejects_corrupted_gradient():
 
 
 def test_finite_diff_requires_positive_step():
-    store = ad.ParamStore()
-    store.add("p", np.array([1.0]))
+    store = ad.ParamStore({"p": np.array([1.0])})
     with pytest.raises(ContractError):
         ad.finite_diff_check(lambda s, t: None, store, step=0.0)
 
@@ -507,7 +487,7 @@ def test_finite_diff_tes_with_path_loss_small_graph():
         terms = job.objective(store, tape)[1]
         return ad.add(terms["path"], terms["regularization"])
 
-    report = ad.finite_diff_check(loss, tes.store, step=1e-5, tol=1e-4)
+    report = ad.finite_diff_check(loss, tes, step=1e-5, tol=1e-4)
     assert report.passed, report
 
 

@@ -578,6 +578,49 @@ def test_suite_negative_base_seed_usage_error(tmp_path, caplog):
     assert error_lines(caplog) == ["usage error: base_seed must be >= 0, got -1"]
 
 
+@pytest.mark.parametrize("flag, value, needs", [
+    ("dim", "1000000000", "one training epoch's head, relation and tail rows"),
+    ("dim", "100000", "model parameters and gradients"),
+    ("bases", "100000000", "model parameters and gradients"),
+    ("negatives", "100000000", "one training epoch's head, relation and tail rows"),
+])
+def test_train_beyond_physical_memory_usage_error(tmp_path, dataset, caplog, flag, value,
+                                                  needs):
+    train, _ = dataset
+    out = tmp_path / "o"
+    args = ["train", "--train", str(train), "--out_dir", str(out), "--epochs", "2"]
+    assert main([*args, f"--{flag}", value]) == 2
+    [line] = error_lines(caplog)
+    assert line.startswith(f"usage error: {needs} (")
+    assert f"{flag}={value}" in line and line.endswith("bytes of physical memory")
+    assert not (out / "model.plnk").exists()
+
+
+@pytest.mark.parametrize("source, needs", [
+    ("trained", "one training epoch's head, relation and tail rows"),
+    ("reliant", "model parameters and gradients"),
+])
+def test_suite_model_beyond_physical_memory_usage_error(tmp_path, caplog, source, needs):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"n_instances": 1, "model_source": source, "model.dim": 10**8}))
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 2
+    [line] = error_lines(caplog)
+    assert line.startswith(f"usage error: {needs} (") and "dim=100000000" in line
+
+
+def test_memory_refusal_prints_one_line(tmp_path, dataset, capfd):
+    # a fresh interpreter, as in test_numeric_failure_prints_one_line
+    train, _ = dataset
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = subprocess.run([sys.executable, "-m", "kgexplain.cli", "train", "--train", str(train),
+                           "--out_dir", str(tmp_path / "o"), "--dim", "100000"],
+                          env=env).returncode
+    assert code == 2
+    [line] = capfd.readouterr().err.splitlines()
+    assert line.startswith("ERROR usage error: model parameters and gradients (")
+
+
 def test_numeric_failure_prints_one_line(tmp_path, dataset, reliant_checkpoint, capfd):
     # A fresh interpreter, so stderr is what a user sees: numpy's default error
     # state (no errstate around the run) and the CLI's own logging handler.

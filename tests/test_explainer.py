@@ -63,10 +63,10 @@ def path_job(gc, target, L):
     return ExplainJob(model, gc, target, cfg)
 
 
-def tes_mask(tes, model, gc, target):
+def tes_mask(tes, model, gc, target, combine_mode="concatenation"):
     """The final mask the explainer reads off a trained TES."""
-    job = ExplainJob(model, gc, target, ExplainConfig(combine_mode=tes.combine_mode))
-    return job.final_mask(tes.store)
+    job = ExplainJob(model, gc, target, ExplainConfig(combine_mode=combine_mode))
+    return job.final_mask(tes)
 
 
 def combine_cat(edge_embs, target_embs):
@@ -184,8 +184,8 @@ def test_tes_zero_weights_scores_half():
     gc = full_graph(g, target)
     model = KgcModel(3, 2, dim=4, seed=0)
     tes = init_tes("concatenation", 4, seed=0)
-    for name in tes.store.params:
-        tes.store.params[name][...] = 0.0
+    for name in tes.params:
+        tes.params[name][...] = 0.0
     mask = tes_mask(tes, model, gc, target)
     assert np.all(mask.values == 0.5)
 
@@ -207,12 +207,12 @@ def test_tes_matches_per_edge_oracle(mode):
     gc = full_graph(g, target)
     model = KgcModel(4, 2, dim=4, seed=2)
     tes = init_tes(mode, 4, seed=3)
-    mask = tes_mask(tes, model, gc, target)
+    mask = tes_mask(tes, model, gc, target, mode)
 
     H = encode(model, gc, None)
-    R = model.relation_embeddings
+    R = model.store.params["rel"]
     i, k = gc.local_of_global[target.head], gc.local_of_global[target.tail]
-    p = tes.store.params
+    p = tes.params
     for pid in range(gc.num_pairs):
         row = int(mask.provenance[pid])
         s, r, d = gc.src[row], gc.rel[row], gc.dst[row]
@@ -236,8 +236,8 @@ def test_tes_multi_relation_pair_takes_max_with_provenance():
     assert gc.num_pairs == 1 and gc.num_edges == 2
     # provenance points at the arg-max triple
     H = encode(model, gc, None)
-    R = model.relation_embeddings
-    p = tes.store.params
+    R = model.store.params["rel"]
+    p = tes.params
     scores = []
     for row in range(2):
         x = combine_cat((H[gc.src[row]], R[gc.rel[row]], H[gc.dst[row]]),
@@ -274,14 +274,14 @@ def tes_case(mode, num_edges, dim=4, seed=0):
     job = ExplainJob(model, gc, target, ExplainConfig(combine_mode=mode))
     tes = init_tes(mode, dim, seed=seed + 1)
     for name in ("b1", "b2", "b3"):
-        tes.store.params[name][...] = rng.normal(0.0, 0.5, tes.store.params[name].shape)
-    H, R = job.H, model.relation_embeddings
+        tes.params[name][...] = rng.normal(0.0, 0.5, tes.params[name].shape)
+    H, R = job.H, model.store.params["rel"]
     tgt = (H[gc.head_local], R[target.relation], H[gc.tail_local])
     combine = combine_cat if mode == "concatenation" else combine_euc
     rows = [combine((H[s], R[r], H[d]), tgt) for s, r, d in zip(gc.src, gc.rel, gc.dst)]
     width = 6 * dim if mode == "concatenation" else 3
     x = np.array(rows).reshape(len(rows), width)
-    return job, tes.store, x, rng.normal(size=gc.num_edges)
+    return job, tes, x, rng.normal(size=gc.num_edges)
 
 
 def scores_and_grads(fn, store, weights):
@@ -576,8 +576,7 @@ def test_path_loss_gradient_matches_finite_differences():
     target = TargetTriple(0, 0, 3)
     gc = full_graph(g, target)
     rng = np.random.default_rng(11)
-    store = ad.ParamStore()
-    store.add("mask", rng.uniform(0.2, 0.8, gc.num_pairs))
+    store = ad.ParamStore({"mask": rng.uniform(0.2, 0.8, gc.num_pairs)})
     awalks = adjacency_power_row(gc, gc.head_local, 3)
 
     def loss(s, tape):
@@ -632,7 +631,7 @@ def generic_loss_terms(job, pair_vals):
         edge_mask = ad.reshape(ad.gather(pair_vals, gc.pair_index), (gc.num_edges, 1))
         for op in layer_ops(model, gc, list(rows)):
             h = op(h, model.store.params, edge_mask)
-        r = model.relation_embeddings[target.relation]
+        r = model.store.params["rel"][target.relation]
         terms["prediction"] = generic_head(model, h, rows, r)[2]
     if cfg.enable_path_loss:
         p_on = generic_on_path_probability(gc, pair_vals, cfg.power_order, job.awalks)
@@ -995,9 +994,9 @@ def test_explain_job_loss_value_and_tape_agree():
     gc = prepare_computation_graph(inst.graph, inst.target, 1, 2)
     job = ExplainJob(model, gc, inst.target, ExplainConfig(seed=0))
     tes = init_tes("concatenation", 4, seed=0)
-    terms_v = job.objective(tes.store, None)[1]
+    terms_v = job.objective(tes, None)[1]
     tape = ad.Tape()
-    terms_n = job.objective(tes.store, tape)[1]
+    terms_n = job.objective(tes, tape)[1]
     for name in terms_v:
         assert float(np.asarray(terms_v[name]).reshape(())) == pytest.approx(
             float(np.asarray(ad._val(terms_n[name])).reshape(())), abs=0
@@ -1097,9 +1096,9 @@ def _explainer_epoch(edit):
         cfg = ExplainConfig(seed=0)
         job = ExplainJob(model, gc, inst.target, cfg)
         tes = init_tes(cfg.combine_mode, model.dim, cfg.seed)
-        edit(job, tes.store.params)
+        edit(job, tes.params)
         with ad.Tape() as tape:
-            ad.backward(tape, job.objective(tes.store, tape)[0])
+            ad.backward(tape, job.objective(tes, tape)[0])
     return run
 
 

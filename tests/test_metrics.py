@@ -23,7 +23,7 @@ from kgexplain.metrics import (
     rows_to_csv,
     sparsity,
 )
-from kgexplain.model import KgcModel, score_target_masked
+from kgexplain.model import KgcModel, TargetScorer, score_target_masked
 
 
 def kg_from(triples, n_ent=None, n_rel=None):
@@ -171,13 +171,14 @@ def test_hdr_builds_and_scores_each_deleted_row_set_once(monkeypatch, n_paths, b
 def test_one_unmasked_forward_per_target(setup, monkeypatch):
     _, gc, target, model = setup
     calls = []
+    score = TargetScorer.__call__
 
-    def counting(model_, gc_, mask_, target_):
+    def counting(scorer, mask_):
         if mask_ is None:
-            calls.append(gc_)
-        return score_target_masked(model_, gc_, mask_, target_)
+            calls.append(scorer.gc)
+        return score(scorer, mask_)
 
-    monkeypatch.setattr(mx, "score_target_masked", counting)
+    monkeypatch.setattr(TargetScorer, "__call__", counting)
     mask = EdgeScoreMatrix.constant(gc, 0.5)
     ex = generate_paths(gc, mask, target, 3, 3)
     mx.measure_explanation(model, gc, target, mask, ex)

@@ -23,6 +23,7 @@ from kgexplain.model import (
     encode_operands,
     layer_ops,
     load_checkpoint,
+    param_count,
     rank_target,
     save_checkpoint,
     score,
@@ -173,7 +174,7 @@ def test_masked_identity_bit_for_bit(small_setup):
     ones = score_target_masked(model, gc, EdgeScoreMatrix.constant(gc, 1.0), target)
     H = encode(model, gc, None)
     i, k = gc.local_of_global[target.head], gc.local_of_global[target.tail]
-    direct = score(model, H[i], model.relation_embeddings[target.relation], H[k])
+    direct = score(model, H[i], model.store.params["rel"][target.relation], H[k])
     assert ones.raw == direct.raw
     assert ones.probability == direct.probability
 
@@ -192,7 +193,7 @@ def test_masked_matches_composition_oracle(small_setup):
     got = score_target_masked(model, gc, EdgeScoreMatrix.from_values(gc, vals), target)
     H = encode(model, gc, vals)
     i, k = gc.local_of_global[target.head], gc.local_of_global[target.tail]
-    expected = score(model, H[i], model.relation_embeddings[target.relation], H[k])
+    expected = score(model, H[i], model.store.params["rel"][target.relation], H[k])
     assert got.raw == pytest.approx(expected.raw, abs=1e-9)
 
 
@@ -206,8 +207,7 @@ def test_masked_target_absent_raises(small_setup):
 def test_mask_gradient_matches_finite_differences(small_setup):
     _, gc, target, model = small_setup
     rng = np.random.default_rng(7)
-    store = ad.ParamStore()
-    store.add("mask", rng.uniform(0.2, 0.8, gc.num_pairs))
+    store = ad.ParamStore({"mask": rng.uniform(0.2, 0.8, gc.num_pairs)})
 
     def loss(s, tape):
         mask = tape.param(s, "mask") if tape is not None else s.params["mask"]
@@ -252,7 +252,7 @@ def test_rank_matches_sort_oracle():
     model = KgcModel(8, 2, dim=4, seed=11)
     H = encode(model, gc, None)
     i, k = gc.local_of_global[0], gc.local_of_global[1]
-    r = model.relation_embeddings[0]
+    r = model.store.params["rel"][0]
     raws = {c: score(model, H[i], r, H[c]).raw for c in range(8) if c != i}
     better = sorted(raws.values(), reverse=True)
     expected = 1 + sum(1 for c, v in raws.items() if c != k and v >= raws[k])
@@ -266,7 +266,7 @@ def rank_loop_oracle(model, gc, target, mask=None):
     i = gc.local_of_global[target.head]
     k = gc.local_of_global[target.tail]
     h = H[i]
-    r = model.relation_embeddings[target.relation]
+    r = model.store.params["rel"][target.relation]
     true_raw = score(model, h, r, H[k]).raw
     ahead = 0
     for cand in range(gc.num_nodes):
@@ -325,7 +325,7 @@ def test_train_separates_held_out_true_from_corrupted():
                                  g.relation_names)
         model = train_kgc(g_train, ModelConfig(dim=16, epochs=200, lr=0.5, seed=seed))
         H = encode(model, full_graph(g_train), None)
-        R = model.relation_embeddings
+        R = model.store.params["rel"]
         for idx in held:
             h, r, t = int(g.heads[idx]), int(g.rels[idx]), int(g.tails[idx])
             true_probs.append(score(model, H[h], R[r], H[t]).probability)
@@ -415,6 +415,80 @@ def test_checkpoint_damage_raises_data_error(tmp_path):
         assert np.array_equal(loaded.store.params[name], value.astype("<f4"))
 
 
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, small_setup, monkeypatch):
+    g, _, _, model = small_setup
+    p = tmp_path / "m.plnk"
+    save_checkpoint(model, g, p)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    loaded = load_checkpoint(p, g)
+    assert loaded.store.flat.tobytes() == model.store.flat.astype("<f4").astype(float).tobytes()
+    assert (loaded.num_entities, loaded.num_relations, loaded.dim, loaded.layers, loaded.bases,
+            loaded.decoder, loaded.final_loss) == (4, 2, 4, 2, 2, "distmult", None)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 2.0), ("dim", "2"), ("dim", None), ("layers", 1.0), ("bases", [1]),
+])
+def test_checkpoint_settings_of_the_wrong_type_raise_data_error(tmp_path, field, value):
+    g = kg_from([(0, 0, 1)])
+    p = tmp_path / "m.plnk"
+    save_checkpoint(KgcModel(2, 1, dim=2, layers=1, bases=1, seed=0), g, p)
+    data = p.read_bytes()
+    meta_len = int.from_bytes(data[6:10], "little")
+    blob = json.dumps(dict(json.loads(data[10 : 10 + meta_len]), **{field: value})).encode()
+    p.write_bytes(data[:6] + len(blob).to_bytes(4, "little") + blob + data[10 + meta_len :])
+    with pytest.raises(DataError, match="bad checkpoint model settings"):
+        load_checkpoint(p, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 4), st.integers(2, 5), st.integers(1, 3),
+       st.integers(1, 3))
+def test_param_count_is_the_store_size(n_ent, n_rel, dim, layers, bases):
+    model = KgcModel(n_ent, n_rel, dim=dim, layers=layers, bases=bases, seed=0)
+    assert param_count(n_ent, n_rel, dim, layers, bases) == model.store.flat.size
+
+
+def _physical_memory(monkeypatch, nbytes):
+    """Make os.sysconf report `nbytes` of physical memory, in one-byte pages."""
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+    monkeypatch.setattr("os.sysconf", lambda name: pages[name])
+
+
+def test_model_beyond_physical_memory_is_refused_at_its_parameters_and_gradients(monkeypatch):
+    need = 16 * param_count(5, 2, 4, 2, 3)
+    _physical_memory(monkeypatch, need)
+    KgcModel(5, 2, dim=4, layers=2, bases=3)  # exactly fits
+    _physical_memory(monkeypatch, need - 1)
+    with pytest.raises(ContractError, match=f"entities=5, relations=2, dim=4, layers=2, "
+                                            f"bases=3\\) need {need} bytes, more than the "
+                                            f"{need - 1} bytes of physical memory"):
+        KgcModel(5, 2, dim=4, layers=2, bases=3)
+
+    def unavailable(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr("os.sysconf", unavailable)
+    KgcModel(5, 2, dim=4, layers=2, bases=3)  # no check where sysconf cannot tell
+
+
+def test_training_epoch_beyond_physical_memory_is_refused(monkeypatch):
+    g = kg_from([(0, 0, 1), (1, 1, 2), (2, 0, 0)])
+    config = ModelConfig(dim=4, layers=1, bases=1, epochs=1, negatives=4)
+    need = 3 * 8 * 3 * (1 + 4) * 4
+    assert need > 16 * param_count(3, 2, 4, 1, 1)  # the epoch's rows are the larger bound
+    _physical_memory(monkeypatch, need)
+    train_kgc(g, config)
+    _physical_memory(monkeypatch, need - 1)
+    with pytest.raises(ContractError, match=f"rows \\(triples=3, negatives=4, dim=4\\) "
+                                            f"need {need} bytes"):
+        train_kgc(g, config)
+
+
 def test_encode_operands_training_path(small_setup):
     # encoding through store-bound leaves equals the frozen-array encoding
     _, gc, _, model = small_setup
@@ -476,12 +550,11 @@ def test_encoder_matches_dense_per_relation_oracle(case):
     np.testing.assert_allclose(encode(model, gc, mask), oracle_encode(model, gc, mask),
                                rtol=1e-12, atol=1e-12)
 
-    store = ad.ParamStore()
     coef_names = [f"coef_{layer}" for layer in range(model.layers)]
-    for name in coef_names:
-        store.add(name, model.store.params[name])
+    tensors = {name: model.store.params[name] for name in coef_names}
     if mask is not None:
-        store.add("mask", mask)
+        tensors["mask"] = mask
+    store = ad.ParamStore(tensors)
     weights = np.random.default_rng(0).normal(size=(gc.num_nodes, model.dim))
 
     def loss(s, tape):
@@ -540,7 +613,7 @@ def full_pass_target_score(model, gc, mask, target):
     edge, then the decoder reads the head and tail rows."""
     rows = gc.local_of_global[target.head], gc.local_of_global[target.tail]
     return generic_head(model, encode_operands(model, gc, mask), rows,
-                        model.relation_embeddings[target.relation])
+                        model.store.params["rel"][target.relation])
 
 
 def field_target_score(model, gc, mask, target):
@@ -627,10 +700,10 @@ def checkpoint_with(model, g, path, name, row, value):
     save_checkpoint(model, g, path)
     data = bytearray(path.read_bytes())
     offset = 10 + int.from_bytes(data[6:10], "little")
-    for other in model.tensor_names():
+    for other, p in model.store.params.items():
         if other == name:
             break
-        offset += 4 * model.store.params[other].size
+        offset += 4 * p.size
     offset += 4 * row
     data[offset : offset + 4] = np.array([value], dtype="<f4").tobytes()
     path.write_bytes(bytes(data))
@@ -886,10 +959,10 @@ def test_layer_and_loss_ops_pass_finite_differences(decoder, size):
     gc = OP_CHAIN
     model = KgcModel(gc.num_nodes, 3, dim=2, layers=size, bases=size, decoder=decoder,
                      seed=size)
-    store = ad.ParamStore()
-    for name, value in model.store.params.items():
-        store.add(name, value)
-    store.add("mask", np.random.default_rng(size).uniform(0.2, 0.8, gc.num_pairs))
+    store = ad.ParamStore({
+        **model.store.params,
+        "mask": np.random.default_rng(size).uniform(0.2, 0.8, gc.num_pairs),
+    })
     batch = op_batch(gc, size)
     weights = np.array([[0.5, -1.0], [1.5, 0.25]])
 

@@ -117,8 +117,7 @@ def checkpoint_bytes(model, g) -> bytes:
 
 def checkpoint_digest(model, g) -> str:
     """Every parameter, the final loss and the checkpoint file's bytes."""
-    params = [model.store.params[name] for name in model.tensor_names()]
-    return digest(*params, model.final_loss, checkpoint_bytes(model, g))
+    return digest(*model.store.params.values(), model.final_loss, checkpoint_bytes(model, g))
 
 
 def mode_config(mode: str, **fields) -> ExplainConfig:

@@ -195,8 +195,17 @@ def cmd_suite(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line in one stderr line, as the other
+    failures are reported, rather than after the usage text (which `-h`
+    still prints). Subcommand parsers take the same class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgexplain",
         description="Path-based explanations for GNN link-prediction models",
     )

@@ -8,11 +8,12 @@ graph's distinct (src, dst) positions; when several triples share a
 position the maximum score is stored and the arg-max triple recorded as
 provenance.
 
-The TES is one tape op (`TesOp`) with a hand-written backward. Its hidden
-activations, relu masks and their adjoints live in buffers allocated once
-per job, so an epoch allocates no (E, hidden) temporaries. In concatenation
-mode the first layer is split: the input [h_src, r, h_dst | h_i, r_t, h_k]
-has a last block that is the same target row for every edge, so
+The TES is one tape op (`TesOp`) with a hand-written backward that keeps
+nothing between calls but its inputs: an epoch's activations are fresh
+arrays, served from the heap the previous epoch freed (see
+`autodiff._reuse_freed_heap`). In concatenation mode the first layer is
+split: the input [h_src, r, h_dst | h_i, r_t, h_k] has a last block that
+is the same target row for every edge, so
 `x @ w1 = xe @ w1[:3d] + (xt @ w1[3d:])`, with xe (E, 3d) and xt (3d,), and
 the bottom block of w1's gradient is `outer(xt, column sums of the layer-1
 adjoint)`. This halves the widest matmul and its backward.
@@ -60,7 +61,7 @@ from .kgraph import (
     extract_computation_graph,
     k_core_prune,
 )
-from .model import KgcModel, TargetScorer, encode
+from .model import KgcModel, TargetScorer, _refuse_beyond_memory, encode
 
 COMBINE_MODES = ("concatenation", "euclidean")
 
@@ -277,29 +278,17 @@ TES_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 class TesOp:
-    """The TES MLP as one tape op whose activations live in buffers it owns.
-
-    The (E, 64) and (E, 32) activations, their relu masks and their adjoints
-    are allocated once, so an epoch allocates no (E, hidden) temporaries. The
-    buffers hold one forward pass at a time: every call overwrites them, and
-    backpropagating a node whose buffers a later call has overwritten raises
-    `ContractError`.
+    """The TES MLP as one tape op with a hand-written backward.
 
     `xe` and `xt` are the split first-layer input of concatenation mode
     (see the module docstring); in euclidean mode `xe` is the (E, 3)
-    distance input and `xt` is None.
+    distance input and `xt` is None. They are all the op keeps: each
+    forward and each backward computes into fresh arrays, so a node can be
+    backpropagated after any number of later calls.
     """
 
     def __init__(self, xe, xt=None):
-        num_edges = xe.shape[0]
         self.xe, self.xt = xe, xt
-        self.z1 = np.empty((num_edges, TES_HIDDEN[0]))
-        self.z2 = np.empty((num_edges, TES_HIDDEN[1]))
-        self.g1 = np.empty_like(self.z1)
-        self.g2 = np.empty_like(self.z2)
-        self.m1 = np.empty(self.z1.shape, dtype=bool)
-        self.m2 = np.empty(self.z2.shape, dtype=bool)
-        self.generation = 0
 
     # Overflow surfaces as the finite checks' NumericError, not as a warning.
     @np.errstate(over="ignore", invalid="ignore")
@@ -308,13 +297,13 @@ class TesOp:
         parents are the six params when they are Nodes of one tape, a plain
         array when they are arrays."""
         w1, b1, w2, b2, w3, b3 = (ad._val(params[name]) for name in TES_PARAMS)
-        z1, z2, xe, xt = self.z1, self.z2, self.xe, self.xt
+        xe, xt = self.xe, self.xt
         split = xe.shape[1]
-        np.matmul(xe, w1[:split], out=z1)
+        z1 = xe @ w1[:split]
         z1 += b1 if xt is None else xt @ w1[split:] + b1
         ad._check_finite(z1, "tes_mlp:layer1")
         np.maximum(z1, 0.0, out=z1)
-        np.matmul(z1, w2, out=z2)
+        z2 = z1 @ w2
         z2 += b2
         ad._check_finite(z2, "tes_mlp:layer2")
         np.maximum(z2, 0.0, out=z2)
@@ -322,32 +311,22 @@ class TesOp:
         ad._check_finite(logit, "tes_mlp:layer3")
         out = ad._sigmoid_value(logit)
         scores = out.reshape(xe.shape[0])
-        self.generation += 1
         nodes = tuple(params[name] for name in TES_PARAMS)
         tape = ad._tape_of(*nodes)
         if tape is None:
             return scores
-        generation = self.generation
 
         def bw(g):
-            if self.generation != generation:
-                raise ContractError(
-                    "TES activations were overwritten by a later forward pass; "
-                    "run backward before the next TES forward"
-                )
-            g1, g2, m1, m2 = self.g1, self.g2, self.m1, self.m2
             with np.errstate(over="ignore", invalid="ignore"):
                 g3 = g.reshape(out.shape) * out * (1.0 - out)
                 ad._check_finite(g3, "tes_mlp:layer3 adjoint")
                 gw3, gb3 = z2.T @ g3, g3.sum(axis=0)
-                np.multiply(g3, w3.T, out=g2)
-                np.greater(z2, 0.0, out=m2)
-                np.multiply(g2, m2, out=g2)
+                g2 = g3 * w3.T
+                g2 *= z2 > 0.0
                 ad._check_finite(g2, "tes_mlp:layer2 adjoint")
                 gw2, gb2 = z1.T @ g2, g2.sum(axis=0)
-                np.matmul(g2, w2.T, out=g1)
-                np.greater(z1, 0.0, out=m1)
-                np.multiply(g1, m1, out=g1)
+                g1 = g2 @ w2.T
+                g1 *= z1 > 0.0
                 ad._check_finite(g1, "tes_mlp:layer1 adjoint")
                 gb1 = g1.sum(axis=0)
                 gw1 = xe.T @ g1
@@ -378,13 +357,6 @@ def _tes_inputs(H, R, gc: ComputationGraph, target: TargetTriple, combine_mode: 
 # training
 
 
-def _check_endpoints(gc: ComputationGraph, target: TargetTriple):
-    """The explainer reads the target through gc.head_local and gc.tail_local,
-    so they must be the target's head and tail."""
-    if (gc.nodes[gc.head_local], gc.nodes[gc.tail_local]) != (target.head, target.tail):
-        raise ContractError("target endpoints are not the computation graph's head and tail")
-
-
 class ExplainJob:
     """One explanation unit: owns the TES inputs, constants, and loss tape.
 
@@ -395,7 +367,12 @@ class ExplainJob:
     def __init__(self, model: KgcModel, gc: ComputationGraph, target: TargetTriple,
                  config: ExplainConfig):
         config.validate()
-        _check_endpoints(gc, target)
+        gc.target_rows(target)
+        # int64 walk counts and, with the path loss, float64 power steps:
+        # power_order vectors over the nodes each
+        L, n = config.power_order, gc.num_nodes
+        _refuse_beyond_memory((16 if config.enable_path_loss else 8) * L * n,
+                              f"the walk counts and power steps (power_order={L}, nodes={n})")
         self.model = model
         self.gc = gc
         self.target = target
@@ -568,8 +545,7 @@ def generate_paths(gc: ComputationGraph, mask: EdgeScoreMatrix, target: TargetTr
         raise ContractError("num_paths must be >= 1")
     if len(mask.values) != gc.num_pairs:
         raise ContractError("mask support does not match the computation graph")
-    _check_endpoints(gc, target)
-    i, k = gc.head_local, gc.tail_local
+    i, k = gc.target_rows(target)
     paths = []
     if i == k:
         return Explanation(target, paths, mask)

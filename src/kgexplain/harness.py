@@ -22,11 +22,14 @@ from .errors import ContractError, DataError
 from .explain import ExplainConfig, generate_paths, prepare_computation_graph, train_explainer
 from .kgraph import KnowledgeGraph, TargetTriple, full_graph, hop_distances
 from .metrics import HDR_PATH_COUNTS, csv_text, json_text, measure_explanation
-from .model import KgcModel, ModelConfig, train_kgc
+from .model import KgcModel, ModelConfig, _refuse_model_beyond_memory, train_kgc
 
 EXPLAIN_REL = 0
 TARGET_REL = 1
 NOISE_REL_BASE = 2
+# reliant_model's encoder: one layer, whose basis 0 carries the explains
+# relation and basis 1 every other
+RELIANT_LAYERS, RELIANT_BASES = 1, 2
 
 
 @dataclass
@@ -260,8 +263,8 @@ def reliant_model(g: KnowledgeGraph, target: TargetTriple, dim: int = 8, seed: i
     The read-out weight is calibrated so the unexplained target scores
     `base_raw` on the full graph (minus the asserted triple itself).
     """
-    model = KgcModel(g.num_entities, g.num_relations, dim=dim, layers=1, bases=2,
-                     decoder="distmult", seed=seed)
+    model = KgcModel(g.num_entities, g.num_relations, dim=dim, layers=RELIANT_LAYERS,
+                     bases=RELIANT_BASES, decoder="distmult", seed=seed)
     rng = np.random.default_rng(seed + 17)
     p = model.store.params
     mu = 0.6
@@ -428,8 +431,13 @@ SUITE_CSV_COLUMNS = (
 def run_suite(suite: SuiteConfig, out_dir=None):
     """Runs every instance, aggregates recovery and metric trends, and (when
     out_dir is given) writes config echo, per-instance JSON, and aggregate
-    JSON + CSV with deterministic bytes."""
+    JSON + CSV with deterministic bytes. A model that could not fit in
+    physical memory is refused before any instance is generated."""
     t0 = time.perf_counter()
+    layers, bases = ((RELIANT_LAYERS, RELIANT_BASES) if suite.model_source == "reliant"
+                     else (suite.model.layers, suite.model.bases))
+    _refuse_model_beyond_memory(suite.instance.n_entities, suite.instance.n_relations,
+                                suite.model.dim, layers, bases)
     flat = suite.to_flat_dict()
     out = None
     if out_dir is not None:

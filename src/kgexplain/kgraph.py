@@ -315,7 +315,6 @@ class ComputationGraph:
         self.head_local = int(head_local)
         self.tail_local = int(tail_local)
         n = len(self.nodes)
-        self.local_of_global = {int(g): i for i, g in enumerate(self.nodes)}
         first = _run_starts(self.src * n + self.dst)
         starts = np.flatnonzero(first)
         self.pair_indptr = np.concatenate([starts, [self.src.size]]).astype(np.int64)
@@ -353,6 +352,15 @@ class ComputationGraph:
         np.add.at(deg, und // n, 1)
         np.add.at(deg, und % n, 1)
         return deg
+
+    def target_rows(self, target: TargetTriple):
+        """(head_local, tail_local), once they are checked to be the target's
+        head and tail: whatever explains or scores a target reads it there."""
+        i, k = self.head_local, self.tail_local
+        if not (0 <= min(i, k) and max(i, k) < self.num_nodes
+                and (self.nodes[i], self.nodes[k]) == (target.head, target.tail)):
+            raise ContractError("target endpoints are not the computation graph's head and tail")
+        return i, k
 
     def triple_index_of(self, head_local, relation, tail_local):
         """Index of a local triple, or -1 when absent."""

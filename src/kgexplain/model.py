@@ -136,16 +136,24 @@ def _refuse_beyond_memory(nbytes, what):
                             "of physical memory")
 
 
+def _refuse_model_beyond_memory(num_entities, num_relations, dim, layers, bases):
+    """ContractError when a model's parameters and gradients, 16 bytes per
+    float, exceed physical memory. `KgcModel` checks its settings with it,
+    and a suite its model's before it generates an instance."""
+    settings = (num_entities, num_relations, dim, layers, bases)
+    _refuse_beyond_memory(16 * param_count(*settings), "model parameters and gradients "
+                          "(entities={}, relations={}, dim={}, layers={}, bases={})"
+                          .format(*settings))
+
+
 class KgcModel:
     """Entity/relation embeddings plus encoder weights and a decoder tag."""
 
     def __init__(self, num_entities, num_relations, dim=16, layers=2, bases=2,
                  decoder="distmult", seed=0):
         self._settle(num_entities, num_relations, dim, layers, bases, decoder)
-        settings = (self.num_entities, self.num_relations, self.dim, self.layers, self.bases)
-        _refuse_beyond_memory(16 * param_count(*settings), "model parameters and gradients "
-                              "(entities={}, relations={}, dim={}, layers={}, bases={})"
-                              .format(*settings))
+        _refuse_model_beyond_memory(self.num_entities, self.num_relations, self.dim, self.layers,
+                                    self.bases)
         rng = np.random.default_rng(seed)
         scale, coef_scale = 1.0 / np.sqrt(dim), 1.0 / np.sqrt(bases)
         self.store = ParamStore({
@@ -379,7 +387,8 @@ def encode(model: KgcModel, gc: ComputationGraph, mask=None):
 
 def _decode_rows(decoder, H, R, T):
     """Row-wise decoder scores of (E, d) stacks (a (d,) operand broadcasts),
-    and the intermediates `KgcLossOp`'s adjoint reads."""
+    and the intermediates the adjoints read. The package's one decoder
+    forward: `KgcLossOp`, `TargetHeadOp` and `rank_target` all call it."""
     if decoder == "transe":
         x = (H + R) - T
         sq = (x * x).sum(axis=1)
@@ -467,14 +476,13 @@ class KgcLossOp:
 class TargetHeadOp:
     """The prediction head as one tape op with a hand-written backward.
 
-    A call reads rows `head` and `tail` of the (n, d) embeddings H, decodes
-    them with the relation vector `r` (TransE: -||h + r - t||, DistMult:
-    sum(h * r * t)) and returns (raw, prob, nll): the raw score and its
-    sigmoid as arrays, and -log of the probability clamped at
-    `autodiff.LOG_CLAMP`, which is a Node when H is one. The raw score is
-    finite-checked as `target_head`, since the sigmoid and the clamp would
-    turn -inf into a finite loss; the adjoint of H as `target_head adjoint`,
-    and only there.
+    A call decodes rows `head` and `tail` of the (n, d) embeddings H with
+    the relation vector `r`, through `_decode_rows` on one-row stacks, and
+    returns (raw, prob, nll): the raw score and its sigmoid as arrays, and
+    -log of the probability clamped at `autodiff.LOG_CLAMP`, which is a
+    Node when H is one. The raw score is finite-checked as `target_head`,
+    since the sigmoid and the clamp would turn -inf into a finite loss; the
+    adjoint of H as `target_head adjoint`, and only there.
     """
 
     name = "target_head"
@@ -485,14 +493,8 @@ class TargetHeadOp:
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, H):
         vH, r = ad._val(H), self.r
-        h, t = vH[self.head], vH[self.tail]
-        if self.decoder == "transe":
-            x = (h + r) - t
-            dist = np.sqrt((x * x).sum())
-            raw = -dist
-        else:
-            hr = h * r
-            raw = (hr * t).sum()
+        raws, saved = _decode_rows(self.decoder, vH[[self.head]], r, vH[[self.tail]])
+        raw, x_or_hr = raws[0], saved[0][0]  # TransE's h + r - t, DistMult's h * r
         ad._check_finite(raw, self.name)
         prob = ad._sigmoid_value(raw)
         nll = -np.log(np.maximum(prob, ad.LOG_CLAMP))
@@ -508,10 +510,10 @@ class TargetHeadOp:
                 # comes first; a row written onto +0.0 is what a bincount gives.
                 g_raw = ((-g / np.maximum(prob, ad.LOG_CLAMP)) * prob) * (1.0 - prob)
                 if self.decoder == "transe":
-                    g_h = (-g_raw * x) / max(float(dist), 1e-30)
+                    g_h = (-g_raw * x_or_hr) / max(float(-raw), 1e-30)
                     g_t = -g_h
                 else:
-                    g_h, g_t = (g_raw * t) * r, g_raw * hr
+                    g_h, g_t = (g_raw * vH[self.tail]) * r, g_raw * x_or_hr
                 g_H = np.zeros(vH.shape)
                 g_H[self.tail] += g_t
                 g_H[self.head] += g_h
@@ -542,10 +544,7 @@ class TargetScorer:
     """
 
     def __init__(self, model: KgcModel, gc: ComputationGraph, target: TargetTriple):
-        if target.head not in gc.local_of_global or target.tail not in gc.local_of_global:
-            raise ContractError("target endpoints are not present in the computation graph")
-        i = gc.local_of_global[target.head]
-        k = gc.local_of_global[target.tail]
+        i, k = gc.target_rows(target)
         self.model, self.gc = model, gc
         self.h = model.store.params["ent"][gc.nodes]
         self.layers = layer_ops(model, gc, [i, k])
@@ -567,11 +566,8 @@ def rank_target(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
                 mask=None) -> int:
     """Raw (unfiltered) rank of the true tail among all gc nodes except the
     head, with ties counted against the true tail."""
-    if target.head not in gc.local_of_global or target.tail not in gc.local_of_global:
-        raise ContractError("target endpoints are not present in the computation graph")
+    i, k = gc.target_rows(target)
     H = encode(model, gc, mask)
-    i = gc.local_of_global[target.head]
-    k = gc.local_of_global[target.tail]
     r = model.store.params["rel"][target.relation]
     raws, _ = _decode_rows(model.decoder, H[i], r, H)
     ahead = raws >= raws[k]

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -597,7 +601,8 @@ def test_train_beyond_physical_memory_usage_error(tmp_path, dataset, caplog, fla
 
 
 @pytest.mark.parametrize("source, needs", [
-    ("trained", "one training epoch's head, relation and tail rows"),
+    # the suite checks the model before it generates an instance to train on
+    ("trained", "model parameters and gradients"),
     ("reliant", "model parameters and gradients"),
 ])
 def test_suite_model_beyond_physical_memory_usage_error(tmp_path, caplog, source, needs):
@@ -606,6 +611,47 @@ def test_suite_model_beyond_physical_memory_usage_error(tmp_path, caplog, source
     assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 2
     [line] = error_lines(caplog)
     assert line.startswith(f"usage error: {needs} (") and "dim=100000000" in line
+
+
+def test_suite_training_epoch_beyond_physical_memory_usage_error(tmp_path, caplog):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"n_instances": 1, "model.negatives": 10**8}))
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 2
+    [line] = error_lines(caplog)
+    assert line.startswith("usage error: one training epoch's head, relation and tail rows (")
+    assert "negatives=100000000" in line
+
+
+@pytest.mark.parametrize("key, setting", [("instance.n_entities", "entities"),
+                                          ("instance.n_relations", "relations")])
+@pytest.mark.parametrize("source, layers", [("trained", 2), ("reliant", 1)])
+def test_suite_instance_too_large_for_its_model_usage_error(tmp_path, caplog, key, setting,
+                                                            source, layers):
+    # refused before generating the instance, which would allocate without bound
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"n_instances": 1, "model_source": source, key: 10**8}))
+    t0 = time.perf_counter()
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    [line] = error_lines(caplog)
+    assert line.startswith("usage error: model parameters and gradients (")
+    assert f"{setting}=100000000" in line and f"layers={layers}, bases=2)" in line
+    assert not (tmp_path / "o").exists()
+
+
+def test_explain_power_order_beyond_physical_memory_usage_error(tmp_path, dataset,
+                                                                reliant_checkpoint, caplog):
+    train, inst = dataset
+    out = tmp_path / "o"
+    args = explain_args(train, reliant_checkpoint, out, inst, extra=("--power_order", str(2**31)))
+    t0 = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - t0 < 1.0
+    [line] = error_lines(caplog)
+    assert line.startswith("usage error: the walk counts and power steps "
+                           "(power_order=2147483648, nodes=")
+    assert line.endswith("bytes of physical memory")
+    assert not (out / "explanation.json").exists()
 
 
 def test_memory_refusal_prints_one_line(tmp_path, dataset, capfd):
@@ -726,3 +772,81 @@ def test_damaged_suite_config_exits_with_documented_code(case):
         cfg.write_bytes(data)
         code = main(["suite", "--config", str(cfg), "--out_dir", str(Path(tmp) / "o")])
         assert code in (0, 2, 3)
+
+
+# -- argv: numeric flags at the edges of their range ---------------------------
+
+_EDGE_VALUES = ["-1", "0", "1", "2", str(2**31), str(2**63), "1e308", "nan", "inf", "-inf"]
+_EXPLAIN_FLAGS = ["k_hop", "k_core", "max_nodes", "lr", "gamma", "power_order", "num_paths", "seed"]
+_NUMERIC_FLAGS = {"train": ["dim", "layers", "bases", "lr", "negatives", "seed"],
+                  "explain": _EXPLAIN_FLAGS, "evaluate": _EXPLAIN_FLAGS}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A directory holding the tiny planted TSV and a hand-set checkpoint for it."""
+    from kgexplain.harness import reliant_model
+    from kgexplain.kgraph import load_triples
+    from kgexplain.model import save_checkpoint
+
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "train.tsv").write_bytes(VALID_TSV)
+    g = load_triples(tmp / "train.tsv")
+    save_checkpoint(reliant_model(g, _INST.target, dim=4), g, tmp / "model.plnk")
+    return tmp
+
+
+@st.composite
+def edge_argv(draw):
+    """A subcommand with one or two numeric flags set to edge values; the
+    epoch and sample counts stay small, since large ones are valid, just slow."""
+    command = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    argv = [command, "--epochs", draw(st.sampled_from(["1", "2"]))]
+    if command == "evaluate":
+        argv += ["--sample_num", draw(st.sampled_from(["1", "2"]))]
+    for flag in draw(st.lists(st.sampled_from(_NUMERIC_FLAGS[command]), min_size=1, max_size=2,
+                              unique=True)):
+        argv += [f"--{flag}", draw(st.sampled_from(_EDGE_VALUES))]
+    return argv
+
+
+def run_captured(argv):
+    """main(argv) in process: its exit code, the lines a user would see on
+    stderr (the package's log records at the CLI's INFO level and text
+    written to sys.stderr) and the warnings raised."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("kgexplain")
+    level, propagate = logger.level, logger.propagate
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    logger.propagate = False  # no other handler sees them, wherever it writes
+    err = io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+        logger.propagate = propagate
+    return code, [r.getMessage() for r in records] + err.getvalue().splitlines(), caught
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_argv())
+def test_numeric_flags_at_their_edges_exit_with_one_line(tiny_run, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = ["--train", str(tiny_run / "train.tsv"), "--out_dir", tmp]
+        if argv[0] != "train":
+            files += ["--checkpoint", str(tiny_run / "model.plnk")]
+        if argv[0] == "explain":
+            files += ["--head", "head", "--relation", "target", "--tail", "tail"]
+        code, lines, caught = run_captured([*argv, *files])
+    assert code in (0, 2, 3, 4)
+    assert len(lines) <= 1, lines
+    assert not caught, [str(w.message) for w in caught]

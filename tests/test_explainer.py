@@ -30,7 +30,15 @@ from kgexplain.kgraph import (
     adjacency_power_row,
     full_graph,
 )
-from kgexplain.model import DECODERS, KgcModel, encode, layer_ops, score_target_masked
+from kgexplain.model import (
+    DECODERS,
+    KgcModel,
+    TargetScorer,
+    encode,
+    layer_ops,
+    rank_target,
+    score_target_masked,
+)
 
 
 def kg_from(triples, n_ent=None, n_rel=None):
@@ -211,7 +219,7 @@ def test_tes_matches_per_edge_oracle(mode):
 
     H = encode(model, gc, None)
     R = model.store.params["rel"]
-    i, k = gc.local_of_global[target.head], gc.local_of_global[target.tail]
+    i, k = gc.head_local, gc.tail_local
     p = tes.params
     for pid in range(gc.num_pairs):
         row = int(mask.provenance[pid])
@@ -363,19 +371,21 @@ def test_tes_op_adjoint_overflow_names_the_layer():
         scores_and_grads(job.tes, store, np.full(3, 1e300))
 
 
-def test_tes_op_backward_after_a_later_forward_is_refused():
-    job, store, _, weights = tes_case("concatenation", 4)
-    with ad.Tape() as tape:
-        params = {name: tape.param(store, name) for name in store.params}
-        first = job.tes(params)
-        job.tes(params)
-        with pytest.raises(ContractError, match="overwritten"):
-            ad.backward(tape, ad.sumall(ad.mul(first, weights)))
+@pytest.mark.parametrize("mode", ["concatenation", "euclidean"])
+def test_tes_op_backward_after_later_forwards_matches_a_lone_forward(mode):
+    # the op keeps no activations between calls, so later forwards on the
+    # same tape and a final mask leave an earlier node's adjoints unchanged
+    job, store, _, weights = tes_case(mode, 6)
+    _, lone = scores_and_grads(job.tes, store, weights)
+    other = init_tes(mode, 4, seed=9)
+    store.zero_grads()
     with ad.Tape() as tape:
         first = job.tes({name: tape.param(store, name) for name in store.params})
-        job.final_mask(store)
-        with pytest.raises(ContractError, match="overwritten"):
-            ad.backward(tape, ad.sumall(ad.mul(first, weights)))
+        job.tes({name: tape.param(other, name) for name in other.params})
+        job.final_mask(other)
+        ad.backward(tape, ad.sumall(ad.mul(first, weights)))
+    for name in store.params:
+        assert store.grads[name].tobytes() == lone[name].tobytes(), name
 
 
 # -- powering ---------------------------------------------------------------------
@@ -626,7 +636,7 @@ def generic_loss_terms(job, pair_vals):
     cfg, gc, model, target = job.config, job.gc, job.model, job.target
     terms = {}
     if cfg.enable_mi_loss:
-        rows = gc.local_of_global[target.head], gc.local_of_global[target.tail]
+        rows = gc.head_local, gc.tail_local
         h = model.store.params["ent"][gc.nodes]
         edge_mask = ad.reshape(ad.gather(pair_vals, gc.pair_index), (gc.num_edges, 1))
         for op in layer_ops(model, gc, list(rows)):
@@ -808,7 +818,7 @@ def test_train_explainer_prefers_planted_edges():
     planted_pairs = set()
     for path in inst.planted_paths:
         for h, _, t in path:
-            planted_pairs.add((gc.local_of_global[h], gc.local_of_global[t]))
+            planted_pairs.add(tuple(np.searchsorted(gc.nodes, (h, t))))
     on = [v for v, s, d in zip(res.mask.values, res.mask.pair_src, res.mask.pair_dst)
           if (s, d) in planted_pairs]
     off = [v for v, s, d in zip(res.mask.values, res.mask.pair_src, res.mask.pair_dst)
@@ -978,6 +988,12 @@ def test_target_must_be_the_graphs_head_and_tail():
     swapped = TargetTriple(1, 0, 0)
     with pytest.raises(ContractError, match="head and tail"):
         ExplainJob(model, gc, swapped, ExplainConfig())
+    with pytest.raises(ContractError, match="head and tail"):
+        TargetScorer(model, gc, target)
+    with pytest.raises(ContractError, match="head and tail"):
+        score_target_masked(model, gc, None, target)
+    with pytest.raises(ContractError, match="head and tail"):
+        rank_target(model, gc, target)
     gc = full_graph(g, target)
     explanation = generate_paths(gc, EdgeScoreMatrix.constant(gc, 0.5), target)
     assert explanation.paths[0].triples == [(2, 1, 3)]

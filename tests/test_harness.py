@@ -180,7 +180,7 @@ def test_reliant_model_score_tracks_chains():
     assert base.probability > 0.5
 
     def removed(path):
-        rows = [gc.triple_index_of(gc.local_of_global[h], r, gc.local_of_global[t])
+        rows = [gc.triple_index_of(np.searchsorted(gc.nodes, h), r, np.searchsorted(gc.nodes, t))
                 for h, r, t in path]
         return score_target_masked(model, gc.without_triples([r for r in rows if r >= 0]),
                                    None, inst.target).raw

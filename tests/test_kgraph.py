@@ -415,13 +415,18 @@ def test_extract_validates_args():
         extract_computation_graph(g, TargetTriple(0, 0, 1), hops=1, max_nodes=1)
 
 
-def test_index_maps_are_mutual_inverses():
-    g = kg_from([(0, 0, 5), (5, 0, 9), (9, 0, 0)], n_ent=10, n_rel=1)
-    gc = extract_computation_graph(g, TargetTriple(0, 0, 9), hops=2)
-    for local, glob in enumerate(gc.nodes):
-        assert gc.local_of_global[int(glob)] == local
-    for glob, local in gc.local_of_global.items():
-        assert int(gc.nodes[local]) == glob
+def test_extracted_nodes_are_strictly_increasing():
+    # so np.searchsorted(gc.nodes, ids) finds the local index of global ids
+    rng = np.random.default_rng(3)
+    triples = {(int(a), 0, int(b)) for a, b in rng.integers(0, 40, (80, 2))}
+    g = kg_from(sorted(triples), n_ent=40, n_rel=1)
+    for hops, max_nodes in ((1, None), (2, None), (2, 7)):
+        gc = extract_computation_graph(g, TargetTriple(9, 0, 3), hops, max_nodes)
+        pruned = k_core_prune(gc, 2)
+        for nodes in (gc.nodes, pruned.nodes):
+            assert (np.diff(nodes) > 0).all()
+        local = np.searchsorted(pruned.nodes, [9, 3])
+        assert local.tolist() == [pruned.head_local, pruned.tail_local]
 
 
 # -- k_core_prune -------------------------------------------------------------

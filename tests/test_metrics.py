@@ -126,7 +126,7 @@ def test_hdr_planted_instance_supporting_path_drops_score():
     rows = []
     triples = []
     for h, r, t in inst.planted_paths[0]:
-        row = gc.triple_index_of(gc.local_of_global[h], r, gc.local_of_global[t])
+        row = gc.triple_index_of(np.searchsorted(gc.nodes, h), r, np.searchsorted(gc.nodes, t))
         rows.append(row)
         triples.append((h, r, t))
     ex = Explanation(inst.target, [ExplanationPath(triples, rows, [0.9] * len(rows), 0.9)])

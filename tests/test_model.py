@@ -173,7 +173,7 @@ def test_masked_identity_bit_for_bit(small_setup):
     _, gc, target, model = small_setup
     ones = score_target_masked(model, gc, EdgeScoreMatrix.constant(gc, 1.0), target)
     H = encode(model, gc, None)
-    i, k = gc.local_of_global[target.head], gc.local_of_global[target.tail]
+    i, k = gc.head_local, gc.tail_local
     direct = score(model, H[i], model.store.params["rel"][target.relation], H[k])
     assert ones.raw == direct.raw
     assert ones.probability == direct.probability
@@ -192,7 +192,7 @@ def test_masked_matches_composition_oracle(small_setup):
     vals = rng.uniform(0.1, 0.9, gc.num_pairs)
     got = score_target_masked(model, gc, EdgeScoreMatrix.from_values(gc, vals), target)
     H = encode(model, gc, vals)
-    i, k = gc.local_of_global[target.head], gc.local_of_global[target.tail]
+    i, k = gc.head_local, gc.tail_local
     expected = score(model, H[i], model.store.params["rel"][target.relation], H[k])
     assert got.raw == pytest.approx(expected.raw, abs=1e-9)
 
@@ -251,7 +251,7 @@ def test_rank_matches_sort_oracle():
     gc = full_graph(g, target)
     model = KgcModel(8, 2, dim=4, seed=11)
     H = encode(model, gc, None)
-    i, k = gc.local_of_global[0], gc.local_of_global[1]
+    i, k = gc.head_local, gc.tail_local
     r = model.store.params["rel"][0]
     raws = {c: score(model, H[i], r, H[c]).raw for c in range(8) if c != i}
     better = sorted(raws.values(), reverse=True)
@@ -263,8 +263,7 @@ def test_rank_matches_sort_oracle():
 def rank_loop_oracle(model, gc, target, mask=None):
     """Rank by one `score` call per candidate node, ties counted against the tail."""
     H = encode(model, gc, mask)
-    i = gc.local_of_global[target.head]
-    k = gc.local_of_global[target.tail]
+    i, k = gc.head_local, gc.tail_local
     h = H[i]
     r = model.store.params["rel"][target.relation]
     true_raw = score(model, h, r, H[k]).raw
@@ -611,7 +610,7 @@ def generic_head(model, H, target_rows, r):
 def full_pass_target_score(model, gc, mask, target):
     """The unrestricted target score: every layer sends messages along every
     edge, then the decoder reads the head and tail rows."""
-    rows = gc.local_of_global[target.head], gc.local_of_global[target.tail]
+    rows = gc.head_local, gc.tail_local
     return generic_head(model, encode_operands(model, gc, mask), rows,
                         model.store.params["rel"][target.relation])
 

@@ -485,8 +485,12 @@ def backward(tape: Tape, out: Node):
 
 def sgd_step(store: ParamStore, lr: float):
     """Plain gradient descent on the whole buffer; zeroes the accumulators
-    afterwards. Each entry is `p - lr * g`, as a step per tensor would be."""
-    store.flat -= lr * store.grad_flat
+    afterwards. Each entry is `p - lr * g`, as a step per tensor would be.
+    A step that overflows leaves Inf in the buffer, without a numpy warning;
+    the store's next finite check (`Tape.params`, `save_checkpoint`) raises
+    NumericError for it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        store.flat -= lr * store.grad_flat
     store.grad_flat[...] = 0.0
 
 

@@ -52,7 +52,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import ParamStore, Tape, backward, sgd_step
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, NumericError
 from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph, hop_distances
 
 DECODERS = ("transe", "distmult")
@@ -644,8 +644,13 @@ def save_checkpoint(model: KgcModel, g: KnowledgeGraph, path):
     buf.write(struct.pack("<H", CHECKPOINT_VERSION))
     buf.write(struct.pack("<I", len(blob)))
     buf.write(blob)
-    for p in model.store.params.values():
-        buf.write(p.astype("<f4").tobytes())
+    for name, p in model.store.params.items():
+        with np.errstate(over="ignore"):
+            stored = p.astype("<f4")
+        if not np.isfinite(stored).all():
+            raise NumericError(f"checkpoint tensor {name} holds values that are not finite "
+                               "as float32")
+        buf.write(stored.tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 

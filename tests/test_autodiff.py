@@ -3,6 +3,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,17 @@ def test_sgd_zero_gradient_is_identity():
     before = store.params["p"].copy()
     ad.sgd_step(store, 0.5)
     assert np.array_equal(store.params["p"], before)
+
+
+def test_sgd_overflow_is_refused_by_the_next_params_check_without_a_warning():
+    store = ad.ParamStore({"p": np.array([1.0, 2.0]), "q": np.array([3.0])})
+    store.grads["q"][...] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ad.sgd_step(store, 2.0)
+    assert store.params["q"][0] == np.inf and np.array_equal(store.params["p"], [1.0, 2.0])
+    with pytest.raises(NumericError, match="op 'param:q'"):
+        ad.Tape().params(store)
 
 
 def test_sgd_descends_convex_quadratic():

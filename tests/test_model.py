@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -719,6 +720,20 @@ def test_checkpoint_non_finite_tensor_raises_data_error(tmp_path, small_setup, n
         load_checkpoint(p, g)
     checkpoint_with(model, g, p, name, 1, 3.0e38)  # large but finite loads
     assert load_checkpoint(p, g).store.params[name].flat[1] == np.float32(3.0e38)
+
+
+@pytest.mark.parametrize("value", [np.inf, 1e300, -3.5e38])
+def test_save_checkpoint_refuses_values_beyond_float32(tmp_path, small_setup, value):
+    # such a file would be written, then refused by load_checkpoint
+    g, _, _, model = small_setup
+    model.store.params["rel"].flat[1] = value
+    p = tmp_path / "m.plnk"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="checkpoint tensor rel holds values that are not "
+                                               "finite as float32"):
+            save_checkpoint(model, g, p)
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -25,9 +25,7 @@ from .metrics import (
     EvalConfig,
     MetricReport,
     evaluate_batch,
-    fidelity_minus,
-    fidelity_plus,
-    h_delta_r,
+    measure_explanation,
     sparsity,
 )
 from .model import (

@@ -29,8 +29,8 @@ from .explain import (
     train_explainer,
 )
 from .harness import SuiteConfig, run_suite
-from .kgraph import TargetTriple, load_triples
-from .metrics import THRESHOLD_RULES, EvalConfig, evaluate_batch, json_text, rows_to_csv
+from .kgraph import TargetTriple, check_ego_settings, load_triples
+from .metrics import CSV_COLUMNS, THRESHOLD_RULES, EvalConfig, csv_text, evaluate_batch, json_text
 from .model import DECODERS, ModelConfig, load_checkpoint, save_checkpoint, train_kgc
 
 log = logging.getLogger("kgexplain")
@@ -116,6 +116,8 @@ def cmd_explain(args) -> int:
     _resolve_preset(args)
     cfg = _explain_config(args)
     cfg.validate()
+    check_ego_settings(args.k_hop, args.k_core, args.max_nodes,
+                       names=("k_hop", "k_core", "max_nodes"))
     config = _echo_config(args, omit=("delimiter",))
     g = load_triples(args.train, args.delimiter)
     model = load_checkpoint(args.checkpoint, g)
@@ -159,7 +161,7 @@ def cmd_evaluate(args) -> int:
     report, rows = evaluate_batch(model, g, candidates, cfg)
     out_dir = Path(args.out_dir)
     (out_dir / "report.json").write_text(json_text(report.to_json_dict()))
-    (out_dir / "per_target.csv").write_text(rows_to_csv(rows))
+    (out_dir / "per_target.csv").write_text(csv_text(CSV_COLUMNS, rows))
     log.info("evaluated %d targets", report.n_samples)
     return 0
 

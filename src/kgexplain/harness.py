@@ -20,9 +20,15 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .explain import ExplainConfig, generate_paths, prepare_computation_graph, train_explainer
-from .kgraph import KnowledgeGraph, TargetTriple, full_graph, hop_distances
+from .kgraph import KnowledgeGraph, TargetTriple, check_ego_settings, full_graph, hop_distances
 from .metrics import HDR_PATH_COUNTS, csv_text, json_text, measure_explanation
-from .model import KgcModel, ModelConfig, _refuse_model_beyond_memory, train_kgc
+from .model import (
+    KgcModel,
+    ModelConfig,
+    _check_model_settings,
+    _refuse_model_beyond_memory,
+    train_kgc,
+)
 
 EXPLAIN_REL = 0
 TARGET_REL = 1
@@ -42,6 +48,37 @@ class PlantedConfig:
     n_decoy_paths: int = 0
     n_context_groups: int = 4
     seed: int = 0
+
+    def validate(self):
+        """DataError for settings that no instance can meet."""
+        if self.path_len not in (1, 2, 3, 4):
+            raise DataError("path_len must be in {1, 2, 3, 4}")
+        if self.n_planted_paths < 1:
+            raise DataError(f"n_planted_paths must be >= 1, got {self.n_planted_paths}")
+        for name in ("n_distractors", "n_decoy_paths", "n_context_groups"):
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
+        inner = self.path_len - 1
+        reserved = (
+            2
+            + inner * (self.n_planted_paths + self.n_decoy_paths)
+            + self.n_context_groups * (2 + inner)
+            - (2 if self.n_context_groups >= 2 else 0)
+        )
+        if self.n_entities < reserved:
+            raise DataError(
+                f"n_entities={self.n_entities} cannot host the requested disjoint paths "
+                f"and context groups ({reserved} nodes needed)"
+            )
+        needs_noise = self.n_distractors > 0 or self.n_decoy_paths > 0
+        if self.n_relations < 2 + (1 if needs_noise else 0):
+            raise DataError("n_relations too small: need explains, target, and noise relations")
+        distinct = self.n_entities * (self.n_entities - 1) * len(_noise_relations(self)[0])
+        if self.n_distractors > distinct:
+            raise DataError(
+                f"n_distractors={self.n_distractors} exceeds the {distinct} distinct "
+                "distractor triples of this instance; use more entities or fewer distractors"
+            )
 
 
 @dataclass
@@ -84,6 +121,15 @@ def _placeable_distractors(triples, is_rel, d_h, d_t, path_len):
     return np.count_nonzero(is_rel) * (n * (n - 1) - pairs) - existing
 
 
+def _noise_relations(cfg: PlantedConfig):
+    """(distractor relations, decoy relations) as ranges: with decoy paths
+    and at least two noise relations, each kind takes its own half."""
+    noise = range(NOISE_REL_BASE, cfg.n_relations)
+    if cfg.n_decoy_paths > 0 and len(noise) >= 2:
+        return noise[: len(noise) // 2], noise[len(noise) // 2 :]
+    return noise, noise
+
+
 def generate_planted(config: PlantedConfig) -> PlantedInstance:
     """Deterministic planted instance; raises DataError when infeasible.
 
@@ -94,36 +140,11 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
     mask something plausible but unsupportive to rank.
     """
     cfg = config
-    if cfg.path_len not in (1, 2, 3, 4):
-        raise DataError("path_len must be in {1, 2, 3, 4}")
-    if cfg.n_planted_paths < 1:
-        raise DataError(f"n_planted_paths must be >= 1, got {cfg.n_planted_paths}")
-    for name in ("n_distractors", "n_decoy_paths", "n_context_groups"):
-        if getattr(cfg, name) < 0:
-            raise DataError(f"{name} must be >= 0, got {getattr(cfg, name)}")
+    cfg.validate()
     inner = cfg.path_len - 1
-    reserved = (
-        2
-        + inner * (cfg.n_planted_paths + cfg.n_decoy_paths)
-        + cfg.n_context_groups * (2 + inner)
-        - (2 if cfg.n_context_groups >= 2 else 0)
-    )
-    if cfg.n_entities < reserved:
-        raise DataError(
-            f"n_entities={cfg.n_entities} cannot host the requested disjoint paths "
-            f"and context groups ({reserved} nodes needed)"
-        )
-    needs_noise = cfg.n_distractors > 0 or cfg.n_decoy_paths > 0
-    if cfg.n_relations < 2 + (1 if needs_noise else 0):
-        raise DataError("n_relations too small: need explains, target, and noise relations")
     rng = np.random.default_rng(cfg.seed)
     head, tail = 0, 1
-    noise_rels = list(range(NOISE_REL_BASE, cfg.n_relations))
-    if cfg.n_decoy_paths > 0 and len(noise_rels) >= 2:
-        half = len(noise_rels) // 2
-        distract_rels, decoy_rels = noise_rels[:half], noise_rels[half:]
-    else:
-        distract_rels = decoy_rels = noise_rels
+    distract_rels, decoy_rels = map(list, _noise_relations(cfg))
 
     edges = []
     seen = set()
@@ -182,12 +203,6 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
             put(chain[j], EXPLAIN_REL, chain[j + 1])
         put(gh, TARGET_REL, gt)
 
-    distinct = cfg.n_entities * (cfg.n_entities - 1) * len(distract_rels)
-    if cfg.n_distractors > distinct:
-        raise DataError(
-            f"n_distractors={cfg.n_distractors} exceeds the {distinct} distinct "
-            "distractor triples of this instance; use more entities or fewer distractors"
-        )
     distractors = []
     attempts = 0
     max_attempts = 200 * max(cfg.n_distractors, 1)
@@ -307,6 +322,14 @@ def reliant_model(g: KnowledgeGraph, target: TargetTriple, dim: int = 8, seed: i
 MODEL_SOURCES = ("trained", "reliant")
 
 
+def _in_section(section, check):
+    """Run `check`; the error it raises names the suite config section."""
+    try:
+        check()
+    except (ContractError, DataError) as exc:
+        raise type(exc)(f"{section} section: {exc}") from None
+
+
 def _field_types(cls) -> dict:
     """Field name -> the types its annotation allows."""
     return {name: typing.get_args(hint) or (hint,)
@@ -360,6 +383,22 @@ class SuiteConfig:
         if cfg.base_seed < 0:
             raise ContractError(f"base_seed must be >= 0, got {cfg.base_seed}")
         return cfg
+
+    def validate(self):
+        """Refuse what a run would refuse after writing its config: the
+        instance (DataError), the model a trained source would train (for a
+        reliant model, only its dim), the ego-graph settings and each mode's
+        explain config (ContractError). The seeds checked are those a run
+        uses."""
+        _in_section("instance", self.instance.validate)
+        if self.model_source == "reliant":
+            _in_section("model", lambda: _check_model_settings(
+                self.model.dim, RELIANT_LAYERS, RELIANT_BASES, "distmult"))
+        else:
+            _in_section("model", replace(self.model, seed=self.base_seed).validate)
+        check_ego_settings(self.resolved_hops(), self.k_core, self.max_nodes)
+        for mode in MODES if self.ablations else ("full",):
+            _in_section("explain", _mode_config(self.explain, mode, self.base_seed).validate)
 
     def to_flat_dict(self):
         out = {k: v for k, v in asdict(self).items()
@@ -431,9 +470,11 @@ SUITE_CSV_COLUMNS = (
 def run_suite(suite: SuiteConfig, out_dir=None):
     """Runs every instance, aggregates recovery and metric trends, and (when
     out_dir is given) writes config echo, per-instance JSON, and aggregate
-    JSON + CSV with deterministic bytes. A model that could not fit in
-    physical memory is refused before any instance is generated."""
+    JSON + CSV with deterministic bytes. Invalid settings, and a model
+    that could not fit in physical memory, are refused before anything is
+    written or any instance is generated."""
     t0 = time.perf_counter()
+    suite.validate()
     layers, bases = ((RELIANT_LAYERS, RELIANT_BASES) if suite.model_source == "reliant"
                      else (suite.model.layers, suite.model.bases))
     _refuse_model_beyond_memory(suite.instance.n_entities, suite.instance.n_relations,

@@ -185,24 +185,14 @@ class KnowledgeGraph:
         close = difflib.get_close_matches(str(key), list(index), n=5, cutoff=0.4)
         raise DataError(f"unknown {kind} {key!r}; closest matches: {close}")
 
-    def entity_vocab_json(self) -> str:
-        return json.dumps(
-            {name: i for i, name in enumerate(self.entity_names)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    def relation_vocab_json(self) -> str:
-        return json.dumps(
-            {name: i for i, name in enumerate(self.relation_names)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
     def vocab_hashes(self):
-        return (
-            hashlib.sha256(self.entity_vocab_json().encode()).hexdigest(),
-            hashlib.sha256(self.relation_vocab_json().encode()).hexdigest(),
+        """sha256 of each vocabulary's name -> id map as compact, key-sorted
+        JSON: (entities, relations). Checkpoints store these bytes' hashes."""
+        return tuple(
+            hashlib.sha256(json.dumps(
+                {name: i for i, name in enumerate(names)}, sort_keys=True, separators=(",", ":")
+            ).encode()).hexdigest()
+            for names in (self.entity_names, self.relation_names)
         )
 
 
@@ -398,6 +388,16 @@ class ComputationGraph:
         )
 
 
+def check_ego_settings(hops=1, k_core=0, max_nodes=None,
+                       names=("hops", "k_core", "max_nodes")):
+    """ContractError naming the first ego-graph setting below its bound:
+    hops >= 1, k_core >= 0, and max_nodes >= 2 unless None (no cap). `names`
+    are the caller's names for the three; the defaults are in bounds."""
+    for name, value, low in zip(names, (hops, k_core, max_nodes), (1, 0, 2)):
+        if value is not None and value < low:
+            raise ContractError(f"{name} must be >= {low}, got {value}")
+
+
 def extract_computation_graph(
     g: KnowledgeGraph, target: TargetTriple, hops: int, max_nodes: int | None = None
 ) -> ComputationGraph:
@@ -407,10 +407,7 @@ def extract_computation_graph(
     global id); head and tail are always retained. Reachability is
     undirected; stored edges keep their direction.
     """
-    if hops < 1:
-        raise ContractError("hops must be >= 1")
-    if max_nodes is not None and max_nodes < 2:
-        raise ContractError("max_nodes must be >= 2")
+    check_ego_settings(hops=hops, max_nodes=max_nodes)
     target.validate(g)
     dist = hop_distances(g.num_entities, g.heads, g.tails, [target.head, target.tail], hops,
                          undirected=True)
@@ -445,8 +442,7 @@ def k_core_prune(gc: ComputationGraph, k: int) -> ComputationGraph:
     """Iteratively delete nodes of undirected degree < k until fixpoint, then
     re-admit the target head and tail (they never leave the output, but do
     not prop up other nodes' degrees while pruning)."""
-    if k < 0:
-        raise ContractError("k must be >= 0")
+    check_ego_settings(k_core=k)
     alive = np.ones(gc.num_nodes, dtype=bool)
     while True:
         deg = gc.undirected_degrees(alive)

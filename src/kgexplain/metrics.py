@@ -25,7 +25,7 @@ from .explain import (
     prepare_computation_graph,
     train_explainer,
 )
-from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple
+from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, check_ego_settings
 from .model import KgcModel, TargetScorer, rank_target, score_target_masked
 
 HDR_PATH_COUNTS = (1, 3, 5)
@@ -49,51 +49,11 @@ class MetricReport:
         }
 
 
-def fidelity_plus(model: KgcModel, gc: ComputationGraph, mask: EdgeScoreMatrix,
-                  target: TargetTriple) -> float:
-    """|score on gc - score on gc with the explanation removed| via the
-    complement mask (1 - M)."""
-    scorer = TargetScorer(model, gc, target)
-    return abs(float(scorer(None)[1]) - float(scorer(mask.complement())[1]))
-
-
-def fidelity_minus(model: KgcModel, gc: ComputationGraph, mask: EdgeScoreMatrix,
-                   target: TargetTriple) -> float:
-    """|score on the explanatory subgraph - score on gc|."""
-    scorer = TargetScorer(model, gc, target)
-    return abs(float(scorer(mask)[1]) - float(scorer(None)[1]))
-
-
-def sparsity(mask: EdgeScoreMatrix, gc: ComputationGraph | None = None) -> float:
+def sparsity(mask: EdgeScoreMatrix, gc: ComputationGraph) -> float:
     """1 - mean mask value over the graph's edge positions (1 when empty)."""
-    n_edges = gc.num_pairs if gc is not None else len(mask.values)
-    if n_edges == 0:
+    if gc.num_pairs == 0:
         return 1.0
-    return 1.0 - float(mask.values.sum()) / n_edges
-
-
-def _hdr_hits(model, gc, explanation, target, ms, base_raw):
-    """{m: HDR:m hit}; each distinct set of deleted rows (the triples on the
-    top-m paths) is built and scored once, since m beyond the path count
-    deletes what the path count does."""
-    removed_raw = {}
-    hits = {}
-    for m in ms:
-        rows = tuple(sorted({r for p in explanation.paths[:m] for r in p.triple_indices}))
-        if rows not in removed_raw:
-            gt = gc.without_triples(rows) if rows else gc
-            removed_raw[rows] = score_target_masked(model, gt, None, target).raw
-        hits[m] = not (removed_raw[rows] > base_raw)
-    return hits
-
-
-def h_delta_r(model: KgcModel, gc: ComputationGraph, explanation: Explanation,
-              target: TargetTriple, m: int) -> bool:
-    """Hit when deleting the top-m paths' triples does not raise the raw score."""
-    if m < 1:
-        raise ContractError("m must be >= 1")
-    base_raw = score_target_masked(model, gc, None, target).raw
-    return _hdr_hits(model, gc, explanation, target, (m,), base_raw)[m]
+    return 1.0 - float(mask.values.sum()) / gc.num_pairs
 
 
 THRESHOLD_RULES = ("prob", "rank1")  # model probability > 0.5, or the true tail ranked first
@@ -116,14 +76,19 @@ class EvalConfig:
             raise ContractError(f"threshold_rule must be one of {THRESHOLD_RULES}")
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
+        check_ego_settings(self.k_hop, self.k_core, self.max_nodes,
+                           names=("k_hop", "k_core", "max_nodes"))
         self.explain.validate()
 
 
 def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
                         mask: EdgeScoreMatrix, explanation: Explanation):
-    """Metric row for an already-computed explanation. One scorer serves the
+    """Metric row for an already-computed explanation: the package's one
+    implementation of F+, F-, sparsity and HDR:m. One scorer serves the
     unmasked, complement and kept masks, and its single unmasked forward
-    pass feeds every metric."""
+    pass feeds every metric. Each distinct set of deleted rows (the triples
+    on the top-m paths) is built and scored once, since m beyond the path
+    count deletes what the path count does."""
     scorer = TargetScorer(model, gc, target)
     base_raw, base_prob = map(float, scorer(None)[:2])
     row = {
@@ -134,9 +99,13 @@ def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTri
         "f_minus": abs(float(scorer(mask)[1]) - base_prob),
         "sparsity": sparsity(mask, gc),
     }
-    for m, hit in _hdr_hits(model, gc, explanation, target, HDR_PATH_COUNTS,
-                            base_raw).items():
-        row[f"hit{m}"] = hit
+    removed_raw = {}
+    for m in HDR_PATH_COUNTS:
+        rows = tuple(sorted({r for p in explanation.paths[:m] for r in p.triple_indices}))
+        if rows not in removed_raw:
+            gt = gc.without_triples(rows) if rows else gc
+            removed_raw[rows] = score_target_masked(model, gt, None, target).raw
+        row[f"hit{m}"] = not (removed_raw[rows] > base_raw)
     return row
 
 
@@ -213,7 +182,3 @@ def csv_text(columns, rows) -> str:
     lines = [",".join(columns)]
     lines.extend(",".join(_csv_cell(r[c]) for c in columns) for r in rows)
     return "\n".join(lines) + "\n"
-
-
-def rows_to_csv(rows) -> str:
-    return csv_text(CSV_COLUMNS, rows)

@@ -43,7 +43,7 @@ from kgexplain.kgraph import (
     full_graph,
     k_core_prune,
 )
-from kgexplain.metrics import fidelity_minus, fidelity_plus, h_delta_r, sparsity
+from kgexplain.metrics import measure_explanation
 from kgexplain.model import KgcModel
 
 
@@ -199,14 +199,15 @@ def test_criterion_5_metric_identities():
     target = TargetTriple(0, 0, 1)
     gc = full_graph(g, target)
     model = KgcModel(4, 1, dim=4, seed=0)
-    ones = EdgeScoreMatrix.constant(gc, 1.0)
-    zeros = EdgeScoreMatrix.constant(gc, 0.0)
+    no_paths = Explanation(target, [])
+    ones = measure_explanation(model, gc, target, EdgeScoreMatrix.constant(gc, 1.0), no_paths)
+    zeros = measure_explanation(model, gc, target, EdgeScoreMatrix.constant(gc, 0.0), no_paths)
     checks = [
-        fidelity_minus(model, gc, ones, target) == 0.0,
-        fidelity_plus(model, gc, zeros, target) == 0.0,
-        sparsity(ones, gc) == 0.0,
-        sparsity(zeros, gc) == 1.0,
-        h_delta_r(model, gc, Explanation(target, []), target, 1) is True,
+        ones["f_minus"] == 0.0,
+        zeros["f_plus"] == 0.0,
+        ones["sparsity"] == 0.0,
+        zeros["sparsity"] == 1.0,
+        ones["hit1"] is True,
     ]
     # tie case with a real path whose removal leaves the raw score unchanged:
     # removing an isolated spectator edge not reaching the target
@@ -220,7 +221,9 @@ def test_criterion_5_metric_identities():
         TargetTriple(0, 0, 1),
         [ExplanationPath([(2, 0, 3)], [row], [0.5], 0.5)],
     )
-    checks.append(h_delta_r(model2, gc2, spectator, TargetTriple(0, 0, 1), 1) is True)
+    half = EdgeScoreMatrix.constant(gc2, 0.5)
+    checks.append(measure_explanation(model2, gc2, TargetTriple(0, 0, 1), half,
+                                      spectator)["hit1"] is True)
     ok = all(checks)
     report(5, ok, "F-=0 (all-ones), F+=0 (all-zeros), sparsity anchors 0/1, "
                   "HdR tie counts as hit - all exact")

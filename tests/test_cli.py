@@ -337,6 +337,7 @@ def test_suite_with_more_distractors_than_distinct_triples_exits_3(tmp_path, cap
     assert time.perf_counter() - t0 < 10
     [line] = error_lines(caplog)
     assert f"n_distractors={n_distractors} exceeds the 6240 distinct" in line
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -349,7 +350,46 @@ def test_suite_with_bad_planted_count_exits_3(tmp_path, caplog, key, value, mess
     cfg = tmp_path / "suite.json"
     cfg.write_text(json.dumps({"n_instances": 1, key: value}))
     assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 3
+    assert error_lines(caplog) == [f"instance section: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("settings, code, message", [
+    ({"k_core": -1}, 2, "usage error: k_core must be >= 0, got -1"),
+    ({"hops": 0}, 2, "usage error: hops must be >= 1, got 0"),
+    ({"max_nodes": 1}, 2, "usage error: max_nodes must be >= 2, got 1"),
+    ({"explain.epochs": 0}, 2, "usage error: explain section: epochs must be >= 1"),
+    ({"explain.combine_mode": "sum"}, 2, "usage error: explain section: combine_mode must be "
+                                         "one of ('concatenation', 'euclidean')"),
+    # the path_off mode would run with both losses off
+    ({"ablations": True, "explain.enable_mi_loss": False}, 2,
+     "usage error: explain section: at least one of path loss / MI loss must be enabled"),
+    ({"model.epochs": 0}, 2, "usage error: model section: epochs must be >= 1"),
+    ({"model_source": "reliant", "model.dim": 1}, 2,
+     "usage error: model section: embedding dim must be >= 2"),
+    ({"instance.path_len": 7}, 3, "instance section: path_len must be in {1, 2, 3, 4}"),
+])
+def test_suite_invalid_settings_refused_before_any_write(tmp_path, caplog, settings, code,
+                                                         message):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"n_instances": 1, **settings}))
+    t0 = time.perf_counter()
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == code
+    assert time.perf_counter() - t0 < 1.0
     assert error_lines(caplog) == [message]
+    assert not (tmp_path / "o").exists()
+
+
+def test_suite_checks_only_the_settings_a_run_uses(tmp_path):
+    # a reliant model is not trained, and each instance sets its own seeds
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({
+        "n_instances": 1, "model_source": "reliant", "hops": 2, "instance.n_entities": 30,
+        "instance.n_distractors": 10, "instance.n_context_groups": 2, "explain.epochs": 2,
+        "model.epochs": 0, "model.lr": -1.0, "model.layers": 0, "explain.seed": -1,
+        "instance.seed": -1,
+    }))
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 0
 
 
 def test_usage_error_unknown_subcommand():
@@ -576,6 +616,26 @@ def test_invalid_settings_leave_no_config_json(tmp_path, dataset, reliant_checkp
     assert main([*args, "--seed", "-1"]) == 2
     assert error_lines(caplog) == ["usage error: seed must be >= 0, got -1"]
     assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("k_core", "-1", "k_core must be >= 0, got -1"),
+    ("k_hop", "0", "k_hop must be >= 1, got 0"),
+    ("max_nodes", "1", "max_nodes must be >= 2, got 1"),
+])
+def test_ego_graph_flags_refused_before_config_json(tmp_path, dataset, reliant_checkpoint,
+                                                    caplog, command, flag, value, message):
+    train, inst = dataset
+    out = tmp_path / "o"
+    args = explain_args(train, reliant_checkpoint, out, inst)
+    if command == "evaluate":
+        args = ["evaluate", *args[1:args.index("--head")], "--sample_num", "1"]
+    t0 = time.perf_counter()
+    assert main([*args, f"--{flag}", value]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert error_lines(caplog) == [f"usage error: {message}"]
+    assert not out.exists()
 
 
 def test_suite_negative_base_seed_usage_error(tmp_path, caplog):

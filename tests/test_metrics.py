@@ -14,15 +14,7 @@ from kgexplain.explain import (
 )
 from kgexplain.harness import PlantedConfig, generate_planted, reliant_model
 from kgexplain.kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph
-from kgexplain.metrics import (
-    EvalConfig,
-    evaluate_batch,
-    fidelity_minus,
-    fidelity_plus,
-    h_delta_r,
-    rows_to_csv,
-    sparsity,
-)
+from kgexplain.metrics import EvalConfig, evaluate_batch, measure_explanation, sparsity
 from kgexplain.model import KgcModel, TargetScorer, score_target_masked
 
 
@@ -42,38 +34,42 @@ def setup():
     return g, gc, target, model
 
 
+def measured(model, gc, target, mask, explanation=None):
+    """The metric row of `mask`, with no paths unless `explanation` is given."""
+    return measure_explanation(model, gc, target, mask, explanation or Explanation(target, []))
+
+
 # -- identities (acceptance criterion 5 granularity) ---------------------------
 
 
 def test_fidelity_minus_zero_for_all_ones(setup):
     _, gc, target, model = setup
-    assert fidelity_minus(model, gc, EdgeScoreMatrix.constant(gc, 1.0), target) == 0.0
+    assert measured(model, gc, target, EdgeScoreMatrix.constant(gc, 1.0))["f_minus"] == 0.0
 
 
 def test_fidelity_plus_zero_for_all_zeros(setup):
     _, gc, target, model = setup
-    assert fidelity_plus(model, gc, EdgeScoreMatrix.constant(gc, 0.0), target) == 0.0
+    assert measured(model, gc, target, EdgeScoreMatrix.constant(gc, 0.0))["f_plus"] == 0.0
 
 
 def test_fidelity_positive_for_informative_masks(setup):
     _, gc, target, model = setup
     ones = EdgeScoreMatrix.constant(gc, 1.0)
     zeros = EdgeScoreMatrix.constant(gc, 0.0)
-    assert fidelity_plus(model, gc, ones, target) > 0.0
-    assert fidelity_minus(model, gc, zeros, target) > 0.0
+    assert measured(model, gc, target, ones)["f_plus"] > 0.0
+    assert measured(model, gc, target, zeros)["f_minus"] > 0.0
 
 
 def test_fidelity_matches_forward_difference_oracle(setup):
-    from kgexplain.model import score_target_masked
-
     _, gc, target, model = setup
     rng = np.random.default_rng(1)
     mask = EdgeScoreMatrix.from_values(gc, rng.uniform(0.2, 0.8, gc.num_pairs))
     base = score_target_masked(model, gc, None, target).probability
     removed = score_target_masked(model, gc, mask.complement(), target).probability
     kept = score_target_masked(model, gc, mask, target).probability
-    assert fidelity_plus(model, gc, mask, target) == pytest.approx(abs(base - removed))
-    assert fidelity_minus(model, gc, mask, target) == pytest.approx(abs(kept - base))
+    row = measured(model, gc, target, mask)
+    assert row["f_plus"] == pytest.approx(abs(base - removed))
+    assert row["f_minus"] == pytest.approx(abs(kept - base))
 
 
 def test_sparsity_anchors(setup):
@@ -97,13 +93,12 @@ def test_sparsity_empty_graph_is_one():
     assert sparsity(EdgeScoreMatrix.from_values(gc, np.zeros(0)), gc) == 1.0
 
 
-# -- h_delta_r -------------------------------------------------------------------
+# -- HDR:m -----------------------------------------------------------------------
 
 
 def test_hdr_empty_explanation_is_hit(setup):
     _, gc, target, model = setup
-    empty = Explanation(target, [])
-    assert h_delta_r(model, gc, empty, target, 1) is True
+    assert measured(model, gc, target, EdgeScoreMatrix.constant(gc, 0.5))["hit1"] is True
 
 
 def test_hdr_m_larger_than_path_count_clamps(setup):
@@ -113,10 +108,9 @@ def test_hdr_m_larger_than_path_count_clamps(setup):
         [(int(gc.nodes[gc.src[row]]), int(gc.rel[row]), int(gc.nodes[gc.dst[row]]))],
         [row], [0.9], 0.9,
     )
-    ex = Explanation(target, [path])
-    assert h_delta_r(model, gc, ex, target, 5) == h_delta_r(model, gc, ex, target, 1)
-    with pytest.raises(ContractError):
-        h_delta_r(model, gc, ex, target, 0)
+    row = measured(model, gc, target, EdgeScoreMatrix.constant(gc, 0.5),
+                   Explanation(target, [path]))
+    assert row["hit5"] == row["hit1"]
 
 
 def test_hdr_planted_instance_supporting_path_drops_score():
@@ -133,7 +127,7 @@ def test_hdr_planted_instance_supporting_path_drops_score():
     base = score_target_masked(model, gc, None, inst.target)
     gt = gc.without_triples(rows)
     assert score_target_masked(model, gt, None, inst.target).raw < base.raw
-    assert h_delta_r(model, gc, ex, inst.target, 1) is True
+    assert measured(model, gc, inst.target, EdgeScoreMatrix.constant(gc, 0.5), ex)["hit1"] is True
 
 
 @pytest.mark.parametrize("n_paths, builds", [(0, 0), (1, 1), (2, 2), (3, 2)])
@@ -149,8 +143,13 @@ def test_hdr_builds_and_scores_each_deleted_row_set_once(monkeypatch, n_paths, b
         return ExplanationPath(triples, rows, [0.5] * len(rows), 0.5)
 
     ex = Explanation(inst.target, [path(rows) for rows in ([0, 6], [1, 8], [2])][:n_paths])
-    expected = {f"hit{m}": h_delta_r(model, gc, ex, inst.target, m)
-                for m in mx.HDR_PATH_COUNTS}
+    # oracle: score the graph without the top-m paths' triples against the unmasked raw score
+    base_raw = score_target_masked(model, gc, None, inst.target).raw
+    expected = {}
+    for m in mx.HDR_PATH_COUNTS:
+        rows = sorted({r for p in ex.paths[:m] for r in p.triple_indices})
+        removed_raw = score_target_masked(model, gc.without_triples(rows), None, inst.target).raw
+        expected[f"hit{m}"] = not removed_raw > base_raw
     built = []
     original = ComputationGraph.without_triples
 
@@ -203,7 +202,7 @@ def test_evaluate_batch_planted_reports_all_fields():
     assert set(report.h_delta_r) == {1, 3, 5}
     assert all(np.isfinite(v) for v in
                (report.fidelity_plus, report.fidelity_minus, report.sparsity))
-    csv = rows_to_csv(rows)
+    csv = mx.csv_text(mx.CSV_COLUMNS, rows)
     header = csv.splitlines()[0].split(",")
     assert header == list(mx.CSV_COLUMNS)
     assert len(csv.splitlines()) == 2
@@ -263,5 +262,6 @@ def test_fidelity_bounded_by_unit_interval(setup):
     rng = np.random.default_rng(3)
     for _ in range(20):
         mask = EdgeScoreMatrix.from_values(gc, rng.uniform(0.0, 1.0, gc.num_pairs))
-        assert 0.0 <= fidelity_plus(model, gc, mask, target) <= 1.0
-        assert 0.0 <= fidelity_minus(model, gc, mask, target) <= 1.0
+        row = measured(model, gc, target, mask)
+        assert 0.0 <= row["f_plus"] <= 1.0
+        assert 0.0 <= row["f_minus"] <= 1.0

@@ -9,6 +9,7 @@ from .explain import (
     init_tes,
     prepare_computation_graph,
     train_explainer,
+    train_explainers,
 )
 from .harness import PlantedConfig, SuiteConfig, generate_planted, run_suite
 from .kgraph import (

@@ -44,8 +44,8 @@ op's own checks already imply that the value is finite:
 - `explain.TesOp`'s scores are the sigmoid of its checked logits;
 - `model.RgcnLayerOp`'s output is the relu (or identity) of its checked
   pre-activation;
-- `gather` and `segment_max` take entries and maxima of a Node's value,
-  which was checked.
+- `gather`, `take_row` and `segment_max` take entries and maxima of a
+  Node's value, which was checked, and `put_rows` places them.
 
 Scalar outputs keep their check, which costs next to nothing;
 `explain.PathLossOp` needs it, since a negative mask can make its loss NaN.
@@ -337,29 +337,67 @@ def edge_spmv(u, vals, src, dst, n):
 
 
 def segment_max(vals, indptr, seg_of=None):
-    """Per-segment max over a 1-D array split at contiguous boundaries.
+    """Per-segment max along the last axis, split at contiguous boundaries.
 
+    `vals` is one row of values, or a batch of rows that share the segments.
     Ties route the adjoint to the first maximal element of the segment.
     `seg_of` is each element's segment; the explainer passes its
     `gc.pair_index`. Without it, it is derived from `indptr`, which the tests
     keep as the reference for the passed-in index.
     """
     v = _val(vals)
-    out = np.maximum.reduceat(v, indptr[:-1])
+    out = np.maximum.reduceat(v, indptr[:-1], axis=-1)
     if seg_of is None:
-        seg_of = np.repeat(np.arange(len(out)), np.diff(indptr))
-    hit = np.where(v == out[seg_of], np.arange(v.shape[0]), v.shape[0])
-    argmax = np.minimum.reduceat(hit, indptr[:-1])
+        seg_of = np.repeat(np.arange(out.shape[-1]), np.diff(indptr))
+    width = v.shape[-1]
+    hit = np.where(v == np.take(out, seg_of, axis=-1), np.arange(width), width)
+    argmax = np.minimum.reduceat(hit, indptr[:-1], axis=-1)
     if not isinstance(vals, Node):
         return out, argmax
+    # each maximum's index in `v`, with its row's index in a batch
+    at = argmax if v.ndim == 1 else (np.arange(v.shape[0])[:, None], argmax)
 
     def bw(g):
         gz = np.zeros_like(v)
-        gz[argmax] = g
+        gz[at] = g
         return [gz]
 
     # the max of a checked Node's values is finite
     return Node(vals.tape, out, (vals,), bw, "segment_max", checked=True), argmax
+
+
+def take_row(x, row):
+    """Row `row` of a batch of rows (an array or a Node). The adjoint is -0.0
+    in every other row: adding -0.0 leaves any float as it is, so the other
+    rows' adjoints keep their bits (+0.0 would turn a -0.0 into +0.0)."""
+    vx = _val(x)
+    out = vx[row]
+    if not isinstance(x, Node):
+        return out
+
+    def bw(g):
+        gx = np.full(vx.shape, -0.0)
+        gx[row] = g
+        return [gx]
+
+    # a row of a checked Node's value is finite
+    return Node(x.tape, out, (x,), bw, "take_row", checked=True)
+
+
+def put_rows(n, parts):
+    """An (n,) vector with one value per row of a batch: `parts` pairs each
+    value (a scalar or a vector, an array or a Node) with the row or rows it
+    fills, and every other row holds -0.0, which adding leaves unchanged. The
+    adjoint of each part is its rows of the vector's adjoint."""
+    out = np.full(n, -0.0)
+    for value, rows in parts:
+        out[rows] = _val(value)
+    nodes = [(x, rows) for x, rows in parts if isinstance(x, Node)]
+    if not nodes:
+        return out
+    # the parts' values were checked
+    return Node(nodes[0][0].tape, out, tuple(x for x, _ in nodes),
+                lambda g: [g[rows] for _, rows in nodes], "put_rows", checked=True)
 
 
 def reshape(a, shape):
@@ -411,17 +449,18 @@ def powc(a, c):
 
 
 def norm(a):
-    """Euclidean norm of all entries; grad defined as 0 at the origin."""
+    """Euclidean norm along the last axis: of all entries of a vector, of each
+    row of a batch of rows; grad defined as 0 at the origin."""
     return _unary(
         a,
-        lambda x: np.sqrt((x * x).sum()),
-        lambda g, x, o: g * x / max(float(o), 1e-30),
+        lambda x: np.sqrt((x * x).sum(axis=-1)),
+        lambda g, x, o: g[..., None] * x / np.maximum(o, 1e-30)[..., None],
         "norm",
     )
 
 
 def sumall(a):
-    return _unary(a, lambda x: x.sum(), lambda g, x, o: np.broadcast_to(g, x.shape).copy(), "sum")
+    return _unary(a, lambda x: x.sum(), lambda g, x, o: np.full(x.shape, g), "sum")
 
 
 # ---------------------------------------------------------------------------

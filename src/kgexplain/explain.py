@@ -36,6 +36,32 @@ hand-written backwards repeat the generic ops' numpy operations in reverse
 tape order, so masks, loss traces and paths are the same bits as with the
 generic-op composition the tests keep as their oracle.
 
+Configs that share the model, ego-graph, target and every setting but the
+two loss switches (`enable_path_loss`, `enable_mi_loss`), as a suite's
+ablation modes do, train as one batch (`train_explainers`): the TES
+parameters, scores and per-pair mask gain a leading batch axis of one row
+per config, and an epoch records one tape with one `TesOp` pass, one
+`segment_max`, one path term over the rows that have it (a block-diagonal
+graph, one copy of the pairs per row), one L2 term, one backward of the
+sum of the rows' totals and one SGD step. The prediction term runs once
+per row that has it, on that row of the mask, so the encoder's layer ops
+keep their 2-D shapes. Each row's numbers are those of its config trained
+alone, bit for bit, by two rules:
+
+- every numpy call acts on each row as the unbatched call acts on its
+  arrays: stacked matmuls multiply slice by slice with the 2-D product's
+  BLAS call, sums and maxima run along the same axes, and one bincount over
+  per-row offset bins adds each bin's entries in the same order;
+- the serial order of additions is kept. A row without a term holds -0.0
+  in that term's vector and receives no adjoint from it; adding -0.0
+  leaves every float as it is, so each row's total is (prediction + path)
+  + L2, prediction + L2 or path + L2, as in the serial sum, and its mask
+  adjoint adds the L2, path and prediction pieces in the serial order. A
+  zero pad would turn -0.0 into +0.0.
+
+A single config runs the same code on unbatched arrays: a (pairs,) mask,
+(E, k) TES activations and scalar terms, with the 17 nodes above.
+
 Note on walks vs paths: the powering chain counts walks (node revisits
 allowed) exactly as the matrix algebra dictates; simple-path constraints
 apply only at extraction time.
@@ -45,7 +71,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,23 +129,28 @@ class ExplainConfig:
             raise ContractError("num_paths must be >= 1")
 
 
-def init_tes(combine_mode: str, dim: int, seed: int = 0) -> ParamStore:
+def init_tes(combine_mode: str, dim: int, seed: int = 0, batch: int | None = None) -> ParamStore:
     """MLP [input -> 64 -> 32 -> 1], ReLU hidden, sigmoid output.
 
     The final layer starts near zero so initial edge scores sit at ~0.5.
+    With `batch`, each tensor gains a leading axis of that many copies of
+    the same draw, one per row of a batched job.
     """
     if combine_mode not in COMBINE_MODES:
         raise ContractError(f"combine_mode must be one of {COMBINE_MODES}")
     width = 6 * dim if combine_mode == "concatenation" else 3
     rng = np.random.default_rng(seed)
-    return ParamStore({
+    tensors = {
         "w1": rng.normal(0.0, math.sqrt(2.0 / width), (width, TES_HIDDEN[0])),
         "b1": np.zeros(TES_HIDDEN[0]),
         "w2": rng.normal(0.0, math.sqrt(2.0 / TES_HIDDEN[0]), (TES_HIDDEN[0], TES_HIDDEN[1])),
         "b2": np.zeros(TES_HIDDEN[1]),
         "w3": rng.normal(0.0, 0.1 / math.sqrt(TES_HIDDEN[1]), (TES_HIDDEN[1], 1)),
         "b3": np.zeros(1),
-    })
+    }
+    if batch is not None:
+        tensors = {name: np.broadcast_to(t, (batch, *t.shape)) for name, t in tensors.items()}
+    return ParamStore(tensors)
 
 
 @dataclass
@@ -156,48 +187,65 @@ class EdgeScoreMatrix:
         return EdgeScoreMatrix(self.pair_src, self.pair_dst, 1.0 - self.values, self.provenance)
 
 
-def _one_hot(n: int, start: int):
+def _one_hot(n: int, start):
+    """Zeros with 1.0 at `start`, one index or several."""
     u = np.zeros(n)
     u[start] = 1.0
     return u
+
+
+def _power_steps(u, values, src, dst, n, L) -> list:
+    """[u_1, ..., u_L] with u_l = u_{l-1} . M for the matrix M whose entry
+    (src[e], dst[e]) is values[e], from u_0 = u."""
+    chain = []
+    for _ in range(L):
+        u = kernels.edge_spmv(u, values, src, dst, n)
+        chain.append(u)
+    return chain
 
 
 def power_chain(gc: ComputationGraph, values, start: int, L: int) -> list:
     """[u_1, ..., u_L] with u_l = e_start . M^l for the pair-score matrix M:
     u_l[k] sums edge-score products over all length-l walks start -> k.
     `values` holds one score per pair."""
-    u = _one_hot(gc.num_nodes, start)
-    chain = []
-    for _ in range(L):
-        u = kernels.edge_spmv(u, values, gc.pair_src, gc.pair_dst, gc.num_nodes)
-        chain.append(u)
-    return chain
+    return _power_steps(_one_hot(gc.num_nodes, start), values, gc.pair_src, gc.pair_dst,
+                        gc.num_nodes, L)
 
 
 @np.errstate(invalid="ignore")
+def _walk_mass(u, at, count: int, length: int):
+    return np.power(u[at] * (1.0 / count), 1.0 / length)
+
+
 def normalized_walk_mass(u, node: int, count: int, length: int):
     """(u[node] / count) ** (1 / length), shape (1,): the length-th root of
     the mean edge-score product over the `count` > 0 walks that reach `node`."""
-    return np.power(u[[node]] * (1.0 / count), 1.0 / length)
+    return _walk_mass(u, [node], count, length)
 
 
-def _walk_mean(chain, node: int, walk_counts):
-    """Mean over l = 1..L of the normalised walk mass of `node` in the power
-    chain, shape (1,); the l = 1 term is the direct-edge score, and a length
-    with no walk contributes 0."""
-    total = chain[0][[node]]
+def _walk_mean(chain, at, counts):
+    """Mean over l = 1..L of the normalised walk mass at the indices `at` of
+    the power chain, one entry per index; `counts[l - 1]` is the number of
+    length-l walks that reach them. The l = 1 term is the direct-edge score,
+    and a length with no walk contributes 0."""
+    total = chain[0][at]
     for length in range(2, len(chain) + 1):
-        count = int(walk_counts[length - 1][node])
+        count = counts[length - 1]
         if count > 0:
-            total = total + normalized_walk_mass(chain[length - 1], node, count, length)
+            total = total + _walk_mass(chain[length - 1], at, count, length)
     return total * (1.0 / len(chain))
+
+
+def _walks_to(walk_counts, node: int) -> list:
+    return [int(c[node]) for c in walk_counts]
 
 
 def on_path_probability(gc: ComputationGraph, values, L: int, walk_counts):
     """Mean over l = 1..L of the normalised walk mass from the target head to
     the tail, shape (1,). `walk_counts` is
     `adjacency_power_row(gc, gc.head_local, L)`."""
-    return _walk_mean(power_chain(gc, values, gc.head_local, L), gc.tail_local, walk_counts)
+    return _walk_mean(power_chain(gc, values, gc.head_local, L), [gc.tail_local],
+                      _walks_to(walk_counts, gc.tail_local))
 
 
 class PathLossOp:
@@ -211,26 +259,55 @@ class PathLossOp:
     that order. The first step's input is the constant one-hot start, so its
     adjoint is never formed. Each chain vector is finite-checked as
     `path_loss`, each chain adjoint as `path_loss adjoint`.
+
+    `rows` is None for one row of scores, shape (pairs,), and a loss of
+    shape (1,). For a batch of rows, shape (B, pairs), it holds one bool per
+    row: the rows that have the term. Their chains run as one block-diagonal
+    graph, one copy of the pairs per row, so each row's numbers are those of
+    its own chain. The loss has shape (B,) and -0.0 in the other rows, and
+    each adjoint piece is -0.0 there (see `autodiff.take_row`).
     """
 
     name = "path_loss"
 
-    def __init__(self, gc: ComputationGraph, L: int, walk_counts):
-        self.gc, self.L, self.walk_counts = gc, L, walk_counts
+    def __init__(self, gc: ComputationGraph, L: int, walk_counts, rows=None):
+        self.L = L
+        self.counts = _walks_to(walk_counts, gc.tail_local)
+        # the rows to take and fill, unless the term covers every row
+        self.rows = None if rows is None or all(rows) else np.flatnonzero(rows)
+        n = gc.num_nodes
+        offsets = n * np.arange(1 if rows is None else np.count_nonzero(rows))
+        self.n = n * len(offsets)
+        self.src = (gc.pair_src + offsets[:, None]).ravel()
+        self.dst = (gc.pair_dst + offsets[:, None]).ravel()
+        self.at = gc.tail_local + offsets
+        self.start = _one_hot(self.n, gc.head_local + offsets)
         # the one-hot start at each pair's source: the first step's adjoint
         # of the scores is this times the step's adjoint at the pair's dst
-        self.start_src = _one_hot(gc.num_nodes, gc.head_local)[gc.pair_src]
+        self.start_src = self.start[self.src]
+
+    def _in_batch(self, x, shape):
+        """`x`, one entry or row per row with the term, as the batch's
+        `shape`, with -0.0 in the other rows."""
+        if self.rows is None:
+            return x.reshape(shape)
+        out = np.full(shape, -0.0)
+        out[self.rows] = x.reshape(len(self.rows), *shape[1:])
+        return out
 
     # Overflow surfaces as the finite checks' NumericError, not as a warning.
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, values):
-        gc, L, k = self.gc, self.L, self.gc.tail_local
-        vv = ad._val(values)
-        chain = power_chain(gc, vv, gc.head_local, L)
+        L, n, src, dst, at = self.L, self.n, self.src, self.dst, self.at
+        vv, rows = ad._val(values), self.rows
+        flat = (vv if rows is None else vv[rows]).reshape(-1)
+        chain = _power_steps(self.start, flat, src, dst, n, L)
         for u in chain:
             ad._check_finite(u, self.name)
-        p = _walk_mean(chain, k, self.walk_counts)
+        p = _walk_mean(chain, at, self.counts)
         loss = -np.log(np.maximum(p, ad.LOG_CLAMP))
+        if vv.ndim > 1:
+            loss = self._in_batch(loss, vv.shape[:-1])
         if not isinstance(values, ad.Node):
             return loss
 
@@ -240,11 +317,11 @@ class PathLossOp:
                 # in its reverse tape order: each chain vector's gather adjoint
                 # comes before the next step's, and the steps' score adjoints
                 # from the last step to the first.
-                n, src, dst, at = gc.num_nodes, gc.pair_src, gc.pair_dst, np.array([k])
-                g_total = (-g / np.maximum(p, ad.LOG_CLAMP)) * (1.0 / L)
+                g_total = (-(g if rows is None else g[rows]) / np.maximum(p, ad.LOG_CLAMP)
+                           * (1.0 / L))
                 g_chain = [None] * L
                 for length in range(L, 1, -1):
-                    count = int(self.walk_counts[length - 1][k])
+                    count = self.counts[length - 1]
                     if count > 0:
                         x = chain[length - 1][at] * (1.0 / count)
                         c = 1.0 / length
@@ -260,12 +337,13 @@ class PathLossOp:
                         continue
                     ad._check_finite(g_u, f"{self.name} adjoint")
                     if step == 0:
-                        pieces.append(self.start_src * g_u[dst])
-                        continue
-                    g_prev, g_vals = kernels.edge_spmv_bw(g_u, chain[step - 1], vv, src, dst)
-                    pieces.append(g_vals)
-                    before = g_chain[step - 1]
-                    g_chain[step - 1] = g_prev if before is None else before + g_prev
+                        g_vals = self.start_src * g_u[dst]
+                    else:
+                        g_prev, g_vals = kernels.edge_spmv_bw(g_u, chain[step - 1], flat, src,
+                                                              dst)
+                        before = g_chain[step - 1]
+                        g_chain[step - 1] = g_prev if before is None else before + g_prev
+                    pieces.append(self._in_batch(g_vals, vv.shape))
                 return [tuple(pieces)]
 
         return ad.Node(values.tape, loss, (values,), bw, self.name)
@@ -285,6 +363,12 @@ class TesOp:
     distance input and `xt` is None. They are all the op keeps: each
     forward and each backward computes into fresh arrays, so a node can be
     backpropagated after any number of later calls.
+
+    The parameters may carry a leading batch axis, one set of weights per
+    row; the scores are then (B, E). `np.matmul` multiplies a stack one
+    slice at a time with the 2-D product's BLAS call, and the bias and
+    column sums run along the same axes, so each row's numbers are those of
+    an unbatched call with its weights.
     """
 
     def __init__(self, xe, xt=None):
@@ -293,24 +377,24 @@ class TesOp:
     # Overflow surfaces as the finite checks' NumericError, not as a warning.
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, params):
-        """Edge scores (E,) for `params` keyed by `TES_PARAMS`: a Node whose
-        parents are the six params when they are Nodes of one tape, a plain
-        array when they are arrays."""
+        """Edge scores (E,), or (B, E) for batched params, for `params` keyed
+        by `TES_PARAMS`: a Node whose parents are the six params when they are
+        Nodes of one tape, a plain array when they are arrays."""
         w1, b1, w2, b2, w3, b3 = (ad._val(params[name]) for name in TES_PARAMS)
         xe, xt = self.xe, self.xt
         split = xe.shape[1]
-        z1 = xe @ w1[:split]
-        z1 += b1 if xt is None else xt @ w1[split:] + b1
+        z1 = xe @ w1[..., :split, :]
+        z1 += (b1 if xt is None else xt @ w1[..., split:, :] + b1)[..., None, :]
         ad._check_finite(z1, "tes_mlp:layer1")
         np.maximum(z1, 0.0, out=z1)
         z2 = z1 @ w2
-        z2 += b2
+        z2 += b2[..., None, :]
         ad._check_finite(z2, "tes_mlp:layer2")
         np.maximum(z2, 0.0, out=z2)
-        logit = z2 @ w3 + b3
+        logit = z2 @ w3 + b3[..., None, :]
         ad._check_finite(logit, "tes_mlp:layer3")
         out = ad._sigmoid_value(logit)
-        scores = out.reshape(xe.shape[0])
+        scores = out.reshape(out.shape[:-1])
         nodes = tuple(params[name] for name in TES_PARAMS)
         tape = ad._tape_of(*nodes)
         if tape is None:
@@ -320,18 +404,19 @@ class TesOp:
             with np.errstate(over="ignore", invalid="ignore"):
                 g3 = g.reshape(out.shape) * out * (1.0 - out)
                 ad._check_finite(g3, "tes_mlp:layer3 adjoint")
-                gw3, gb3 = z2.T @ g3, g3.sum(axis=0)
-                g2 = g3 * w3.T
+                gw3, gb3 = z2.swapaxes(-1, -2) @ g3, g3.sum(axis=-2)
+                g2 = g3 * w3.swapaxes(-1, -2)
                 g2 *= z2 > 0.0
                 ad._check_finite(g2, "tes_mlp:layer2 adjoint")
-                gw2, gb2 = z1.T @ g2, g2.sum(axis=0)
-                g1 = g2 @ w2.T
+                gw2, gb2 = z1.swapaxes(-1, -2) @ g2, g2.sum(axis=-2)
+                g1 = g2 @ w2.swapaxes(-1, -2)
                 g1 *= z1 > 0.0
                 ad._check_finite(g1, "tes_mlp:layer1 adjoint")
-                gb1 = g1.sum(axis=0)
+                gb1 = g1.sum(axis=-2)
                 gw1 = xe.T @ g1
                 if xt is not None:
-                    gw1 = np.concatenate([gw1, np.outer(xt, gb1)])
+                    # np.outer(xt, gb1) per row
+                    gw1 = np.concatenate([gw1, xt[:, None] * gb1[..., None, :]], axis=-2)
                 return [gw1, gb1, gw2, gb2, gw3, gb3]
 
         # the sigmoid of the checked logits is finite
@@ -357,21 +442,45 @@ def _tes_inputs(H, R, gc: ComputationGraph, target: TargetTriple, combine_mode: 
 # training
 
 
+def _shared_config(configs) -> ExplainConfig:
+    """The settings a job's configs share: the first config, once each is
+    valid and differs from it in nothing but the two loss switches."""
+    if not configs:
+        raise ContractError("a batched explainer job needs at least one config")
+    first = configs[0]
+    for cfg in configs:
+        cfg.validate()
+        if replace(cfg, enable_path_loss=first.enable_path_loss,
+                   enable_mi_loss=first.enable_mi_loss) != first:
+            raise ContractError("batched explainer configs may differ only in "
+                                "enable_path_loss and enable_mi_loss")
+    return first
+
+
 class ExplainJob:
     """One explanation unit: owns the TES inputs, constants, and loss tape.
 
     Entity inputs to the TES are encoder outputs computed once on the
     unmasked graph and frozen for the whole optimisation.
+
+    `config` is one ExplainConfig, or a list of configs that differ only in
+    their loss switches. A list makes a batched job: one TES per config, as
+    the rows of a leading batch axis of `batch` rows (see the module
+    docstring); `batch` is None for one config.
     """
 
     def __init__(self, model: KgcModel, gc: ComputationGraph, target: TargetTriple,
-                 config: ExplainConfig):
-        config.validate()
+                 config: ExplainConfig | list):
+        batched = isinstance(config, (list, tuple))
+        self.configs = list(config) if batched else [config]
+        config = _shared_config(self.configs)
+        self.batch = len(self.configs) if batched else None
         gc.target_rows(target)
-        # int64 walk counts and, with the path loss, float64 power steps:
-        # power_order vectors over the nodes each
+        # int64 walk counts and, per row with the path loss, float64 power
+        # steps: power_order vectors over the nodes each
         L, n = config.power_order, gc.num_nodes
-        _refuse_beyond_memory((16 if config.enable_path_loss else 8) * L * n,
+        chains = sum(cfg.enable_path_loss for cfg in self.configs)
+        _refuse_beyond_memory(8 * (1 + chains) * L * n,
                               f"the walk counts and power steps (power_order={L}, nodes={n})")
         self.model = model
         self.gc = gc
@@ -381,22 +490,33 @@ class ExplainJob:
         self.R = model.store.params["rel"]
         self.tes = TesOp(*_tes_inputs(self.H, self.R, gc, target, config.combine_mode))
         self.awalks = adjacency_power_row(gc, gc.head_local, config.power_order)
-        self.prediction = TargetScorer(model, gc, target) if config.enable_mi_loss else None
-        self.path = (PathLossOp(gc, config.power_order, self.awalks)
-                     if config.enable_path_loss else None)
+        self.mi_rows = [row for row, cfg in enumerate(self.configs) if cfg.enable_mi_loss]
+        path_rows = [cfg.enable_path_loss for cfg in self.configs]
+        self.prediction = TargetScorer(model, gc, target) if self.mi_rows else None
+        self.path = (PathLossOp(gc, config.power_order, self.awalks,
+                                None if self.batch is None else path_rows)
+                     if any(path_rows) else None)
 
     def pair_scores(self, store: ParamStore, tape: Tape | None):
-        """TES scores collapsed to pairs: (per-pair values, arg-max triple rows).
-        Each pair keeps its maximum score; ties keep the first triple."""
+        """TES scores collapsed to pairs: (per-pair values, arg-max triple rows),
+        with a leading batch axis in a batched job. Each pair keeps its maximum
+        score; ties keep the first triple."""
         params = tape.params(store) if tape is not None else store.params
         return ad.segment_max(self.tes(params), self.gc.pair_indptr, self.gc.pair_index)
 
     def loss_terms(self, pair_vals):
-        """Enabled loss terms plus the mask L2 penalty for one per-pair mask
-        (an array, or a Node on the training tape), keyed by name."""
+        """Enabled loss terms plus the mask L2 penalty for the per-pair mask
+        (an array, or a Node on the training tape), keyed by name. In a
+        batched job each term is one value per row, -0.0 in the rows without
+        the term."""
         terms = {}
         if self.prediction is not None:
-            terms["prediction"] = self.prediction(pair_vals)[2]
+            if self.batch is None:
+                terms["prediction"] = self.prediction(pair_vals)[2]
+            else:
+                terms["prediction"] = ad.put_rows(self.batch, [
+                    (self.prediction(ad.take_row(pair_vals, row))[2], row)
+                    for row in self.mi_rows])
         if self.path is not None:
             terms["path"] = self.path(pair_vals)
         terms["regularization"] = ad.mul(ad.norm(pair_vals), self.config.gamma)
@@ -410,11 +530,24 @@ class ExplainJob:
             out = t if out is None else ad.add(out, t)
         return out, terms, pair_vals, argmax
 
-    def final_mask(self, store: ParamStore) -> EdgeScoreMatrix:
+    def trace_rows(self, epoch: int, terms, objective) -> list:
+        """One loss-trace entry per config: each term and the total as floats,
+        None for a term the config leaves out."""
+        values = {name: np.reshape(ad._val(t), -1).tolist() for name, t in terms.items()}
+        totals = np.reshape(ad._val(objective), -1).tolist()
+        return [{"epoch": epoch,
+                 "prediction": values["prediction"][row] if cfg.enable_mi_loss else None,
+                 "path": values["path"][row] if cfg.enable_path_loss else None,
+                 "regularization": values["regularization"][row],
+                 "total": totals[row]}
+                for row, cfg in enumerate(self.configs)]
+
+    def final_masks(self, store: ParamStore) -> list:
+        """One EdgeScoreMatrix per config, from the TES in `store`."""
         pair_vals, argmax = self.pair_scores(store, None)
-        return EdgeScoreMatrix(
-            self.gc.pair_src.copy(), self.gc.pair_dst.copy(), np.asarray(pair_vals), argmax
-        )
+        shape = (len(self.configs), self.gc.num_pairs)
+        return [EdgeScoreMatrix(self.gc.pair_src.copy(), self.gc.pair_dst.copy(), values, rows)
+                for values, rows in zip(pair_vals.reshape(shape), argmax.reshape(shape))]
 
 
 @dataclass
@@ -424,27 +557,41 @@ class ExplainResult:
     loss_trace: list
 
 
+def _train(job: ExplainJob) -> list:
+    """Optimise the job's TES; one ExplainResult per config."""
+    cfg = job.config
+    tes = init_tes(cfg.combine_mode, job.model.dim, cfg.seed, job.batch)
+    traces = [[] for _ in job.configs]
+    for epoch in range(cfg.epochs):
+        with Tape() as tape:
+            objective, terms, _, _ = job.objective(tes, tape)
+            # a batch's rows are independent losses: their sum gives each an
+            # adjoint of exactly 1, as a lone run's scalar loss has
+            backward(tape, objective if job.batch is None else ad.sumall(objective))
+        for trace, entry in zip(traces, job.trace_rows(epoch, terms, objective)):
+            trace.append(entry)
+        sgd_step(tes, cfg.lr)
+    stores = ([tes] if job.batch is None else
+              [ParamStore({name: p[row] for name, p in tes.params.items()})
+               for row in range(job.batch)])
+    return [ExplainResult(store, mask, trace)
+            for store, mask, trace in zip(stores, job.final_masks(tes), traces)]
+
+
 def train_explainer(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
                     config: ExplainConfig | None = None) -> ExplainResult:
     """Optimise the TES on one target; returns the scorer, the final mask,
     and the per-epoch loss breakdown."""
-    config = config or ExplainConfig()
-    job = ExplainJob(model, gc, target, config)
-    tes = init_tes(config.combine_mode, model.dim, config.seed)
-    trace = []
-    for epoch in range(config.epochs):
-        with Tape() as tape:
-            objective, terms, _, _ = job.objective(tes, tape)
-            backward(tape, objective)
-        row = {"epoch": epoch}
-        for name in ("prediction", "path", "regularization"):
-            row[name] = (
-                float(np.asarray(ad._val(terms[name])).reshape(())) if name in terms else None
-            )
-        row["total"] = float(np.asarray(ad._val(objective)).reshape(()))
-        trace.append(row)
-        sgd_step(tes, config.lr)
-    return ExplainResult(tes, job.final_mask(tes), trace)
+    return _train(ExplainJob(model, gc, target, config or ExplainConfig()))[0]
+
+
+def train_explainers(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
+                     configs) -> list:
+    """`train_explainer` for each of `configs`, which may differ only in
+    enable_path_loss and enable_mi_loss, trained as one batch: one tape, TES
+    pass, backward and SGD step per epoch for all of them. Each result is
+    the one `train_explainer` returns for its config, bit for bit."""
+    return _train(ExplainJob(model, gc, target, list(configs)))
 
 
 # ---------------------------------------------------------------------------

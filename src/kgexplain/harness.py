@@ -19,7 +19,13 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, DataError
-from .explain import ExplainConfig, generate_paths, prepare_computation_graph, train_explainer
+from .explain import (
+    ExplainConfig,
+    generate_paths,
+    prepare_computation_graph,
+    train_explainer,
+    train_explainers,
+)
 from .kgraph import KnowledgeGraph, TargetTriple, check_ego_settings, full_graph, hop_distances
 from .metrics import HDR_PATH_COUNTS, csv_text, json_text, measure_explanation
 from .model import (
@@ -357,9 +363,8 @@ class SuiteConfig:
         """Flat key-value file format: instance.*/model.*/explain.* prefixes.
 
         Raises DataError unless `flat` is a table of known keys whose values
-        have their field's type (an int also fills a float field), with a
-        known model_source and at least one instance, and ContractError for
-        a negative base_seed."""
+        have their field's type (an int also fills a float field), then
+        refuses what `validate` refuses."""
         if not isinstance(flat, dict):
             raise DataError(f"suite config must be a table of keys, not a {type(flat).__name__}")
         cfg = cls()
@@ -374,22 +379,24 @@ class SuiteConfig:
                 names = " or ".join(t.__name__ for t in allowed)
                 raise DataError(f"suite config key {key!r} must be {names}, got {value!r}")
             setattr(obj, name, value)
-        if cfg.model_source not in MODEL_SOURCES:
-            raise DataError(
-                f"model_source must be one of {MODEL_SOURCES}, got {cfg.model_source!r}"
-            )
-        if cfg.n_instances < 1:
-            raise DataError(f"n_instances must be >= 1, got {cfg.n_instances}")
-        if cfg.base_seed < 0:
-            raise ContractError(f"base_seed must be >= 0, got {cfg.base_seed}")
+        cfg.validate()
         return cfg
 
     def validate(self):
-        """Refuse what a run would refuse after writing its config: the
-        instance (DataError), the model a trained source would train (for a
-        reliant model, only its dim), the ego-graph settings and each mode's
-        explain config (ContractError). The seeds checked are those a run
-        uses."""
+        """Refuse what a run would refuse after writing its config, and what
+        it could not run: an unknown model source and fewer than one instance
+        (DataError), a negative base seed (ContractError), the instance
+        (DataError), the model a trained source would train (for a reliant
+        model, only its dim), the ego-graph settings and each mode's explain
+        config (ContractError). The seeds checked are those a run uses."""
+        if self.model_source not in MODEL_SOURCES:
+            raise DataError(
+                f"model_source must be one of {MODEL_SOURCES}, got {self.model_source!r}"
+            )
+        if self.n_instances < 1:
+            raise DataError(f"n_instances must be >= 1, got {self.n_instances}")
+        if self.base_seed < 0:
+            raise ContractError(f"base_seed must be >= 0, got {self.base_seed}")
         _in_section("instance", self.instance.validate)
         if self.model_source == "reliant":
             _in_section("model", lambda: _check_model_settings(
@@ -423,7 +430,8 @@ def _mode_config(base: ExplainConfig, mode: str, seed: int) -> ExplainConfig:
 
 
 def run_instance(suite: SuiteConfig, seed: int):
-    """Generate, train (or construct), explain per enabled mode, and measure."""
+    """Generate, train (or construct), explain per enabled mode, and measure.
+    The ablation modes' explainers train as one batch (`train_explainers`)."""
     inst = generate_planted(replace(suite.instance, seed=seed))
     if suite.model_source == "reliant":
         model = reliant_model(inst.graph, inst.target, dim=suite.model.dim, seed=seed)
@@ -433,10 +441,12 @@ def run_instance(suite: SuiteConfig, seed: int):
         inst.graph, inst.target, suite.resolved_hops(), suite.k_core, suite.max_nodes
     )
     modes = MODES if suite.ablations else ("full",)
+    configs = [_mode_config(suite.explain, mode, seed) for mode in modes]
+    # the modes share the ego-graph, target, model and seed: one batch
+    results = (train_explainers(model, gc, inst.target, configs) if suite.ablations
+               else [train_explainer(model, gc, inst.target, configs[0])])
     out = {"seed": seed}
-    for mode in modes:
-        cfg = _mode_config(suite.explain, mode, seed)
-        result = train_explainer(model, gc, inst.target, cfg)
+    for mode, cfg, result in zip(modes, configs, results):
         explanation = generate_paths(gc, result.mask, inst.target, cfg.num_paths,
                                      cfg.power_order)
         row = measure_explanation(model, gc, inst.target, result.mask, explanation)

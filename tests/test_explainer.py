@@ -22,6 +22,7 @@ from kgexplain.explain import (
     on_path_probability,
     power_chain,
     train_explainer,
+    train_explainers,
 )
 from kgexplain.kgraph import (
     ComputationGraph,
@@ -74,7 +75,7 @@ def path_job(gc, target, L):
 def tes_mask(tes, model, gc, target, combine_mode="concatenation"):
     """The final mask the explainer reads off a trained TES."""
     job = ExplainJob(model, gc, target, ExplainConfig(combine_mode=combine_mode))
-    return job.final_mask(tes)
+    return job.final_masks(tes)[0]
 
 
 def combine_cat(edge_embs, target_embs):
@@ -183,7 +184,7 @@ def test_combine_euc_matches_loop_oracle():
         assert out[i] == pytest.approx(math.sqrt(acc), rel=1e-12)
 
 
-# -- TES scoring (ExplainJob.final_mask) --------------------------------------------
+# -- TES scoring (ExplainJob.final_masks) -------------------------------------------
 
 
 def test_tes_zero_weights_scores_half():
@@ -382,7 +383,7 @@ def test_tes_op_backward_after_later_forwards_matches_a_lone_forward(mode):
     with ad.Tape() as tape:
         first = job.tes({name: tape.param(store, name) for name in store.params})
         job.tes({name: tape.param(other, name) for name in other.params})
-        job.final_mask(other)
+        job.final_masks(other)
         ad.backward(tape, ad.sumall(ad.mul(first, weights)))
     for name in store.params:
         assert store.grads[name].tobytes() == lone[name].tobytes(), name
@@ -777,6 +778,61 @@ def test_explainer_epoch_tape_nodes(monkeypatch, mode, nodes, layers):
     assert sizes == [want] * 3
     if (mode, layers) == ("full", 2):
         assert want == 17
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_batched_explainer_epoch_tape_nodes(monkeypatch, layers):
+    # the ablation modes as one batch: six TES params, the TES and segment_max,
+    # per row with the prediction term (full, path_off) its row, the mask
+    # gather, the layers and the head, then the rows placed in one vector,
+    # the path loss over its rows (full, mi_off), the norm and its weight, the
+    # adds that sum the terms and the sum of the rows' totals
+    from kgexplain import explain as explain_module
+    from kgexplain.harness import MODES, _mode_config
+
+    sizes = []
+
+    class CountingTape(ad.Tape):
+        __slots__ = ()
+
+        def __exit__(self, *exc):
+            sizes.append(len(self.nodes))
+            return super().__exit__(*exc)
+
+    monkeypatch.setattr(explain_module, "Tape", CountingTape)
+    _, job = loss_case(TWO_WALKS, "distmult", "full", 3, layers=layers)
+    configs = [_mode_config(replace(job.config, epochs=3), mode, 0) for mode in MODES]
+    train_explainers(job.model, job.gc, job.target, configs)
+    want = 15 + 2 * (3 + layers)
+    assert sizes == [want] * 3
+    if layers == 2:
+        assert want == 25
+
+
+def test_batched_mask_adjoints_keep_each_rows_signed_zeros():
+    # With gamma = -0.0, which validate accepts, the L2 adjoint is -0.0 on every
+    # pair, so a row's mask adjoint keeps -0.0 wherever its own terms add only
+    # -0.0; a +0.0 pad from another row's term would turn it into +0.0.
+    from kgexplain.explain import prepare_computation_graph
+    from kgexplain.harness import MODES, _mode_config, reliant_model
+
+    inst = make_planted(seed=0)
+    model = reliant_model(inst.graph, inst.target, seed=0)
+    gc = prepare_computation_graph(inst.graph, inst.target, 2, 2)
+    configs = [_mode_config(ExplainConfig(gamma=-0.0), mode, 0) for mode in MODES]
+
+    def mask_adjoint(config, batch=None):
+        job = ExplainJob(model, gc, inst.target, config)
+        tes = init_tes(job.config.combine_mode, model.dim, 0, batch)
+        with ad.Tape() as tape:
+            objective, _, pair_vals, _ = job.objective(tes, tape)
+            ad.backward(tape, objective if batch is None else ad.sumall(objective))
+            return pair_vals.grad.copy()
+
+    batched = mask_adjoint(configs, batch=len(configs))
+    for row, config in enumerate(configs):
+        assert batched[row].tobytes() == mask_adjoint(config).tobytes(), MODES[row]
+    assert np.signbit(batched[batched == 0.0]).any()
 
 
 def test_path_loss_op_non_finite_chain_names_the_op():
@@ -1212,12 +1268,20 @@ def test_numeric_error_names_the_op_that_produced_the_value(case, monkeypatch):
 # adjoints of the relation table and of each layer's 4 weights (9): 17. An
 # adjoint its op has checked is not checked again.
 CHECKS_PER_EPOCH = {"train": 17, "full": 41, "path_off": 30, "mi_off": 29}
+# The three ablation modes as one batch (`train_explainers`) check what they
+# share once: the parameter buffer, the TES, its and segment_max's adjoints and
+# the six parameters' (14). Each prediction row checks what path_off checks,
+# plus its row's adjoint and its place in the term vector (2 x 11); the path
+# term what mi_off checks, once (9); the L2 term, the two adds and the sum of
+# the rows' totals with their adjoints 11. That is 56, against 100 in the three
+# modes' serial epochs.
+CHECKS_PER_EPOCH["ablations"] = 56
 
 
 @pytest.mark.parametrize("run", list(CHECKS_PER_EPOCH))
 def test_finite_checks_per_epoch_are_pinned(run, monkeypatch):
     from kgexplain.explain import prepare_computation_graph
-    from kgexplain.harness import _mode_config
+    from kgexplain.harness import MODES, _mode_config
     from kgexplain.model import ModelConfig, train_kgc
 
     inst = make_planted(seed=0)
@@ -1236,6 +1300,11 @@ def test_finite_checks_per_epoch_are_pinned(run, monkeypatch):
         gc = prepare_computation_graph(inst.graph, inst.target, 2, 2)
 
         def checks(epochs):
+            if run == "ablations":
+                train_explainers(model, gc, inst.target,
+                                 [_mode_config(ExplainConfig(epochs=epochs), mode, 0)
+                                  for mode in MODES])
+                return
             cfg = _mode_config(ExplainConfig(epochs=epochs), run, 0)
             train_explainer(model, gc, inst.target, cfg)
 

@@ -251,3 +251,93 @@ def test_ablation_suite_directions():
     assert agg["full"]["precision"] > agg["path_off"]["precision"]
     assert agg["full"]["hdr1"] > agg["mi_off"]["hdr1"]
     assert agg["full"]["hdr1"] > agg["path_off"]["hdr1"]
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"n_instances": 0}, "n_instances must be >= 1, got 0"),
+    ({"model_source": "bogus"},
+     "model_source must be one of ('trained', 'reliant'), got 'bogus'"),
+])
+def test_run_suite_refuses_a_library_config_before_any_instance(settings, message, monkeypatch,
+                                                                 tmp_path):
+    import warnings
+
+    started = []
+    monkeypatch.setattr(hs, "run_instance", lambda *args: started.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as err:
+            run_suite(SuiteConfig(**settings), tmp_path / "out")
+    assert str(err.value) == message
+    assert started == [] and not (tmp_path / "out").exists()
+
+
+def _digest_paths(explanation):
+    return [(p.triples, p.triple_indices, p.edge_scores, p.mean_score) for p in explanation.paths]
+
+
+@pytest.mark.parametrize("model_source", hs.MODEL_SOURCES)
+@pytest.mark.parametrize("combine_mode", ["concatenation", "euclidean"])
+def test_batched_ablation_modes_equal_serial_runs_bit_for_bit(model_source, combine_mode,
+                                                              monkeypatch):
+    from kgexplain.explain import ExplainConfig, generate_paths, train_explainer
+    from kgexplain.metrics import measure_explanation
+    from kgexplain.model import ModelConfig
+
+    batches, explanations = [], []
+
+    def spy(fn, calls):
+        def wrapped(*args):
+            out = fn(*args)
+            calls.append((args, out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(hs, "train_explainers", spy(hs.train_explainers, batches))
+    monkeypatch.setattr(hs, "generate_paths", spy(hs.generate_paths, explanations))
+    suite = SuiteConfig(ablations=True, model_source=model_source, model=ModelConfig(epochs=100),
+                        explain=ExplainConfig(combine_mode=combine_mode))
+    for seed in range(10):
+        rows = hs.run_instance(suite, seed)
+        (model, gc, target, configs), results = batches.pop()
+        assert [(c.enable_path_loss, c.enable_mi_loss) for c in configs] == [
+            (True, True), (False, True), (True, False)]
+        got_paths = [out for _, out in explanations[-3:]]
+        for mode, cfg, got, got_explanation in zip(hs.MODES, configs, results, got_paths):
+            want = train_explainer(model, gc, target, cfg)
+            label = f"seed {seed} {mode}"
+            assert got.mask.values.tobytes() == want.mask.values.tobytes(), label
+            assert got.mask.provenance.tobytes() == want.mask.provenance.tobytes(), label
+            assert repr(got.loss_trace) == repr(want.loss_trace), label
+            assert got.tes.flat.tobytes() == want.tes.flat.tobytes(), label
+            explanation = generate_paths(gc, want.mask, target, cfg.num_paths, cfg.power_order)
+            assert _digest_paths(got_explanation) == _digest_paths(explanation), label
+            row = measure_explanation(model, gc, target, want.mask, explanation)
+            assert repr({k: rows[mode][k] for k in row}) == repr(row), label
+
+
+def test_ablation_suite_extracts_paths_once_per_mode_in_mode_order(monkeypatch):
+    """perfbench's planted-suite workload reads each mode's paths off these
+    calls: one per mode, in `MODES` order, with max_len the fifth argument."""
+    trained, extracted, measured = [], [], []
+    batch, paths, measure = hs.train_explainers, hs.generate_paths, hs.measure_explanation
+
+    def train_spy(*args):
+        trained.append(batch(*args))
+        return trained[-1]
+
+    monkeypatch.setattr(hs, "train_explainers", train_spy)
+    monkeypatch.setattr(hs, "generate_paths",
+                        lambda *args, **kw: extracted.append((args, kw)) or paths(*args, **kw))
+    monkeypatch.setattr(hs, "measure_explanation",
+                        lambda *args: measured.append(args) or measure(*args))
+    suite = SuiteConfig(ablations=True, n_instances=1, model_source="reliant",
+                        instance=PlantedConfig(n_entities=30, n_distractors=10,
+                                               n_context_groups=2), hops=2)
+    run_suite(suite)
+    (results,) = trained
+    assert len(results) == len(extracted) == len(measured) == len(hs.MODES) == 3
+    for result, (args, kw), measure_args in zip(results, extracted, measured):
+        assert kw == {} and len(args) == 5
+        assert args[1] is result.mask and args[4] == suite.explain.power_order
+        assert measure_args[3] is result.mask

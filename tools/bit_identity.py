@@ -34,8 +34,9 @@ What is digested (float64 arrays by their raw bytes, floats by ``repr``):
   cut that falls inside a run of nodes at equal distance;
 - the CLI's output files for the train/explain/evaluate/suite script of the
   determinism acceptance test, plus an ``evaluate --test`` run whose test
-  split holds an unknown name, with the wall-time column of
-  ``per_target.csv`` removed.
+  split holds an unknown name and a ``suite --ablations`` run on the same
+  suite config, whose three modes train as one batch, with the wall-time
+  column of ``per_target.csv`` removed.
 
 It takes about fifteen seconds on one core.
 """
@@ -317,6 +318,8 @@ def cli_lines():
                           "--test", "test.tsv", "--out_dir", "w", "--k_hop", "2", "--epochs",
                           "5", "--threshold", "prob", "--seed", "4"],
         "suite": ["suite", "--config", "suite.json", "--out_dir", "s"],
+        # the three modes train as one batch
+        "suite-ablations": ["suite", "--config", "suite.json", "--out_dir", "a", "--ablations"],
     }
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

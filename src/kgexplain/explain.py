@@ -25,42 +25,39 @@ together with the prediction term -log P(Y=1 | masked graph) and an L2
 penalty on the mask. Paths are then read off with Dijkstra on inverse
 scores, removing each found path's edges before searching again.
 
-An epoch records a handful of tape nodes: the six TES parameters, `TesOp`,
-`segment_max`, the prediction term (one mask gather, the encoder's
+Every job trains a batch of configs (`train_explainers`); a lone config
+is a batch of one (`train_explainer`). The configs share the model,
+ego-graph, target and every setting but the two loss switches
+(`enable_path_loss`, `enable_mi_loss`), as a suite's ablation modes do.
+The TES parameters, scores and per-pair mask carry a leading batch axis of
+one row per config, and an epoch records one tape: the six TES parameters,
+one `TesOp` pass, one `segment_max`, the prediction term once per row that
+has it (`autodiff.take_row` of the mask, one mask gather, the encoder's
 `RgcnLayerOp`s on the target's receptive field and `model.TargetHeadOp`,
-all built once per job by `model.TargetScorer`), the path term
-(`PathLossOp`: the L power steps, the walk masses and -log), the L2 penalty
-and its weight, and the adds that sum the terms: 17 at two encoder layers.
-Each term stays its own node so that it can be backpropagated alone. The
-hand-written backwards repeat the generic ops' numpy operations in reverse
-tape order, so masks, loss traces and paths are the same bits as with the
-generic-op composition the tests keep as their oracle.
+all built once per job by `model.TargetScorer`, with the rows placed in one
+vector by `autodiff.put_rows`), one path term over the rows that have it
+(`PathLossOp`: the L power steps, the walk masses and -log, on a
+block-diagonal graph with one copy of the pairs per row), the L2 penalty
+and its weight, the adds that sum the terms, and the sum of the rows'
+totals that is backpropagated. A batch of one records 20 nodes at two
+encoder layers. Each term stays its own node so that it can be
+backpropagated alone. The hand-written backwards repeat the generic ops'
+numpy operations in reverse tape order, so masks, loss traces and paths
+are the same bits as with the generic-op composition the tests keep as
+their oracle.
 
-Configs that share the model, ego-graph, target and every setting but the
-two loss switches (`enable_path_loss`, `enable_mi_loss`), as a suite's
-ablation modes do, train as one batch (`train_explainers`): the TES
-parameters, scores and per-pair mask gain a leading batch axis of one row
-per config, and an epoch records one tape with one `TesOp` pass, one
-`segment_max`, one path term over the rows that have it (a block-diagonal
-graph, one copy of the pairs per row), one L2 term, one backward of the
-sum of the rows' totals and one SGD step. The prediction term runs once
-per row that has it, on that row of the mask, so the encoder's layer ops
-keep their 2-D shapes. Each row's numbers are those of its config trained
-alone, bit for bit, by two rules:
+Each row's numbers are those of its config in a batch of one, bit for
+bit, by two rules:
 
-- every numpy call acts on each row as the unbatched call acts on its
-  arrays: stacked matmuls multiply slice by slice with the 2-D product's
-  BLAS call, sums and maxima run along the same axes, and one bincount over
-  per-row offset bins adds each bin's entries in the same order;
-- the serial order of additions is kept. A row without a term holds -0.0
-  in that term's vector and receives no adjoint from it; adding -0.0
-  leaves every float as it is, so each row's total is (prediction + path)
-  + L2, prediction + L2 or path + L2, as in the serial sum, and its mask
-  adjoint adds the L2, path and prediction pieces in the serial order. A
-  zero pad would turn -0.0 into +0.0.
-
-A single config runs the same code on unbatched arrays: a (pairs,) mask,
-(E, k) TES activations and scalar terms, with the 17 nodes above.
+- every numpy call acts on each row as it acts on a batch of one: stacked
+  matmuls multiply slice by slice with the 2-D product's BLAS call, sums
+  and maxima run along the same axes, and one bincount over per-row offset
+  bins adds each bin's entries in the same order;
+- the order of additions is kept. A row without a term holds -0.0 in that
+  term's vector and receives no adjoint from it; adding -0.0 leaves every
+  float as it is, so each row's total is (prediction + path) + L2,
+  prediction + L2 or path + L2, and its mask adjoint adds the L2, path and
+  prediction pieces in that order. A zero pad would turn -0.0 into +0.0.
 
 Note on walks vs paths: the powering chain counts walks (node revisits
 allowed) exactly as the matrix algebra dictates; simple-path constraints
@@ -129,12 +126,12 @@ class ExplainConfig:
             raise ContractError("num_paths must be >= 1")
 
 
-def init_tes(combine_mode: str, dim: int, seed: int = 0, batch: int | None = None) -> ParamStore:
+def init_tes(combine_mode: str, dim: int, seed: int = 0, batch: int = 1) -> ParamStore:
     """MLP [input -> 64 -> 32 -> 1], ReLU hidden, sigmoid output.
 
     The final layer starts near zero so initial edge scores sit at ~0.5.
-    With `batch`, each tensor gains a leading axis of that many copies of
-    the same draw, one per row of a batched job.
+    Each tensor has a leading axis of `batch` copies of the same draw, one
+    per row of a job.
     """
     if combine_mode not in COMBINE_MODES:
         raise ContractError(f"combine_mode must be one of {COMBINE_MODES}")
@@ -148,9 +145,7 @@ def init_tes(combine_mode: str, dim: int, seed: int = 0, batch: int | None = Non
         "w3": rng.normal(0.0, 0.1 / math.sqrt(TES_HIDDEN[1]), (TES_HIDDEN[1], 1)),
         "b3": np.zeros(1),
     }
-    if batch is not None:
-        tensors = {name: np.broadcast_to(t, (batch, *t.shape)) for name, t in tensors.items()}
-    return ParamStore(tensors)
+    return ParamStore({name: np.broadcast_to(t, (batch, *t.shape)) for name, t in tensors.items()})
 
 
 @dataclass
@@ -252,31 +247,29 @@ class PathLossOp:
     """The path term -log(P_on) as one tape op with a hand-written backward.
 
     P_on is `on_path_probability`, clamped at `autodiff.LOG_CLAMP` inside the
-    log. A call takes the per-pair scores and returns an array, or a Node
-    when the scores are one. The op stands for the L power steps, so its
-    adjoint of the scores is a tuple with one piece per step that receives an
-    adjoint, from the last step to the first, which `backward` adds up in
-    that order. The first step's input is the constant one-hot start, so its
-    adjoint is never formed. Each chain vector is finite-checked as
-    `path_loss`, each chain adjoint as `path_loss adjoint`.
+    log. A call takes a job's per-pair scores, shape (B, pairs), and returns
+    the loss, shape (B,): an array, or a Node when the scores are one. The op
+    stands for the L power steps, so its adjoint of the scores is a tuple
+    with one piece per step that receives an adjoint, from the last step to
+    the first, which `backward` adds up in that order. The first step's input
+    is the constant one-hot start, so its adjoint is never formed. Each chain
+    vector is finite-checked as `path_loss`, each chain adjoint as
+    `path_loss adjoint`.
 
-    `rows` is None for one row of scores, shape (pairs,), and a loss of
-    shape (1,). For a batch of rows, shape (B, pairs), it holds one bool per
-    row: the rows that have the term. Their chains run as one block-diagonal
-    graph, one copy of the pairs per row, so each row's numbers are those of
-    its own chain. The loss has shape (B,) and -0.0 in the other rows, and
-    each adjoint piece is -0.0 there (see `autodiff.take_row`).
+    `rows` holds one bool per row: the rows that have the term. Their chains
+    run as one block-diagonal graph, one copy of the pairs per row, so each
+    row's numbers are those of its own chain. The other rows hold -0.0 in
+    the loss and in each adjoint piece (see `autodiff.take_row`).
     """
 
     name = "path_loss"
 
-    def __init__(self, gc: ComputationGraph, L: int, walk_counts, rows=None):
+    def __init__(self, gc: ComputationGraph, L: int, walk_counts, rows):
         self.L = L
         self.counts = _walks_to(walk_counts, gc.tail_local)
-        # the rows to take and fill, unless the term covers every row
-        self.rows = None if rows is None or all(rows) else np.flatnonzero(rows)
+        self.rows = np.flatnonzero(rows)
         n = gc.num_nodes
-        offsets = n * np.arange(1 if rows is None else np.count_nonzero(rows))
+        offsets = n * np.arange(len(self.rows))
         self.n = n * len(offsets)
         self.src = (gc.pair_src + offsets[:, None]).ravel()
         self.dst = (gc.pair_dst + offsets[:, None]).ravel()
@@ -289,8 +282,6 @@ class PathLossOp:
     def _in_batch(self, x, shape):
         """`x`, one entry or row per row with the term, as the batch's
         `shape`, with -0.0 in the other rows."""
-        if self.rows is None:
-            return x.reshape(shape)
         out = np.full(shape, -0.0)
         out[self.rows] = x.reshape(len(self.rows), *shape[1:])
         return out
@@ -300,14 +291,12 @@ class PathLossOp:
     def __call__(self, values):
         L, n, src, dst, at = self.L, self.n, self.src, self.dst, self.at
         vv, rows = ad._val(values), self.rows
-        flat = (vv if rows is None else vv[rows]).reshape(-1)
+        flat = vv[rows].reshape(-1)
         chain = _power_steps(self.start, flat, src, dst, n, L)
         for u in chain:
             ad._check_finite(u, self.name)
         p = _walk_mean(chain, at, self.counts)
-        loss = -np.log(np.maximum(p, ad.LOG_CLAMP))
-        if vv.ndim > 1:
-            loss = self._in_batch(loss, vv.shape[:-1])
+        loss = self._in_batch(-np.log(np.maximum(p, ad.LOG_CLAMP)), vv.shape[:-1])
         if not isinstance(values, ad.Node):
             return loss
 
@@ -317,8 +306,7 @@ class PathLossOp:
                 # in its reverse tape order: each chain vector's gather adjoint
                 # comes before the next step's, and the steps' score adjoints
                 # from the last step to the first.
-                g_total = (-(g if rows is None else g[rows]) / np.maximum(p, ad.LOG_CLAMP)
-                           * (1.0 / L))
+                g_total = -g[rows] / np.maximum(p, ad.LOG_CLAMP) * (1.0 / L)
                 g_chain = [None] * L
                 for length in range(L, 1, -1):
                     count = self.counts[length - 1]
@@ -364,11 +352,11 @@ class TesOp:
     forward and each backward computes into fresh arrays, so a node can be
     backpropagated after any number of later calls.
 
-    The parameters may carry a leading batch axis, one set of weights per
-    row; the scores are then (B, E). `np.matmul` multiplies a stack one
-    slice at a time with the 2-D product's BLAS call, and the bias and
-    column sums run along the same axes, so each row's numbers are those of
-    an unbatched call with its weights.
+    The parameters carry a leading batch axis, one set of weights per row,
+    and the scores are (B, E). `np.matmul` multiplies a stack one slice at
+    a time with the 2-D product's BLAS call, and the bias and column sums
+    run along the same axes, so each row's numbers are those of a batch of
+    one with its weights.
     """
 
     def __init__(self, xe, xt=None):
@@ -377,9 +365,9 @@ class TesOp:
     # Overflow surfaces as the finite checks' NumericError, not as a warning.
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, params):
-        """Edge scores (E,), or (B, E) for batched params, for `params` keyed
-        by `TES_PARAMS`: a Node whose parents are the six params when they are
-        Nodes of one tape, a plain array when they are arrays."""
+        """Edge scores (B, E) for `params` keyed by `TES_PARAMS`: a Node whose
+        parents are the six params when they are Nodes of one tape, a plain
+        array when they are arrays."""
         w1, b1, w2, b2, w3, b3 = (ad._val(params[name]) for name in TES_PARAMS)
         xe, xt = self.xe, self.xt
         split = xe.shape[1]
@@ -446,13 +434,13 @@ def _shared_config(configs) -> ExplainConfig:
     """The settings a job's configs share: the first config, once each is
     valid and differs from it in nothing but the two loss switches."""
     if not configs:
-        raise ContractError("a batched explainer job needs at least one config")
+        raise ContractError("an explainer job needs at least one config")
     first = configs[0]
     for cfg in configs:
         cfg.validate()
         if replace(cfg, enable_path_loss=first.enable_path_loss,
                    enable_mi_loss=first.enable_mi_loss) != first:
-            raise ContractError("batched explainer configs may differ only in "
+            raise ContractError("the explainer configs of one job may differ only in "
                                 "enable_path_loss and enable_mi_loss")
     return first
 
@@ -463,18 +451,16 @@ class ExplainJob:
     Entity inputs to the TES are encoder outputs computed once on the
     unmasked graph and frozen for the whole optimisation.
 
-    `config` is one ExplainConfig, or a list of configs that differ only in
-    their loss switches. A list makes a batched job: one TES per config, as
-    the rows of a leading batch axis of `batch` rows (see the module
-    docstring); `batch` is None for one config.
+    `configs` is a list of ExplainConfigs that differ only in their loss
+    switches: one TES per config, as the rows of a leading batch axis of
+    `batch` rows (see the module docstring). A lone config is a list of one.
     """
 
     def __init__(self, model: KgcModel, gc: ComputationGraph, target: TargetTriple,
-                 config: ExplainConfig | list):
-        batched = isinstance(config, (list, tuple))
-        self.configs = list(config) if batched else [config]
+                 configs: list):
+        self.configs = list(configs)
         config = _shared_config(self.configs)
-        self.batch = len(self.configs) if batched else None
+        self.batch = len(self.configs)
         gc.target_rows(target)
         # int64 walk counts and, per row with the path loss, float64 power
         # steps: power_order vectors over the nodes each
@@ -493,30 +479,24 @@ class ExplainJob:
         self.mi_rows = [row for row, cfg in enumerate(self.configs) if cfg.enable_mi_loss]
         path_rows = [cfg.enable_path_loss for cfg in self.configs]
         self.prediction = TargetScorer(model, gc, target) if self.mi_rows else None
-        self.path = (PathLossOp(gc, config.power_order, self.awalks,
-                                None if self.batch is None else path_rows)
+        self.path = (PathLossOp(gc, config.power_order, self.awalks, path_rows)
                      if any(path_rows) else None)
 
     def pair_scores(self, store: ParamStore, tape: Tape | None):
         """TES scores collapsed to pairs: (per-pair values, arg-max triple rows),
-        with a leading batch axis in a batched job. Each pair keeps its maximum
-        score; ties keep the first triple."""
+        each (batch, pairs). Each pair keeps its maximum score; ties keep the
+        first triple."""
         params = tape.params(store) if tape is not None else store.params
         return ad.segment_max(self.tes(params), self.gc.pair_indptr, self.gc.pair_index)
 
     def loss_terms(self, pair_vals):
-        """Enabled loss terms plus the mask L2 penalty for the per-pair mask
-        (an array, or a Node on the training tape), keyed by name. In a
-        batched job each term is one value per row, -0.0 in the rows without
-        the term."""
+        """Enabled loss terms plus the mask L2 penalty for the (batch, pairs)
+        mask (an array, or a Node on the training tape), keyed by name. Each
+        term is one value per row, -0.0 in the rows without the term."""
         terms = {}
         if self.prediction is not None:
-            if self.batch is None:
-                terms["prediction"] = self.prediction(pair_vals)[2]
-            else:
-                terms["prediction"] = ad.put_rows(self.batch, [
-                    (self.prediction(ad.take_row(pair_vals, row))[2], row)
-                    for row in self.mi_rows])
+            terms["prediction"] = ad.put_rows(self.batch, [
+                (self.prediction(ad.take_row(pair_vals, row))[2], row) for row in self.mi_rows])
         if self.path is not None:
             terms["path"] = self.path(pair_vals)
         terms["regularization"] = ad.mul(ad.norm(pair_vals), self.config.gamma)
@@ -533,8 +513,8 @@ class ExplainJob:
     def trace_rows(self, epoch: int, terms, objective) -> list:
         """One loss-trace entry per config: each term and the total as floats,
         None for a term the config leaves out."""
-        values = {name: np.reshape(ad._val(t), -1).tolist() for name, t in terms.items()}
-        totals = np.reshape(ad._val(objective), -1).tolist()
+        values = {name: ad._val(t).tolist() for name, t in terms.items()}
+        totals = ad._val(objective).tolist()
         return [{"epoch": epoch,
                  "prediction": values["prediction"][row] if cfg.enable_mi_loss else None,
                  "path": values["path"][row] if cfg.enable_path_loss else None,
@@ -545,9 +525,8 @@ class ExplainJob:
     def final_masks(self, store: ParamStore) -> list:
         """One EdgeScoreMatrix per config, from the TES in `store`."""
         pair_vals, argmax = self.pair_scores(store, None)
-        shape = (len(self.configs), self.gc.num_pairs)
         return [EdgeScoreMatrix(self.gc.pair_src.copy(), self.gc.pair_dst.copy(), values, rows)
-                for values, rows in zip(pair_vals.reshape(shape), argmax.reshape(shape))]
+                for values, rows in zip(pair_vals, argmax)]
 
 
 @dataclass
@@ -557,41 +536,36 @@ class ExplainResult:
     loss_trace: list
 
 
-def _train(job: ExplainJob) -> list:
-    """Optimise the job's TES; one ExplainResult per config."""
+def train_explainers(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
+                     configs) -> list:
+    """Optimise one TES per config on one target, as one batch: one tape, TES
+    pass, backward and SGD step per epoch for all of them. The configs may
+    differ only in enable_path_loss and enable_mi_loss. Returns one
+    ExplainResult per config: its scorer, final mask and per-epoch loss
+    breakdown, the bits of its batch of one."""
+    job = ExplainJob(model, gc, target, configs)
     cfg = job.config
-    tes = init_tes(cfg.combine_mode, job.model.dim, cfg.seed, job.batch)
+    tes = init_tes(cfg.combine_mode, model.dim, cfg.seed, job.batch)
     traces = [[] for _ in job.configs]
     for epoch in range(cfg.epochs):
         with Tape() as tape:
             objective, terms, _, _ = job.objective(tes, tape)
-            # a batch's rows are independent losses: their sum gives each an
-            # adjoint of exactly 1, as a lone run's scalar loss has
-            backward(tape, objective if job.batch is None else ad.sumall(objective))
+            # the rows are independent losses: their sum gives each an
+            # adjoint of exactly 1
+            backward(tape, ad.sumall(objective))
         for trace, entry in zip(traces, job.trace_rows(epoch, terms, objective)):
             trace.append(entry)
         sgd_step(tes, cfg.lr)
-    stores = ([tes] if job.batch is None else
-              [ParamStore({name: p[row] for name, p in tes.params.items()})
-               for row in range(job.batch)])
+    stores = [ParamStore({name: p[row] for name, p in tes.params.items()})
+              for row in range(job.batch)]
     return [ExplainResult(store, mask, trace)
             for store, mask, trace in zip(stores, job.final_masks(tes), traces)]
 
 
 def train_explainer(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
                     config: ExplainConfig | None = None) -> ExplainResult:
-    """Optimise the TES on one target; returns the scorer, the final mask,
-    and the per-epoch loss breakdown."""
-    return _train(ExplainJob(model, gc, target, config or ExplainConfig()))[0]
-
-
-def train_explainers(model: KgcModel, gc: ComputationGraph, target: TargetTriple,
-                     configs) -> list:
-    """`train_explainer` for each of `configs`, which may differ only in
-    enable_path_loss and enable_mi_loss, trained as one batch: one tape, TES
-    pass, backward and SGD step per epoch for all of them. Each result is
-    the one `train_explainer` returns for its config, bit for bit."""
-    return _train(ExplainJob(model, gc, target, list(configs)))
+    """`train_explainers` for one config, a batch of one."""
+    return train_explainers(model, gc, target, [config or ExplainConfig()])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -404,8 +404,12 @@ class SuiteConfig:
         else:
             _in_section("model", replace(self.model, seed=self.base_seed).validate)
         check_ego_settings(self.resolved_hops(), self.k_core, self.max_nodes)
-        for mode in MODES if self.ablations else ("full",):
+        for mode in self.modes():
             _in_section("explain", _mode_config(self.explain, mode, self.base_seed).validate)
+
+    def modes(self) -> tuple:
+        """The explainer modes a run trains: `MODES` with ablations, else "full"."""
+        return MODES if self.ablations else ("full",)
 
     def to_flat_dict(self):
         out = {k: v for k, v in asdict(self).items()
@@ -440,7 +444,7 @@ def run_instance(suite: SuiteConfig, seed: int):
     gc = prepare_computation_graph(
         inst.graph, inst.target, suite.resolved_hops(), suite.k_core, suite.max_nodes
     )
-    modes = MODES if suite.ablations else ("full",)
+    modes = suite.modes()
     configs = [_mode_config(suite.explain, mode, seed) for mode in modes]
     # the modes share the ego-graph, target, model and seed: one batch
     results = (train_explainers(model, gc, inst.target, configs) if suite.ablations
@@ -498,7 +502,7 @@ def run_suite(suite: SuiteConfig, out_dir=None):
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.json").write_text(json_text(flat))
     instances = [run_instance(suite, suite.base_seed + i) for i in range(suite.n_instances)]
-    modes = MODES if suite.ablations else ("full",)
+    modes = suite.modes()
     agg = {"n_instances": suite.n_instances, "modes": {}}
     for mode in modes:
         rows = [r[mode] for r in instances]

@@ -128,7 +128,7 @@ def test_criterion_2_gradient_correctness():
         gc = prepare_computation_graph(inst.graph, inst.target, 1, 2)
         model = KgcModel(inst.graph.num_entities, inst.graph.num_relations,
                          dim=4, layers=1, seed=seed)
-        job = ExplainJob(model, gc, inst.target, ExplainConfig(seed=seed))
+        job = ExplainJob(model, gc, inst.target, [ExplainConfig(seed=seed)])
         store = init_tes("concatenation", 4, seed=seed + 100)
 
         def term_values():

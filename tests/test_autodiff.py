@@ -492,7 +492,7 @@ def test_finite_diff_tes_with_path_loss_small_graph():
     ))
     gc = prepare_computation_graph(inst.graph, inst.target, 1, 2)
     model = KgcModel(6, 3, dim=3, layers=1, seed=0)
-    job = ExplainJob(model, gc, inst.target, ExplainConfig(enable_mi_loss=False))
+    job = ExplainJob(model, gc, inst.target, [ExplainConfig(enable_mi_loss=False)])
     tes = init_tes("concatenation", 3, seed=1)
 
     def loss(store, tape):

@@ -24,6 +24,7 @@ from kgexplain.explain import (
     train_explainer,
     train_explainers,
 )
+from kgexplain.harness import MODES, _mode_config
 from kgexplain.kgraph import (
     ComputationGraph,
     KnowledgeGraph,
@@ -69,12 +70,12 @@ def path_job(gc, target, L):
     """A job whose loss terms are the path term and a zero L2 penalty."""
     model = KgcModel(gc.num_nodes, target.relation + 1, dim=4, seed=0)
     cfg = ExplainConfig(power_order=L, gamma=0.0, enable_mi_loss=False)
-    return ExplainJob(model, gc, target, cfg)
+    return ExplainJob(model, gc, target, [cfg])
 
 
 def tes_mask(tes, model, gc, target, combine_mode="concatenation"):
     """The final mask the explainer reads off a trained TES."""
-    job = ExplainJob(model, gc, target, ExplainConfig(combine_mode=combine_mode))
+    job = ExplainJob(model, gc, target, [ExplainConfig(combine_mode=combine_mode)])
     return job.final_masks(tes)[0]
 
 
@@ -221,7 +222,7 @@ def test_tes_matches_per_edge_oracle(mode):
     H = encode(model, gc, None)
     R = model.store.params["rel"]
     i, k = gc.head_local, gc.tail_local
-    p = tes.params
+    p = {name: t[0] for name, t in tes.params.items()}
     for pid in range(gc.num_pairs):
         row = int(mask.provenance[pid])
         s, r, d = gc.src[row], gc.rel[row], gc.dst[row]
@@ -246,7 +247,7 @@ def test_tes_multi_relation_pair_takes_max_with_provenance():
     # provenance points at the arg-max triple
     H = encode(model, gc, None)
     R = model.store.params["rel"]
-    p = tes.params
+    p = {name: t[0] for name, t in tes.params.items()}
     scores = []
     for row in range(2):
         x = combine_cat((H[gc.src[row]], R[gc.rel[row]], H[gc.dst[row]]),
@@ -262,7 +263,9 @@ def test_tes_multi_relation_pair_takes_max_with_provenance():
 
 
 def tes_oracle(params, x):
-    """The TES MLP composed from generic tape ops over the full input x."""
+    """The TES MLP composed from generic tape ops over the full input x, for
+    the one row of a batch-of-one TES."""
+    params = {name: ad.take_row(p, 0) for name, p in params.items()}
     z = ad.relu(ad.add(ad.matmul(x, params["w1"]), params["b1"]))
     z = ad.relu(ad.add(ad.matmul(z, params["w2"]), params["b2"]))
     z = ad.add(ad.matmul(z, params["w3"]), params["b3"])
@@ -280,7 +283,7 @@ def tes_case(mode, num_edges, dim=4, seed=0):
     target = TargetTriple(0, 1, 1)
     gc = full_graph(g, target)
     model = KgcModel(n, 2, dim=dim, seed=seed)
-    job = ExplainJob(model, gc, target, ExplainConfig(combine_mode=mode))
+    job = ExplainJob(model, gc, target, [ExplainConfig(combine_mode=mode)])
     tes = init_tes(mode, dim, seed=seed + 1)
     for name in ("b1", "b2", "b3"):
         tes.params[name][...] = rng.normal(0.0, 0.5, tes.params[name].shape)
@@ -318,9 +321,9 @@ def test_tes_op_matches_composed_oracle(mode, num_edges):
     job, store, x, weights = tes_case(mode, num_edges)
     got, got_grads = scores_and_grads(job.tes, store, weights)
     want, want_grads = scores_and_grads(lambda p: tes_oracle(p, x), store, weights)
-    assert got.shape == (num_edges,)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(job.tes(store.params), want, rtol=1e-12, atol=0)
+    assert got.shape == (1, num_edges)
+    np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(job.tes(store.params)[0], want, rtol=1e-12, atol=0)
     for name in store.params:
         assert got_grads[name].shape == store.params[name].shape
         np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=1e-12, atol=0,
@@ -348,7 +351,7 @@ def test_tes_op_overflow_names_the_layer(mode):
     xe = job.tes.xe
     assert np.abs(xe[0]).sum() > 2.0
     store.params["w1"][...] = 0.0
-    store.params["w1"][: xe.shape[1]] = 1e308 * np.sign(xe[0])[:, None]
+    store.params["w1"][0, : xe.shape[1]] = 1e308 * np.sign(xe[0])[:, None]
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="tes_mlp:layer1"):
             job.tes(store.params)
@@ -365,7 +368,7 @@ def test_tes_op_adjoint_overflow_names_the_layer():
     p["w2"][...] = 0.0
     p["b2"][...] = 1.0
     p["w3"][...] = 0.0
-    p["w3"][:2, 0] = (1e10, -1e10)
+    p["w3"][0, :2, 0] = (1e10, -1e10)
     p["b3"][...] = 0.0
     np.testing.assert_array_equal(job.tes(p), 0.5)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="tes_mlp:layer2 adjoint"):
@@ -519,7 +522,7 @@ def test_path_loss_values():
         ([(1, 0, 0)], [1.0], 27.631, 1e-3),                # P_on = 0
     ):
         gc, mask = gc_with_mask(triples, values)
-        path = scalar(path_job(gc, target, 2).loss_terms(mask.values)["path"])
+        path = scalar(path_job(gc, target, 2).loss_terms(mask.values[None])["path"])
         assert path == pytest.approx(expected, abs=tol)
 
 
@@ -540,8 +543,8 @@ def test_total_loss_vanishes_for_perfect_instance():
     p["basis_0_0"][...] = 0.0
     p["basis_0_1"][...] = 0.0
     mask = EdgeScoreMatrix.constant(gc, 1.0)
-    job = ExplainJob(model, gc, target, ExplainConfig(gamma=0.0, power_order=2))
-    terms = {name: scalar(v) for name, v in job.loss_terms(mask.values).items()}
+    job = ExplainJob(model, gc, target, [ExplainConfig(gamma=0.0, power_order=2)])
+    terms = {name: scalar(v) for name, v in job.loss_terms(mask.values[None]).items()}
     assert terms["prediction"] == 0.0
     assert terms["path"] == 0.0
     assert sum(terms.values()) == 0.0
@@ -552,8 +555,8 @@ def test_total_loss_single_edge_regularization():
     target = TargetTriple(0, 0, 1)
     gc = full_graph(g, target)
     model = KgcModel(2, 1, dim=4, seed=1)
-    job = ExplainJob(model, gc, target, ExplainConfig(gamma=1.0, power_order=2))
-    reg = scalar(job.loss_terms(np.array([0.6]))["regularization"])
+    job = ExplainJob(model, gc, target, [ExplainConfig(gamma=1.0, power_order=2)])
+    reg = scalar(job.loss_terms(np.array([[0.6]]))["regularization"])
     assert reg == pytest.approx(0.6, rel=1e-12)
 
 
@@ -565,8 +568,8 @@ def test_total_loss_matches_term_by_term_oracle():
     rng = np.random.default_rng(10)
     mask = EdgeScoreMatrix.from_values(gc, rng.uniform(0.2, 0.8, gc.num_pairs))
     gamma, L = 0.25, 3
-    job = ExplainJob(model, gc, target, ExplainConfig(gamma=gamma, power_order=L))
-    got = {name: scalar(v) for name, v in job.loss_terms(mask.values).items()}
+    job = ExplainJob(model, gc, target, [ExplainConfig(gamma=gamma, power_order=L)])
+    got = {name: scalar(v) for name, v in job.loss_terms(mask.values[None]).items()}
     pred = -math.log(max(score_target_masked(model, gc, mask, target).probability, 1e-12))
     path = -math.log(max(p_on_oracle(gc, mask.values, L), 1e-12))
     reg = gamma * math.sqrt(float((mask.values ** 2).sum()))
@@ -575,7 +578,7 @@ def test_total_loss_matches_term_by_term_oracle():
     assert got["regularization"] == pytest.approx(reg, abs=1e-12)
     assert sum(got.values()) == pytest.approx(pred + path + reg, abs=1e-12)
     with pytest.raises(ContractError):
-        ExplainJob(model, gc, target, ExplainConfig(gamma=-0.1, power_order=L))
+        ExplainJob(model, gc, target, [ExplainConfig(gamma=-0.1, power_order=L)])
 
 
 # -- gradients through the powering chain ----------------------------------------------
@@ -587,12 +590,12 @@ def test_path_loss_gradient_matches_finite_differences():
     target = TargetTriple(0, 0, 3)
     gc = full_graph(g, target)
     rng = np.random.default_rng(11)
-    store = ad.ParamStore({"mask": rng.uniform(0.2, 0.8, gc.num_pairs)})
+    store = ad.ParamStore({"mask": rng.uniform(0.2, 0.8, (1, gc.num_pairs))})
     awalks = adjacency_power_row(gc, gc.head_local, 3)
 
     def loss(s, tape):
         v = tape.param(s, "mask") if tape is not None else s.params["mask"]
-        return PathLossOp(gc, 3, awalks)(v)
+        return PathLossOp(gc, 3, awalks, [True])(v)
 
     assert ad.finite_diff_check(loss, store, step=1e-5, tol=1e-4).passed
 
@@ -602,7 +605,8 @@ def test_path_loss_monotone_in_on_path_scores():
     gc, _ = gc_with_mask(triples, [0.5] * 4, target=(0, 0, 2))
     job = path_job(gc, TargetTriple(0, 0, 2), 3)
     base = np.full(gc.num_pairs, 0.4)
-    losses = [scalar(job.loss_terms(base + bump)["path"]) for bump in (0.0, 0.1, 0.2, 0.3)]
+    losses = [scalar(job.loss_terms((base + bump)[None])["path"])
+              for bump in (0.0, 0.1, 0.2, 0.3)]
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -653,7 +657,7 @@ def generic_loss_terms(job, pair_vals):
 
 def terms_and_mask_adjoints(loss_terms, mask):
     """Each term's value as an array and on the tape, and the mask adjoint of
-    the summed objective and of each term alone."""
+    the summed objective and of each term alone, summed over a batch's rows."""
     out = {f"{name} array": v for name, v in loss_terms(mask).items()}
     names = list(out)
     for which in ["objective", *(name.split()[0] for name in names)]:
@@ -664,18 +668,21 @@ def terms_and_mask_adjoints(loss_terms, mask):
             for t in terms.values():
                 node = t if node is None else ad.add(node, t)
             node = node if which == "objective" else terms[which]
-            ad.backward(tape, node)
+            ad.backward(tape, ad.sumall(node))
             out[which] = node.value
             out[f"{which} mask adjoint"] = leaf.grad
     return out
 
 
 def assert_fused_terms_match(job, mask):
-    got = terms_and_mask_adjoints(job.loss_terms, mask)
+    """The terms and mask adjoints of a batch-of-one job on `mask` as its one
+    row are those of the generic-op composition on `mask`, bit for bit; only
+    the job's leading batch axis of length 1 is dropped."""
+    got = terms_and_mask_adjoints(job.loss_terms, mask[None])
     want = terms_and_mask_adjoints(lambda v: generic_loss_terms(job, v), mask)
     assert got.keys() == want.keys()
     for key in want:
-        assert_same_bits(got[key], want[key])
+        assert_same_bits(np.reshape(got[key], np.shape(want[key])), want[key])
 
 
 # head 0, tail 1: a direct edge, and every other walk three or more hops long
@@ -694,7 +701,7 @@ def loss_case(triples, decoder, mode, L, layers=2, seed=0):
                      seed=seed)
     cfg = ExplainConfig(power_order=L, gamma=0.25, enable_path_loss=mode != "path_off",
                         enable_mi_loss=mode != "mi_off")
-    return gc, ExplainJob(model, gc, target, cfg)
+    return gc, ExplainJob(model, gc, target, [cfg])
 
 
 @pytest.mark.parametrize("decoder", DECODERS)
@@ -725,9 +732,10 @@ def test_fused_loss_terms_take_the_empty_length_and_zero_mass_branches():
 
 
 @st.composite
-def loss_term_cases(draw):
+def loss_term_graphs(draw, rows=1):
     """Random graphs of 0-30 triples over 1-7 nodes (self-loops and parallel
-    triples allowed, head == tail allowed) with masks that hold exact zeros."""
+    triples allowed, head == tail allowed), a model, a power order and `rows`
+    masks that hold exact zeros, one per row of a (rows, pairs) array."""
     n = draw(st.integers(1, 7))
     n_rel = draw(st.integers(1, 3))
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, n_rel - 1), st.integers(0, n - 1))
@@ -739,13 +747,20 @@ def loss_term_cases(draw):
     model = KgcModel(n, n_rel, dim=draw(st.integers(2, 4)), layers=draw(st.integers(1, 3)),
                      bases=draw(st.integers(1, 2)), decoder=draw(st.sampled_from(DECODERS)),
                      seed=draw(st.integers(0, 2**16)))
-    mode = draw(st.sampled_from(["full", "path_off", "mi_off"]))
-    cfg = ExplainConfig(power_order=draw(st.integers(2, 4)), enable_path_loss=mode != "path_off",
-                        enable_mi_loss=mode != "mi_off")
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    mask = rng.uniform(0.0, 1.0, gc.num_pairs)
-    mask[rng.random(gc.num_pairs) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
-    return ExplainJob(model, gc, target, cfg), mask
+    mask = rng.uniform(0.0, 1.0, (rows, gc.num_pairs))
+    mask[rng.random(mask.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return model, gc, target, draw(st.integers(2, 4)), mask
+
+
+@st.composite
+def loss_term_cases(draw):
+    """A batch-of-one job in a random ablation mode on a `loss_term_graphs`
+    graph, and its mask row."""
+    model, gc, target, L, mask = draw(loss_term_graphs())
+    mode = draw(st.sampled_from(["full", "path_off", "mi_off"]))
+    config = _mode_config(ExplainConfig(power_order=L), mode, 0)
+    return ExplainJob(model, gc, target, [config]), mask[0]
 
 
 @settings(max_examples=120, deadline=None)
@@ -754,12 +769,48 @@ def test_fused_loss_terms_match_generic_op_composition_on_random_graphs(case):
     assert_fused_terms_match(*case)
 
 
+@settings(max_examples=80, deadline=None)
+@given(loss_term_graphs(rows=3))
+def test_each_row_of_a_batch_is_its_batch_of_one(case):
+    # the three ablation modes as one batch, each row on its own mask, against
+    # each mode alone on that row: the same bytes, signed zeros included; a term
+    # a row leaves out holds -0.0 there and passes it only -0.0 adjoints
+    model, gc, target, L, mask = case
+    configs = [_mode_config(ExplainConfig(power_order=L), mode, 0) for mode in MODES]
+    batch = terms_and_mask_adjoints(ExplainJob(model, gc, target, configs).loss_terms, mask)
+    for row, cfg in enumerate(configs):
+        alone = terms_and_mask_adjoints(ExplainJob(model, gc, target, [cfg]).loss_terms,
+                                        mask[row:row + 1])
+        for key, value in batch.items():
+            got = value[row:row + 1]
+            if key in alone:
+                assert_same_bits(got, alone[key])
+            else:
+                assert (got == 0.0).all() and np.signbit(got).all(), (MODES[row], key)
+
+
+def test_a_job_refuses_no_configs_and_configs_that_differ_beyond_the_loss_switches():
+    g = kg_from([(0, 0, 1), (1, 0, 2), (0, 0, 2)])
+    target = TargetTriple(0, 0, 2)
+    gc = full_graph(g, target)
+    model = KgcModel(3, 1, dim=4, seed=0)
+    with pytest.raises(ContractError, match="at least one config"):
+        train_explainers(model, gc, target, [])
+    base = ExplainConfig(epochs=1)
+    for other in (replace(base, seed=1), replace(base, gamma=0.5, enable_mi_loss=False)):
+        with pytest.raises(ContractError, match="differ only"):
+            train_explainers(model, gc, target, [base, other])
+
+
 @pytest.mark.parametrize("mode, nodes", [("full", 15), ("path_off", 13), ("mi_off", 12)])
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_explainer_epoch_tape_nodes(monkeypatch, mode, nodes, layers):
-    # six TES params, the TES and segment_max, the terms (the prediction term:
-    # the mask gather, the layers and the head; the path loss; the norm and
-    # its weight) and the adds that sum them
+    # `nodes`: six TES params, the TES and segment_max, the terms (the
+    # prediction term: the mask gather and the head, beside the layers; the
+    # path loss; the norm and its weight) and the adds that sum them. A lone
+    # config is a batch of one, which adds three nodes: the prediction term's
+    # `take_row` of its row and `put_rows` into the term vector, and the `sum`
+    # of the rows' totals; mi_off has no prediction term and adds only the sum.
     from kgexplain import explain as explain_module
 
     sizes = []
@@ -774,10 +825,10 @@ def test_explainer_epoch_tape_nodes(monkeypatch, mode, nodes, layers):
     monkeypatch.setattr(explain_module, "Tape", CountingTape)
     _, job = loss_case(TWO_WALKS, "distmult", mode, 3, layers=layers)
     train_explainer(job.model, job.gc, job.target, replace(job.config, epochs=3))
-    want = nodes + (layers if mode != "mi_off" else 0)
+    want = nodes + (layers + 2 if mode != "mi_off" else 0) + 1
     assert sizes == [want] * 3
     if (mode, layers) == ("full", 2):
-        assert want == 17
+        assert want == 20
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -788,7 +839,6 @@ def test_batched_explainer_epoch_tape_nodes(monkeypatch, layers):
     # the path loss over its rows (full, mi_off), the norm and its weight, the
     # adds that sum the terms and the sum of the rows' totals
     from kgexplain import explain as explain_module
-    from kgexplain.harness import MODES, _mode_config
 
     sizes = []
 
@@ -814,41 +864,41 @@ def test_batched_mask_adjoints_keep_each_rows_signed_zeros():
     # pair, so a row's mask adjoint keeps -0.0 wherever its own terms add only
     # -0.0; a +0.0 pad from another row's term would turn it into +0.0.
     from kgexplain.explain import prepare_computation_graph
-    from kgexplain.harness import MODES, _mode_config, reliant_model
+    from kgexplain.harness import reliant_model
 
     inst = make_planted(seed=0)
     model = reliant_model(inst.graph, inst.target, seed=0)
     gc = prepare_computation_graph(inst.graph, inst.target, 2, 2)
     configs = [_mode_config(ExplainConfig(gamma=-0.0), mode, 0) for mode in MODES]
 
-    def mask_adjoint(config, batch=None):
-        job = ExplainJob(model, gc, inst.target, config)
-        tes = init_tes(job.config.combine_mode, model.dim, 0, batch)
+    def mask_adjoint(configs):
+        job = ExplainJob(model, gc, inst.target, configs)
+        tes = init_tes(job.config.combine_mode, model.dim, 0, len(configs))
         with ad.Tape() as tape:
             objective, _, pair_vals, _ = job.objective(tes, tape)
-            ad.backward(tape, objective if batch is None else ad.sumall(objective))
+            ad.backward(tape, ad.sumall(objective))
             return pair_vals.grad.copy()
 
-    batched = mask_adjoint(configs, batch=len(configs))
+    batched = mask_adjoint(configs)
     for row, config in enumerate(configs):
-        assert batched[row].tobytes() == mask_adjoint(config).tobytes(), MODES[row]
+        assert batched[row].tobytes() == mask_adjoint([config])[0].tobytes(), MODES[row]
     assert np.signbit(batched[batched == 0.0]).any()
 
 
 def test_path_loss_op_non_finite_chain_names_the_op():
     gc, job = loss_case(TWO_WALKS, "distmult", "mi_off", 3)
     with pytest.raises(NumericError, match=r"op 'path_loss'$"):
-        job.path(np.full(gc.num_pairs, 1e300))
+        job.path(np.full((1, gc.num_pairs), 1e300))
     with ad.Tape() as tape:
         with pytest.raises(NumericError, match=r"op 'path_loss'$"):
-            job.path(tape.leaf(np.full(gc.num_pairs, 1e300)))
+            job.path(tape.leaf(np.full((1, gc.num_pairs), 1e300)))
 
 
 def test_path_loss_op_adjoint_overflow_names_the_op():
     # P_on is tiny, so a huge objective weight divided by it overflows
     gc, job = loss_case(NO_TWO_WALK, "distmult", "mi_off", 2)
     with ad.Tape() as tape:
-        leaf = tape.leaf(np.full(gc.num_pairs, 1e-20))
+        leaf = tape.leaf(np.full((1, gc.num_pairs), 1e-20))
         loss = ad.mul(job.path(leaf), 1e300)
         with pytest.raises(NumericError, match=r"op 'path_loss adjoint'$"):
             ad.backward(tape, loss)
@@ -1043,7 +1093,7 @@ def test_target_must_be_the_graphs_head_and_tail():
         generate_paths(gc, EdgeScoreMatrix.constant(gc, 0.5), target)
     swapped = TargetTriple(1, 0, 0)
     with pytest.raises(ContractError, match="head and tail"):
-        ExplainJob(model, gc, swapped, ExplainConfig())
+        ExplainJob(model, gc, swapped, [ExplainConfig()])
     with pytest.raises(ContractError, match="head and tail"):
         TargetScorer(model, gc, target)
     with pytest.raises(ContractError, match="head and tail"):
@@ -1064,7 +1114,7 @@ def test_explain_job_loss_value_and_tape_agree():
     from kgexplain.explain import prepare_computation_graph
 
     gc = prepare_computation_graph(inst.graph, inst.target, 1, 2)
-    job = ExplainJob(model, gc, inst.target, ExplainConfig(seed=0))
+    job = ExplainJob(model, gc, inst.target, [ExplainConfig(seed=0)])
     tes = init_tes("concatenation", 4, seed=0)
     terms_v = job.objective(tes, None)[1]
     tape = ad.Tape()
@@ -1166,7 +1216,7 @@ def _explainer_epoch(edit):
     def run(monkeypatch):
         inst, model, gc = _injection_instance()
         cfg = ExplainConfig(seed=0)
-        job = ExplainJob(model, gc, inst.target, cfg)
+        job = ExplainJob(model, gc, inst.target, [cfg])
         tes = init_tes(cfg.combine_mode, model.dim, cfg.seed)
         edit(job, tes.params)
         with ad.Tape() as tape:
@@ -1198,7 +1248,7 @@ def _through(build, values, per_edge=False):
     segment_max."""
     def run(monkeypatch):
         inst, model, gc = _injection_instance()
-        job = ExplainJob(model, gc, inst.target, ExplainConfig(seed=0))
+        job = ExplainJob(model, gc, inst.target, [ExplainConfig(seed=0)])
         size = gc.num_edges if per_edge else gc.num_pairs
         with ad.Tape() as tape:
             ad.backward(tape, build(job, tape.leaf(values(size))))
@@ -1219,7 +1269,7 @@ def _first_negative(size):
 # read off the code before the ops whose checks imply it stopped checking their
 # outputs again, and must not move.
 INJECTIONS = {
-    "tes parameter nan": (_explainer_epoch(lambda job, p: p["w2"].__setitem__((0, 0), np.nan)),
+    "tes parameter nan": (_explainer_epoch(lambda job, p: p["w2"].__setitem__((0, 0, 0), np.nan)),
                           "non-finite value produced by op 'param:w2'"),
     "tes layer-1 overflow": (_explainer_epoch(lambda job, p: p["w1"].__imul__(1e308)),
                              "non-finite value produced by op 'tes_mlp:layer1'"),
@@ -1240,11 +1290,11 @@ INJECTIONS = {
                                                lambda n: np.full(n, 1e200)),
                                       "non-finite value produced by op 'rgcn:layer1'"),
     "edge mask 1e200 through segment_max and the path loss": (
-        _through(lambda job, m: job.path(_pair_max(job, m)), lambda n: np.full(n, 1e200),
+        _through(lambda job, m: job.path(_pair_max(job, m)), lambda n: np.full((1, n), 1e200),
                  per_edge=True),
         "non-finite value produced by op 'path_loss'"),
     "negative mask through the path loss": (
-        _through(lambda job, m: job.path(m), _first_negative),
+        _through(lambda job, m: job.path(m), lambda n: _first_negative(n)[None]),
         "non-finite value produced by op 'path_loss'"),
     "edge mask 1e-320 under a steep power": (
         _through(lambda job, m: ad.sumall(ad.powc(_pair_max(job, m), 0.01)),
@@ -1267,7 +1317,11 @@ def test_numeric_error_names_the_op_that_produced_the_value(case, monkeypatch):
 # entity adjoint and each layer's input adjoint (3), and in `backward` the
 # adjoints of the relation table and of each layer's 4 weights (9): 17. An
 # adjoint its op has checked is not checked again.
-CHECKS_PER_EPOCH = {"train": 17, "full": 41, "path_off": 30, "mi_off": 29}
+# A lone explainer config trains as a batch of one, so full and path_off
+# check the adjoints that `put_rows` and `take_row` pass on and the `sum` of
+# the rows' totals with its adjoint, and mi_off, which has no prediction term,
+# the `sum`'s two.
+CHECKS_PER_EPOCH = {"train": 17, "full": 45, "path_off": 34, "mi_off": 31}
 # The three ablation modes as one batch (`train_explainers`) check what they
 # share once: the parameter buffer, the TES, its and segment_max's adjoints and
 # the six parameters' (14). Each prediction row checks what path_off checks,
@@ -1281,7 +1335,6 @@ CHECKS_PER_EPOCH["ablations"] = 56
 @pytest.mark.parametrize("run", list(CHECKS_PER_EPOCH))
 def test_finite_checks_per_epoch_are_pinned(run, monkeypatch):
     from kgexplain.explain import prepare_computation_graph
-    from kgexplain.harness import MODES, _mode_config
     from kgexplain.model import ModelConfig, train_kgc
 
     inst = make_planted(seed=0)

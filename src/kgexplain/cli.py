@@ -276,8 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    command = "kgexplain"
     try:
         args = build_parser().parse_args(argv)
+        command = args.command
         return args.func(args)
     except ContractError as exc:
         log.error("usage error: %s", exc)
@@ -294,6 +296,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         log.error("numeric failure: %s", exc)
         return 4
+    except MemoryError:
+        log.error("out of memory: %s needs more memory than this process can allocate",
+                  command)
+        return 2
 
 
 if __name__ == "__main__":

@@ -282,6 +282,8 @@ class PathLossOp:
     def _in_batch(self, x, shape):
         """`x`, one entry or row per row with the term, as the batch's
         `shape`, with -0.0 in the other rows."""
+        if len(self.rows) == shape[0]:
+            return x.reshape(shape)
         out = np.full(shape, -0.0)
         out[self.rows] = x.reshape(len(self.rows), *shape[1:])
         return out

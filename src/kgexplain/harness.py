@@ -12,6 +12,7 @@ candidates to mis-rank.
 from __future__ import annotations
 
 import math
+import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, replace
@@ -32,6 +33,7 @@ from .model import (
     KgcModel,
     ModelConfig,
     _check_model_settings,
+    _refuse_beyond_memory,
     _refuse_model_beyond_memory,
     train_kgc,
 )
@@ -56,7 +58,8 @@ class PlantedConfig:
     seed: int = 0
 
     def validate(self):
-        """DataError for settings that no instance can meet."""
+        """DataError for settings that no instance can meet; ContractError
+        when its names and hop counts could not fit in physical memory."""
         if self.path_len not in (1, 2, 3, 4):
             raise DataError("path_len must be in {1, 2, 3, 4}")
         if self.n_planted_paths < 1:
@@ -85,6 +88,14 @@ class PlantedConfig:
                 f"n_distractors={self.n_distractors} exceeds the {distinct} distinct "
                 "distractor triples of this instance; use more entities or fewer distractors"
             )
+        # each name is a str and a slot in the name list; each entity also has
+        # two int64 hop counts, from the head and to the tail
+        name = sys.getsizeof("e0") + 8
+        _refuse_beyond_memory(
+            self.n_entities * (name + 16) + self.n_relations * name,
+            f"the planted instance's names and hop counts (n_entities={self.n_entities}, "
+            f"n_relations={self.n_relations})",
+        )
 
 
 @dataclass
@@ -385,10 +396,12 @@ class SuiteConfig:
     def validate(self):
         """Refuse what a run would refuse after writing its config, and what
         it could not run: an unknown model source and fewer than one instance
-        (DataError), a negative base seed (ContractError), the instance
-        (DataError), the model a trained source would train (for a reliant
-        model, only its dim), the ego-graph settings and each mode's explain
-        config (ContractError). The seeds checked are those a run uses."""
+        (DataError), a negative base seed (ContractError), a model or an
+        instance that could not fit in physical memory (ContractError), the
+        instance (DataError), the model a trained source would train (for a
+        reliant model, only its dim), the ego-graph settings and each mode's
+        explain config (ContractError). The seeds checked are those a run
+        uses."""
         if self.model_source not in MODEL_SOURCES:
             raise DataError(
                 f"model_source must be one of {MODEL_SOURCES}, got {self.model_source!r}"
@@ -397,6 +410,11 @@ class SuiteConfig:
             raise DataError(f"n_instances must be >= 1, got {self.n_instances}")
         if self.base_seed < 0:
             raise ContractError(f"base_seed must be >= 0, got {self.base_seed}")
+        # the model's bound first: at the default dim it is the larger per entity
+        layers, bases = ((RELIANT_LAYERS, RELIANT_BASES) if self.model_source == "reliant"
+                         else (self.model.layers, self.model.bases))
+        _refuse_model_beyond_memory(self.instance.n_entities, self.instance.n_relations,
+                                    self.model.dim, layers, bases)
         _in_section("instance", self.instance.validate)
         if self.model_source == "reliant":
             _in_section("model", lambda: _check_model_settings(
@@ -484,15 +502,11 @@ SUITE_CSV_COLUMNS = (
 def run_suite(suite: SuiteConfig, out_dir=None):
     """Runs every instance, aggregates recovery and metric trends, and (when
     out_dir is given) writes config echo, per-instance JSON, and aggregate
-    JSON + CSV with deterministic bytes. Invalid settings, and a model
-    that could not fit in physical memory, are refused before anything is
-    written or any instance is generated."""
+    JSON + CSV with deterministic bytes. Invalid settings, and a model or
+    an instance that could not fit in physical memory, are refused before
+    anything is written or any instance is generated."""
     t0 = time.perf_counter()
     suite.validate()
-    layers, bases = ((RELIANT_LAYERS, RELIANT_BASES) if suite.model_source == "reliant"
-                     else (suite.model.layers, suite.model.bases))
-    _refuse_model_beyond_memory(suite.instance.n_entities, suite.instance.n_relations,
-                                suite.model.dim, layers, bases)
     flat = suite.to_flat_dict()
     out = None
     if out_dir is not None:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from kgexplain.cli import main
 from kgexplain.harness import PlantedConfig, generate_planted
+from test_model import _physical_memory
 
 
 @pytest.fixture
@@ -702,6 +703,21 @@ def test_suite_instance_too_large_for_its_model_usage_error(tmp_path, caplog, ke
     assert not (tmp_path / "o").exists()
 
 
+def test_suite_instance_beyond_physical_memory_usage_error(tmp_path, caplog, monkeypatch):
+    # 16 MiB of physical memory: the dim-1 reliant model's 4.8 MB fit, the
+    # names and hop counts of 300,000 entities do not
+    _physical_memory(monkeypatch, 16 << 20)
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"n_instances": 1, "model_source": "reliant", "model.dim": 1,
+                               "instance.n_entities": 300_000}))
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 2
+    [line] = error_lines(caplog)
+    assert line.startswith("usage error: instance section: the planted instance's names and "
+                           "hop counts (n_entities=300000, n_relations=6) need ")
+    assert line.endswith(f"more than the {16 << 20} bytes of physical memory")
+    assert not (tmp_path / "o").exists()
+
+
 def test_explain_power_order_beyond_physical_memory_usage_error(tmp_path, dataset,
                                                                 reliant_checkpoint, caplog):
     train, inst = dataset
@@ -728,6 +744,34 @@ def test_memory_refusal_prints_one_line(tmp_path, dataset, capfd):
     assert code == 2
     [line] = capfd.readouterr().err.splitlines()
     assert line.startswith("ERROR usage error: model parameters and gradients (")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_out_of_memory_prints_one_line(tmp_path, dataset, capfd):
+    # A fresh interpreter whose address space is capped 64 MiB above what its
+    # imports use: a dim-4000 model fits in physical memory (1.5 GB of
+    # parameters and gradients) but its first 128 MB tensor cannot be
+    # allocated, so nothing is touched before the MemoryError.
+    train, _ = dataset
+    child = (
+        "import resource, sys\n"
+        "from kgexplain.cli import main\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20), hard))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    code = subprocess.run([sys.executable, "-c", child, "train", "--train", str(train),
+                           "--out_dir", str(tmp_path / "o"), "--dim", "4000"],
+                          env=env).returncode
+    assert code == 2
+    [line] = capfd.readouterr().err.splitlines()
+    assert line == "ERROR out of memory: train needs more memory than this process can allocate"
+    assert not (tmp_path / "o" / "model.plnk").exists()
 
 
 def test_numeric_failure_prints_one_line(tmp_path, dataset, reliant_checkpoint, capfd):

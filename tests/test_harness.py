@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_explainer import linear_fit_r2, measure_explain_memory
+from test_model import _physical_memory
 
 from kgexplain import harness as hs
-from kgexplain.errors import DataError
+from kgexplain.errors import ContractError, DataError
 from kgexplain.harness import (
     PlantedConfig,
     SuiteConfig,
@@ -106,6 +107,26 @@ def test_generate_on_many_entities_stays_small_and_fast():
     assert len(inst.distractor_edges) == 4
     assert peak < 32 * 2**20
     assert elapsed < 2.0
+
+
+def test_planted_instance_beyond_physical_memory_is_refused(monkeypatch):
+    cfg = PlantedConfig(n_entities=20000, n_distractors=4)
+    tracemalloc.start()
+    try:
+        generate_planted(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _physical_memory(monkeypatch, peak)
+    cfg.validate()  # the estimate is at most what generating holds
+    # 64 bytes per entity: less than its name and hop counts
+    _physical_memory(monkeypatch, 64 * 20000)
+    message = (r"the planted instance's names and hop counts \(n_entities=20000, "
+               r"n_relations=6\) need \d+ bytes, more than the 1280000 bytes of physical memory")
+    with pytest.raises(ContractError, match=message):
+        cfg.validate()
+    with pytest.raises(ContractError, match=message):
+        generate_planted(cfg)
 
 
 @st.composite

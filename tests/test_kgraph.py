@@ -221,6 +221,29 @@ def test_block_loader_peak_memory_within_per_line_loader(tmp_path):
     assert _traced_peak(load_triples, path) <= _traced_peak(oracle_load_triples, path)
 
 
+def test_loader_peak_memory_within_three_times_its_columns(tmp_path):
+    # FB15k-237's vocabulary sizes, 200,000 random triples and 2,000 lines
+    # that repeat one of them; the block parse and the dedupe are the peaks
+    rng = np.random.default_rng(1)
+    ents = [f"/m/0{i:05x}" for i in range(14541)]
+    rels = [f"/rel/domain_{i}/property" for i in range(237)]
+    n = 200_000
+    h, r, t = rng.integers(0, 14541, n), rng.integers(0, 237, n), rng.integers(0, 14541, n)
+    again = rng.integers(0, n, n // 100)
+    rows = np.concatenate([np.arange(n), again])
+    path = tmp_path / "kg.tsv"
+    path.write_text("".join(f"{ents[h[i]]}\t{rels[r[i]]}\t{ents[t[i]]}\n" for i in rows))
+    tracemalloc.start()
+    try:
+        g = load_triples(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.duplicates_dropped >= n // 100
+    columns = g.heads.nbytes + g.rels.nbytes + g.tails.nbytes
+    assert peak <= 3 * columns
+
+
 FB_TRAIN = os.environ.get("KGEXPLAIN_FB15K237_TRAIN", "")
 
 

@@ -32,6 +32,11 @@ What is digested (float64 arrays by their raw bytes, floats by ``repr``):
 - ``prepare_computation_graph``'s ``nodes``, ``src``, ``rel`` and ``dst`` on a
   seeded random KG at ``k_hop`` 1, 2 and 3, uncut and with a ``max_nodes``
   cut that falls inside a run of nodes at equal distance;
+- ``load_triples`` on a seeded file of 40,000 lines with a ``"::"``
+  delimiter, repeated lines, blank and whitespace-only lines, ``\n``,
+  ``\r\n`` and lone ``\r`` endings and no final line break: the columns,
+  both vocabularies, the duplicate count, ``vocab_hashes`` and the warning,
+  and the error messages of three broken copies of the file;
 - the CLI's output files for the train/explain/evaluate/suite script of the
   determinism acceptance test, plus an ``evaluate --test`` run whose test
   split holds an unknown name and a ``suite --ablations`` run on the same
@@ -48,6 +53,7 @@ import hashlib
 import io
 import json
 import logging
+import logging.handlers
 import os
 import sys
 import tempfile
@@ -299,6 +305,67 @@ def extraction_lines():
                        f"({gc.num_nodes} nodes, {gc.num_edges} triples)")
 
 
+def messy_tsv(rng, n_lines) -> bytes:
+    """Lines of "::"-separated names drawn from small pools, so that lines
+    repeat, with blank and whitespace-only lines, "\\n", "\\r\\n" and lone
+    "\\r" endings, and no line break after the last line."""
+    ents = [f"/m/0{i:x}" for i in range(300)] + ["a b", " lead", "trail ", "été"]
+    rels = [f"/rel/{i}/p" for i in range(9)]
+    lines = []
+    for _ in range(n_lines):
+        kind = rng.integers(0, 20)
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(" \t ")
+        else:
+            lines.append("::".join((ents[rng.integers(len(ents))], rels[rng.integers(len(rels))],
+                                    ents[rng.integers(len(ents))])))
+    ends = [("\n", "\r\n", "\r")[k] for k in rng.integers(0, 3, n_lines)]
+    return "".join(line + end for line, end in zip(lines, ends))[: -len(ends[-1])].encode()
+
+
+def loader_lines():
+    """`load_triples` on a seeded messy file of 40,000 lines (several parse
+    blocks) with a "::" delimiter: the columns, both vocabularies, the
+    duplicate count, `vocab_hashes` and the warning; then the error message
+    for the same file with a bad line, with a non-UTF-8 byte, and blank."""
+    from kgexplain.errors import DataError
+    from kgexplain.kgraph import load_triples
+
+    data = messy_tsv(np.random.default_rng(5), 40_000)
+    variants = {"bad line": data[:300_000] + b"\nx::y\n" + data[300_000:],
+                "non-UTF-8": data[:500_000] + b"\xff" + data[500_000:],
+                "blank": b" \r\n\t\n"}
+    handler = logging.handlers.BufferingHandler(capacity=100)
+    logger = logging.getLogger("kgexplain.kgraph")
+    logger.addHandler(handler)
+    logger.propagate = False
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("kg.tsv").write_bytes(data)
+            g = load_triples("kg.tsv", "::")
+            yield (digest(g.heads, g.rels, g.tails, g.entity_names, g.relation_names,
+                          g.duplicates_dropped, g.vocab_hashes(),
+                          [record.getMessage() for record in handler.buffer]),
+                   f"load_triples messy file ({g.num_triples} triples, "
+                   f"{g.duplicates_dropped} duplicates)")
+            for name, text in variants.items():
+                Path("kg.tsv").write_bytes(text)
+                try:
+                    load_triples("kg.tsv", "::")
+                    message = None
+                except DataError as exc:
+                    message = str(exc)
+                yield digest(message), f"load_triples messy file {name} error"
+        finally:
+            os.chdir(cwd)
+            logger.removeHandler(handler)
+            logger.propagate = True
+
+
 def cli_lines():
     """The determinism acceptance test's script, run in a temporary directory
     with relative paths so config echoes do not name the directory."""
@@ -367,7 +434,7 @@ def main() -> int:
     total = hashlib.sha256()
     for section in (training_lines, edge_training_lines, planted_lines, edgeless_lines,
                     explainer_lines, instance_lines, random_ego_lines, extraction_lines,
-                    cli_lines):
+                    loader_lines, cli_lines):
         with contextlib.redirect_stderr(io.StringIO()):
             lines = list(section())
         for value, label in lines:

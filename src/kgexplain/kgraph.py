@@ -133,6 +133,7 @@ class KnowledgeGraph:
         self.duplicates_dropped = int(duplicates_dropped)
         self._validate()
         self._name_index = None
+        self._vocab_hashes = None
 
     def _validate(self):
         if len(self.heads) != len(self.rels) or len(self.heads) != len(self.tails):
@@ -200,17 +201,21 @@ class KnowledgeGraph:
 
     def vocab_hashes(self):
         """sha256 of each vocabulary's name -> id map as compact, key-sorted
-        JSON: (entities, relations). Checkpoints store these bytes' hashes."""
-        return tuple(
-            hashlib.sha256(json.dumps(
-                {name: i for i, name in enumerate(names)}, sort_keys=True, separators=(",", ":")
-            ).encode()).hexdigest()
-            for names in (self.entity_names, self.relation_names)
-        )
+        JSON: (entities, relations), computed on first use. Checkpoints store
+        these bytes' hashes."""
+        if self._vocab_hashes is None:
+            self._vocab_hashes = tuple(
+                hashlib.sha256(json.dumps(
+                    {name: i for i, name in enumerate(names)}, sort_keys=True,
+                    separators=(",", ":"),
+                ).encode()).hexdigest()
+                for names in (self.entity_names, self.relation_names)
+            )
+        return self._vocab_hashes
 
 
-def _line_blocks(path):
-    r"""The file's lines in blocks of about `_BLOCK_CHARS` characters.
+def _line_blocks(fh, path):
+    r"""The lines of text stream `fh` in blocks of about `_BLOCK_CHARS` characters.
 
     Lines end at "\n" only, after the universal-newline translation of
     `open` (so "\r\n" and a lone "\r" end a line too), exactly as iterating
@@ -218,19 +223,18 @@ def _line_blocks(path):
     "\x1c"-"\x1e", "\x85", "\u2028" and "\u2029". The terminators are
     dropped, and a final line without one is the last block.
     """
-    with open(path, encoding="utf-8") as fh:
-        parts = []  # the pieces of the line the last read ended in
-        try:
-            while chunk := fh.read(_BLOCK_CHARS):
-                end = chunk.rfind("\n")
-                if end < 0:
-                    parts.append(chunk)
-                    continue
-                parts.append(chunk[:end])
-                yield "".join(parts).split("\n")
-                parts = [chunk[end + 1 :]]
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    parts = []  # the pieces of the line the last read ended in
+    try:
+        while chunk := fh.read(_BLOCK_CHARS):
+            end = chunk.rfind("\n")
+            if end < 0:
+                parts.append(chunk)
+                continue
+            parts.append(chunk[:end])
+            yield "".join(parts).split("\n")
+            parts = [chunk[end + 1 :]]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     last = "".join(parts)
     if last:
         yield [last]
@@ -251,16 +255,33 @@ def load_triples(path, delimiter="\t") -> KnowledgeGraph:
     Vocabularies are assigned in first-appearance order; exact duplicate
     lines are dropped with a counted warning. Blank and whitespace-only
     lines are skipped. The file is parsed one block of lines at a time.
+
+    A regular file's parse is cached beside it as `.<name>.kgcache`, keyed
+    by the sha256 of the bytes parsed and the delimiter, and a later load
+    of the same bytes reads the cache instead. A cache that does not match,
+    cannot be read or cannot be written is parsed past, never an error.
+    Pipes, other non-regular files, deleted files and file descriptors
+    are read once and never cached.
     """
     if not delimiter or "\n" in delimiter or "\r" in delimiter:
         raise ContractError(
             f"delimiter must be non-empty and contain no line break, got {delimiter!r}"
         )
+    from . import kgcache  # imported on first use: runs that load no TSV skip it
+
+    g = kgcache.load(path, delimiter, _parse_triples)
+    if g.duplicates_dropped:
+        log.warning("%s: dropped %d duplicate triple line(s)", path, g.duplicates_dropped)
+    return g
+
+
+def _parse_triples(fh, path, delimiter):
+    """The KnowledgeGraph of text stream `fh`, read from `path`."""
     ent_index: dict[str, int] = {}
     rel_index: dict[str, int] = {}
     ent_ids, rel_ids = [], []
     first_lineno = 1
-    for lines in _line_blocks(path):
+    for lines in _line_blocks(fh, path):
         body = list(filter(str.strip, lines))
         if body:
             if set(map(str.count, body, repeat(delimiter))) != {2}:
@@ -287,8 +308,6 @@ def load_triples(path, delimiter="\t") -> KnowledgeGraph:
     rel_ids.clear()
     keep = _first_lines(ents[0::2], rels, ents[1::2], len(rel_index), len(ent_index))
     dups = rels.size - keep.size
-    if dups:
-        log.warning("%s: dropped %d duplicate triple line(s)", path, dups)
     heads = ents[0::2][keep].astype(np.int64)
     tails = ents[1::2][keep].astype(np.int64)
     del ents

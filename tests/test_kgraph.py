@@ -1,6 +1,11 @@
 import hashlib
+import json
 import logging
+import logging.handlers
 import os
+import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from collections import deque
@@ -12,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kgexplain import kgraph
+from kgexplain import kgcache, kgraph
 from kgexplain.errors import ContractError, DataError, NumericError
 from kgexplain.kgraph import (
     ComputationGraph,
@@ -244,6 +249,199 @@ def test_loader_peak_memory_within_three_times_its_columns(tmp_path):
     assert peak <= 3 * columns
 
 
+# -- the parsed-graph cache ---------------------------------------------------
+
+
+def _graph_record(g):
+    """Everything a load returns: each column's dtype and values, the sizes,
+    both vocabularies, the duplicate count and the vocabulary hashes."""
+    return ([(c.dtype, c.tolist()) for c in (g.heads, g.rels, g.tails)], g.num_entities,
+            g.num_relations, g.entity_names, g.relation_names, g.duplicates_dropped,
+            g.vocab_hashes())
+
+
+def _logged_load(path, delimiter="\t"):
+    """(the load's record or its DataError text, the messages it logged)."""
+    handler = logging.handlers.BufferingHandler(capacity=100)
+    logger = logging.getLogger("kgexplain.kgraph")
+    logger.addHandler(handler)
+    try:
+        outcome = _graph_record(load_triples(path, delimiter))
+    except DataError as exc:
+        outcome = ("error", str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return outcome, [record.getMessage() for record in handler.buffer]
+
+
+def _no_parse(*args):
+    raise AssertionError("the file was parsed, not read from its cache")
+
+
+def _no_cache(*args):
+    raise AssertionError("a cache was read or written")
+
+
+def _cache_of(path):
+    return path.parent / f".{path.name}.kgcache"
+
+
+@st.composite
+def messy_tsv_case(draw):
+    """(file bytes, delimiter) of lines that repeat, blank lines, "\n",
+    "\r\n" and lone "\r" endings, and maybe no final line break."""
+    delimiter = draw(st.sampled_from(["\t", " ", "::"]))
+    triple = st.lists(_NAME, min_size=3, max_size=3).map(delimiter.join).filter(
+        lambda line: line.count(delimiter) == 2)
+    pool = draw(st.lists(triple, min_size=1, max_size=6))
+    line = st.one_of(st.sampled_from(pool), st.sampled_from(pool), _BLANK)
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])),
+                          max_size=25))
+    text = "".join(body + end for body, end in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(lines[-1][1])]
+    return text.encode(), delimiter
+
+
+@settings(max_examples=200, deadline=None)
+@given(messy_tsv_case())
+def test_second_load_reads_the_cache_and_equals_the_parse(case):
+    data, delimiter = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "kg.tsv"
+        path.write_bytes(data)
+        first = _logged_load(path, delimiter)
+        if first[0][0] == "error":  # only blank lines: nothing to cache
+            assert os.listdir(tmp) == ["kg.tsv"]
+            return
+        assert sorted(os.listdir(tmp)) == [".kg.tsv.kgcache", "kg.tsv"]
+        mp.setattr(kgraph, "_parse_triples", _no_parse)
+        second = _logged_load(path, delimiter)
+    assert second == first
+
+
+def test_stale_cache_with_the_same_size_and_mtime_is_parsed_again(tmp_path):
+    path = tmp_path / "kg.tsv"
+    path.write_text("a\tr\tb\nb\tr\tc\n")
+    load_triples(path)
+    before = path.stat()
+    path.write_text("a\tr\tc\nc\tr\tb\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    want = _graph_record(oracle_load_triples(path))
+    assert _graph_record(load_triples(path)) == want
+    with pytest.MonkeyPatch.context() as mp:  # the cache now holds the new bytes
+        mp.setattr(kgraph, "_parse_triples", _no_parse)
+        assert _graph_record(load_triples(path)) == want
+
+
+def _cut(data, other):
+    return [data[:n] for n in range(len(data))]
+
+
+def _foreign(data, other):
+    return [other]
+
+
+def _flipped(data, other):
+    return [data[:n] + bytes([data[n] ^ 1]) + data[n + 1:] for n in range(0, len(data), 7)]
+
+
+def _padded(data, other):
+    return [data + b"\0", b"\0" + data]
+
+
+@pytest.mark.parametrize("damage", [_cut, _foreign, _flipped, _padded])
+def test_damaged_or_foreign_cache_is_parsed_past_and_replaced(tmp_path, damage):
+    other = tmp_path / "other.tsv"
+    other.write_text("x\ty\tz\n")
+    load_triples(other)
+    path = tmp_path / "kg.tsv"
+    path.write_text("a\tr\tb\nb\tr\tc\na\tr\tb\n")
+    load_triples(path)
+    data = _cache_of(path).read_bytes()
+    want = _logged_load(path)
+    for bad in damage(data, _cache_of(other).read_bytes()):
+        _cache_of(path).write_bytes(bad)
+        assert _logged_load(path) == want
+        assert _cache_of(path).read_bytes() == data
+    assert sorted(os.listdir(tmp_path)) == [".kg.tsv.kgcache", ".other.tsv.kgcache", "kg.tsv",
+                                            "other.tsv"]
+
+
+def test_cache_of_another_delimiter_is_parsed_past(tmp_path):
+    path = tmp_path / "kg.tsv"
+    path.write_text("a b\tr\tc d\nc d\tr\ta b\n")  # three fields either way
+    for delimiter in ("\t", " ", "\t"):
+        assert _graph_record(load_triples(path, delimiter)) == _graph_record(
+            oracle_load_triples(path, delimiter))
+
+
+def _raise_oserror(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fails", ["os.replace", "tempfile.mkstemp"])
+def test_failed_cache_write_returns_the_graph_and_leaves_no_file(tmp_path, monkeypatch, fails):
+    path = tmp_path / "kg.tsv"
+    path.write_text("a\tr\tb\nb\tr\tc\na\tr\tb\n")
+    monkeypatch.setattr(fails, _raise_oserror)
+    want = _graph_record(oracle_load_triples(path))
+    for _ in range(2):
+        assert _graph_record(load_triples(path)) == want
+        assert os.listdir(tmp_path) == ["kg.tsv"]
+
+
+def test_cache_sits_beside_the_file_a_link_or_stdin_names_with_its_permissions(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    path = data / "kg.tsv"
+    path.write_text("a\tr\tb\nb\tr\tc\n")
+    path.chmod(0o640)
+    link = tmp_path / "link.tsv"
+    link.symlink_to(path)
+    want = _graph_record(load_triples(os.fsencode(link)))
+    assert sorted(os.listdir(data)) == [".kg.tsv.kgcache", "kg.tsv"]
+    assert stat.S_IMODE(os.stat(data / ".kg.tsv.kgcache").st_mode) == 0o640
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kgraph, "_parse_triples", _no_parse)
+        assert _graph_record(load_triples(path)) == want
+    os.unlink(data / ".kg.tsv.kgcache")
+    src = str(Path(kgraph.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with open(path, "rb") as stdin:
+        subprocess.run([sys.executable, "-c", "from kgexplain.kgraph import load_triples; "
+                        "load_triples('/dev/stdin')"], stdin=stdin, env=env, check=True)
+    assert sorted(os.listdir(data)) == [".kg.tsv.kgcache", "kg.tsv"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_pipe_deleted_file_and_descriptor_are_parsed_once_and_not_cached(tmp_path,
+                                                                          monkeypatch):
+    text = b"a\tr\tb\nb\tr\tc\na\tr\tb\n"
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(text)
+    want = _graph_record(oracle_load_triples(path))
+    path.unlink()
+    monkeypatch.setattr(kgcache, "_read_cache", _no_cache)
+    monkeypatch.setattr(kgcache, "_write_cache", _no_cache)
+    read, write = os.pipe()
+    os.write(write, text)
+    os.close(write)
+    try:
+        assert _graph_record(load_triples(f"/dev/fd/{read}")) == want
+    finally:
+        os.close(read)
+    with tempfile.TemporaryFile(dir=tmp_path) as fh:  # open, with no name left
+        fh.write(text)
+        fh.flush()
+        assert _graph_record(load_triples(f"/dev/fd/{fh.fileno()}")) == want
+    path.write_bytes(text)
+    assert _graph_record(load_triples(os.open(path, os.O_RDONLY))) == want  # closes the fd
+    assert os.listdir(tmp_path) == ["kg.tsv"]
+
+
 FB_TRAIN = os.environ.get("KGEXPLAIN_FB15K237_TRAIN", "")
 
 
@@ -275,6 +473,35 @@ def test_vocab_json_is_sorted():
     g.entity_names[:] = ["zeta", "ant"]
     g._name_index = None
     assert g.vocab_hashes()[0] == hashlib.sha256(b'{"ant":1,"zeta":0}').hexdigest()
+
+
+def _vocab_hashes_expression(g):
+    return tuple(
+        hashlib.sha256(json.dumps(
+            {name: i for i, name in enumerate(names)}, sort_keys=True, separators=(",", ":")
+        ).encode()).hexdigest()
+        for names in (g.entity_names, g.relation_names)
+    )
+
+
+_AWKWARD_NAMES = ['"quoted"', "back\\slash", "\\", "été", "日本", "\x01ctl", "\x1f", "\x7f",
+                  "", "12", "007", "1e3", "-0", "null", "\x85", "\u2028", "tab\x0bv", " "]
+
+
+def test_vocab_hashes_are_the_json_expression_on_awkward_names(tmp_path):
+    n = len(_AWKWARD_NAMES)
+    path = tmp_path / "kg.tsv"
+    path.write_text("".join(f"{_AWKWARD_NAMES[i]}\t{_AWKWARD_NAMES[-1 - i]}\t"
+                            f"{_AWKWARD_NAMES[(i + 1) % n]}\n" for i in range(n)),
+                    encoding="utf-8")
+    parsed = load_triples(path)
+    assert parsed.entity_names == _AWKWARD_NAMES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kgraph, "_parse_triples", _no_parse)
+        hit = load_triples(path)
+    want = _vocab_hashes_expression(parsed)
+    assert parsed.vocab_hashes() == hit.vocab_hashes() == want
+    assert parsed.vocab_hashes() is parsed.vocab_hashes()  # computed once
 
 
 def test_duplicate_triples_rejected():

@@ -36,7 +36,10 @@ What is digested (float64 arrays by their raw bytes, floats by ``repr``):
   delimiter, repeated lines, blank and whitespace-only lines, ``\n``,
   ``\r\n`` and lone ``\r`` endings and no final line break: the columns,
   both vocabularies, the duplicate count, ``vocab_hashes`` and the warning,
-  and the error messages of three broken copies of the file;
+  then the same for a second load of the file (read from its cache where
+  the package caches) and for a load under a stale cache (a same-size copy
+  of other bytes loaded first, its times restored after the file's bytes
+  are), and the error messages of three broken copies of the file;
 - the CLI's output files for the train/explain/evaluate/suite script of the
   determinism acceptance test, plus an ``evaluate --test`` run whose test
   split holds an unknown name and a ``suite --ablations`` run on the same
@@ -328,8 +331,10 @@ def messy_tsv(rng, n_lines) -> bytes:
 def loader_lines():
     """`load_triples` on a seeded messy file of 40,000 lines (several parse
     blocks) with a "::" delimiter: the columns, both vocabularies, the
-    duplicate count, `vocab_hashes` and the warning; then the error message
-    for the same file with a bad line, with a non-UTF-8 byte, and blank."""
+    duplicate count, `vocab_hashes` and the warning, for a first load, a
+    second load and a load under a stale same-size, same-mtime cache; then
+    the error message for the same file with a bad line, with a non-UTF-8
+    byte, and blank."""
     from kgexplain.errors import DataError
     from kgexplain.kgraph import load_triples
 
@@ -341,17 +346,28 @@ def loader_lines():
     logger = logging.getLogger("kgexplain.kgraph")
     logger.addHandler(handler)
     logger.propagate = False
+    def load():
+        handler.flush()
+        g = load_triples("kg.tsv", "::")
+        return g, digest(g.heads, g.rels, g.tails, g.entity_names, g.relation_names,
+                         g.duplicates_dropped, g.vocab_hashes(),
+                         [record.getMessage() for record in handler.buffer])
+
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             Path("kg.tsv").write_bytes(data)
-            g = load_triples("kg.tsv", "::")
-            yield (digest(g.heads, g.rels, g.tails, g.entity_names, g.relation_names,
-                          g.duplicates_dropped, g.vocab_hashes(),
-                          [record.getMessage() for record in handler.buffer]),
-                   f"load_triples messy file ({g.num_triples} triples, "
-                   f"{g.duplicates_dropped} duplicates)")
+            g, value = load()
+            yield value, (f"load_triples messy file ({g.num_triples} triples, "
+                          f"{g.duplicates_dropped} duplicates)")
+            yield load()[1], "load_triples messy file loaded again"
+            Path("kg.tsv").write_bytes(data.replace(b"/rel/1/", b"/rel/2/"))
+            load_triples("kg.tsv", "::")
+            other = os.stat("kg.tsv")
+            Path("kg.tsv").write_bytes(data)
+            os.utime("kg.tsv", ns=(other.st_atime_ns, other.st_mtime_ns))
+            yield load()[1], "load_triples messy file under a stale same-size, same-mtime cache"
             for name, text in variants.items():
                 Path("kg.tsv").write_bytes(text)
                 try:

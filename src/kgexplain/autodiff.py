@@ -3,10 +3,8 @@
 A :class:`Tape` is an append-only list of :class:`Node` records; reverse
 iteration is a valid reverse-topological order because operands always
 precede their consumers. Every op accepts a mix of :class:`Node` operands
-and plain numpy constants. When *no* operand is a Node the op falls
-through to the identical numpy computation and returns a raw array, so
-the same model code serves both differentiable and value-only forward
-passes (bit-for-bit, since the op sequence is unchanged).
+and plain numpy constants and ends in one `record` call, the one rule by
+which an op either returns a raw array or joins the tape.
 
 A tape lives for one forward/backward pass. Open it with
 ``with Tape() as tape:`` and run `backward` inside the block: leaving the
@@ -17,12 +15,9 @@ nodes can no longer be backpropagated; a node still referenced outside keeps
 only its own value. Entering the block also has glibc's malloc keep freed
 memory for the next pass instead of handing it back to the OS.
 
-Hand-written ops join the same tape: an op computes its value from plain
-arrays and, when an operand is a Node, appends one Node whose backward
-returns the adjoint of each Node operand. An op that stands for several
-uses of one operand may return a tuple of adjoints for it, which `backward`
-adds one after another in the tuple's order, as the separate uses' nodes
-would be in reverse tape order. These ops are hand-written:
+The ops kept here are the ones a run records: `add`, `mul`, `gather`,
+`segment_max`, `take_row`, `put_rows`, `norm` and `sumall`. The rest of an
+epoch is hand-written ops:
 
 - `explain.TesOp`, the explainer's edge scorer;
 - `explain.PathLossOp`, the path term's power steps, walk masses and -log;
@@ -60,9 +55,6 @@ the first parent's adjoint when the op passes ``adjoint_checked=True``
 because its backward has just checked that array itself:
 `model.RgcnLayerOp`'s input adjoint, `model.KgcLossOp`'s entity adjoint and
 `model.TargetHeadOp`'s adjoint.
-
-log() clamps its argument to >= 1e-12 so -log(p) stays finite when a
-probability collapses; the adjoint uses the clamped argument as well.
 """
 
 from __future__ import annotations
@@ -76,6 +68,8 @@ import numpy as np
 from . import kernels
 from .errors import ContractError, NumericError
 
+# the ops' -log(p) reads max(p, LOG_CLAMP), so the loss stays finite when p
+# collapses; their adjoints divide by the same clamped p
 LOG_CLAMP = 1e-12
 
 
@@ -163,9 +157,6 @@ class Tape:
             node.grad = None
         self.nodes.clear()
 
-    def leaf(self, value, op="leaf") -> Node:
-        return Node(self, np.asarray(value, dtype=np.float64), (), None, op)
-
     def param(self, store: "ParamStore", name: str, checked=False) -> Node:
         node = Node(self, store.params[name], (), None, f"param:{name}", checked)
         node.store = store
@@ -186,11 +177,20 @@ def _val(x):
     return x.value if isinstance(x, Node) else x
 
 
-def _tape_of(*xs):
-    for x in xs:
-        if isinstance(x, Node):
-            return x.tape
-    return None
+def record(value, operands, bw, op, checked=False, adjoint_checked=False):
+    """The end of every op. `value`, which the op computed from plain arrays,
+    is returned itself when no operand is a Node, so the same model code
+    serves differentiable and value-only passes, bit for bit. Otherwise one
+    Node is appended to the first Node operand's tape, whose parents are the
+    Node operands in order and whose `bw(g)` returns one adjoint per parent.
+    For a parent that the op uses several times, `bw` may return a tuple of
+    adjoints, which `backward` adds one after another in the tuple's order,
+    as the separate uses' nodes would be in reverse tape order. `checked` and
+    `adjoint_checked` are as in :class:`Node`."""
+    parents = tuple([x for x in operands if isinstance(x, Node)])
+    if not parents:
+        return value
+    return Node(parents[0].tape, value, parents, bw, op, checked, adjoint_checked)
 
 
 def _unbroadcast(g, shape):
@@ -207,28 +207,18 @@ def _unbroadcast(g, shape):
 
 def _binary(a, b, forward, bw_a, bw_b, op):
     va, vb = _val(a), _val(b)
-    out = forward(va, vb)
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
-    parents, fns = [], []
-    if isinstance(a, Node):
-        parents.append(a)
-        sa = np.shape(va)
-        fns.append(lambda g: _unbroadcast(np.asarray(bw_a(g, va, vb)), sa))
-    if isinstance(b, Node):
-        parents.append(b)
-        sb = np.shape(vb)
-        fns.append(lambda g: _unbroadcast(np.asarray(bw_b(g, va, vb)), sb))
-    return Node(tape, out, tuple(parents), lambda g: [f(g) for f in fns], op)
+
+    def bw(g):
+        return [_unbroadcast(np.asarray(f(g, va, vb)), np.shape(v))
+                for x, v, f in ((a, va, bw_a), (b, vb, bw_b)) if isinstance(x, Node)]
+
+    return record(forward(va, vb), (a, b), bw, op)
 
 
 def _unary(a, forward, bw, op):
     va = _val(a)
     out = forward(va)
-    if not isinstance(a, Node):
-        return out
-    return Node(a.tape, out, (a,), lambda g: [bw(g, va, out)], op)
+    return record(out, (a,), lambda g: [bw(g, va, out)], op)
 
 
 # ---------------------------------------------------------------------------
@@ -239,47 +229,12 @@ def add(a, b):
     return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g, "add")
 
 
-def sub(a, b):
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g, "sub")
-
-
-def neg(a):
-    return _unary(a, lambda x: -x, lambda g, x, o: -g, "neg")
-
-
 def mul(a, b):
     return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
 
 
-def matmul(a, b):
-    va, vb = _val(a), _val(b)
-    out = va @ vb
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
-
-    def bw(g):
-        grads = []
-        if isinstance(a, Node):
-            if vb.ndim == 1:
-                ga = np.outer(g, vb) if va.ndim == 2 else g * vb
-            else:
-                ga = (g @ vb.T) if va.ndim == 2 else vb @ g
-            grads.append(ga.reshape(np.shape(va)))
-        if isinstance(b, Node):
-            if va.ndim == 1:
-                gb = np.outer(va, g) if vb.ndim == 2 else g * va
-            else:
-                gb = va.T @ g
-            grads.append(gb.reshape(np.shape(vb)))
-        return grads
-
-    parents = tuple(x for x in (a, b) if isinstance(x, Node))
-    return Node(tape, out, parents, bw, "matmul")
-
-
 # ---------------------------------------------------------------------------
-# gather / scatter
+# indexing
 
 
 def gather(x, idx):
@@ -287,83 +242,40 @@ def gather(x, idx):
     gather takes the shape of `idx`, so an (E, 1) index gives an (E, 1) column."""
     idx = np.asarray(idx, dtype=np.int64)
     vx = _val(x)
-    out = vx[idx]
-    if not isinstance(x, Node):
-        return out
-    n = vx.shape[0]
 
     def bw(g):
         g = np.ascontiguousarray(g)
         if vx.ndim == 2:
-            return [kernels.scatter_add_rows(g, idx, n)]
-        return [kernels.scatter_add_vec(g.ravel(), idx.ravel(), n)]
+            return [kernels.scatter_add_rows(g, idx, vx.shape[0])]
+        return [kernels.scatter_add_vec(g.ravel(), idx.ravel(), vx.shape[0])]
 
     # rows of a checked Node's value are finite
-    return Node(x.tape, out, (x,), bw, "gather", checked=True)
+    return record(vx[idx], (x,), bw, "gather", checked=True)
 
 
-def scatter_add(rows, idx, n):
-    """out[idx[e]] += rows[e]; the aggregation half of gather/scatter."""
-    idx = np.asarray(idx, dtype=np.int64)
-    v = _val(rows)
-    if v.ndim == 2:
-        out = kernels.scatter_add_rows(np.ascontiguousarray(v), idx, n)
-    else:
-        out = kernels.scatter_add_vec(np.ascontiguousarray(v), idx, n)
-    if not isinstance(rows, Node):
-        return out
-    return Node(rows.tape, out, (rows,), lambda g: [g[idx]], "scatter_add")
-
-
-def edge_spmv(u, vals, src, dst, n):
-    """Row-vector x sparse-matrix product over an edge list (the power step)."""
-    vu, vv = _val(u), _val(vals)
-    out = kernels.edge_spmv(vu, vv, src, dst, n)
-    tape = _tape_of(u, vals)
-    if tape is None:
-        return out
-
-    def bw(g):
-        g_u, g_vals = kernels.edge_spmv_bw(np.ascontiguousarray(g), vu, vv, src, dst)
-        grads = []
-        if isinstance(u, Node):
-            grads.append(g_u)
-        if isinstance(vals, Node):
-            grads.append(g_vals)
-        return grads
-
-    parents = tuple(x for x in (u, vals) if isinstance(x, Node))
-    return Node(tape, out, parents, bw, "edge_spmv")
-
-
-def segment_max(vals, indptr, seg_of=None):
+def segment_max(vals, indptr, seg_of):
     """Per-segment max along the last axis, split at contiguous boundaries.
 
     `vals` is one row of values, or a batch of rows that share the segments.
     Ties route the adjoint to the first maximal element of the segment.
     `seg_of` is each element's segment; the explainer passes its
-    `gc.pair_index`. Without it, it is derived from `indptr`, which the tests
-    keep as the reference for the passed-in index.
+    `gc.pair_index`.
     """
     v = _val(vals)
     out = np.maximum.reduceat(v, indptr[:-1], axis=-1)
-    if seg_of is None:
-        seg_of = np.repeat(np.arange(out.shape[-1]), np.diff(indptr))
     width = v.shape[-1]
     hit = np.where(v == np.take(out, seg_of, axis=-1), np.arange(width), width)
     argmax = np.minimum.reduceat(hit, indptr[:-1], axis=-1)
-    if not isinstance(vals, Node):
-        return out, argmax
-    # each maximum's index in `v`, with its row's index in a batch
-    at = argmax if v.ndim == 1 else (np.arange(v.shape[0])[:, None], argmax)
 
     def bw(g):
+        # each maximum's index in `v`, with its row's index in a batch
+        at = argmax if v.ndim == 1 else (np.arange(v.shape[0])[:, None], argmax)
         gz = np.zeros_like(v)
         gz[at] = g
         return [gz]
 
     # the max of a checked Node's values is finite
-    return Node(vals.tape, out, (vals,), bw, "segment_max", checked=True), argmax
+    return record(out, (vals,), bw, "segment_max", checked=True), argmax
 
 
 def take_row(x, row):
@@ -371,9 +283,6 @@ def take_row(x, row):
     in every other row: adding -0.0 leaves any float as it is, so the other
     rows' adjoints keep their bits (+0.0 would turn a -0.0 into +0.0)."""
     vx = _val(x)
-    out = vx[row]
-    if not isinstance(x, Node):
-        return out
 
     def bw(g):
         gx = np.full(vx.shape, -0.0)
@@ -381,7 +290,7 @@ def take_row(x, row):
         return [gx]
 
     # a row of a checked Node's value is finite
-    return Node(x.tape, out, (x,), bw, "take_row", checked=True)
+    return record(vx[row], (x,), bw, "take_row", checked=True)
 
 
 def put_rows(n, parts):
@@ -392,20 +301,10 @@ def put_rows(n, parts):
     out = np.full(n, -0.0)
     for value, rows in parts:
         out[rows] = _val(value)
-    nodes = [(x, rows) for x, rows in parts if isinstance(x, Node)]
-    if not nodes:
-        return out
     # the parts' values were checked
-    return Node(nodes[0][0].tape, out, tuple(x for x, _ in nodes),
-                lambda g: [g[rows] for _, rows in nodes], "put_rows", checked=True)
-
-
-def reshape(a, shape):
-    va = _val(a)
-    out = va.reshape(shape)
-    if not isinstance(a, Node):
-        return out
-    return Node(a.tape, out, (a,), lambda g: [g.reshape(va.shape)], "reshape")
+    return record(out, [x for x, _ in parts],
+                  lambda g: [g[rows] for x, rows in parts if isinstance(x, Node)],
+                  "put_rows", checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -415,37 +314,6 @@ def reshape(a, shape):
 def _sigmoid_value(x):
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(a):
-    return _unary(a, _sigmoid_value, lambda g, x, o: g * o * (1.0 - o), "sigmoid")
-
-
-def relu(a):
-    return _unary(a, lambda x: np.maximum(x, 0.0), lambda g, x, o: g * (x > 0.0), "relu")
-
-
-def log(a):
-    return _unary(
-        a,
-        lambda x: np.log(np.maximum(x, LOG_CLAMP)),
-        lambda g, x, o: g / np.maximum(x, LOG_CLAMP),
-        "log",
-    )
-
-
-def powc(a, c):
-    """x ** c for a constant exponent; grad defined as 0 where x == 0."""
-
-    def fwd(x):
-        with np.errstate(invalid="ignore"):
-            return np.power(x, c)
-
-    def bw(g, x, o):
-        base = np.where(x == 0.0, 1.0, x)
-        return g * np.where(x == 0.0, 0.0, c * np.power(base, c - 1.0))
-
-    return _unary(a, fwd, bw, "powc")
 
 
 def norm(a):

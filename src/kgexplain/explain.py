@@ -44,7 +44,8 @@ encoder layers. Each term stays its own node so that it can be
 backpropagated alone. The hand-written backwards repeat the generic ops'
 numpy operations in reverse tape order, so masks, loss traces and paths
 are the same bits as with the generic-op composition the tests keep as
-their oracle.
+their oracle: the ops `autodiff` keeps, with the ones no run records
+(`edge_spmv`, `powc`, `log` and the like) in `tests/tape_oracles.py`.
 
 Each row's numbers are those of its config in a batch of one, bit for
 bit, by two rules:
@@ -212,12 +213,6 @@ def _walk_mass(u, at, count: int, length: int):
     return np.power(u[at] * (1.0 / count), 1.0 / length)
 
 
-def normalized_walk_mass(u, node: int, count: int, length: int):
-    """(u[node] / count) ** (1 / length), shape (1,): the length-th root of
-    the mean edge-score product over the `count` > 0 walks that reach `node`."""
-    return _walk_mass(u, [node], count, length)
-
-
 def _walk_mean(chain, at, counts):
     """Mean over l = 1..L of the normalised walk mass at the indices `at` of
     the power chain, one entry per index; `counts[l - 1]` is the number of
@@ -299,8 +294,6 @@ class PathLossOp:
             ad._check_finite(u, self.name)
         p = _walk_mean(chain, at, self.counts)
         loss = self._in_batch(-np.log(np.maximum(p, ad.LOG_CLAMP)), vv.shape[:-1])
-        if not isinstance(values, ad.Node):
-            return loss
 
         def bw(g):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -336,7 +329,7 @@ class PathLossOp:
                     pieces.append(self._in_batch(g_vals, vv.shape))
                 return [tuple(pieces)]
 
-        return ad.Node(values.tape, loss, (values,), bw, self.name)
+        return ad.record(loss, (values,), bw, self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +378,6 @@ class TesOp:
         ad._check_finite(logit, "tes_mlp:layer3")
         out = ad._sigmoid_value(logit)
         scores = out.reshape(out.shape[:-1])
-        nodes = tuple(params[name] for name in TES_PARAMS)
-        tape = ad._tape_of(*nodes)
-        if tape is None:
-            return scores
 
         def bw(g):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -410,7 +399,8 @@ class TesOp:
                 return [gw1, gb1, gw2, gb2, gw3, gb3]
 
         # the sigmoid of the checked logits is finite
-        return ad.Node(tape, scores, nodes, bw, "tes_mlp", checked=True)
+        return ad.record(scores, [params[name] for name in TES_PARAMS], bw, "tes_mlp",
+                         checked=True)
 
 
 def _tes_inputs(H, R, gc: ComputationGraph, target: TargetTriple, combine_mode: str):
@@ -464,11 +454,12 @@ class ExplainJob:
         config = _shared_config(self.configs)
         self.batch = len(self.configs)
         gc.target_rows(target)
-        # int64 walk counts and, per row with the path loss, float64 power
-        # steps: power_order vectors over the nodes each
+        # per row with the path loss, float64 power steps, and once when a row
+        # has it, int64 walk counts: power_order vectors over the nodes each
         L, n = config.power_order, gc.num_nodes
-        chains = sum(cfg.enable_path_loss for cfg in self.configs)
-        _refuse_beyond_memory(8 * (1 + chains) * L * n,
+        path_rows = [cfg.enable_path_loss for cfg in self.configs]
+        chains = sum(path_rows)
+        _refuse_beyond_memory(8 * (min(chains, 1) + chains) * L * n,
                               f"the walk counts and power steps (power_order={L}, nodes={n})")
         self.model = model
         self.gc = gc
@@ -477,12 +468,10 @@ class ExplainJob:
         self.H = encode(model, gc, None)
         self.R = model.store.params["rel"]
         self.tes = TesOp(*_tes_inputs(self.H, self.R, gc, target, config.combine_mode))
-        self.awalks = adjacency_power_row(gc, gc.head_local, config.power_order)
+        self.awalks = adjacency_power_row(gc, gc.head_local, L) if chains else None
         self.mi_rows = [row for row, cfg in enumerate(self.configs) if cfg.enable_mi_loss]
-        path_rows = [cfg.enable_path_loss for cfg in self.configs]
         self.prediction = TargetScorer(model, gc, target) if self.mi_rows else None
-        self.path = (PathLossOp(gc, config.power_order, self.awalks, path_rows)
-                     if any(path_rows) else None)
+        self.path = PathLossOp(gc, L, self.awalks, path_rows) if chains else None
 
     def pair_scores(self, store: ParamStore, tape: Tape | None):
         """TES scores collapsed to pairs: (per-pair values, arg-max triple rows),

@@ -298,8 +298,6 @@ class RgcnLayerOp:
         out = np.maximum(pre, 0.0) if self.relu else pre
         operands = (h, w_self, coef, *basis, mask)
         need = [isinstance(x, ad.Node) for x in operands]
-        if not any(need):
-            return out
 
         def bw(g):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -344,9 +342,7 @@ class RgcnLayerOp:
                                                       cells=self.coef_cells)
                 return [a for a, wanted in zip(adj, need) if wanted]
 
-        parents = tuple(x for x in operands if isinstance(x, ad.Node))
-        return ad.Node(parents[0].tape, out, parents, bw, self.name, checked=True,
-                       adjoint_checked=need[0])
+        return ad.record(out, operands, bw, self.name, checked=True, adjoint_checked=need[0])
 
 
 def layer_ops(model: KgcModel, gc: ComputationGraph, rows=None) -> list:
@@ -408,7 +404,7 @@ class KgcLossOp:
     `n_pos` (positives) and the rest (negatives), each side averaged and
     weighted 1/2 regardless of the ratio. Probabilities are clamped at
     `autodiff.LOG_CLAMP` inside the logs, and so are the adjoints, as the
-    generic `log` op does. The raw scores are finite-checked as `kgc_loss`,
+    tests' generic `log` op does. The raw scores are finite-checked as `kgc_loss`,
     since the sigmoid and the clamp would turn -inf into a finite loss; the
     entity adjoint as `kgc_loss adjoint`, and only there.
     """
@@ -432,9 +428,6 @@ class KgcLossOp:
         p_pos, q_neg = probs[:n_pos], 1.0 - probs[n_pos:]
         loss = ((-np.log(np.maximum(p_pos, ad.LOG_CLAMP))).sum() * (0.5 / n_pos)
                 + (-np.log(np.maximum(q_neg, ad.LOG_CLAMP))).sum() * (0.5 / n_neg))
-        parents = tuple(x for x in (H, rel) if isinstance(x, ad.Node))
-        if not parents:
-            return loss
 
         def bw(g):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -469,8 +462,7 @@ class KgcLossOp:
                                                           cells=self.rel_cells))
                 return grads
 
-        return ad.Node(parents[0].tape, loss, parents, bw, "kgc_loss",
-                       adjoint_checked=isinstance(H, ad.Node))
+        return ad.record(loss, (H, rel), bw, "kgc_loss", adjoint_checked=isinstance(H, ad.Node))
 
 
 class TargetHeadOp:
@@ -498,8 +490,6 @@ class TargetHeadOp:
         ad._check_finite(raw, self.name)
         prob = ad._sigmoid_value(raw)
         nll = -np.log(np.maximum(prob, ad.LOG_CLAMP))
-        if not isinstance(H, ad.Node):
-            return raw, prob, nll
 
         def bw(g):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -520,7 +510,7 @@ class TargetHeadOp:
                 ad._check_finite(g_H, f"{self.name} adjoint")
                 return [g_H]
 
-        return raw, prob, ad.Node(H.tape, nll, (H,), bw, self.name, adjoint_checked=True)
+        return raw, prob, ad.record(nll, (H,), bw, self.name, adjoint_checked=True)
 
 
 def score(model: KgcModel, h_emb, r_emb, t_emb) -> TripleScore:

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from tape_oracles import normalized_walk_mass
 from test_explainer import linear_fit_r2, measure_explain_memory
 
 from kgexplain import autodiff as ad
@@ -22,7 +23,6 @@ from kgexplain.explain import (
     ExplanationPath,
     generate_paths,
     init_tes,
-    normalized_walk_mass,
     on_path_probability,
     power_chain,
     prepare_computation_graph,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import tape_oracles as oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,19 +32,19 @@ def test_square_gradient():
 
 def test_log_sigmoid_gradient():
     # f(x) = -log(sigmoid(x)), f'(0) = -(1 - sigmoid(0)) = -0.5
-    g = grad_of(lambda x: ad.neg(ad.log(ad.sigmoid(x))), 0.0)
+    g = grad_of(lambda x: oracles.neg(oracles.log(oracles.sigmoid(x))), 0.0)
     assert g == pytest.approx(-0.5)
 
 
 PRIMITIVES = [
     ("add", lambda a, b: ad.add(a, b), 2),
-    ("sub", lambda a, b: ad.sub(a, b), 2),
+    ("sub", lambda a, b: oracles.sub(a, b), 2),
     ("mul", lambda a, b: ad.mul(a, b), 2),
     ("matmul", None, 2),
-    ("sigmoid", lambda a: ad.sigmoid(a), 1),
+    ("sigmoid", lambda a: oracles.sigmoid(a), 1),
     ("relu", None, 1),
-    ("log", lambda a: ad.log(ad.add(ad.mul(a, a), 0.5)), 1),
-    ("powc", lambda a: ad.powc(ad.add(ad.mul(a, a), 0.5), 0.7), 1),
+    ("log", lambda a: oracles.log(ad.add(ad.mul(a, a), 0.5)), 1),
+    ("powc", lambda a: oracles.powc(ad.add(ad.mul(a, a), 0.5), 0.7), 1),
     ("norm", lambda a: ad.norm(ad.add(a, 3.0)), 1),
     ("sum", lambda a: ad.sumall(a), 1),
 ]
@@ -67,12 +68,12 @@ def test_primitive_gradients_match_central_differences(name, build, arity):
                 b = s.params["b"] if arity == 2 else None
             if name == "matmul":
                 w = np.arange(12.0).reshape(4, 3) / 6.0
-                out = ad.matmul(ad.matmul(a, w), b)
+                out = oracles.matmul(oracles.matmul(a, w), b)
                 return ad.sumall(ad.mul(out, out))
             if name == "relu":
                 # keep inputs away from the kink
                 shifted = ad.add(ad.mul(a, a), 0.25)
-                return ad.sumall(ad.relu(shifted))
+                return ad.sumall(oracles.relu(shifted))
             inner = build(a) if arity == 1 else build(a, b)
             return ad.sumall(ad.mul(inner, inner)) if np.ndim(ad._val(inner)) else ad.mul(inner, inner)
 
@@ -89,11 +90,17 @@ def test_matmul_vector_forms():
 
     def loss(s, tape):
         a = tape.param(s, "A") if tape is not None else s.params["A"]
-        mv = ad.matmul(a, v)          # (3,)
-        vm = ad.matmul(w, a)          # (4,)
+        mv = oracles.matmul(a, v)     # (3,)
+        vm = oracles.matmul(w, a)     # (4,)
         return ad.add(ad.sumall(ad.mul(mv, mv)), ad.sumall(ad.mul(vm, vm)))
 
     assert ad.finite_diff_check(loss, store, step=1e-6, tol=1e-6).passed
+
+
+def segment_of(indptr):
+    """Each element's segment under the boundaries `indptr`, derived from them:
+    the reference for the index the explainer passes to `segment_max`."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 def test_gather_scatter_and_segment_max_gradients():
@@ -108,8 +115,8 @@ def test_gather_scatter_and_segment_max_gradients():
         else:
             x, v = s.params["x"], s.params["v"]
         g = ad.gather(x, idx)                     # (5, 2)
-        agg = ad.scatter_add(ad.mul(g, g), idx, 3)
-        m, _ = ad.segment_max(ad.mul(v, v), seg)
+        agg = oracles.scatter_add(ad.mul(g, g), idx, 3)
+        m, _ = ad.segment_max(ad.mul(v, v), seg, segment_of(seg))
         return ad.add(ad.sumall(agg), ad.sumall(m))
 
     assert ad.finite_diff_check(loss, store, step=1e-6, tol=1e-6).passed
@@ -126,7 +133,7 @@ def test_edge_spmv_gradients():
             u, vals = tape.param(s, "u"), tape.param(s, "vals")
         else:
             u, vals = s.params["u"], s.params["vals"]
-        out = ad.edge_spmv(u, vals, src, dst, 3)
+        out = oracles.edge_spmv(u, vals, src, dst, 3)
         return ad.sumall(ad.mul(out, out))
 
     assert ad.finite_diff_check(loss, store, step=1e-6, tol=1e-6).passed
@@ -144,7 +151,7 @@ def test_gradient_linearity_on_random_tapes():
             tape = ad.Tape()
             x = tape.param(store, "x")
             f = ad.sumall(ad.mul(x, x))
-            g = ad.sumall(ad.sigmoid(x))
+            g = ad.sumall(oracles.sigmoid(x))
             out = ad.add(ad.mul(f, coef_f), ad.mul(g, coef_g))
             ad.backward(tape, out)
             return store.grads["x"].copy()
@@ -162,7 +169,7 @@ def test_backward_determinism_bitwise():
         store = ad.ParamStore({"x": x0.copy()})
         tape = ad.Tape()
         x = tape.param(store, "x")
-        out = ad.sumall(ad.sigmoid(ad.matmul(x, x)))
+        out = ad.sumall(oracles.sigmoid(oracles.matmul(x, x)))
         ad.backward(tape, out)
         return store.grads["x"].copy()
 
@@ -225,25 +232,97 @@ def test_later_passes_reuse_the_memory_earlier_passes_freed():
 
 def test_backward_rejects_node_of_another_tape():
     a, b = ad.Tape(), ad.Tape()
-    out = ad.sumall(a.leaf(np.ones(2)))
+    out = ad.sumall(oracles.leaf(a, np.ones(2)))
     with pytest.raises(ContractError, match="open tape"):
         ad.backward(b, out)
 
 
 def test_nan_raises_naming_op():
     tape = ad.Tape()
-    x = tape.leaf(np.array([1.0, -1.0]))
+    x = oracles.leaf(tape, np.array([1.0, -1.0]))
     with pytest.raises(NumericError, match="powc"):
-        ad.powc(x, 0.5)  # sqrt of a negative entry
+        oracles.powc(x, 0.5)  # sqrt of a negative entry
 
 
 def test_constant_passthrough_matches_tape_forward():
     rng = np.random.default_rng(10)
     x0 = rng.normal(size=(3, 3))
-    raw = ad.sumall(ad.sigmoid(ad.matmul(x0, x0)))
+    raw = ad.sumall(oracles.sigmoid(oracles.matmul(x0, x0)))
     tape = ad.Tape()
-    node = ad.sumall(ad.sigmoid(ad.matmul(tape.leaf(x0), x0)))
+    node = ad.sumall(oracles.sigmoid(oracles.matmul(oracles.leaf(tape, x0), x0)))
     assert float(raw) == float(node.value)
+
+
+# -- record: the one rule every op ends in -----------------------------------
+
+
+def test_record_without_a_node_returns_the_value_and_records_nothing():
+    value = np.arange(3.0)
+    with ad.Tape() as tape:
+        for operands in ((), (value,), (value, 2.0, None)):
+            assert ad.record(value, operands, lambda g: [g], "op") is value
+        assert tape.nodes == []
+
+
+def test_record_makes_one_node_whose_parents_are_the_node_operands_in_order():
+    store = ad.ParamStore({"x": np.ones(2), "y": np.zeros(2)})
+    first, other = ad.Tape(), ad.Tape()
+    x, y = first.param(store, "x"), first.param(store, "y")
+    z = other.param(store, "x")
+
+    def bw(g):
+        return [g, g, g]
+
+    value = np.full(2, np.inf)  # passed as checked, so not checked again
+    node = ad.record(value, (np.ones(2), y, 3.0, x, z), bw, "op", checked=True,
+                     adjoint_checked=True)
+    assert node.tape is first and first.nodes == [x, y, node] and other.nodes == [z]
+    assert node.parents == (y, x, z)
+    assert node.value is value and node.bw is bw and node.op == "op"
+    assert node.adjoint_checked and node.grad is None
+    with pytest.raises(NumericError, match="op 'op'"):
+        ad.record(value, (x,), bw, "op")
+    assert not ad.record(np.ones(2), (x,), bw, "op").adjoint_checked
+
+
+def _every_op():
+    """Each op left in the package, as a call on plain arrays: the generic ops
+    of `autodiff` and the hand-written ones."""
+    from kgexplain.explain import PathLossOp, TesOp, init_tes
+    from kgexplain.kgraph import adjacency_power_row
+    from kgexplain.model import KgcLossOp, KgcModel, RgcnLayerOp, TargetHeadOp
+
+    gc = ComputationGraph(np.arange(3), [0, 1, 0], [0, 1, 1], [1, 2, 2], 0, 2)
+    model = KgcModel(3, 2, dim=2, layers=1, seed=0)
+    p = model.store.params
+    x = np.arange(6.0).reshape(2, 3)
+    return {
+        "add": lambda: ad.add(x, 1.0),
+        "mul": lambda: ad.mul(x, x),
+        "gather": lambda: ad.gather(x, [1, 0]),
+        "segment_max": lambda: ad.segment_max(x, np.array([0, 1, 3]), np.array([0, 1, 1]))[0],
+        "take_row": lambda: ad.take_row(x, 1),
+        "put_rows": lambda: ad.put_rows(2, [(np.array(1.0), 0), (np.array(2.0), 1)]),
+        "norm": lambda: ad.norm(x),
+        "sumall": lambda: ad.sumall(x),
+        "TesOp": lambda: TesOp(np.ones((gc.num_edges, 3)))(init_tes("euclidean", 2).params),
+        "PathLossOp": lambda: PathLossOp(gc, 2, adjacency_power_row(gc, 0, 2), [True])(
+            np.full((1, gc.num_pairs), 0.5)),
+        "RgcnLayerOp": lambda: RgcnLayerOp(model, gc, 0)(p["ent"][gc.nodes], p,
+                                                          np.full((gc.num_edges, 1), 0.5)),
+        "KgcLossOp": lambda: KgcLossOp(model, gc.rel, 2)(p["ent"], p["rel"], gc.src, gc.dst),
+        "TargetHeadOp": lambda: TargetHeadOp(model.decoder, 0, 2, p["rel"][0])(p["ent"])[2],
+    }
+
+
+@pytest.mark.parametrize("name", list(_every_op()))
+def test_every_op_given_no_node_returns_a_plain_value_and_records_nothing(name):
+    call = _every_op()[name]
+    with ad.Tape() as tape:
+        out = call()
+        # a scalar loss is a numpy float, every other value an ndarray
+        assert type(out) in (np.ndarray, np.float64)
+        assert tape.nodes == []
 
 
 # -- sgd ---------------------------------------------------------------------
@@ -283,7 +362,7 @@ def test_sgd_descends_convex_quadratic():
     for _ in range(50):
         tape = ad.Tape()
         p = tape.param(store, "p")
-        diff = ad.sub(p, target)
+        diff = oracles.sub(p, target)
         loss = ad.sumall(ad.mul(diff, diff))
         losses.append(float(loss.value))
         store.zero_grads()
@@ -524,15 +603,15 @@ def pair_graphs(draw):
 def test_segment_max_with_kept_indices_is_the_same_bytes(case, seed):
     # the explainer passes gc.pair_index instead of deriving it per call
     gc, vals = case
-    kept = (gc.pair_index,)
-    want, want_arg = ad.segment_max(vals, gc.pair_indptr)
-    got, got_arg = ad.segment_max(vals, gc.pair_indptr, *kept)
+    derived = segment_of(gc.pair_indptr)
+    want, want_arg = ad.segment_max(vals, gc.pair_indptr, derived)
+    got, got_arg = ad.segment_max(vals, gc.pair_indptr, gc.pair_index)
     assert got.tobytes() == want.tobytes() and got_arg.tobytes() == want_arg.tobytes()
     g = np.random.default_rng(seed).standard_normal(gc.num_pairs)
     adjoints = []
-    for extra in ((), kept):
+    for seg_of in (derived, gc.pair_index):
         with ad.Tape() as tape:
-            node, arg = ad.segment_max(tape.leaf(vals), gc.pair_indptr, *extra)
+            node, arg = ad.segment_max(oracles.leaf(tape, vals), gc.pair_indptr, seg_of)
             [adj] = node.bw(g)
             adjoints.append((node.value.tobytes(), arg.tobytes(), adj.tobytes()))
     assert adjoints[0] == adjoints[1]

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import tape_oracles as oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tape_oracles import normalized_walk_mass
 from test_model import assert_same_bits, generic_head
 
 from kgexplain import autodiff as ad
@@ -18,7 +20,6 @@ from kgexplain.explain import (
     PathLossOp,
     generate_paths,
     init_tes,
-    normalized_walk_mass,
     on_path_probability,
     power_chain,
     train_explainer,
@@ -266,10 +267,10 @@ def tes_oracle(params, x):
     """The TES MLP composed from generic tape ops over the full input x, for
     the one row of a batch-of-one TES."""
     params = {name: ad.take_row(p, 0) for name, p in params.items()}
-    z = ad.relu(ad.add(ad.matmul(x, params["w1"]), params["b1"]))
-    z = ad.relu(ad.add(ad.matmul(z, params["w2"]), params["b2"]))
-    z = ad.add(ad.matmul(z, params["w3"]), params["b3"])
-    return ad.reshape(ad.sigmoid(z), (x.shape[0],))
+    z = oracles.relu(ad.add(oracles.matmul(x, params["w1"]), params["b1"]))
+    z = oracles.relu(ad.add(oracles.matmul(z, params["w2"]), params["b2"]))
+    z = ad.add(oracles.matmul(z, params["w3"]), params["b3"])
+    return oracles.reshape(oracles.sigmoid(z), (x.shape[0],))
 
 
 def tes_case(mode, num_edges, dim=4, seed=0):
@@ -621,15 +622,15 @@ def generic_on_path_probability(gc, values, L, walk_counts):
     u[gc.head_local] = 1.0
     chain = []
     for _ in range(L):
-        u = ad.edge_spmv(u, values, gc.pair_src, gc.pair_dst, n)
+        u = oracles.edge_spmv(u, values, gc.pair_src, gc.pair_dst, n)
         chain.append(u)
     k = gc.tail_local
     total = ad.gather(chain[0], np.array([k]))
     for length in range(2, L + 1):
         count = int(walk_counts[length - 1][k])
         if count > 0:
-            mass = ad.powc(ad.mul(ad.gather(chain[length - 1], np.array([k])), 1.0 / count),
-                           1.0 / length)
+            mass = oracles.powc(ad.mul(ad.gather(chain[length - 1], np.array([k])), 1.0 / count),
+                                1.0 / length)
             total = ad.add(total, mass)
     return ad.mul(total, 1.0 / L)
 
@@ -643,14 +644,14 @@ def generic_loss_terms(job, pair_vals):
     if cfg.enable_mi_loss:
         rows = gc.head_local, gc.tail_local
         h = model.store.params["ent"][gc.nodes]
-        edge_mask = ad.reshape(ad.gather(pair_vals, gc.pair_index), (gc.num_edges, 1))
+        edge_mask = oracles.reshape(ad.gather(pair_vals, gc.pair_index), (gc.num_edges, 1))
         for op in layer_ops(model, gc, list(rows)):
             h = op(h, model.store.params, edge_mask)
         r = model.store.params["rel"][target.relation]
         terms["prediction"] = generic_head(model, h, rows, r)[2]
     if cfg.enable_path_loss:
         p_on = generic_on_path_probability(gc, pair_vals, cfg.power_order, job.awalks)
-        terms["path"] = ad.neg(ad.log(p_on))
+        terms["path"] = oracles.neg(oracles.log(p_on))
     terms["regularization"] = ad.mul(ad.norm(pair_vals), cfg.gamma)
     return terms
 
@@ -662,7 +663,7 @@ def terms_and_mask_adjoints(loss_terms, mask):
     names = list(out)
     for which in ["objective", *(name.split()[0] for name in names)]:
         with ad.Tape() as tape:
-            leaf = tape.leaf(mask)
+            leaf = oracles.leaf(tape, mask)
             terms = loss_terms(leaf)
             node = None
             for t in terms.values():
@@ -802,6 +803,25 @@ def test_a_job_refuses_no_configs_and_configs_that_differ_beyond_the_loss_switch
             train_explainers(model, gc, target, [base, other])
 
 
+def test_a_job_without_the_path_term_builds_and_counts_no_walks(monkeypatch):
+    # at this power order the walk counts alone would exceed physical memory
+    gc, job = loss_case(TWO_WALKS, "distmult", "path_off", 2**40)
+    assert job.awalks is None and job.path is None
+    with pytest.raises(ContractError, match=r"^the walk counts and power steps \(power_order="):
+        loss_case(TWO_WALKS, "distmult", "full", 2**40)
+    from kgexplain import explain as explain_module
+
+    needs = []
+    monkeypatch.setattr(explain_module, "_refuse_beyond_memory",
+                        lambda nbytes, what: needs.append(nbytes))
+    full = ExplainConfig(power_order=3)
+    configs = [replace(full, enable_path_loss=False), full, replace(full, enable_mi_loss=False)]
+    walks = [ExplainJob(job.model, gc, job.target, configs[:k]).awalks for k in (1, 2, 3)]
+    assert walks[0] is None and len(walks[1]) == len(walks[2]) == 3
+    # int64 counts once, and float64 steps per row with the path term
+    assert needs == [0, 8 * 2 * 3 * gc.num_nodes, 8 * 3 * 3 * gc.num_nodes]
+
+
 @pytest.mark.parametrize("mode, nodes", [("full", 15), ("path_off", 13), ("mi_off", 12)])
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_explainer_epoch_tape_nodes(monkeypatch, mode, nodes, layers):
@@ -891,14 +911,14 @@ def test_path_loss_op_non_finite_chain_names_the_op():
         job.path(np.full((1, gc.num_pairs), 1e300))
     with ad.Tape() as tape:
         with pytest.raises(NumericError, match=r"op 'path_loss'$"):
-            job.path(tape.leaf(np.full((1, gc.num_pairs), 1e300)))
+            job.path(oracles.leaf(tape, np.full((1, gc.num_pairs), 1e300)))
 
 
 def test_path_loss_op_adjoint_overflow_names_the_op():
     # P_on is tiny, so a huge objective weight divided by it overflows
     gc, job = loss_case(NO_TWO_WALK, "distmult", "mi_off", 2)
     with ad.Tape() as tape:
-        leaf = tape.leaf(np.full((1, gc.num_pairs), 1e-20))
+        leaf = oracles.leaf(tape, np.full((1, gc.num_pairs), 1e-20))
         loss = ad.mul(job.path(leaf), 1e300)
         with pytest.raises(NumericError, match=r"op 'path_loss adjoint'$"):
             ad.backward(tape, loss)
@@ -1251,12 +1271,14 @@ def _through(build, values, per_edge=False):
         job = ExplainJob(model, gc, inst.target, [ExplainConfig(seed=0)])
         size = gc.num_edges if per_edge else gc.num_pairs
         with ad.Tape() as tape:
-            ad.backward(tape, build(job, tape.leaf(values(size))))
+            ad.backward(tape, build(job, oracles.leaf(tape, values(size))))
     return run
 
 
 def _pair_max(job, leaf):
-    return ad.segment_max(leaf, job.gc.pair_indptr)[0]
+    indptr = job.gc.pair_indptr
+    seg_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return ad.segment_max(leaf, indptr, seg_of)[0]
 
 
 def _first_negative(size):
@@ -1297,7 +1319,7 @@ INJECTIONS = {
         _through(lambda job, m: job.path(m), lambda n: _first_negative(n)[None]),
         "non-finite value produced by op 'path_loss'"),
     "edge mask 1e-320 under a steep power": (
-        _through(lambda job, m: ad.sumall(ad.powc(_pair_max(job, m), 0.01)),
+        _through(lambda job, m: ad.sumall(oracles.powc(_pair_max(job, m), 0.01)),
                  lambda n: np.full(n, 1e-320), per_edge=True),
         "NaN/Inf adjoint flowing into op 'segment_max'"),
 }

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import tape_oracles as oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -575,7 +576,7 @@ def test_edgeless_graph_runs_the_same_ops_and_backward():
     for gc in (with_edges, edgeless):
         with ad.Tape() as tape:
             operands = {name: tape.param(model.store, name) for name in model.store.params}
-            mask = tape.leaf(np.full(gc.num_pairs, 0.5))
+            mask = oracles.leaf(tape, np.full(gc.num_pairs, 0.5))
             H = encode_operands(model, gc, mask, operands)
             model.store.zero_grads()
             ad.backward(tape, ad.sumall(H))
@@ -594,18 +595,18 @@ def test_edgeless_graph_runs_the_same_ops_and_backward():
 def decoder_raw(decoder, h, r, t):
     """Decoder score of single vectors composed from generic tape ops."""
     if decoder == "transe":
-        return ad.neg(ad.norm(ad.sub(ad.add(h, r), t)))
+        return oracles.neg(ad.norm(oracles.sub(ad.add(h, r), t)))
     return ad.sumall(ad.mul(ad.mul(h, r), t))
 
 
 def generic_head(model, H, target_rows, r):
     """`TargetHeadOp` composed from generic tape ops: (raw, prob, -log prob)."""
     i, k = target_rows
-    h = ad.reshape(ad.gather(H, np.array([i])), (model.dim,))
-    t = ad.reshape(ad.gather(H, np.array([k])), (model.dim,))
+    h = oracles.reshape(ad.gather(H, np.array([i])), (model.dim,))
+    t = oracles.reshape(ad.gather(H, np.array([k])), (model.dim,))
     raw = decoder_raw(model.decoder, h, r, t)
-    prob = ad.sigmoid(raw)
-    return raw, prob, ad.neg(ad.log(prob))
+    prob = oracles.sigmoid(raw)
+    return raw, prob, oracles.neg(oracles.log(prob))
 
 
 def full_pass_target_score(model, gc, mask, target):
@@ -627,7 +628,7 @@ def scores_and_mask_grad(score_fn, model, gc, mask, target, mask_kind):
         raw, prob, _ = score_fn(model, gc, None if mask_kind == "none" else mask, target)
         return raw, prob, None
     with ad.Tape() as tape:
-        leaf = tape.leaf(mask)
+        leaf = oracles.leaf(tape, mask)
         raw, prob, nll = score_fn(model, gc, leaf, target)
         ad.backward(tape, nll)
         return ad._val(raw), ad._val(prob), leaf.grad
@@ -850,7 +851,7 @@ def generic_encode_operands(model, gc, mask=None, operands=None, rows=None):
     inv_deg = (1.0 / np.maximum(gc.in_degree, 1)).reshape(n, 1)
     h = ad.gather(p["ent"], gc.nodes)
     edge_mask = (None if mask is None
-                 else ad.reshape(ad.gather(mask, gc.pair_index), (gc.num_edges, 1)))
+                 else oracles.reshape(ad.gather(mask, gc.pair_index), (gc.num_edges, 1)))
     fields = [None] * model.layers if rows is None else _receptive_field(gc, rows, model.layers)
     for layer, keep in enumerate(fields):
         src, dst, rel, layer_mask = gc.src, gc.dst, gc.rel, edge_mask
@@ -858,19 +859,19 @@ def generic_encode_operands(model, gc, mask=None, operands=None, rows=None):
             src, dst, rel = src[keep], dst[keep], rel[keep]
             if edge_mask is not None:
                 layer_mask = ad.gather(edge_mask, keep)
-        self_term = ad.matmul(h, p[f"self_{layer}"])
+        self_term = oracles.matmul(h, p[f"self_{layer}"])
         hs = ad.gather(h, src)
-        coef = ad.reshape(p[f"coef_{layer}"], (-1, 1))
+        coef = oracles.reshape(p[f"coef_{layer}"], (-1, 1))
         msg = None
         for b in range(model.bases):
-            term = ad.mul(ad.matmul(hs, p[f"basis_{layer}_{b}"]),
+            term = ad.mul(oracles.matmul(hs, p[f"basis_{layer}_{b}"]),
                           ad.gather(coef, rel * model.bases + b))
             msg = term if msg is None else ad.add(msg, term)
         if layer_mask is not None:
             msg = ad.mul(msg, layer_mask)
-        h = ad.add(self_term, ad.mul(ad.scatter_add(msg, dst, n), inv_deg))
+        h = ad.add(self_term, ad.mul(oracles.scatter_add(msg, dst, n), inv_deg))
         if layer < model.layers - 1:
-            h = ad.relu(h)
+            h = oracles.relu(h)
     return h
 
 
@@ -880,15 +881,15 @@ def generic_kgc_loss(model, H, rel, heads, rels, tails, n_pos):
     hh, rr, tt = ad.gather(H, heads), ad.gather(rel, rels), ad.gather(H, tails)
     ones = np.ones(model.dim)
     if model.decoder == "transe":
-        x = ad.sub(ad.add(hh, rr), tt)
-        raws = ad.neg(ad.powc(ad.matmul(ad.mul(x, x), ones), 0.5))
+        x = oracles.sub(ad.add(hh, rr), tt)
+        raws = oracles.neg(oracles.powc(oracles.matmul(ad.mul(x, x), ones), 0.5))
     else:
-        raws = ad.matmul(ad.mul(ad.mul(hh, rr), tt), ones)
-    probs = ad.sigmoid(raws)
+        raws = oracles.matmul(ad.mul(ad.mul(hh, rr), tt), ones)
+    probs = oracles.sigmoid(raws)
     p_pos = ad.gather(probs, np.arange(n_pos))
     p_neg = ad.gather(probs, np.arange(n_pos, len(heads)))
-    return ad.add(ad.mul(ad.sumall(ad.neg(ad.log(p_pos))), 0.5 / n_pos),
-                  ad.mul(ad.sumall(ad.neg(ad.log(ad.sub(1.0, p_neg)))),
+    return ad.add(ad.mul(ad.sumall(oracles.neg(oracles.log(p_pos))), 0.5 / n_pos),
+                  ad.mul(ad.sumall(oracles.neg(oracles.log(oracles.sub(1.0, p_neg)))),
                          0.5 / (len(heads) - n_pos)))
 
 
@@ -926,7 +927,7 @@ def op_pass(encode_fn, loss_fn, model, gc, mask, mask_kind, params_kind, rows):
     with ad.Tape() as tape:
         params = ({name: tape.param(model.store, name) for name in model.store.params}
                   if params_kind == "nodes" else dict(model.store.params))
-        m = {"none": None, "array": mask, "node": tape.leaf(mask)}[mask_kind]
+        m = {"none": None, "array": mask, "node": oracles.leaf(tape, mask)}[mask_kind]
         H = encode_fn(model, gc, m, params, rows)
         if rows is None:
             out = {"H": np.array(ad._val(H))}
@@ -1008,8 +1009,8 @@ def test_layer_op_non_finite_pre_activation_names_the_layer(scale):
     with ad.Tape() as tape:
         params = {name: tape.param(model.store, name) for name in p}
         with pytest.raises(NumericError, match=r"op 'rgcn:layer0'$"):
-            op_encode(model, OP_CHAIN, tape.leaf(np.full(OP_CHAIN.num_pairs, 0.5)), params,
-                      [4, 3])
+            op_encode(model, OP_CHAIN, oracles.leaf(tape, np.full(OP_CHAIN.num_pairs, 0.5)),
+                      params, [4, 3])
 
 
 def test_layer_op_adjoint_overflow_names_the_layer():
@@ -1042,7 +1043,7 @@ def test_loss_op_non_finite_raw_score_names_the_op(decoder, H, rel):
         op(H, rel, heads, tails)
     with ad.Tape() as tape:
         with pytest.raises(NumericError, match=r"op 'kgc_loss'$"):
-            op(tape.leaf(H), tape.leaf(rel), heads, tails)
+            op(oracles.leaf(tape, H), oracles.leaf(tape, rel), heads, tails)
 
 
 @pytest.mark.parametrize("layers, bases", [(2, 2), (1, 1), (3, 3)])
@@ -1078,11 +1079,11 @@ def test_fixed_input_layer_reuses_messages_only_for_the_same_arrays():
     fixed.fix_input(h, p)
     assert_same_bits(fixed(h, p, mask), plain(h, p, mask))
     with ad.Tape() as tape:
-        leaf = tape.leaf(mask)
+        leaf = oracles.leaf(tape, mask)
         ad.backward(tape, ad.sumall(fixed(h, p, leaf)))
         fixed_grad = leaf.grad
     with ad.Tape() as tape:
-        leaf = tape.leaf(mask)
+        leaf = oracles.leaf(tape, mask)
         ad.backward(tape, ad.sumall(plain(h, p, leaf)))
         assert_same_bits(fixed_grad, leaf.grad)
     # another input or weight array is not the fixed one
@@ -1104,7 +1105,7 @@ def assert_same_bits(got, want):
 def head_pass(head_fn, H, weight):
     """raw, prob, nll and the adjoint of H for the objective weight * nll."""
     with ad.Tape() as tape:
-        leaf = tape.leaf(H)
+        leaf = oracles.leaf(tape, H)
         raw, prob, nll = head_fn(leaf)
         ad.backward(tape, ad.mul(nll, weight))
         return [np.asarray(ad._val(x)) for x in (raw, prob, nll)] + [leaf.grad.copy()]
@@ -1140,7 +1141,7 @@ def test_target_head_op_non_finite_raw_score_names_the_op(decoder, H, r):
         op(H)
     with ad.Tape() as tape:
         with pytest.raises(NumericError, match=r"op 'target_head'$"):
-            op(tape.leaf(H))
+            op(oracles.leaf(tape, H))
 
 
 def test_target_head_op_adjoint_overflow_names_the_op():

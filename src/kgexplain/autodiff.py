@@ -7,10 +7,14 @@ and plain numpy constants and ends in one `record` call, the one rule by
 which an op either returns a raw array or joins the tape.
 
 A tape lives for one forward/backward pass. Open it with
-``with Tape() as tape:`` and run `backward` inside the block: leaving the
-block empties the tape and cuts every node off its parents and adjoint, so
-the pass's arrays are freed by refcounting the moment the block ends rather
-than whenever the cyclic collector next runs. After a tape's block ends its
+``with Tape() as tape:`` and run `backward` inside the block, once: the
+hand-written ops free each array they saved for their backward at its last
+use there, as autograd libraries free a node's saved tensors once its
+backward has run, so `backward` refuses a second pass over the same open
+tape (which would also add every gradient twice). Leaving the block empties
+the tape and cuts every node off its parents and adjoint, so the pass's
+arrays are freed by refcounting the moment the block ends rather than
+whenever the cyclic collector next runs. After a tape's block ends its
 nodes can no longer be backpropagated; a node still referenced outside keeps
 only its own value. Entering the block also has glibc's malloc keep freed
 memory for the next pass instead of handing it back to the OS.
@@ -54,7 +58,10 @@ store order, and name it as `Tape.param` would, ``param:<name>``.
 the first parent's adjoint when the op passes ``adjoint_checked=True``
 because its backward has just checked that array itself:
 `model.RgcnLayerOp`'s input adjoint, `model.KgcLossOp`'s entity adjoint and
-`model.TargetHeadOp`'s adjoint.
+`model.TargetHeadOp`'s adjoint. `explain.TesOp` checks each layer's adjoint
+through the column sums its bias gradient takes anyway, and the whole
+adjoint only when a sum is not finite, since finite entries can overflow
+their sum.
 """
 
 from __future__ import annotations
@@ -139,12 +146,14 @@ def _reuse_freed_heap():
 
 class Tape:
     """Owns the node list for one forward/backward pass; a context manager
-    whose exit ends the pass (see the module docstring)."""
+    whose exit ends the pass. `backpropagated` is set by the pass's one
+    `backward` (see the module docstring)."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "backpropagated")
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.backpropagated = False
 
     def __enter__(self):
         _reuse_freed_heap()
@@ -156,6 +165,7 @@ class Tape:
             node.bw = None
             node.grad = None
         self.nodes.clear()
+        self.backpropagated = False
 
     def param(self, store: "ParamStore", name: str, checked=False) -> Node:
         node = Node(self, store.params[name], (), None, f"param:{name}", checked)
@@ -365,11 +375,16 @@ class ParamStore:
 
 
 def backward(tape: Tape, out: Node):
-    """Accumulate d(out)/d(node) for every node, store-bound leaves included."""
+    """Accumulate d(out)/d(node) for every node, store-bound leaves included.
+    A tape is backpropagated once (see the module docstring)."""
     if not isinstance(out, Node) or out.tape is not tape or not tape.nodes:
         raise ContractError("backward target must be a Node on an open tape")
     if np.size(out.value) != 1:
         raise ContractError(f"backward requires a scalar output, got shape {out.shape}")
+    if tape.backpropagated:
+        raise ContractError("a tape is backpropagated once: its ops free what they saved "
+                            "as their backward runs")
+    tape.backpropagated = True
     out.grad = np.ones_like(np.asarray(out.value, dtype=np.float64))
     for node in reversed(tape.nodes):
         g = node.grad

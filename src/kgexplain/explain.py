@@ -11,7 +11,8 @@ provenance.
 The TES is one tape op (`TesOp`) with a hand-written backward that keeps
 nothing between calls but its inputs: an epoch's activations are fresh
 arrays, served from the heap the previous epoch freed (see
-`autodiff._reuse_freed_heap`). In concatenation mode the first layer is
+`autodiff._reuse_freed_heap`), and its backward frees each of them at its
+last use. In concatenation mode the first layer is
 split: the input [h_src, r, h_dst | h_i, r_t, h_k] has a last block that
 is the same target row for every edge, so
 `x @ w1 = xe @ w1[:3d] + (xt @ w1[3d:])`, with xe (E, 3d) and xt (3d,), and
@@ -41,11 +42,12 @@ block-diagonal graph with one copy of the pairs per row), the L2 penalty
 and its weight, the adds that sum the terms, and the sum of the rows'
 totals that is backpropagated. A batch of one records 20 nodes at two
 encoder layers. Each term stays its own node so that it can be
-backpropagated alone. The hand-written backwards repeat the generic ops'
-numpy operations in reverse tape order, so masks, loss traces and paths
-are the same bits as with the generic-op composition the tests keep as
-their oracle: the ops `autodiff` keeps, with the ones no run records
-(`edge_spmv`, `powc`, `log` and the like) in `tests/tape_oracles.py`.
+backpropagated alone, on a tape of its own. The hand-written backwards
+repeat the generic ops' numpy operations in reverse tape order, so masks,
+loss traces and paths are the same bits as with the generic-op
+composition the tests keep as their oracle: the ops `autodiff` keeps, with
+the ones no run records (`edge_spmv`, `powc`, `log` and the like) in
+`tests/tape_oracles.py`.
 
 Each row's numbers are those of its config in a batch of one, bit for
 bit, by two rules:
@@ -338,6 +340,16 @@ class PathLossOp:
 TES_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
+def _checked_sum(g, op):
+    """The column sums of the (B, E, k) adjoint `g`, which `g` must be finite
+    for: only when they are not is `g` itself checked, since finite entries
+    can overflow their sum."""
+    total = g.sum(axis=-2)
+    if not ad._all_finite(total):
+        ad._check_finite(g, op)
+    return total
+
+
 class TesOp:
     """The TES MLP as one tape op with a hand-written backward.
 
@@ -346,6 +358,16 @@ class TesOp:
     distance input and `xt` is None. They are all the op keeps: each
     forward and each backward computes into fresh arrays, so a node can be
     backpropagated after any number of later calls.
+
+    A node's backward runs once (see `autodiff.backward`) and drops each
+    array at its last use: the hidden activations z2 and z1 once their
+    weight gradients and ReLU masks are taken, before the (E, 32) and
+    (E, 64) adjoints that replace them are made, and the layer-2 adjoint
+    once the layer-1 one is. So the backward holds at most one hidden
+    activation or adjoint of each width, never z1, z2 and both adjoints at
+    once. Each adjoint is finite-checked through its column sums, which the
+    bias gradients take anyway, and checked whole only when a sum is not
+    finite, as `tes_mlp:layer<k> adjoint`.
 
     The parameters carry a leading batch axis, one set of weights per row,
     and the scores are (B, E). `np.matmul` multiplies a stack one slice at
@@ -380,18 +402,23 @@ class TesOp:
         scores = out.reshape(out.shape[:-1])
 
         def bw(g):
+            # each dropped at its last use (see the class docstring)
+            nonlocal z1, z2
             with np.errstate(over="ignore", invalid="ignore"):
                 g3 = g.reshape(out.shape) * out * (1.0 - out)
-                ad._check_finite(g3, "tes_mlp:layer3 adjoint")
-                gw3, gb3 = z2.swapaxes(-1, -2) @ g3, g3.sum(axis=-2)
+                gb3 = _checked_sum(g3, "tes_mlp:layer3 adjoint")
+                gw3, on2 = z2.swapaxes(-1, -2) @ g3, z2 > 0.0
+                z2 = None
                 g2 = g3 * w3.swapaxes(-1, -2)
-                g2 *= z2 > 0.0
-                ad._check_finite(g2, "tes_mlp:layer2 adjoint")
-                gw2, gb2 = z1.swapaxes(-1, -2) @ g2, g2.sum(axis=-2)
+                g2 *= on2
+                on2 = None
+                gb2 = _checked_sum(g2, "tes_mlp:layer2 adjoint")
+                gw2, on1 = z1.swapaxes(-1, -2) @ g2, z1 > 0.0
+                z1 = None
                 g1 = g2 @ w2.swapaxes(-1, -2)
-                g1 *= z1 > 0.0
-                ad._check_finite(g1, "tes_mlp:layer1 adjoint")
-                gb1 = g1.sum(axis=-2)
+                g2 = None
+                g1 *= on1
+                gb1 = _checked_sum(g1, "tes_mlp:layer1 adjoint")
                 gw1 = xe.T @ g1
                 if xt is not None:
                     # np.outer(xt, gb1) per row

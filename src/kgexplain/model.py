@@ -268,12 +268,15 @@ class RgcnLayerOp:
 
     @np.errstate(over="ignore", invalid="ignore")
     def fix_input(self, h, params):
-        """Compute the messages and the self term of the array input `h` under
-        the array weights in `params` once. Later calls given the same `h` and
-        weight arrays reuse them, so those arrays must not change in place."""
+        """Compute the unmasked message and the self term of the array input
+        `h` under the array weights in `params` once. Later calls given the
+        same `h` and weight arrays reuse them, so those arrays must not change
+        in place. Only these two are kept: the gathered rows, basis products
+        and coefficient columns feed only the adjoints of h and the weights,
+        which arrays never have."""
         weights = [params[name] for name in self.names]
         w_self, coef, *basis = weights
-        self.fixed = (h, weights, self._messages(h, coef, basis), h @ w_self)
+        self.fixed = (h, weights, self._messages(h, coef, basis)[3], h @ w_self)
 
     # Overflow surfaces as the finite checks' NumericError, not as a warning.
     @np.errstate(over="ignore", invalid="ignore")
@@ -284,7 +287,8 @@ class RgcnLayerOp:
         vb = [ad._val(b) for b in basis]
         fixed = self.fixed
         if fixed is not None and h is fixed[0] and all(map(operator.is_, weights, fixed[1])):
-            (hs, mms, cgs, msg), self_term = fixed[2], fixed[3]
+            hs = mms = cgs = None  # read only by adjoints that array operands lack
+            msg, self_term = fixed[2], fixed[3]
         else:
             hs, mms, cgs, msg = self._messages(vh, vc, vb)
             self_term = vh @ vw
@@ -407,6 +411,12 @@ class KgcLossOp:
     tests' generic `log` op does. The raw scores are finite-checked as `kgc_loss`,
     since the sigmoid and the clamp would turn -inf into a finite loss; the
     entity adjoint as `kgc_loss adjoint`, and only there.
+
+    A node's backward runs once (see `autodiff.backward`) and drops each
+    (rows, d) block at its last use: the gathered tail, relation and head
+    rows and the decoder's saved intermediate as soon as the row adjoints
+    that read them are formed (TransE's read none of the gathered rows), and
+    each row adjoint once it is scattered, tails first, then heads.
     """
 
     def __init__(self, model: KgcModel, rels, n_pos: int):
@@ -430,6 +440,8 @@ class KgcLossOp:
                 + (-np.log(np.maximum(q_neg, ad.LOG_CLAMP))).sum() * (0.5 / n_neg))
 
         def bw(g):
+            # each dropped at its last use (see the class docstring)
+            nonlocal hh, rr, tt, saved
             with np.errstate(over="ignore", invalid="ignore"):
                 # Bit for bit the adjoints of the generic-op composition, taken
                 # in its reverse tape order: the log adjoint divides by the
@@ -442,19 +454,29 @@ class KgcLossOp:
                            + kernels.scatter_add_vec(g_pos, self.pos, n))
                 g_raw = (g_probs * probs) * (1.0 - probs)
                 if self.decoder == "transe":
+                    hh = rr = tt = None  # TransE's adjoints read only x and sq
                     x, sq = saved
+                    saved = None
                     g_sq = -g_raw * np.where(sq == 0.0, 0.0,
                                              0.5 * np.power(np.where(sq == 0.0, 1.0, sq), -0.5))
                     g_x = g_sq[:, None] * x + g_sq[:, None] * x
+                    x = None
                     g_h, g_r, g_t = g_x, g_x, -g_x
                 else:
-                    (hr,) = saved
                     g_hr = g_raw[:, None] * tt
-                    g_h, g_r, g_t = g_hr * rr, g_hr * hh, g_raw[:, None] * hr
+                    tt = None
+                    g_h = g_hr * rr
+                    rr = None
+                    g_r = g_hr * hh
+                    hh = g_hr = None
+                    g_t = g_raw[:, None] * saved[0]
+                    saved = None
                 grads = []
                 if isinstance(H, ad.Node):
-                    g_H = (kernels.scatter_add_rows(g_t, tails, vH.shape[0])
-                           + kernels.scatter_add_rows(g_h, heads, vH.shape[0]))
+                    g_H = kernels.scatter_add_rows(g_t, tails, vH.shape[0])
+                    g_t = None
+                    g_H += kernels.scatter_add_rows(g_h, heads, vH.shape[0])
+                    g_h = None
                     ad._check_finite(g_H, "kgc_loss adjoint")
                     grads.append(g_H)
                 if isinstance(rel, ad.Node):

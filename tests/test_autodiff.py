@@ -201,6 +201,26 @@ def test_tape_block_end_detaches_nodes():
         ad.backward(tape, out)
 
 
+def test_a_tape_is_backpropagated_once():
+    # the ops free what they saved as their backward runs, and a second pass
+    # would add every gradient again
+    store = ad.ParamStore({"x": np.array([1.0, 2.0])})
+    with ad.Tape() as tape:
+        x = tape.param(store, "x")
+        out = ad.sumall(ad.mul(x, x))
+        ad.backward(tape, out)
+        with pytest.raises(ContractError, match="backpropagated once"):
+            ad.backward(tape, out)
+        with pytest.raises(ContractError, match="backpropagated once"):
+            ad.backward(tape, ad.sumall(x))
+    np.testing.assert_array_equal(store.grads["x"], [2.0, 4.0])
+    # the block's end empties the tape, which can then record a new pass
+    with tape:
+        out = ad.sumall(tape.param(store, "x"))
+        ad.backward(tape, out)
+    np.testing.assert_array_equal(store.grads["x"], [3.0, 5.0])
+
+
 _PASSES = """
 import resource
 import numpy as np

@@ -30,7 +30,8 @@ epoch is hand-written ops:
 - `model.KgcLossOp`, the training loss.
 
 So a training or explainer epoch records a handful of nodes instead of one
-per numpy operation.
+per numpy operation. `take_row`'s adjoint, `put_rows` and `explain.PathLossOp`
+place a batch's rows by one rule, `_in_rows`.
 
 Scalars are represented as 0-d or length-1 arrays; `backward` accepts any
 single-element output. Forward values and backward adjoints are checked
@@ -288,32 +289,33 @@ def segment_max(vals, indptr, seg_of):
     return record(out, (vals,), bw, "segment_max", checked=True), argmax
 
 
+def _in_rows(x, rows, shape):
+    """`x`, one entry or row per row of the ascending `rows`, as a batch of
+    `shape`: `x` reshaped when `rows` are every row, else -0.0 in the other
+    rows. Adding -0.0 leaves any float as it is (+0.0 would turn a -0.0 into
+    +0.0), so the other rows keep their bits."""
+    if len(rows) == shape[0]:
+        return x.reshape(shape)
+    out = np.full(shape, -0.0)
+    out[rows] = x.reshape(len(rows), *shape[1:])
+    return out
+
+
 def take_row(x, row):
-    """Row `row` of a batch of rows (an array or a Node). The adjoint is -0.0
-    in every other row: adding -0.0 leaves any float as it is, so the other
-    rows' adjoints keep their bits (+0.0 would turn a -0.0 into +0.0)."""
+    """Row `row` of a batch of rows (an array or a Node)."""
     vx = _val(x)
-
-    def bw(g):
-        gx = np.full(vx.shape, -0.0)
-        gx[row] = g
-        return [gx]
-
     # a row of a checked Node's value is finite
-    return record(vx[row], (x,), bw, "take_row", checked=True)
+    return record(vx[row], (x,), lambda g: [_in_rows(g, [row], vx.shape)], "take_row",
+                  checked=True)
 
 
-def put_rows(n, parts):
-    """An (n,) vector with one value per row of a batch: `parts` pairs each
-    value (a scalar or a vector, an array or a Node) with the row or rows it
-    fills, and every other row holds -0.0, which adding leaves unchanged. The
-    adjoint of each part is its rows of the vector's adjoint."""
-    out = np.full(n, -0.0)
-    for value, rows in parts:
-        out[rows] = _val(value)
-    # the parts' values were checked
-    return record(out, [x for x, _ in parts],
-                  lambda g: [g[rows] for x, rows in parts if isinstance(x, Node)],
+def put_rows(values, rows, n):
+    """An (n,) vector of `values`, one scalar (an array or a Node) per row of
+    the ascending `rows`; each value's adjoint is its row of the vector's."""
+    out = _in_rows(np.array([_val(v) for v in values]), rows, (n,))
+    # the values were checked
+    return record(out, values,
+                  lambda g: [g[row] for v, row in zip(values, rows) if isinstance(v, Node)],
                   "put_rows", checked=True)
 
 

@@ -3,9 +3,10 @@
 Once their settings pass validation, and before doing any other work,
 train/explain/evaluate write <out-dir>/config.json:
 the subcommand name and the resolved value of each of its flags (presets
-applied). Flags share the run-config field names and defaults; any flag
-default can be overridden with an environment variable named
-KGEXPLAIN_<KEY> (e.g. KGEXPLAIN_EPOCHS=10). `suite` echoes its SuiteConfig.
+applied). Flags share the run-config field names and defaults; the default
+of each flag made by `_add_opt` can be overridden with an environment
+variable named KGEXPLAIN_<KEY> (e.g. KGEXPLAIN_EPOCHS=10). `suite` echoes
+its SuiteConfig.
 
 Exit codes: 0 success, 2 usage, 3 data, 4 numeric failure.
 """
@@ -167,7 +168,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _read_suite_config(path) -> dict:
-    """Parse a JSON or (Python 3.11+) TOML suite config file."""
+    """Parse a JSON or (Python 3.11+) TOML suite config file into its flat keys."""
     path = Path(path)
     if path.suffix == ".toml":
         try:
@@ -178,9 +179,22 @@ def _read_suite_config(path) -> dict:
     else:
         parse = json.loads
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        doc = parse(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not valid JSON/TOML
         raise DataError(f"{path}: malformed suite config ({exc})") from None
+    if path.suffix != ".toml":
+        return doc
+    # TOML reads `instance.n_entities = 40` and an [instance] table as nested
+    # tables: flatten each one level, refusing a key given both ways
+    flat = {}
+    for key, value in doc.items():
+        items = ({f"{key}.{k}": v for k, v in value.items()} if isinstance(value, dict)
+                 else {key: value})
+        twice = sorted(flat.keys() & items.keys())
+        if twice:
+            raise DataError(f"{path}: suite config key '{twice[0]}' is given twice")
+        flat.update(items)
+    return flat
 
 
 def cmd_suite(args) -> int:

@@ -46,7 +46,8 @@ backpropagated alone, on a tape of its own. The hand-written backwards
 repeat the generic ops' numpy operations in reverse tape order, so masks,
 loss traces and paths are the same bits as with the generic-op
 composition the tests keep as their oracle: the ops `autodiff` keeps, with
-the ones no run records (`edge_spmv`, `powc`, `log` and the like) in
+the ones no run records (`edge_spmv`, `powc`, `log` and the like) and the
+plain walk sums `power_chain` and `on_path_probability` in
 `tests/tape_oracles.py`.
 
 Each row's numbers are those of its config in a batch of one, bit for
@@ -57,10 +58,11 @@ bit, by two rules:
   and maxima run along the same axes, and one bincount over per-row offset
   bins adds each bin's entries in the same order;
 - the order of additions is kept. A row without a term holds -0.0 in that
-  term's vector and receives no adjoint from it; adding -0.0 leaves every
-  float as it is, so each row's total is (prediction + path) + L2,
-  prediction + L2 or path + L2, and its mask adjoint adds the L2, path and
-  prediction pieces in that order. A zero pad would turn -0.0 into +0.0.
+  term's vector and in its adjoint pieces (`autodiff._in_rows`, where the
+  rule is written); adding -0.0 leaves every float as it is, so each row's
+  total is (prediction + path) + L2, prediction + L2 or path + L2, and its
+  mask adjoint adds the L2, path and prediction pieces in that order. A zero
+  pad would turn -0.0 into +0.0. `ExplainJob.rows` lists each term's rows.
 
 Note on walks vs paths: the powering chain counts walks (node revisits
 allowed) exactly as the matrix algebra dictates; simple-path constraints
@@ -185,31 +187,6 @@ class EdgeScoreMatrix:
         return EdgeScoreMatrix(self.pair_src, self.pair_dst, 1.0 - self.values, self.provenance)
 
 
-def _one_hot(n: int, start):
-    """Zeros with 1.0 at `start`, one index or several."""
-    u = np.zeros(n)
-    u[start] = 1.0
-    return u
-
-
-def _power_steps(u, values, src, dst, n, L) -> list:
-    """[u_1, ..., u_L] with u_l = u_{l-1} . M for the matrix M whose entry
-    (src[e], dst[e]) is values[e], from u_0 = u."""
-    chain = []
-    for _ in range(L):
-        u = kernels.edge_spmv(u, values, src, dst, n)
-        chain.append(u)
-    return chain
-
-
-def power_chain(gc: ComputationGraph, values, start: int, L: int) -> list:
-    """[u_1, ..., u_L] with u_l = e_start . M^l for the pair-score matrix M:
-    u_l[k] sums edge-score products over all length-l walks start -> k.
-    `values` holds one score per pair."""
-    return _power_steps(_one_hot(gc.num_nodes, start), values, gc.pair_src, gc.pair_dst,
-                        gc.num_nodes, L)
-
-
 @np.errstate(invalid="ignore")
 def _walk_mass(u, at, count: int, length: int):
     return np.power(u[at] * (1.0 / count), 1.0 / length)
@@ -228,62 +205,43 @@ def _walk_mean(chain, at, counts):
     return total * (1.0 / len(chain))
 
 
-def _walks_to(walk_counts, node: int) -> list:
-    return [int(c[node]) for c in walk_counts]
-
-
-def on_path_probability(gc: ComputationGraph, values, L: int, walk_counts):
-    """Mean over l = 1..L of the normalised walk mass from the target head to
-    the tail, shape (1,). `walk_counts` is
-    `adjacency_power_row(gc, gc.head_local, L)`."""
-    return _walk_mean(power_chain(gc, values, gc.head_local, L), [gc.tail_local],
-                      _walks_to(walk_counts, gc.tail_local))
-
-
 class PathLossOp:
     """The path term -log(P_on) as one tape op with a hand-written backward.
 
-    P_on is `on_path_probability`, clamped at `autodiff.LOG_CLAMP` inside the
-    log. A call takes a job's per-pair scores, shape (B, pairs), and returns
-    the loss, shape (B,): an array, or a Node when the scores are one. The op
-    stands for the L power steps, so its adjoint of the scores is a tuple
-    with one piece per step that receives an adjoint, from the last step to
-    the first, which `backward` adds up in that order. The first step's input
-    is the constant one-hot start, so its adjoint is never formed. Each chain
-    vector is finite-checked as `path_loss`, each chain adjoint as
-    `path_loss adjoint`.
+    P_on is the mean over l = 1..L of the normalised walk mass from the
+    target head to the tail (`_walk_mean` of the power chain), clamped at
+    `autodiff.LOG_CLAMP` inside the log. A call takes a job's per-pair
+    scores, shape (B, pairs), and returns the loss, shape (B,): an array, or
+    a Node when the scores are one. The op stands for the L power steps, so
+    its adjoint of the scores is a tuple with one piece per step that
+    receives an adjoint, from the last step to the first, which `backward`
+    adds up in that order. The first step's input is the constant one-hot
+    start, so its adjoint is never formed. Each chain vector is
+    finite-checked as `path_loss`, each chain adjoint as `path_loss adjoint`.
 
-    `rows` holds one bool per row: the rows that have the term. Their chains
-    run as one block-diagonal graph, one copy of the pairs per row, so each
-    row's numbers are those of its own chain. The other rows hold -0.0 in
-    the loss and in each adjoint piece (see `autodiff.take_row`).
+    `rows` are the ascending rows that have the term. Their chains run as
+    one block-diagonal graph, one copy of the pairs per row, so each row's
+    numbers are those of its own chain. The loss and each adjoint piece are
+    placed in the batch by `autodiff._in_rows`.
     """
 
     name = "path_loss"
 
     def __init__(self, gc: ComputationGraph, L: int, walk_counts, rows):
         self.L = L
-        self.counts = _walks_to(walk_counts, gc.tail_local)
-        self.rows = np.flatnonzero(rows)
+        self.counts = [int(c[gc.tail_local]) for c in walk_counts]
+        self.rows = rows
         n = gc.num_nodes
-        offsets = n * np.arange(len(self.rows))
+        offsets = n * np.arange(len(rows))
         self.n = n * len(offsets)
         self.src = (gc.pair_src + offsets[:, None]).ravel()
         self.dst = (gc.pair_dst + offsets[:, None]).ravel()
         self.at = gc.tail_local + offsets
-        self.start = _one_hot(self.n, gc.head_local + offsets)
+        self.start = np.zeros(self.n)
+        self.start[gc.head_local + offsets] = 1.0
         # the one-hot start at each pair's source: the first step's adjoint
         # of the scores is this times the step's adjoint at the pair's dst
         self.start_src = self.start[self.src]
-
-    def _in_batch(self, x, shape):
-        """`x`, one entry or row per row with the term, as the batch's
-        `shape`, with -0.0 in the other rows."""
-        if len(self.rows) == shape[0]:
-            return x.reshape(shape)
-        out = np.full(shape, -0.0)
-        out[self.rows] = x.reshape(len(self.rows), *shape[1:])
-        return out
 
     # Overflow surfaces as the finite checks' NumericError, not as a warning.
     @np.errstate(over="ignore", invalid="ignore")
@@ -291,11 +249,13 @@ class PathLossOp:
         L, n, src, dst, at = self.L, self.n, self.src, self.dst, self.at
         vv, rows = ad._val(values), self.rows
         flat = vv[rows].reshape(-1)
-        chain = _power_steps(self.start, flat, src, dst, n, L)
-        for u in chain:
+        chain, u = [], self.start
+        for _ in range(L):
+            u = kernels.edge_spmv(u, flat, src, dst, n)
             ad._check_finite(u, self.name)
+            chain.append(u)
         p = _walk_mean(chain, at, self.counts)
-        loss = self._in_batch(-np.log(np.maximum(p, ad.LOG_CLAMP)), vv.shape[:-1])
+        loss = ad._in_rows(-np.log(np.maximum(p, ad.LOG_CLAMP)), rows, vv.shape[:-1])
 
         def bw(g):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -328,7 +288,7 @@ class PathLossOp:
                                                               dst)
                         before = g_chain[step - 1]
                         g_chain[step - 1] = g_prev if before is None else before + g_prev
-                    pieces.append(self._in_batch(g_vals, vv.shape))
+                    pieces.append(ad._in_rows(g_vals, rows, vv.shape))
                 return [tuple(pieces)]
 
         return ad.record(loss, (values,), bw, self.name)
@@ -480,12 +440,15 @@ class ExplainJob:
         self.configs = list(configs)
         config = _shared_config(self.configs)
         self.batch = len(self.configs)
+        # the ascending rows that have each term
+        self.rows = {"prediction": [row for row, cfg in enumerate(self.configs)
+                                    if cfg.enable_mi_loss],
+                     "path": [row for row, cfg in enumerate(self.configs) if cfg.enable_path_loss]}
         gc.target_rows(target)
         # per row with the path loss, float64 power steps, and once when a row
         # has it, int64 walk counts: power_order vectors over the nodes each
         L, n = config.power_order, gc.num_nodes
-        path_rows = [cfg.enable_path_loss for cfg in self.configs]
-        chains = sum(path_rows)
+        chains = len(self.rows["path"])
         _refuse_beyond_memory(8 * (min(chains, 1) + chains) * L * n,
                               f"the walk counts and power steps (power_order={L}, nodes={n})")
         self.model = model
@@ -496,9 +459,8 @@ class ExplainJob:
         self.R = model.store.params["rel"]
         self.tes = TesOp(*_tes_inputs(self.H, self.R, gc, target, config.combine_mode))
         self.awalks = adjacency_power_row(gc, gc.head_local, L) if chains else None
-        self.mi_rows = [row for row, cfg in enumerate(self.configs) if cfg.enable_mi_loss]
-        self.prediction = TargetScorer(model, gc, target) if self.mi_rows else None
-        self.path = PathLossOp(gc, L, self.awalks, path_rows) if chains else None
+        self.prediction = TargetScorer(model, gc, target) if self.rows["prediction"] else None
+        self.path = PathLossOp(gc, L, self.awalks, self.rows["path"]) if chains else None
 
     def pair_scores(self, store: ParamStore, tape: Tape | None):
         """TES scores collapsed to pairs: (per-pair values, arg-max triple rows),
@@ -513,8 +475,9 @@ class ExplainJob:
         term is one value per row, -0.0 in the rows without the term."""
         terms = {}
         if self.prediction is not None:
-            terms["prediction"] = ad.put_rows(self.batch, [
-                (self.prediction(ad.take_row(pair_vals, row))[2], row) for row in self.mi_rows])
+            rows = self.rows["prediction"]
+            terms["prediction"] = ad.put_rows(
+                [self.prediction(ad.take_row(pair_vals, row))[2] for row in rows], rows, self.batch)
         if self.path is not None:
             terms["path"] = self.path(pair_vals)
         terms["regularization"] = ad.mul(ad.norm(pair_vals), self.config.gamma)
@@ -533,12 +496,13 @@ class ExplainJob:
         None for a term the config leaves out."""
         values = {name: ad._val(t).tolist() for name, t in terms.items()}
         totals = ad._val(objective).tolist()
+        prediction, path = self.rows["prediction"], self.rows["path"]
         return [{"epoch": epoch,
-                 "prediction": values["prediction"][row] if cfg.enable_mi_loss else None,
-                 "path": values["path"][row] if cfg.enable_path_loss else None,
+                 "prediction": values["prediction"][row] if row in prediction else None,
+                 "path": values["path"][row] if row in path else None,
                  "regularization": values["regularization"][row],
                  "total": totals[row]}
-                for row, cfg in enumerate(self.configs)]
+                for row in range(self.batch)]
 
     def final_masks(self, store: ParamStore) -> list:
         """One EdgeScoreMatrix per config, from the TES in `store`."""

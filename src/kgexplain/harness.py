@@ -44,6 +44,8 @@ NOISE_REL_BASE = 2
 # reliant_model's encoder: one layer, whose basis 0 carries the explains
 # relation and basis 1 every other
 RELIANT_LAYERS, RELIANT_BASES = 1, 2
+# its self-loop weight, explains gain, and raw target score on the full graph
+RELIANT_ALPHA, RELIANT_GAIN, RELIANT_BASE_RAW = 0.4, 2.0, 0.9
 
 
 @dataclass
@@ -278,8 +280,7 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
     return PlantedInstance(graph, target, planted_paths, decoy_paths, distractors, cfg.seed)
 
 
-def reliant_model(g: KnowledgeGraph, target: TargetTriple, dim: int = 8, seed: int = 0,
-                  alpha: float = 0.4, gain: float = 2.0, base_raw: float = 0.9) -> KgcModel:
+def reliant_model(g: KnowledgeGraph, target: TargetTriple, dim: int = 8, seed: int = 0) -> KgcModel:
     """Hand-set model whose target score provably tracks explains-chain mass.
 
     Entity embeddings reserve coordinate 0 with a constant positive mass;
@@ -293,7 +294,7 @@ def reliant_model(g: KnowledgeGraph, target: TargetTriple, dim: int = 8, seed: i
     selection rather than accidents of toy-scale training.
 
     The read-out weight is calibrated so the unexplained target scores
-    `base_raw` on the full graph (minus the asserted triple itself).
+    `RELIANT_BASE_RAW` on the full graph (minus the asserted triple itself).
     """
     model = KgcModel(g.num_entities, g.num_relations, dim=dim, layers=RELIANT_LAYERS,
                      bases=RELIANT_BASES, decoder="distmult", seed=seed)
@@ -305,8 +306,8 @@ def reliant_model(g: KnowledgeGraph, target: TargetTriple, dim: int = 8, seed: i
     p["ent"][...] = ent
     eye = np.eye(dim)
     for layer in range(model.layers):
-        p[f"self_{layer}"][...] = alpha * eye
-        p[f"basis_{layer}_0"][...] = gain * eye
+        p[f"self_{layer}"][...] = RELIANT_ALPHA * eye
+        p[f"basis_{layer}_0"][...] = RELIANT_GAIN * eye
         b1 = rng.normal(0.0, 0.25 / np.sqrt(dim), size=(dim, dim))
         b1[0, :] = 0.0
         b1[:, 0] = 0.0
@@ -327,7 +328,7 @@ def reliant_model(g: KnowledgeGraph, target: TargetTriple, dim: int = 8, seed: i
     H = encode(model, full_graph(calib, target))
     mass = H[target.head, 0] * H[target.tail, 0]
     r_target = np.zeros(dim)
-    r_target[0] = base_raw / mass
+    r_target[0] = RELIANT_BASE_RAW / mass
     p["rel"][target.relation] = r_target
     return model
 

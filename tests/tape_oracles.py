@@ -1,4 +1,5 @@
-"""The generic tape ops that no run records, kept as the tests' oracles.
+"""The generic tape ops and walk sums that no run records, kept as the
+tests' oracles.
 
 Each hand-written op of the package (`explain.TesOp`, `explain.PathLossOp`,
 `model.RgcnLayerOp`, `model.KgcLossOp`, `model.TargetHeadOp`) is checked bit
@@ -6,6 +7,10 @@ for bit against a composition of generic ops, one per numpy operation. The
 generic ops a run records live in `kgexplain.autodiff`; these are the rest.
 Like those, each ends in one `autodiff.record` call, so it returns a raw
 array when no operand is a Node.
+
+`power_chain` and `on_path_probability` are the path term's walk sums on
+one graph, without the tape: the values `explain.PathLossOp` must
+reproduce for each row.
 
 log() clamps its argument to >= 1e-12 (`autodiff.LOG_CLAMP`) so -log(p) stays
 finite when a probability collapses; the adjoint uses the clamped argument as
@@ -16,7 +21,8 @@ import numpy as np
 
 from kgexplain import kernels
 from kgexplain.autodiff import LOG_CLAMP, Node, _binary, _sigmoid_value, _unary, _val, record
-from kgexplain.explain import _walk_mass
+from kgexplain.explain import _walk_mass, _walk_mean
+from kgexplain.kgraph import ComputationGraph
 
 
 def leaf(tape, value, op="leaf") -> Node:
@@ -122,3 +128,24 @@ def normalized_walk_mass(u, node: int, count: int, length: int):
     """(u[node] / count) ** (1 / length), shape (1,): the length-th root of
     the mean edge-score product over the `count` > 0 walks that reach `node`."""
     return _walk_mass(u, [node], count, length)
+
+
+def power_chain(gc: ComputationGraph, values, start: int, L: int) -> list:
+    """[u_1, ..., u_L] with u_l = e_start . M^l for the pair-score matrix M:
+    u_l[k] sums edge-score products over all length-l walks start -> k.
+    `values` holds one score per pair."""
+    u = np.zeros(gc.num_nodes)
+    u[start] = 1.0
+    chain = []
+    for _ in range(L):
+        u = kernels.edge_spmv(u, values, gc.pair_src, gc.pair_dst, gc.num_nodes)
+        chain.append(u)
+    return chain
+
+
+def on_path_probability(gc: ComputationGraph, values, L: int, walk_counts):
+    """Mean over l = 1..L of the normalised walk mass from the target head to
+    the tail, shape (1,). `walk_counts` is
+    `adjacency_power_row(gc, gc.head_local, L)`."""
+    return _walk_mean(power_chain(gc, values, gc.head_local, L), [gc.tail_local],
+                      [int(c[gc.tail_local]) for c in walk_counts])

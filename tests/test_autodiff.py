@@ -322,11 +322,11 @@ def _every_op():
         "gather": lambda: ad.gather(x, [1, 0]),
         "segment_max": lambda: ad.segment_max(x, np.array([0, 1, 3]), np.array([0, 1, 1]))[0],
         "take_row": lambda: ad.take_row(x, 1),
-        "put_rows": lambda: ad.put_rows(2, [(np.array(1.0), 0), (np.array(2.0), 1)]),
+        "put_rows": lambda: ad.put_rows([np.array(1.0), np.array(2.0)], [0, 1], 2),
         "norm": lambda: ad.norm(x),
         "sumall": lambda: ad.sumall(x),
         "TesOp": lambda: TesOp(np.ones((gc.num_edges, 3)))(init_tes("euclidean", 2).params),
-        "PathLossOp": lambda: PathLossOp(gc, 2, adjacency_power_row(gc, 0, 2), [True])(
+        "PathLossOp": lambda: PathLossOp(gc, 2, adjacency_power_row(gc, 0, 2), [0])(
             np.full((1, gc.num_pairs), 0.5)),
         "RgcnLayerOp": lambda: RgcnLayerOp(model, gc, 0)(p["ent"][gc.nodes], p,
                                                           np.full((gc.num_edges, 1), 0.5)),
@@ -343,6 +343,40 @@ def test_every_op_given_no_node_returns_a_plain_value_and_records_nothing(name):
         # a scalar loss is a numpy float, every other value an ndarray
         assert type(out) in (np.ndarray, np.float64)
         assert tape.nodes == []
+
+
+# -- batch rows: -0.0 where a row lacks a value, no fill where none does ------
+
+
+def _no_fill(*args, **kwargs):
+    raise AssertionError("np.full called for a batch whose every row has the value")
+
+
+def test_take_row_adjoint_of_a_one_row_batch_is_the_incoming_adjoint():
+    g = np.array([1.0, -0.0, 2.0])
+    with ad.Tape() as tape:
+        [gx] = ad.take_row(oracles.leaf(tape, np.arange(3.0)[None]), 0).bw(g)
+    assert gx.shape == (1, 3) and np.shares_memory(gx, g)
+
+
+def test_put_rows_over_every_row_makes_no_fill(monkeypatch):
+    with ad.Tape() as tape:
+        values = [oracles.leaf(tape, 1.5), oracles.leaf(tape, -0.0)]
+        with monkeypatch.context() as m:
+            m.setattr(np, "full", _no_fill)
+            out = ad.put_rows(values, [0, 1], 2)
+        assert out.value.tobytes() == np.array([1.5, -0.0]).tobytes()
+        ad.backward(tape, ad.sumall(out))
+        assert [v.grad for v in values] == [1.0, 1.0]
+
+
+def test_rows_without_a_value_hold_negative_zero():
+    x = np.arange(6.0).reshape(3, 2)
+    with ad.Tape() as tape:
+        [gx] = ad.take_row(oracles.leaf(tape, x), 1).bw(np.array([4.0, 5.0]))
+        out = ad.put_rows([oracles.leaf(tape, 7.0)], [2], 3)
+    assert gx.tobytes() == np.array([[-0.0, -0.0], [4.0, 5.0], [-0.0, -0.0]]).tobytes()
+    assert out.value.tobytes() == np.array([-0.0, -0.0, 7.0]).tobytes()
 
 
 # -- sgd ---------------------------------------------------------------------

@@ -881,6 +881,47 @@ def test_damaged_suite_config_exits_with_documented_code(case):
         assert code in (0, 2, 3)
 
 
+def _toml_sections(suite):
+    """`suite`'s top-level keys, then each section's keys under its `[section]`
+    header, as TOML text."""
+    top = [f"{k} = {json.dumps(v)}\n" for k, v in suite.items() if "." not in k]
+    tables = {}
+    for key, value in suite.items():
+        if "." in key:
+            section, name = key.split(".", 1)
+            tables.setdefault(section, []).append(f"{name} = {json.dumps(value)}\n")
+    return "".join(top + [f"[{section}]\n" + "".join(lines) for section, lines in tables.items()])
+
+
+@pytest.mark.parametrize("text", [
+    "".join(f"{k} = {json.dumps(v)}\n" for k, v in _SUITE.items()),
+    _toml_sections(_SUITE),
+], ids=["dotted", "tables"])
+def test_toml_suite_config_reads_dotted_keys_and_tables(tmp_path, text):
+    pytest.importorskip("tomllib")
+    quoted, cfg = tmp_path / "quoted.toml", tmp_path / "suite.toml"
+    quoted.write_bytes(VALID_SUITE_TOML)
+    cfg.write_text(text)
+    assert main(["suite", "--config", str(quoted), "--out_dir", str(tmp_path / "q")]) == 0
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 0
+    for name in ("config.json", "aggregate.json", "instance_0.json"):
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "q" / name).read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    '"instance.n_entities" = 30\ninstance.n_entities = 30\n',
+    '"instance.n_entities" = 30\n[instance]\nn_entities = 30\n',
+], ids=["quoted-and-dotted", "quoted-and-table"])
+def test_toml_suite_key_given_twice_exits_3(tmp_path, caplog, text):
+    pytest.importorskip("tomllib")
+    cfg = tmp_path / "suite.toml"
+    cfg.write_text(text)
+    assert main(["suite", "--config", str(cfg), "--out_dir", str(tmp_path / "o")]) == 3
+    [line] = error_lines(caplog)
+    assert "suite config key 'instance.n_entities' is given twice" in line
+    assert not (tmp_path / "o").exists()
+
+
 # -- argv: numeric flags at the edges of their range ---------------------------
 
 _EDGE_VALUES = ["-1", "0", "1", "2", str(2**31), str(2**63), "1e308", "nan", "inf", "-inf"]

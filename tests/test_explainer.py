@@ -8,7 +8,8 @@ import pytest
 import tape_oracles as oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tape_oracles import normalized_walk_mass
+from tape_oracles import normalized_walk_mass, on_path_probability, power_chain
+from test_autodiff import _no_fill
 from test_model import assert_same_bits, generic_head
 
 from kgexplain import autodiff as ad
@@ -21,8 +22,6 @@ from kgexplain.explain import (
     TesOp,
     generate_paths,
     init_tes,
-    on_path_probability,
-    power_chain,
     train_explainer,
     train_explainers,
 )
@@ -646,9 +645,23 @@ def test_path_loss_gradient_matches_finite_differences():
 
     def loss(s, tape):
         v = tape.param(s, "mask") if tape is not None else s.params["mask"]
-        return PathLossOp(gc, 3, awalks, [True])(v)
+        return PathLossOp(gc, 3, awalks, [0])(v)
 
     assert ad.finite_diff_check(loss, store, step=1e-5, tol=1e-4).passed
+
+
+def test_path_loss_of_a_one_row_batch_makes_no_fill(monkeypatch):
+    triples = [(0, 0, 1), (0, 0, 2), (1, 0, 3), (2, 0, 3), (1, 0, 2)]
+    gc = full_graph(kg_from(triples, n_rel=1), TargetTriple(0, 0, 3))
+    op = PathLossOp(gc, 3, adjacency_power_row(gc, gc.head_local, 3), [0])
+    with ad.Tape() as tape:
+        mask = oracles.leaf(tape, np.linspace(0.2, 0.8, gc.num_pairs)[None])
+        with monkeypatch.context() as m:
+            m.setattr(np, "full", _no_fill)
+            loss = op(mask)
+            [pieces] = loss.bw(np.ones(1))
+        assert loss.shape == (1,) and len(pieces) == 3
+        assert all(piece.shape == (1, gc.num_pairs) for piece in pieces)
 
 
 def test_path_loss_monotone_in_on_path_scores():

@@ -17,7 +17,8 @@ arrays are freed by refcounting the moment the block ends rather than
 whenever the cyclic collector next runs. After a tape's block ends its
 nodes can no longer be backpropagated; a node still referenced outside keeps
 only its own value. Entering the block also has glibc's malloc keep freed
-memory for the next pass instead of handing it back to the OS.
+memory for the next pass instead of handing it back to the OS. Importing
+the module runs numpy's bundled OpenBLAS on one thread (`_pin_blas_threads`).
 
 The ops kept here are the ones a run records: `add`, `mul`, `gather`,
 `segment_max`, `take_row`, `put_rows`, `norm` and `sumall`. The rest of an
@@ -70,6 +71,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -143,6 +145,38 @@ def _reuse_freed_heap():
     m_trim_threshold, m_mmap_threshold = -1, -3
     mallopt(m_mmap_threshold, 32 << 20)
     mallopt(m_trim_threshold, 64 << 20)
+
+
+def _pin_blas_threads():
+    """Run numpy's bundled OpenBLAS on one thread (elsewhere a no-op).
+
+    OpenBLAS splits a product's inner sum across its threads, and so rounds
+    differently at each thread count: on an ego-graph of a few thousand
+    edges, `TesOp`'s weight gradients (whose inner dimension is the edge
+    count) differed between OPENBLAS_NUM_THREADS 1 and 2. One thread makes
+    every output the same bits whatever that variable says, and leaves the
+    other cores to worker processes (see `metrics._fork_map`).
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
+    except OSError:
+        return
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))  # the copy numpy has loaded
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = (ctypes.c_int,)
+                setter.restype = None
+                setter(1)
+                return
+
+
+_pin_blas_threads()
 
 
 class Tape:
@@ -374,6 +408,11 @@ class ParamStore:
 
     def zero_grads(self):
         self.grad_flat[...] = 0.0
+
+    def __reduce__(self):
+        # pickled as its tensors, so that a copy is one buffer again (a worker
+        # process sends its results this way)
+        return ParamStore, (self.params,)
 
 
 def backward(tape: Tape, out: Node):

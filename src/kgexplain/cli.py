@@ -8,7 +8,8 @@ of each flag made by `_add_opt` can be overridden with an environment
 variable named KGEXPLAIN_<KEY> (e.g. KGEXPLAIN_EPOCHS=10). `suite` echoes
 its SuiteConfig.
 
-Exit codes: 0 success, 2 usage, 3 data, 4 numeric failure.
+Exit codes: 0 success, 2 usage (and a worker process that ended without
+its result), 3 data, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ContractError, DataError, NumericError
+from .errors import ContractError, DataError, NumericError, WorkerError
 from .explain import (
     COMBINE_MODES,
     ExplainConfig,
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
     except MemoryError:
         log.error("out of memory: %s needs more memory than this process can allocate",
                   command)
+        return 2
+    except WorkerError as exc:
+        log.error("%s: %s", command, exc)
         return 2
 
 

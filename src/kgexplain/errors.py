@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: usage errors (argparse and
-ContractError) exit 2, DataError exits 3, NumericError exits 4.
+ContractError) and WorkerError exit 2, DataError exits 3, NumericError
+exits 4.
 """
 
 
@@ -19,3 +20,7 @@ class DataError(KgExplainError):
 
 class NumericError(KgExplainError):
     """A computation produced NaN/Inf or would overflow."""
+
+
+class WorkerError(KgExplainError):
+    """A worker process ended without sending its job's result."""

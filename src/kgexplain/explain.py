@@ -424,6 +424,13 @@ def _shared_config(configs) -> ExplainConfig:
     return first
 
 
+def _walk_bytes(power_order: int, nodes: int, chains: int) -> int:
+    """The walk counts and power steps of a job whose `chains` rows have the
+    path loss: per such row float64 power steps, and once when a row has it
+    int64 walk counts, `power_order` vectors over the nodes each."""
+    return 8 * (min(chains, 1) + chains) * power_order * nodes
+
+
 class ExplainJob:
     """One explanation unit: owns the TES inputs, constants, and loss tape.
 
@@ -445,11 +452,9 @@ class ExplainJob:
                                     if cfg.enable_mi_loss],
                      "path": [row for row, cfg in enumerate(self.configs) if cfg.enable_path_loss]}
         gc.target_rows(target)
-        # per row with the path loss, float64 power steps, and once when a row
-        # has it, int64 walk counts: power_order vectors over the nodes each
         L, n = config.power_order, gc.num_nodes
         chains = len(self.rows["path"])
-        _refuse_beyond_memory(8 * (min(chains, 1) + chains) * L * n,
+        _refuse_beyond_memory(_walk_bytes(L, n, chains),
                               f"the walk counts and power steps (power_order={L}, nodes={n})")
         self.model = model
         self.gc = gc

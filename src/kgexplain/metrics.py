@@ -11,22 +11,26 @@ counts as a hit, exactly as the strict-inequality indicator dictates.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, WorkerError
 from .explain import (
     EdgeScoreMatrix,
     ExplainConfig,
     Explanation,
+    _walk_bytes,
     generate_paths,
     prepare_computation_graph,
     train_explainer,
 )
 from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, check_ego_settings
-from .model import KgcModel, TargetScorer, rank_target, score_target_masked
+from .model import KgcModel, TargetScorer, _physical_memory, rank_target, score_target_masked
 
 HDR_PATH_COUNTS = (1, 3, 5)
 
@@ -109,6 +113,107 @@ def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTri
     return row
 
 
+def _worker_count(jobs: int, job_bytes: int = 0) -> int:
+    """How many processes `_fork_map` runs `jobs` jobs in: one per CPU this
+    process may run on, at most one per job, and no more jobs at once than
+    fit in physical memory at `job_bytes` each (a lower bound on what one
+    job needs). 1, this process alone, where `os.fork` or the CPU set is
+    missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    workers = min(len(os.sched_getaffinity(0)), jobs)
+    physical = _physical_memory()
+    if job_bytes and physical:
+        workers = min(workers, physical // job_bytes)
+    return max(workers, 1)
+
+
+def _fork_map(fn, items, job_bytes: int = 0):
+    """Yield `fn(item)` for each item, in item order, computed in forked
+    worker processes when `_worker_count` gives two or more, and one by one
+    in this process otherwise.
+
+    Each call runs in a child forked for it, at most that many at once. The
+    child shares what this process held when it was forked, so the graph
+    and model are never copied or pickled, and sends back only what `fn`
+    returns, pickled into a pipe, or the exception `fn` raised, then ends in
+    `os._exit`. The exception is raised here at its item's turn, as a
+    serial run raises it; a child that ends without sending anything raises
+    WorkerError there. Use the generator in `contextlib.closing`: closing it
+    kills and reaps every child still running. A fork copies only the
+    calling thread, so call this where no other Python thread holds a lock
+    the jobs need.
+    """
+    items = list(items)
+    workers = _worker_count(len(items), job_bytes)
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    import select  # here, so that a run without workers never loads them
+    import signal
+
+    pending = iter(enumerate(items))
+    running = {}  # pipe read end -> (item index, child pid, bytes read)
+    outcomes = {}  # item index -> (True, result) or (False, exception)
+    try:
+        for i in range(len(items)):
+            while i not in outcomes:
+                while len(running) < workers and (job := next(pending, None)):
+                    fd, pid = _fork_call(fn, job[1])
+                    running[fd] = (job[0], pid, [])
+                for fd in select.select(list(running), [], [])[0]:
+                    chunk = os.read(fd, 1 << 20)
+                    if chunk:
+                        running[fd][2].append(chunk)
+                        continue
+                    index, pid, chunks = running.pop(fd)
+                    os.close(fd)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if code == 0:
+                        outcomes[index] = pickle.loads(b"".join(chunks))
+                        continue
+                    how = (f"was killed by signal {-code}" if code < 0
+                           else f"exited with status {code}")
+                    outcomes[index] = (False, WorkerError(
+                        f"worker process {pid} {how} before it sent its result"))
+            ok, value = outcomes.pop(i)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for fd, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
+def _fork_call(fn, item):
+    """(pipe read end, pid) of a forked child that computes `fn(item)`."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return read_end, pid
+    code = 1  # the child: whatever happens, it never returns into the parent's stack
+    try:
+        os.close(read_end)
+        try:
+            outcome = (True, fn(item))
+        except Exception as exc:  # the parent raises it at this item's turn
+            outcome = (False, exc)
+        data = memoryview(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(write_end, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _is_explainable(model, g, target, cfg: EvalConfig):
     gc = prepare_computation_graph(g, target, cfg.k_hop, cfg.k_core, cfg.max_nodes)
     if cfg.threshold_rule == "prob":
@@ -116,25 +221,36 @@ def _is_explainable(model, g, target, cfg: EvalConfig):
     return rank_target(model, gc, target) == 1
 
 
-def _evaluate_one(model, g, target, cfg: EvalConfig):
-    """Explain one target and measure it."""
+def _explainable(model, g, candidates, cfg: EvalConfig) -> list:
+    """The candidates the explainability rule admits, in candidate order; the
+    rule runs on contiguous chunks of them, one chunk per worker."""
+    n = _worker_count(len(candidates))
+    chunks = [candidates[k * len(candidates) // n:(k + 1) * len(candidates) // n]
+              for k in range(n)]
+    with closing(_fork_map(lambda chunk: [_is_explainable(model, g, t, cfg) for t in chunk],
+                           chunks)) as admitted:
+        return [t for chunk, keep in zip(chunks, admitted) for t, ok in zip(chunk, keep) if ok]
+
+
+def _train_one(model, g, cfg: EvalConfig, target):
+    """The part of one target's explanation a worker runs: (its ego-graph, its
+    trained explainer, the training's seconds)."""
     gc = prepare_computation_graph(g, target, cfg.k_hop, cfg.k_core, cfg.max_nodes)
     t0 = time.perf_counter()
     result = train_explainer(model, gc, target, cfg.explain)
-    explanation = generate_paths(gc, result.mask, target, cfg.explain.num_paths,
-                                 cfg.explain.power_order)
-    row = measure_explanation(model, gc, target, result.mask, explanation)
-    row["epochs"] = cfg.explain.epochs
-    row["wall_time_s"] = time.perf_counter() - t0
-    return row
+    return gc, result, time.perf_counter() - t0
 
 
 def evaluate_batch(model: KgcModel, g: KnowledgeGraph, candidates, cfg: EvalConfig):
     """Filter candidates by the explainability rule, sample deterministically,
     explain each, and aggregate a MetricReport plus one CSV-ready row per
-    target."""
+    target. The filter and the explainers' training run in worker processes
+    (`_fork_map`); paths are extracted and measured here, in target order.
+    A row's `wall_time_s` is its target's training, extraction and
+    measurement time."""
     cfg.validate()
-    explainable = [t for t in candidates if _is_explainable(model, g, t, cfg)]
+    candidates = list(candidates)
+    explainable = _explainable(model, g, candidates, cfg)
     if not explainable:
         raise DataError(
             "no explainable target triples under rule "
@@ -146,7 +262,18 @@ def evaluate_batch(model: KgcModel, g: KnowledgeGraph, candidates, cfg: EvalConf
         sampled = [explainable[i] for i in sorted(idx.tolist())]
     else:
         sampled = explainable
-    rows = [_evaluate_one(model, g, t, cfg) for t in sampled]
+    nodes = min(cfg.max_nodes or g.num_entities, g.num_entities)
+    job_bytes = _walk_bytes(cfg.explain.power_order, nodes, int(cfg.explain.enable_path_loss))
+    rows = []
+    with closing(_fork_map(lambda t: _train_one(model, g, cfg, t), sampled, job_bytes)) as trained:
+        for target, (gc, result, train_s) in zip(sampled, trained):
+            t0 = time.perf_counter()
+            explanation = generate_paths(gc, result.mask, target, cfg.explain.num_paths,
+                                         cfg.explain.power_order)
+            row = measure_explanation(model, gc, target, result.mask, explanation)
+            row["epochs"] = cfg.explain.epochs
+            row["wall_time_s"] = train_s + time.perf_counter() - t0
+            rows.append(row)
     report = MetricReport(
         fidelity_plus=float(np.mean([r["f_plus"] for r in rows])),
         fidelity_minus=float(np.mean([r["f_minus"] for r in rows])),

@@ -124,16 +124,26 @@ def _param_shapes(num_entities, num_relations, dim, layers, bases):
     return shapes
 
 
+def _physical_memory():
+    """Bytes of physical memory, or 0 where `os.sysconf` cannot tell."""
+    try:
+        return max(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), 0)
+    except (AttributeError, OSError, ValueError):
+        return 0
+
+
 def _refuse_beyond_memory(nbytes, what):
     """ContractError when `nbytes`, a lower bound on what a run needs, exceed
     physical memory; skipped where `os.sysconf` cannot tell."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return
+    physical = _physical_memory()
     if 0 < physical < nbytes:
         raise ContractError(f"{what} need {nbytes} bytes, more than the {physical} bytes "
                             "of physical memory")
+
+
+def _model_bytes(num_entities, num_relations, dim, layers, bases):
+    """A model's parameters and gradients: 16 bytes per float."""
+    return 16 * param_count(num_entities, num_relations, dim, layers, bases)
 
 
 def _refuse_model_beyond_memory(num_entities, num_relations, dim, layers, bases):
@@ -141,7 +151,7 @@ def _refuse_model_beyond_memory(num_entities, num_relations, dim, layers, bases)
     float, exceed physical memory. `KgcModel` checks its settings with it,
     and a suite its model's before it generates an instance."""
     settings = (num_entities, num_relations, dim, layers, bases)
-    _refuse_beyond_memory(16 * param_count(*settings), "model parameters and gradients "
+    _refuse_beyond_memory(_model_bytes(*settings), "model parameters and gradients "
                           "(entities={}, relations={}, dim={}, layers={}, bases={})"
                           .format(*settings))
 

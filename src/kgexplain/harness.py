@@ -15,7 +15,6 @@ import math
 import sys
 import time
 import typing
-from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -23,19 +22,17 @@ import numpy as np
 from .errors import ContractError, DataError
 from .explain import (
     ExplainConfig,
-    _walk_bytes,
     generate_paths,
     prepare_computation_graph,
     train_explainer,
     train_explainers,
 )
 from .kgraph import KnowledgeGraph, TargetTriple, check_ego_settings, full_graph, hop_distances
-from .metrics import HDR_PATH_COUNTS, _fork_map, csv_text, json_text, measure_explanation
+from .metrics import HDR_PATH_COUNTS, csv_text, json_text, measure_explanation
 from .model import (
     KgcModel,
     ModelConfig,
     _check_model_settings,
-    _model_bytes,
     _refuse_beyond_memory,
     _refuse_model_beyond_memory,
     train_kgc,
@@ -93,18 +90,14 @@ class PlantedConfig:
                 f"n_distractors={self.n_distractors} exceeds the {distinct} distinct "
                 "distractor triples of this instance; use more entities or fewer distractors"
             )
+        # each name is a str and a slot in the name list; each entity also has
+        # two int64 hop counts, from the head and to the tail
+        name = sys.getsizeof("e0") + 8
         _refuse_beyond_memory(
-            self._memory_bytes(),
+            self.n_entities * (name + 16) + self.n_relations * name,
             f"the planted instance's names and hop counts (n_entities={self.n_entities}, "
             f"n_relations={self.n_relations})",
         )
-
-    def _memory_bytes(self):
-        """The instance's names and hop counts: each name is a str and a slot
-        in the name list; each entity also has two int64 hop counts, from the
-        head and to the tail."""
-        name = sys.getsizeof("e0") + 8
-        return self.n_entities * (name + 16) + self.n_relations * name
 
 
 @dataclass
@@ -419,7 +412,10 @@ class SuiteConfig:
         if self.base_seed < 0:
             raise ContractError(f"base_seed must be >= 0, got {self.base_seed}")
         # the model's bound first: at the default dim it is the larger per entity
-        _refuse_model_beyond_memory(*self._model_settings())
+        layers, bases = ((RELIANT_LAYERS, RELIANT_BASES) if self.model_source == "reliant"
+                         else (self.model.layers, self.model.bases))
+        _refuse_model_beyond_memory(self.instance.n_entities, self.instance.n_relations,
+                                    self.model.dim, layers, bases)
         _in_section("instance", self.instance.validate)
         if self.model_source == "reliant":
             _in_section("model", lambda: _check_model_settings(
@@ -429,24 +425,6 @@ class SuiteConfig:
         check_ego_settings(self.resolved_hops(), self.k_core, self.max_nodes)
         for mode in self.modes():
             _in_section("explain", _mode_config(self.explain, mode, self.base_seed).validate)
-
-    def _model_settings(self) -> tuple:
-        """(entities, relations, dim, layers, bases) of each instance's model."""
-        layers, bases = ((RELIANT_LAYERS, RELIANT_BASES) if self.model_source == "reliant"
-                         else (self.model.layers, self.model.bases))
-        return (self.instance.n_entities, self.instance.n_relations, self.model.dim, layers,
-                bases)
-
-    def _instance_bytes(self) -> int:
-        """A lower bound on what one instance needs: the bounds its memory
-        refusals check, that is its model's parameters and gradients, its
-        names and hop counts, and its explainers' walk counts and power steps
-        on an ego-graph of at most every entity."""
-        chains = sum(_mode_config(self.explain, mode, self.base_seed).enable_path_loss
-                     for mode in self.modes())
-        nodes = min(self.max_nodes or self.instance.n_entities, self.instance.n_entities)
-        return (_model_bytes(*self._model_settings()) + self.instance._memory_bytes()
-                + _walk_bytes(self.explain.power_order, nodes, chains))
 
     def modes(self) -> tuple:
         """The explainer modes a run trains: `MODES` with ablations, else "full"."""
@@ -474,10 +452,9 @@ def _mode_config(base: ExplainConfig, mode: str, seed: int) -> ExplainConfig:
     return cfg
 
 
-def _train_instance(suite: SuiteConfig, seed: int):
-    """The part of an instance a worker runs: generate it, train (or
-    construct) its model and train its explainers. Returns (instance, model,
-    ego-graph, configs, results), one config and result per mode."""
+def run_instance(suite: SuiteConfig, seed: int):
+    """Generate, train (or construct), explain per enabled mode, and measure.
+    The ablation modes' explainers train as one batch (`train_explainers`)."""
     inst = generate_planted(replace(suite.instance, seed=seed))
     if suite.model_source == "reliant":
         model = reliant_model(inst.graph, inst.target, dim=suite.model.dim, seed=seed)
@@ -486,23 +463,13 @@ def _train_instance(suite: SuiteConfig, seed: int):
     gc = prepare_computation_graph(
         inst.graph, inst.target, suite.resolved_hops(), suite.k_core, suite.max_nodes
     )
-    configs = [_mode_config(suite.explain, mode, seed) for mode in suite.modes()]
+    modes = suite.modes()
+    configs = [_mode_config(suite.explain, mode, seed) for mode in modes]
     # the modes share the ego-graph, target, model and seed: one batch
     results = (train_explainers(model, gc, inst.target, configs) if suite.ablations
                else [train_explainer(model, gc, inst.target, configs[0])])
-    return inst, model, gc, configs, results
-
-
-def run_instance(suite: SuiteConfig, seed: int, trained=None):
-    """Generate, train (or construct), explain per enabled mode, and measure.
-    The ablation modes' explainers train as one batch (`train_explainers`).
-    `trained`, when given, is an iterator whose next item is this instance's
-    `_train_instance`, as `run_suite`'s workers yield them; the paths are
-    extracted and measured here either way."""
-    inst, model, gc, configs, results = (next(trained) if trained is not None
-                                         else _train_instance(suite, seed))
     out = {"seed": seed}
-    for mode, cfg, result in zip(suite.modes(), configs, results):
+    for mode, cfg, result in zip(modes, configs, results):
         explanation = generate_paths(gc, result.mask, inst.target, cfg.num_paths,
                                      cfg.power_order)
         row = measure_explanation(model, gc, inst.target, result.mask, explanation)
@@ -538,10 +505,7 @@ def run_suite(suite: SuiteConfig, out_dir=None):
     out_dir is given) writes config echo, per-instance JSON, and aggregate
     JSON + CSV with deterministic bytes. Invalid settings, and a model or
     an instance that could not fit in physical memory, are refused before
-    anything is written or any instance is generated. Instances are
-    generated and trained in worker processes (`metrics._fork_map`), as
-    many at once as physical memory holds at `_instance_bytes` each, and
-    their paths extracted and measured here, in seed order."""
+    anything is written or any instance is generated."""
     t0 = time.perf_counter()
     suite.validate()
     flat = suite.to_flat_dict()
@@ -552,10 +516,7 @@ def run_suite(suite: SuiteConfig, out_dir=None):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.json").write_text(json_text(flat))
-    seeds = range(suite.base_seed, suite.base_seed + suite.n_instances)
-    with closing(_fork_map(lambda seed: _train_instance(suite, seed), seeds,
-                           suite._instance_bytes())) as trained:
-        instances = [run_instance(suite, seed, trained) for seed in seeds]
+    instances = [run_instance(suite, suite.base_seed + i) for i in range(suite.n_instances)]
     modes = suite.modes()
     agg = {"n_instances": suite.n_instances, "modes": {}}
     for mode in modes:

@@ -139,10 +139,12 @@ def _fork_map(fn, items, job_bytes: int = 0):
     returns, pickled into a pipe, or the exception `fn` raised, then ends in
     `os._exit`. The exception is raised here at its item's turn, as a
     serial run raises it; a child that ends without sending anything raises
-    WorkerError there. Use the generator in `contextlib.closing`: closing it
-    kills and reaps every child still running. A fork copies only the
-    calling thread, so call this where no other Python thread holds a lock
-    the jobs need.
+    WorkerError there. Where a child cannot be started (no process slot,
+    memory or pipe left), that item and every one not yet started run in
+    this process, as a serial run would, while the children already running
+    finish. Use the generator in `contextlib.closing`: closing it kills and
+    reaps every child still running. A fork copies only the calling thread,
+    so call this where no other Python thread holds a lock the jobs need.
     """
     items = list(items)
     workers = _worker_count(len(items), job_bytes)
@@ -159,8 +161,17 @@ def _fork_map(fn, items, job_bytes: int = 0):
         for i in range(len(items)):
             while i not in outcomes:
                 while len(running) < workers and (job := next(pending, None)):
-                    fd, pid = _fork_call(fn, job[1])
+                    try:
+                        fd, pid = _fork_call(fn, job[1])
+                    except OSError:  # no child now: this job and the rest run here
+                        workers = 0
+                        outcomes[job[0]] = _outcome(fn, job[1])
+                        break
                     running[fd] = (job[0], pid, [])
+                if not running:  # item i was never started
+                    index, item = next(pending)
+                    outcomes[index] = _outcome(fn, item)
+                    continue
                 for fd in select.select(list(running), [], [])[0]:
                     chunk = os.read(fd, 1 << 20)
                     if chunk:
@@ -202,11 +213,7 @@ def _fork_call(fn, item):
     code = 1  # the child: whatever happens, it never returns into the parent's stack
     try:
         os.close(read_end)
-        try:
-            outcome = (True, fn(item))
-        except Exception as exc:  # the parent raises it at this item's turn
-            outcome = (False, exc)
-        data = memoryview(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        data = memoryview(pickle.dumps(_outcome(fn, item), pickle.HIGHEST_PROTOCOL))
         while data:
             data = data[os.write(write_end, data):]
         code = 0
@@ -214,22 +221,20 @@ def _fork_call(fn, item):
         os._exit(code)
 
 
+def _outcome(fn, item):
+    """(True, fn(item)), or (False, the exception it raised): `_fork_map`
+    raises the exception at its item's turn."""
+    try:
+        return True, fn(item)
+    except Exception as exc:
+        return False, exc
+
+
 def _is_explainable(model, g, target, cfg: EvalConfig):
     gc = prepare_computation_graph(g, target, cfg.k_hop, cfg.k_core, cfg.max_nodes)
     if cfg.threshold_rule == "prob":
         return score_target_masked(model, gc, None, target).probability > 0.5
     return rank_target(model, gc, target) == 1
-
-
-def _explainable(model, g, candidates, cfg: EvalConfig) -> list:
-    """The candidates the explainability rule admits, in candidate order; the
-    rule runs on contiguous chunks of them, one chunk per worker."""
-    n = _worker_count(len(candidates))
-    chunks = [candidates[k * len(candidates) // n:(k + 1) * len(candidates) // n]
-              for k in range(n)]
-    with closing(_fork_map(lambda chunk: [_is_explainable(model, g, t, cfg) for t in chunk],
-                           chunks)) as admitted:
-        return [t for chunk, keep in zip(chunks, admitted) for t, ok in zip(chunk, keep) if ok]
 
 
 def _train_one(model, g, cfg: EvalConfig, target):
@@ -244,13 +249,12 @@ def _train_one(model, g, cfg: EvalConfig, target):
 def evaluate_batch(model: KgcModel, g: KnowledgeGraph, candidates, cfg: EvalConfig):
     """Filter candidates by the explainability rule, sample deterministically,
     explain each, and aggregate a MetricReport plus one CSV-ready row per
-    target. The filter and the explainers' training run in worker processes
-    (`_fork_map`); paths are extracted and measured here, in target order.
-    A row's `wall_time_s` is its target's training, extraction and
-    measurement time."""
+    target. The explainers' training runs in worker processes (`_fork_map`);
+    the filter, and the paths' extraction and measurement, run here, in
+    target order. A row's `wall_time_s` is its target's training, extraction
+    and measurement time."""
     cfg.validate()
-    candidates = list(candidates)
-    explainable = _explainable(model, g, candidates, cfg)
+    explainable = [t for t in candidates if _is_explainable(model, g, t, cfg)]
     if not explainable:
         raise DataError(
             "no explainable target triples under rule "

@@ -141,17 +141,12 @@ def _refuse_beyond_memory(nbytes, what):
                             "of physical memory")
 
 
-def _model_bytes(num_entities, num_relations, dim, layers, bases):
-    """A model's parameters and gradients: 16 bytes per float."""
-    return 16 * param_count(num_entities, num_relations, dim, layers, bases)
-
-
 def _refuse_model_beyond_memory(num_entities, num_relations, dim, layers, bases):
     """ContractError when a model's parameters and gradients, 16 bytes per
     float, exceed physical memory. `KgcModel` checks its settings with it,
     and a suite its model's before it generates an instance."""
     settings = (num_entities, num_relations, dim, layers, bases)
-    _refuse_beyond_memory(_model_bytes(*settings), "model parameters and gradients "
+    _refuse_beyond_memory(16 * param_count(*settings), "model parameters and gradients "
                           "(entities={}, relations={}, dim={}, layers={}, bases={})"
                           .format(*settings))
 

@@ -1,10 +1,10 @@
-"""Worker processes: `evaluate` and `suite` run their independent jobs in
-forked children (`metrics._fork_map`), one per CPU this process may run on.
-Their outputs are the serial run's bytes, their failures the serial run's
-one line and exit code, and no child outlives a run. The worker count is
-set here by patching `os.sched_getaffinity`, as `taskset` sets it."""
+"""Worker processes: `evaluate` trains its targets' explainers in forked
+children (`metrics._fork_map`), one per CPU this process may run on. Its
+outputs are the serial run's bytes, its failures the serial run's one line
+and exit code, and no child outlives a run. The worker count is set here by
+patching `os.sched_getaffinity`, as `taskset` sets it."""
 
-import json
+import errno
 import os
 import pickle
 import signal
@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import kgexplain.harness as hs
 import kgexplain.metrics as mt
 from kgexplain.autodiff import ParamStore
 from kgexplain.cli import main
 from kgexplain.errors import ContractError, DataError, NumericError, WorkerError
-from kgexplain.harness import PlantedConfig, SuiteConfig, run_suite
+from kgexplain.harness import PlantedConfig
 from test_cli import dataset, error_lines, reliant_checkpoint  # noqa: F401 - fixtures
 from test_model import _physical_memory
 
@@ -49,6 +48,24 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return pids
+
+
+@pytest.fixture
+def second_call_fails(monkeypatch):
+    """second_call_fails(name, error): the second call of `os.<name>` from now
+    on raises `error`; returns the list of calls made."""
+    def patch(name, error):
+        calls, real = [], getattr(os, name)
+
+        def call():
+            calls.append(name)
+            if len(calls) == 2:
+                raise error
+            return real()
+
+        monkeypatch.setattr(os, name, call)
+        return calls
+    return patch
 
 
 def assert_no_children():
@@ -143,6 +160,24 @@ def test_a_worker_that_ends_without_a_result_raises_worker_error(cpus, end, how)
     assert_no_children()
 
 
+@pytest.mark.parametrize("name, error", [
+    ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    ("fork", OSError(errno.ENOMEM, "Cannot allocate memory")),
+    ("pipe", OSError(errno.EMFILE, "Too many open files")),
+])
+def test_a_job_whose_child_cannot_start_runs_in_this_process(cpus, second_call_fails,
+                                                              name, error):
+    cpus(2)
+    calls = second_call_fails(name, error)
+    results = list(mt._fork_map(lambda x: (x, os.getpid()), range(4)))
+    assert [x for x, _ in results] == [0, 1, 2, 3]
+    # item 0 ran in the child started first; no child is started after the failure
+    assert results[0][1] != os.getpid()
+    assert [pid for _, pid in results[1:]] == [os.getpid()] * 3
+    assert len(calls) == 2
+    assert_no_children()
+
+
 def test_a_param_store_pickles_as_one_buffer():
     # a worker sends its models and explainers back pickled
     store = ParamStore({"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)})
@@ -170,28 +205,6 @@ def test_workers_drop_to_what_physical_memory_holds(cpus, monkeypatch):
     assert mt._worker_count(9, 10**6) == 4  # no bound where sysconf cannot tell
 
 
-def reliant_suite(n_instances=3, **kw):
-    return SuiteConfig(n_instances=n_instances, model_source="reliant", ablations=True, hops=2,
-                       instance=PlantedConfig(n_entities=30, n_distractors=10,
-                                              n_context_groups=2),
-                       **kw)
-
-
-@pytest.mark.parametrize("fits, forked", [(1, 0), (2, 3)])
-def test_a_suite_runs_as_many_instances_at_once_as_memory_holds(cpus, forks, monkeypatch,
-                                                               fits, forked):
-    # room for one instance's bound (its model, its names and hop counts and
-    # its explainers' walks) runs the suite in this process
-    need = reliant_suite()._instance_bytes()
-    _physical_memory(monkeypatch, fits * need + need // 2)
-    cpus(2)
-    got = run_suite(reliant_suite())
-    assert len(forks) == forked
-    assert_no_children()
-    cpus(1)
-    assert repr(got["instances"]) == repr(run_suite(reliant_suite())["instances"])
-
-
 def test_an_evaluate_job_too_large_for_two_runs_alone(cpus, forks, monkeypatch):
     # power_order 2**31 walks over up to 30 nodes: one job's refusal bound
     # exceeds memory, so the run is serial and refuses as the serial run does
@@ -204,8 +217,7 @@ def test_an_evaluate_job_too_large_for_two_runs_alone(cpus, forks, monkeypatch):
     cpus(2)
     with pytest.raises(ContractError, match=r"^the walk counts and power steps \(power_order"):
         mt.evaluate_batch(model, inst.graph, [inst.target] * 3, cfg)
-    # the filter ran in two workers, the explainers in none
-    assert len(forks) == 2
+    assert forks == []
     assert_no_children()
 
 
@@ -213,18 +225,9 @@ def test_an_evaluate_job_too_large_for_two_runs_alone(cpus, forks, monkeypatch):
 
 
 def evaluate_args(train, ckpt_dir, out):
-    # every training triple is a candidate: the filter and the explainers
-    # have several jobs each
+    # every training triple is a candidate: several targets are explained
     return ["evaluate", "--train", str(train), "--checkpoint", str(ckpt_dir / "model.plnk"),
             "--out_dir", str(out), "--k_hop", "2", "--epochs", "5", "--seed", "3"]
-
-
-def suite_args(tmp_path, out):
-    cfg = tmp_path / "suite.json"
-    cfg.write_text(json.dumps({"n_instances": 3, "model_source": "reliant", "hops": 2,
-                               "instance.n_entities": 30, "instance.n_distractors": 10,
-                               "instance.n_context_groups": 2, "explain.epochs": 5}))
-    return ["suite", "--config", str(cfg), "--out_dir", str(out), "--ablations"]
 
 
 def output_bytes(out: Path) -> dict:
@@ -243,28 +246,36 @@ def output_bytes(out: Path) -> dict:
     return files
 
 
-@pytest.mark.parametrize("command", ["evaluate", "suite"])
 def test_outputs_are_the_same_bytes_with_one_or_two_workers(tmp_path, dataset, reliant_checkpoint,
-                                                            cpus, forks, command):
+                                                            cpus, forks):
     train, _ = dataset
     outputs = {}
     for n in (1, 2):
         out = tmp_path / f"workers{n}"
-        args = (evaluate_args(train, reliant_checkpoint, out) if command == "evaluate"
-                else suite_args(tmp_path, out))
         cpus(n)
-        assert main(args) == 0
+        assert main(evaluate_args(train, reliant_checkpoint, out)) == 0
         outputs[n] = output_bytes(out)
         assert_no_children()
-    # evaluate: the filter's two chunks and at least two explained targets
-    assert len(forks) >= 4 if command == "evaluate" else len(forks) == 3
-    if command == "evaluate":
-        rows = outputs[1]["per_target.csv"].splitlines()
-        assert len(rows) >= 3  # a header and at least two targets
+    rows = outputs[1]["per_target.csv"].splitlines()
+    assert len(rows) >= 3  # a header and at least two targets
+    assert len(forks) == len(rows) - 1  # one child per target, with two workers only
     assert outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("command", ["evaluate", "suite"])
+def test_evaluate_finishes_in_this_process_when_a_child_cannot_start(
+        tmp_path, dataset, reliant_checkpoint, cpus, second_call_fails):
+    train, _ = dataset
+    cpus(1)
+    assert main(evaluate_args(train, reliant_checkpoint, tmp_path / "serial")) == 0
+    cpus(2)
+    calls = second_call_fails("fork", BlockingIOError(errno.EAGAIN,
+                                                      "Resource temporarily unavailable"))
+    assert main(evaluate_args(train, reliant_checkpoint, tmp_path / "workers")) == 0
+    assert len(calls) == 2
+    assert_no_children()
+    assert output_bytes(tmp_path / "workers") == output_bytes(tmp_path / "serial")
+
+
 @pytest.mark.parametrize("error, code", [
     (NumericError("non-finite value produced by op 'tes'"), 4),
     (DataError("a data failure"), 3),
@@ -273,63 +284,34 @@ def test_outputs_are_the_same_bytes_with_one_or_two_workers(tmp_path, dataset, r
 ])
 def test_a_worker_failure_gives_the_serial_line_and_exit_code(tmp_path, dataset,
                                                               reliant_checkpoint, cpus,
-                                                              monkeypatch, caplog, command,
-                                                              error, code):
+                                                              monkeypatch, caplog, error, code):
     train, _ = dataset
 
     def fail(*args, **kwargs):
         raise error
 
-    # evaluate: the explainer of each target; suite: each instance's explainers
-    owner, name = (mt, "train_explainer") if command == "evaluate" else (hs, "train_explainers")
-    monkeypatch.setattr(owner, name, fail)
+    monkeypatch.setattr(mt, "train_explainer", fail)
     lines = {}
     for n in (1, 2):
-        out = tmp_path / f"workers{n}"
-        args = (evaluate_args(train, reliant_checkpoint, out) if command == "evaluate"
-                else suite_args(tmp_path, out))
         cpus(n)
         caplog.clear()
-        assert main(args) == code
+        assert main(evaluate_args(train, reliant_checkpoint, tmp_path / f"workers{n}")) == code
         lines[n] = error_lines(caplog)
         assert_no_children()
     assert len(lines[1]) == 1 and lines[1] == lines[2]
 
 
-@pytest.mark.parametrize("command", ["evaluate", "suite"])
 def test_a_worker_that_dies_gives_one_line(tmp_path, dataset, reliant_checkpoint, cpus,
-                                           monkeypatch, caplog, command):
+                                           monkeypatch, caplog):
     train, _ = dataset
-    die = in_child(lambda: os.kill(os.getpid(), signal.SIGKILL))
-    owner, name = (mt, "train_explainer") if command == "evaluate" else (hs, "train_explainers")
-    monkeypatch.setattr(owner, name, die)
-    out = tmp_path / "o"
-    args = (evaluate_args(train, reliant_checkpoint, out) if command == "evaluate"
-            else suite_args(tmp_path, out))
+    monkeypatch.setattr(mt, "train_explainer",
+                        in_child(lambda: os.kill(os.getpid(), signal.SIGKILL)))
     cpus(2)
-    assert main(args) == 2
+    assert main(evaluate_args(train, reliant_checkpoint, tmp_path / "o")) == 2
     [line] = error_lines(caplog)
-    assert line.startswith(f"{command}: worker process ")
+    assert line.startswith("evaluate: worker process ")
     assert line.endswith(" was killed by signal 9 before it sent its result")
     assert_no_children()
-
-
-def test_a_filter_worker_failure_gives_the_serial_line(tmp_path, dataset, reliant_checkpoint,
-                                                       cpus, monkeypatch, caplog):
-    train, _ = dataset
-
-    def refuse(model, g, target, cfg):
-        raise DataError(f"cannot score target {target.head}")
-
-    monkeypatch.setattr(mt, "_is_explainable", refuse)
-    lines = []
-    for n in (1, 2):
-        cpus(n)
-        caplog.clear()
-        assert main(evaluate_args(train, reliant_checkpoint, tmp_path / f"w{n}")) == 3
-        lines.append(error_lines(caplog))
-        assert_no_children()
-    assert len(lines[0]) == 1 and lines[0] == lines[1]
 
 
 # -- one BLAS thread -----------------------------------------------------------------

@@ -17,7 +17,11 @@ split: the input [h_src, r, h_dst | h_i, r_t, h_k] has a last block that
 is the same target row for every edge, so
 `x @ w1 = xe @ w1[:3d] + (xt @ w1[3d:])`, with xe (E, 3d) and xt (3d,), and
 the bottom block of w1's gradient is `outer(xt, column sums of the layer-1
-adjoint)`. This halves the widest matmul and its backward.
+adjoint)`. This halves the widest matmul and its backward. On an ego-graph
+of at least 4,096 edges the op's row-wise work runs in row blocks, one per
+CPU, the others on helper threads of this process (`_row_blocks`), and its
+outputs are the one-block bits whatever the CPU count; there is no setting
+for it, and `taskset -c 0` gives one block.
 
 Training maximises the length-normalised on-path probability obtained by
 repeatedly multiplying the target row of the score matrix into the
@@ -71,8 +75,11 @@ apply only at extraction time.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import heapq
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -310,6 +317,87 @@ def _checked_sum(g, op):
     return total
 
 
+def _finite_rows(y):
+    """`autodiff._all_finite(y)` for one row block of a layer. Its sum is
+    finite only when every entry is; an overflowing sum of finite entries is
+    settled by the whole check, which allocates."""
+    return ad._all_finite(y.sum()) or ad._all_finite(y)
+
+
+# A row block of `TesOp` has at least this many rows, and every boundary
+# falls on a multiple of ROW_ALIGN rows, so that each block's products are
+# the whole products' rows, bit for bit. A one-row piece of a product takes
+# another BLAS call, and pieces of the gemv `z2 @ w3` that start or end off
+# such a multiple rounded a few entries differently; aligned pieces matched
+# in every case measured (OpenBLAS 0.3.31, inner sizes 3 to 64).
+ROW_BLOCK_MIN, ROW_ALIGN = 2048, 64
+
+# (pid, threads, executor) of the helper pool this process made: kept for
+# the process's life, like the BLAS pin, so that no epoch starts a thread
+_helpers = None
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (1 where the OS does not say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _row_blocks(rows: int) -> list:
+    """The bounds [0, ..., rows] of `TesOp`'s row blocks: one block per CPU,
+    as many as hold `ROW_BLOCK_MIN` rows each, with every inner bound a
+    multiple of `ROW_ALIGN`. Fewer than twice the minimum is one block."""
+    if rows < 2 * ROW_BLOCK_MIN:
+        return [0, rows]
+    blocks, chunks = min(_cpus(), rows // ROW_BLOCK_MIN), rows // ROW_ALIGN
+    return [ROW_ALIGN * (k * chunks // blocks) for k in range(blocks)] + [rows]
+
+
+def _helper_pool(threads: int):
+    """This process's `concurrent.futures.ThreadPoolExecutor` of `threads`
+    helper threads, made on first use. A forked child makes its own, as its
+    parent's threads were not copied. Each thread ignores overflow and
+    invalid values, as `TesOp` does: numpy's error state belongs to each
+    thread."""
+    global _helpers
+    pid = os.getpid()
+    if _helpers is None or _helpers[:2] != (pid, threads):
+        # here, so that a run without row blocks never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
+        if _helpers is not None and _helpers[0] == pid:
+            _helpers[2].shutdown(wait=False)
+        pool = ThreadPoolExecutor(threads, "tes-rows", initializer=functools.partial(
+            np.seterr, over="ignore", invalid="ignore"))
+        _helpers = (pid, threads, pool)
+    return _helpers[2]
+
+
+def _in_blocks(fn, bounds) -> list:
+    """[fn(a, b) for each block [a, b) of `bounds`], the first block in this
+    thread and the others on helper threads. Every block has ended when this
+    returns or raises."""
+    pool = _helper_pool(len(bounds) - 2)
+    futures = [pool.submit(fn, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = fn(bounds[0], bounds[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits for it to end
+    return [first] + [f.result() for f in futures]
+
+
+@contextlib.contextmanager
+def _beside(bounds, fn, *args, **kwargs):
+    """Run `fn(*args, **kwargs)` on a helper thread while the block runs
+    here; leaving the block waits for it and raises what it raised."""
+    future = _helper_pool(len(bounds) - 2).submit(fn, *args, **kwargs)
+    try:
+        yield
+    finally:
+        future.exception()  # waits for it to end
+    future.result()
+
+
 class TesOp:
     """The TES MLP as one tape op with a hand-written backward.
 
@@ -334,6 +422,24 @@ class TesOp:
     a time with the 2-D product's BLAS call, and the bias and column sums
     run along the same axes, so each row's numbers are those of a batch of
     one with its weights.
+
+    On a large ego-graph the row-wise work runs over row blocks
+    (`_row_blocks`), one per CPU, the first in the calling thread and the
+    others on helper threads (`_in_blocks`): the three layers' products,
+    bias adds, ReLUs and finite checks, and in the backward the ReLU masks
+    and the products that make the hidden adjoints. Each edge's row of that
+    work depends on that row alone, and a product's rows are the same bits
+    in an aligned block as in the whole, so the scores and gradients do not
+    depend on the CPU count. When a layer is not finite in some block, the
+    first such layer is named, as the whole op would name it. The rest
+    stays whole: the sigmoid, the output adjoint, the column sums and the
+    weight gradients, whose inner sums run over the edges; two of those run
+    on a helper thread while this thread takes the column sums and the
+    layer-1 mask (`_beside`). A helper writes only into arrays this thread
+    made, and each hidden adjoint is written into the buffer of the
+    activation it replaces, so the blocks allocate what the whole op does.
+    With one block (fewer than twice `ROW_BLOCK_MIN` rows, or one CPU) the
+    op makes its whole-array numpy calls and starts no thread.
     """
 
     def __init__(self, xe, xt=None):
@@ -348,16 +454,47 @@ class TesOp:
         w1, b1, w2, b2, w3, b3 = (ad._val(params[name]) for name in TES_PARAMS)
         xe, xt = self.xe, self.xt
         split = xe.shape[1]
-        z1 = xe @ w1[..., :split, :]
-        z1 += (b1 if xt is None else xt @ w1[..., split:, :] + b1)[..., None, :]
-        ad._check_finite(z1, "tes_mlp:layer1")
-        np.maximum(z1, 0.0, out=z1)
-        z2 = z1 @ w2
-        z2 += b2[..., None, :]
-        ad._check_finite(z2, "tes_mlp:layer2")
-        np.maximum(z2, 0.0, out=z2)
-        logit = z2 @ w3 + b3[..., None, :]
-        ad._check_finite(logit, "tes_mlp:layer3")
+        bounds = _row_blocks(len(xe))
+        if len(bounds) == 2:
+            z1 = xe @ w1[..., :split, :]
+            z1 += (b1 if xt is None else xt @ w1[..., split:, :] + b1)[..., None, :]
+            ad._check_finite(z1, "tes_mlp:layer1")
+            np.maximum(z1, 0.0, out=z1)
+            z2 = z1 @ w2
+            z2 += b2[..., None, :]
+            ad._check_finite(z2, "tes_mlp:layer2")
+            np.maximum(z2, 0.0, out=z2)
+            logit = z2 @ w3 + b3[..., None, :]
+            ad._check_finite(logit, "tes_mlp:layer3")
+        else:
+            w1e = w1[..., :split, :]
+            bias1 = (b1 if xt is None else xt @ w1[..., split:, :] + b1)[..., None, :]
+            batch, rows = w1.shape[0], len(xe)
+            z1 = np.empty((batch, rows, TES_HIDDEN[0]))
+            z2 = np.empty((batch, rows, TES_HIDDEN[1]))
+            logit = np.empty((batch, rows, 1))
+
+            def layers(a, b):
+                """The three layers of rows [a, b): 0, or the first layer
+                that is not finite there."""
+                y1, y2, y3 = z1[:, a:b], z2[:, a:b], logit[:, a:b]
+                np.matmul(xe[a:b], w1e, out=y1)
+                y1 += bias1
+                if not _finite_rows(y1):
+                    return 1
+                np.maximum(y1, 0.0, out=y1)
+                np.matmul(y1, w2, out=y2)
+                y2 += b2[..., None, :]
+                if not _finite_rows(y2):
+                    return 2
+                np.maximum(y2, 0.0, out=y2)
+                np.matmul(y2, w3, out=y3)
+                y3 += b3[..., None, :]
+                return 0 if _finite_rows(y3) else 3
+
+            failed = [layer for layer in _in_blocks(layers, bounds) if layer]
+            if failed:
+                raise NumericError(f"non-finite value produced by op 'tes_mlp:layer{min(failed)}'")
         out = ad._sigmoid_value(logit)
         scores = out.reshape(out.shape[:-1])
 
@@ -367,19 +504,48 @@ class TesOp:
             with np.errstate(over="ignore", invalid="ignore"):
                 g3 = g.reshape(out.shape) * out * (1.0 - out)
                 gb3 = _checked_sum(g3, "tes_mlp:layer3 adjoint")
-                gw3, on2 = z2.swapaxes(-1, -2) @ g3, z2 > 0.0
-                z2 = None
-                g2 = g3 * w3.swapaxes(-1, -2)
-                g2 *= on2
-                on2 = None
-                gb2 = _checked_sum(g2, "tes_mlp:layer2 adjoint")
-                gw2, on1 = z1.swapaxes(-1, -2) @ g2, z1 > 0.0
-                z1 = None
-                g1 = g2 @ w2.swapaxes(-1, -2)
-                g2 = None
-                g1 *= on1
-                gb1 = _checked_sum(g1, "tes_mlp:layer1 adjoint")
-                gw1 = xe.T @ g1
+                if len(bounds) == 2:
+                    gw3, on2 = z2.swapaxes(-1, -2) @ g3, z2 > 0.0
+                    z2 = None
+                    g2 = g3 * w3.swapaxes(-1, -2)
+                    g2 *= on2
+                    on2 = None
+                    gb2 = _checked_sum(g2, "tes_mlp:layer2 adjoint")
+                    gw2, on1 = z1.swapaxes(-1, -2) @ g2, z1 > 0.0
+                    z1 = None
+                    g1 = g2 @ w2.swapaxes(-1, -2)
+                    g2 = None
+                    g1 *= on1
+                    gb1 = _checked_sum(g1, "tes_mlp:layer1 adjoint")
+                    gw1 = xe.T @ g1
+                else:
+                    gw3, on2 = z2.swapaxes(-1, -2) @ g3, np.empty(z2.shape, bool)
+
+                    def layer2(a, b):
+                        # the layer-2 adjoint of rows [a, b), into z2's buffer
+                        y = z2[:, a:b]
+                        np.greater(y, 0.0, out=on2[:, a:b])
+                        np.multiply(g3[:, a:b], w3.swapaxes(-1, -2), out=y)
+                        y *= on2[:, a:b]
+
+                    _in_blocks(layer2, bounds)
+                    g2, z2, on2 = z2, None, None
+                    gw2 = np.empty(w2.shape)
+                    with _beside(bounds, np.matmul, z1.swapaxes(-1, -2), g2, out=gw2):
+                        gb2 = _checked_sum(g2, "tes_mlp:layer2 adjoint")
+                        on1 = z1 > 0.0
+
+                    def layer1(a, b):
+                        # the layer-1 adjoint of rows [a, b), into z1's buffer
+                        y = z1[:, a:b]
+                        np.matmul(g2[:, a:b], w2.swapaxes(-1, -2), out=y)
+                        y *= on1[:, a:b]
+
+                    _in_blocks(layer1, bounds)
+                    g1, z1, g2, on1 = z1, None, None, None
+                    gw1 = np.empty((len(g1), split, TES_HIDDEN[0]))
+                    with _beside(bounds, np.matmul, xe.T, g1, out=gw1):
+                        gb1 = _checked_sum(g1, "tes_mlp:layer1 adjoint")
                 if xt is not None:
                     # np.outer(xt, gb1) per row
                     gw1 = np.concatenate([gw1, xt[:, None] * gb1[..., None, :]], axis=-2)

@@ -24,6 +24,7 @@ from .explain import (
     EdgeScoreMatrix,
     ExplainConfig,
     Explanation,
+    _cpus,
     _walk_bytes,
     generate_paths,
     prepare_computation_graph,
@@ -119,9 +120,9 @@ def _worker_count(jobs: int, job_bytes: int = 0) -> int:
     fit in physical memory at `job_bytes` each (a lower bound on what one
     job needs). 1, this process alone, where `os.fork` or the CPU set is
     missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if not hasattr(os, "fork"):
         return 1
-    workers = min(len(os.sched_getaffinity(0)), jobs)
+    workers = min(_cpus(), jobs)
     physical = _physical_memory()
     if job_bytes and physical:
         workers = min(workers, physical // job_bytes)
@@ -145,6 +146,11 @@ def _fork_map(fn, items, job_bytes: int = 0):
     finish. Use the generator in `contextlib.closing`: closing it kills and
     reaps every child still running. A fork copies only the calling thread,
     so call this where no other Python thread holds a lock the jobs need.
+    The package's own threads, `explain.TesOp`'s row-block helpers, are idle
+    between calls (each call waits for its helpers before it returns or
+    raises), and a child that trains a large ego-graph starts helpers of its
+    own (`explain._helper_pool` is per process), so its `TesOp` runs on as
+    many threads as the parent's would.
     """
     items = list(items)
     workers = _worker_count(len(items), job_bytes)

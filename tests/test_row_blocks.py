@@ -1,0 +1,339 @@
+"""`TesOp`'s row blocks: on an ego-graph of at least two blocks' rows the
+op runs its row-wise work in blocks, one per CPU, the first in the calling
+thread and the others on helper threads. Its scores, gradients, failures
+and the explainer's outputs are those of one block, bit for bit, whatever
+the CPU count. The CPU count is set here by patching `os.sched_getaffinity`,
+as `taskset` sets it, or in child interpreters by `os.sched_setaffinity`."""
+
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import kgexplain.explain as ex
+from kgexplain import autodiff as ad
+from kgexplain.cli import main
+from kgexplain.errors import NumericError
+from kgexplain.kgraph import KnowledgeGraph, TargetTriple, load_triples
+from kgexplain.model import KgcModel, save_checkpoint
+from test_cli import error_lines
+from test_workers import assert_no_children, cpus, output_bytes  # noqa: F401 - fixture
+
+TESTS = str(Path(__file__).resolve().parent)
+SRC = str(Path(TESTS).parent / "src")
+
+
+def random_kg(seed, n, m, relations=6):
+    """A random KG whose 2-hop ego-graphs hold nearly all of its m triples."""
+    rng = np.random.default_rng(seed)
+    triples = np.unique(np.stack([rng.integers(0, n, m), rng.integers(0, relations, m),
+                                  rng.integers(0, n, m)], axis=1), axis=0)
+    return KnowledgeGraph(n, relations, triples[:, 0], triples[:, 1], triples[:, 2]), triples
+
+
+def ego_case(seed, n, m):
+    """(KG, target, its 2-hop ego-graph) of `random_kg`."""
+    g, triples = random_kg(seed, n, m)
+    target = TargetTriple(*(int(x) for x in triples[0]))
+    return g, target, ex.prepare_computation_graph(g, target, 2)
+
+
+# -- the block rule ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 2047, 4095, 4096, 4097, 6953, 8960, 12_288, 100_003])
+@pytest.mark.parametrize("n_cpus", [1, 2, 3, 8])
+def test_row_blocks_follow_the_block_rule(cpus, rows, n_cpus):
+    cpus(n_cpus)
+    bounds = ex._row_blocks(rows)
+    assert bounds[0] == 0 and bounds[-1] == rows
+    assert len(bounds) - 1 == max(1, min(n_cpus, rows // ex.ROW_BLOCK_MIN))
+    if len(bounds) > 2:
+        assert all(b % ex.ROW_ALIGN == 0 for b in bounds[1:-1])
+        assert all(b - a >= ex.ROW_BLOCK_MIN for a, b in zip(bounds, bounds[1:]))
+
+
+# -- the same bits at any CPU count ----------------------------------------------------
+
+
+def tes_pass(xe, xt, tes, upstream):
+    """Scores and the six gradients, as bytes, of one `TesOp` pass."""
+    op = ex.TesOp(xe, xt)
+    with ad.Tape() as tape:
+        scores = op(tape.params(tes))
+        ad.backward(tape, ad.sumall(ad.mul(scores, upstream)))
+    out = scores.value.tobytes(), tes.grad_flat.tobytes()
+    tes.zero_grads()
+    return out
+
+
+def tes_instance(rows, combine, batch=3, dim=16, seed=0):
+    """Random TES inputs, per-row weights that differ, and an upstream adjoint."""
+    rng = np.random.default_rng(seed)
+    width = 3 * dim if combine == "concatenation" else 3
+    xe = rng.normal(size=(rows, width))
+    xt = rng.normal(size=3 * dim) if combine == "concatenation" else None
+    tes = ex.init_tes(combine, dim, seed, batch)
+    tes.flat += rng.normal(0.0, 0.05, tes.flat.size)
+    return xe, xt, tes, rng.normal(size=(batch, rows))
+
+
+@pytest.mark.parametrize("rows", [4096, 6953, 7436, 9_999])
+@pytest.mark.parametrize("combine", ["concatenation", "euclidean"])
+def test_tes_scores_and_gradients_do_not_depend_on_the_blocks(cpus, rows, combine):
+    xe, xt, tes, upstream = tes_instance(rows, combine)
+    cpus(1)
+    whole = tes_pass(xe, xt, tes, upstream)
+    for n in (2, 3, 4):
+        cpus(n)
+        assert len(ex._row_blocks(rows)) - 1 == min(n, rows // ex.ROW_BLOCK_MIN)
+        assert tes_pass(xe, xt, tes, upstream) == whole, n
+
+
+def test_more_blocks_than_cores_under_a_short_switch_interval(cpus):
+    """Four blocks on three helper threads, with the interpreter switching
+    threads as often as it can: every pass is the one-block bits."""
+    xe, xt, tes, upstream = tes_instance(9_999, "concatenation")
+    cpus(1)
+    whole = tes_pass(xe, xt, tes, upstream)
+    cpus(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < 2.0:
+            assert tes_pass(xe, xt, tes, upstream) == whole
+    finally:
+        sys.setswitchinterval(interval)
+
+
+AFFINITY_CHILD = r"""
+import hashlib
+import os
+import sys
+
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from kgexplain import explain as ex
+from kgexplain.model import KgcModel
+from test_row_blocks import ego_case
+
+modes = {"full": (True, True), "path_off": (False, True), "mi_off": (True, False)}
+cases = [("concatenation dim=4", 0, 300, 7000, 4, "concatenation", ["full"]),
+         ("concatenation dim=16", 3, 400, 9000, 16, "concatenation", ["full"]),
+         ("euclidean", 1, 400, 9000, 8, "euclidean", ["full"]),
+         ("ablation batch", 0, 300, 7000, 8, "concatenation", list(modes))]
+for label, seed, n, m, dim, combine, names in cases:
+    g, target, gc = ego_case(seed, n, m)
+    model = KgcModel(g.num_entities, g.num_relations, dim=dim, seed=seed)
+    configs = [ex.ExplainConfig(epochs=3, combine_mode=combine, enable_path_loss=modes[name][0],
+                                enable_mi_loss=modes[name][1]) for name in names]
+    for name, result in zip(names, ex.train_explainers(model, gc, target, configs)):
+        h = hashlib.sha256()
+        for part in (result.mask.values, result.mask.provenance, repr(result.loss_trace).encode(),
+                     result.tes.flat):
+            h.update(bytes(part))
+        print(f"{label} {name}|{gc.num_edges}|{len(ex._row_blocks(gc.num_edges)) - 1}|"
+              f"{h.hexdigest()}")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to run in")
+def test_explainer_outputs_are_the_same_bytes_on_one_cpu_and_on_all():
+    runs = {}
+    for cpu_set in ("one", "all"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
+        done = subprocess.run([sys.executable, "-c", AFFINITY_CHILD, cpu_set], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs[cpu_set] = [line.split("|") for line in done.stdout.splitlines()]
+    assert len(runs["one"]) == 6  # three lone configs and a batch of three
+    edges = {int(line[1]) for line in runs["one"]}
+    assert min(edges) >= 2 * ex.ROW_BLOCK_MIN and any(e % ex.ROW_ALIGN for e in edges)
+    assert {line[2] for line in runs["one"]} == {"1"}
+    assert all(int(line[2]) >= 2 for line in runs["all"])
+    for one, every in zip(runs["one"], runs["all"]):
+        assert (one[0], one[1], one[3]) == (every[0], every[1], every[3]), one[0]
+
+
+# -- failures on the helper threads ----------------------------------------------------
+
+
+def failure(fn):
+    """The NumericError text `fn()` raises, with any warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as info:
+            fn()
+    return str(info.value)
+
+
+def forward_failure(xe, xt, tes):
+    return failure(lambda: ex.TesOp(xe, xt)(tes.params))
+
+
+@pytest.mark.parametrize("combine", ["concatenation", "euclidean"])
+def test_a_non_finite_layer_in_a_later_block_fails_as_the_whole_op_does(cpus, combine):
+    rows = 7436
+    xe, xt, tes, _ = tes_instance(rows, combine, batch=1)
+    tes.params["w1"][...] = 0.5
+    tes.params["w2"][...] = 0.5
+    cases = {}
+    nan = xe.copy()
+    nan[rows - 1, 0] = np.nan  # in the last block only
+    cases["tes_mlp:layer1"] = nan
+    # layer 1 about 1e307, so that its sum over the block overflows (a warning
+    # without the helper's own error state), and so does layer 2
+    big = xe.copy()
+    big[rows - 8:] = 2e307 / xe.shape[1]
+    cases["tes_mlp:layer2"] = big
+    # a layer-2 overflow in the first block, a NaN in the second: layer 1 is
+    # the first layer that is not finite
+    both = big.copy()
+    both[:8] = big[-1]
+    both[rows - 1, 0] = np.nan
+    cases["tes_mlp:layer1 first"] = both
+    for name, inputs in cases.items():
+        texts = []
+        for n in (1, 2):
+            cpus(n)
+            texts.append(forward_failure(inputs, xt, tes))
+        op = name.split()[0]
+        assert texts == [f"non-finite value produced by op '{op}'"] * 2, name
+
+
+@pytest.mark.parametrize("edit, op", [
+    (lambda tes, g: g.__setitem__((0, -1), np.nan), "tes_mlp:layer3 adjoint"),
+    (lambda tes, g: (g.__setitem__((0, -1), 1e300), tes.params["w3"].__setitem__(..., 1e10)),
+     "tes_mlp:layer2 adjoint"),
+    (lambda tes, g: (g.__setitem__((0, -1), 1e100), tes.params["w2"].__setitem__(..., 1e307)),
+     "tes_mlp:layer1 adjoint"),
+])
+def test_a_non_finite_adjoint_in_a_later_block_fails_as_the_whole_op_does(cpus, edit, op):
+    """`edit(tes, g)` sets the upstream adjoint of the last row, and weights
+    that the backward reads, between the forward and the backward."""
+    rows = 7436
+    texts = []
+    for n in (1, 2):
+        cpus(n)
+        xe, xt, tes, _ = tes_instance(rows, "concatenation", batch=1)
+        with ad.Tape() as tape:
+            scores = ex.TesOp(xe, xt)(tape.params(tes))
+            g = np.zeros(scores.shape)
+            edit(tes, g)
+            texts.append(failure(lambda: scores.bw(g)))
+    assert texts == [f"non-finite value produced by op '{op}'"] * 2
+
+
+def test_an_interrupt_or_error_leaves_no_stale_result(cpus, monkeypatch):
+    rows = 7436
+    xe, xt, tes, upstream = tes_instance(rows, "concatenation")
+    cpus(1)
+    whole = tes_pass(xe, xt, tes, upstream)
+    cpus(2)
+    real, main_thread = ex._finite_rows, threading.main_thread()
+    for error in (KeyboardInterrupt, ValueError):
+        helper_checks = []
+
+        def check(y):
+            if threading.current_thread() is main_thread:
+                if error is KeyboardInterrupt:
+                    raise KeyboardInterrupt
+            else:
+                time.sleep(0.1)  # still running when the calling thread raises
+                if error is ValueError:
+                    raise ValueError("in a helper")
+                helper_checks.append(y.shape)
+            return real(y)
+
+        monkeypatch.setattr(ex, "_finite_rows", check)
+        with pytest.raises(error):
+            tes_pass(xe, xt, tes, upstream)
+        if error is KeyboardInterrupt:
+            assert len(helper_checks) == 3  # the helper's block ended before the op raised
+        tes.zero_grads()
+        monkeypatch.setattr(ex, "_finite_rows", real)
+        assert tes_pass(xe, xt, tes, upstream) == whole
+
+
+def test_the_cli_exits_4_for_a_nan_in_a_later_block(tmp_path, cpus, monkeypatch, caplog):
+    data, ckpt = big_dataset(tmp_path)
+    g, triples = random_kg(0, 300, 7000)
+    h, r, t = (int(x) for x in triples[0])
+    real = ex._tes_inputs
+
+    def with_nan(*args):
+        xe, xt = real(*args)
+        xe = xe.copy()
+        xe[-1, 0] = np.nan
+        return xe, xt
+
+    monkeypatch.setattr(ex, "_tes_inputs", with_nan)
+    lines = {}
+    for n in (1, 2):
+        cpus(n)
+        caplog.clear()
+        assert main(["explain", "--train", str(data), "--checkpoint", str(ckpt), "--out_dir",
+                     str(tmp_path / f"cpus{n}"), "--head", f"e{h}", "--relation", f"r{r}",
+                     "--tail", f"e{t}", "--k_hop", "2", "--epochs", "2"]) == 4
+        lines[n] = error_lines(caplog)
+    assert len(lines[1]) == 1 and "tes_mlp:layer1" in lines[1][0] and lines[1] == lines[2]
+
+
+# -- worker processes ------------------------------------------------------------------
+
+
+def big_dataset(tmp_path):
+    """(train.tsv, model.plnk) for `random_kg(0, 300, 7000)` and a random model."""
+    g, _ = random_kg(0, 300, 7000)
+    data = tmp_path / "big.tsv"
+    data.write_text("".join(f"e{h}\tr{r}\te{t}\n" for h, r, t in g.triples))
+    loaded = load_triples(data)
+    ckpt = tmp_path / "big.plnk"
+    save_checkpoint(KgcModel(loaded.num_entities, loaded.num_relations, dim=8, seed=2), loaded,
+                    ckpt)
+    return data, ckpt
+
+
+def test_a_forked_worker_makes_its_own_helpers(tmp_path, cpus):
+    """The calling process has helper threads when it forks; a worker that
+    trains an ego-graph of two blocks must start its own, or it waits for
+    threads that were not copied."""
+    data, ckpt = big_dataset(tmp_path)
+    g, triples = random_kg(0, 300, 7000)
+    test = tmp_path / "test.tsv"
+    test.write_text("".join(f"e{h}\tr{r}\te{t}\n" for h, r, t in triples[:6]))
+    for h, r, t in triples[:6]:
+        gc = ex.prepare_computation_graph(g, TargetTriple(int(h), int(r), int(t)), 2)
+        assert gc.num_edges >= 2 * ex.ROW_BLOCK_MIN
+    xe, xt, tes, upstream = tes_instance(7436, "concatenation", batch=1)
+
+    def timeout(*_):
+        raise TimeoutError("evaluate did not finish")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(120)
+    try:
+        outputs = {}
+        for n in (1, 2):
+            cpus(n)
+            tes_pass(xe, xt, tes, upstream)  # this process's helpers, for n = 2
+            out = tmp_path / f"workers{n}"
+            assert main(["evaluate", "--train", str(data), "--checkpoint", str(ckpt), "--test",
+                         str(test), "--out_dir", str(out), "--k_hop", "2", "--epochs", "2",
+                         "--sample_num", "3", "--seed", "1"]) == 0
+            outputs[n] = output_bytes(out)
+            assert_no_children()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(outputs[1]["per_target.csv"].splitlines()) >= 3  # at least two targets
+    assert outputs[1] == outputs[2]

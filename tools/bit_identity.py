@@ -27,6 +27,9 @@ What is digested (float64 arrays by their raw bytes, floats by ``repr``):
   ``layers`` 2 and 3, where the encoder's receptive field of the target's
   head and tail leaves out most edges of the last layer (the planted graphs
   are small enough for the field to hold every edge);
+- the same outputs on a seeded random ego-graph of about 7,000 triples in
+  both combine modes, which `TesOp` splits into row blocks on two or more
+  CPUs (its lines must not change under ``taskset -c 0``);
 - ``generate_planted`` instances of the default, ablation and power-order
   suites at seeds 0-39: the triples, distractors, planted and decoy paths;
 - ``prepare_computation_graph``'s ``nodes``, ``src``, ``rel`` and ``dst`` on a
@@ -284,6 +287,24 @@ def random_ego_lines():
         yield from explain_lines(label, model, g, target, hops=1, modes=("full", "path_off"))
 
 
+def large_ego_lines():
+    """A random KG of 300 entities and 7,000 triples; the target's 2-hop
+    ego-graph holds nearly all of them, enough rows for `TesOp` to split its
+    row-wise work into blocks on two or more CPUs, and a count that is not a
+    multiple of the blocks' 64-row alignment."""
+    rng = np.random.default_rng(0)
+    triples = np.unique(np.stack([rng.integers(0, 300, 7000), rng.integers(0, 6, 7000),
+                                  rng.integers(0, 300, 7000)], axis=1), axis=0)
+    g = KnowledgeGraph(300, 6, triples[:, 0], triples[:, 1], triples[:, 2])
+    target = TargetTriple(*(int(x) for x in triples[0]))
+    edges = prepare_computation_graph(g, target, 2).num_edges
+    if edges < 4096 or edges % 64 == 0:
+        raise SystemExit("bit_identity: the large ego-graph lost its size")
+    model = KgcModel(g.num_entities, g.num_relations, dim=8, seed=3)
+    yield from explain_lines(f"large ego ({edges} triples)", model, g, target, hops=2,
+                             modes=("full",), combine_modes=("concatenation", "euclidean"))
+
+
 def extraction_lines():
     """Ego-graphs of a random KG of 300 entities and 1200 triples: each target
     uncut and cut at the middle of its last distance ring, where the
@@ -449,8 +470,8 @@ def main() -> int:
     logging.basicConfig(level=logging.WARNING)
     total = hashlib.sha256()
     for section in (training_lines, edge_training_lines, planted_lines, edgeless_lines,
-                    explainer_lines, instance_lines, random_ego_lines, extraction_lines,
-                    loader_lines, cli_lines):
+                    explainer_lines, instance_lines, random_ego_lines, large_ego_lines,
+                    extraction_lines, loader_lines, cli_lines):
         with contextlib.redirect_stderr(io.StringIO()):
             lines = list(section())
         for value, label in lines:

@@ -135,6 +135,8 @@ def _reuse_freed_heap():
     something earlier had happened to free a big block: on a 7.4k-triple
     ego-graph, 611k minor page faults against 29k over 250 epochs, and 1.62 s
     against 1.39 s a job. These values are the largest glibc would pick itself.
+    One arena serves every thread, so that `explain.TesOp`'s helper threads
+    do not each hold a heap of their own.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -142,9 +144,10 @@ def _reuse_freed_heap():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8
     mallopt(m_mmap_threshold, 32 << 20)
     mallopt(m_trim_threshold, 64 << 20)
+    mallopt(m_arena_max, 1)
 
 
 def _pin_blas_threads():

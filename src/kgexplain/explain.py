@@ -75,7 +75,6 @@ apply only at extraction time.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import heapq
 import math
@@ -332,8 +331,8 @@ def _finite_rows(y):
 # in every case measured (OpenBLAS 0.3.31, inner sizes 3 to 64).
 ROW_BLOCK_MIN, ROW_ALIGN = 2048, 64
 
-# (pid, threads, executor) of the helper pool this process made: kept for
-# the process's life, like the BLAS pin, so that no epoch starts a thread
+# (pid, executor) of the helper pool this process made: kept for the
+# process's life, like the BLAS pin, so that epochs reuse its threads
 _helpers = None
 
 
@@ -352,50 +351,34 @@ def _row_blocks(rows: int) -> list:
     return [ROW_ALIGN * (k * chunks // blocks) for k in range(blocks)] + [rows]
 
 
-def _helper_pool(threads: int):
-    """This process's `concurrent.futures.ThreadPoolExecutor` of `threads`
-    helper threads, made on first use. A forked child makes its own, as its
-    parent's threads were not copied. Each thread ignores overflow and
-    invalid values, as `TesOp` does: numpy's error state belongs to each
-    thread."""
+def _helper_pool():
+    """This process's `concurrent.futures.ThreadPoolExecutor`, made on first
+    use. A call starts a thread only when it finds none idle, up to one per
+    CPU of the machine, and a pass at fewer CPUs reuses the threads a pass
+    at more started. A forked child makes its own, as its parent's threads
+    were not copied. Each thread ignores overflow and invalid values, as
+    `TesOp` does: numpy's error state belongs to each thread."""
     global _helpers
-    pid = os.getpid()
-    if _helpers is None or _helpers[:2] != (pid, threads):
+    if _helpers is None or _helpers[0] != os.getpid():
         # here, so that a run without row blocks never loads it
         from concurrent.futures import ThreadPoolExecutor
 
-        if _helpers is not None and _helpers[0] == pid:
-            _helpers[2].shutdown(wait=False)
-        pool = ThreadPoolExecutor(threads, "tes-rows", initializer=functools.partial(
-            np.seterr, over="ignore", invalid="ignore"))
-        _helpers = (pid, threads, pool)
-    return _helpers[2]
+        _helpers = (os.getpid(), ThreadPoolExecutor(os.cpu_count(), "tes-rows", initializer=(
+            functools.partial(np.seterr, over="ignore", invalid="ignore"))))
+    return _helpers[1]
 
 
-def _in_blocks(fn, bounds) -> list:
-    """[fn(a, b) for each block [a, b) of `bounds`], the first block in this
-    thread and the others on helper threads. Every block has ended when this
-    returns or raises."""
-    pool = _helper_pool(len(bounds) - 2)
-    futures = [pool.submit(fn, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+def _together(here, *there) -> list:
+    """[here(), *(fn() for fn in there)]: `here` in this thread, each of
+    `there` on a helper thread. Every call has ended when this returns or
+    raises."""
+    futures = [_helper_pool().submit(fn) for fn in there]
     try:
-        first = fn(bounds[0], bounds[1])
+        first = here()
     finally:
         for future in futures:
             future.exception()  # waits for it to end
     return [first] + [f.result() for f in futures]
-
-
-@contextlib.contextmanager
-def _beside(bounds, fn, *args, **kwargs):
-    """Run `fn(*args, **kwargs)` on a helper thread while the block runs
-    here; leaving the block waits for it and raises what it raised."""
-    future = _helper_pool(len(bounds) - 2).submit(fn, *args, **kwargs)
-    try:
-        yield
-    finally:
-        future.exception()  # waits for it to end
-    future.result()
 
 
 class TesOp:
@@ -425,7 +408,7 @@ class TesOp:
 
     On a large ego-graph the row-wise work runs over row blocks
     (`_row_blocks`), one per CPU, the first in the calling thread and the
-    others on helper threads (`_in_blocks`): the three layers' products,
+    others on helper threads (`_together`): the three layers' products,
     bias adds, ReLUs and finite checks, and in the backward the ReLU masks
     and the products that make the hidden adjoints. Each edge's row of that
     work depends on that row alone, and a product's rows are the same bits
@@ -435,11 +418,14 @@ class TesOp:
     stays whole: the sigmoid, the output adjoint, the column sums and the
     weight gradients, whose inner sums run over the edges; two of those run
     on a helper thread while this thread takes the column sums and the
-    layer-1 mask (`_beside`). A helper writes only into arrays this thread
+    layer-1 mask (`_together`). A helper writes only into arrays this thread
     made, and each hidden adjoint is written into the buffer of the
     activation it replaces, so the blocks allocate what the whole op does.
     With one block (fewer than twice `ROW_BLOCK_MIN` rows, or one CPU) the
-    op makes its whole-array numpy calls and starts no thread.
+    op makes its whole-array numpy calls and starts no thread. That branch
+    stays because it is faster there: the blocked code run as one block
+    took 4-13% longer per pass at 440 and 65 rows, and a slice-free version
+    of it 1-5.5% longer at 3k to 65 rows.
     """
 
     def __init__(self, xe, xt=None):
@@ -455,9 +441,12 @@ class TesOp:
         xe, xt = self.xe, self.xt
         split = xe.shape[1]
         bounds = _row_blocks(len(xe))
-        if len(bounds) == 2:
-            z1 = xe @ w1[..., :split, :]
-            z1 += (b1 if xt is None else xt @ w1[..., split:, :] + b1)[..., None, :]
+        blocks = list(zip(bounds, bounds[1:]))
+        w1e = w1[..., :split, :]
+        bias1 = (b1 if xt is None else xt @ w1[..., split:, :] + b1)[..., None, :]
+        if len(blocks) == 1:
+            z1 = xe @ w1e
+            z1 += bias1
             ad._check_finite(z1, "tes_mlp:layer1")
             np.maximum(z1, 0.0, out=z1)
             z2 = z1 @ w2
@@ -467,8 +456,6 @@ class TesOp:
             logit = z2 @ w3 + b3[..., None, :]
             ad._check_finite(logit, "tes_mlp:layer3")
         else:
-            w1e = w1[..., :split, :]
-            bias1 = (b1 if xt is None else xt @ w1[..., split:, :] + b1)[..., None, :]
             batch, rows = w1.shape[0], len(xe)
             z1 = np.empty((batch, rows, TES_HIDDEN[0]))
             z2 = np.empty((batch, rows, TES_HIDDEN[1]))
@@ -492,7 +479,8 @@ class TesOp:
                 y3 += b3[..., None, :]
                 return 0 if _finite_rows(y3) else 3
 
-            failed = [layer for layer in _in_blocks(layers, bounds) if layer]
+            done = _together(*(functools.partial(layers, a, b) for a, b in blocks))
+            failed = [layer for layer in done if layer]
             if failed:
                 raise NumericError(f"non-finite value produced by op 'tes_mlp:layer{min(failed)}'")
         out = ad._sigmoid_value(logit)
@@ -504,8 +492,9 @@ class TesOp:
             with np.errstate(over="ignore", invalid="ignore"):
                 g3 = g.reshape(out.shape) * out * (1.0 - out)
                 gb3 = _checked_sum(g3, "tes_mlp:layer3 adjoint")
-                if len(bounds) == 2:
-                    gw3, on2 = z2.swapaxes(-1, -2) @ g3, z2 > 0.0
+                gw3 = z2.swapaxes(-1, -2) @ g3
+                if len(blocks) == 1:
+                    on2 = z2 > 0.0
                     z2 = None
                     g2 = g3 * w3.swapaxes(-1, -2)
                     g2 *= on2
@@ -519,7 +508,7 @@ class TesOp:
                     gb1 = _checked_sum(g1, "tes_mlp:layer1 adjoint")
                     gw1 = xe.T @ g1
                 else:
-                    gw3, on2 = z2.swapaxes(-1, -2) @ g3, np.empty(z2.shape, bool)
+                    on2 = np.empty(z2.shape, bool)
 
                     def layer2(a, b):
                         # the layer-2 adjoint of rows [a, b), into z2's buffer
@@ -528,12 +517,12 @@ class TesOp:
                         np.multiply(g3[:, a:b], w3.swapaxes(-1, -2), out=y)
                         y *= on2[:, a:b]
 
-                    _in_blocks(layer2, bounds)
+                    _together(*(functools.partial(layer2, a, b) for a, b in blocks))
                     g2, z2, on2 = z2, None, None
                     gw2 = np.empty(w2.shape)
-                    with _beside(bounds, np.matmul, z1.swapaxes(-1, -2), g2, out=gw2):
-                        gb2 = _checked_sum(g2, "tes_mlp:layer2 adjoint")
-                        on1 = z1 > 0.0
+                    (gb2, on1), _ = _together(
+                        lambda: (_checked_sum(g2, "tes_mlp:layer2 adjoint"), z1 > 0.0),
+                        functools.partial(np.matmul, z1.swapaxes(-1, -2), g2, out=gw2))
 
                     def layer1(a, b):
                         # the layer-1 adjoint of rows [a, b), into z1's buffer
@@ -541,11 +530,11 @@ class TesOp:
                         np.matmul(g2[:, a:b], w2.swapaxes(-1, -2), out=y)
                         y *= on1[:, a:b]
 
-                    _in_blocks(layer1, bounds)
+                    _together(*(functools.partial(layer1, a, b) for a, b in blocks))
                     g1, z1, g2, on1 = z1, None, None, None
                     gw1 = np.empty((len(g1), split, TES_HIDDEN[0]))
-                    with _beside(bounds, np.matmul, xe.T, g1, out=gw1):
-                        gb1 = _checked_sum(g1, "tes_mlp:layer1 adjoint")
+                    gb1, _ = _together(lambda: _checked_sum(g1, "tes_mlp:layer1 adjoint"),
+                                       functools.partial(np.matmul, xe.T, g1, out=gw1))
                 if xt is not None:
                     # np.outer(xt, gb1) per row
                     gw1 = np.concatenate([gw1, xt[:, None] * gb1[..., None, :]], axis=-2)

@@ -154,10 +154,9 @@ def _fork_map(fn, items, job_bytes: int = 0):
     """
     items = list(items)
     workers = _worker_count(len(items), job_bytes)
-    if workers < 2:
-        yield from map(fn, items)
-        return
-    import select  # here, so that a run without workers never loads them
+    if workers < 2:  # none: the loop runs every job here, in order
+        workers = 0
+    import select  # here, so that importing the package never loads them
     import signal
 
     pending = iter(enumerate(items))

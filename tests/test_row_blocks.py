@@ -98,8 +98,10 @@ def test_tes_scores_and_gradients_do_not_depend_on_the_blocks(cpus, rows, combin
 
 
 def test_more_blocks_than_cores_under_a_short_switch_interval(cpus):
-    """Four blocks on three helper threads, with the interpreter switching
-    threads as often as it can: every pass is the one-block bits."""
+    """Four blocks, three of them on the helper pool (which runs some one
+    after another on a machine of fewer than three CPUs), with the
+    interpreter switching threads as often as it can: every pass is the
+    one-block bits."""
     xe, xt, tes, upstream = tes_instance(9_999, "concatenation")
     cpus(1)
     whole = tes_pass(xe, xt, tes, upstream)
@@ -162,6 +164,67 @@ def test_explainer_outputs_are_the_same_bytes_on_one_cpu_and_on_all():
     assert all(int(line[2]) >= 2 for line in runs["all"])
     for one, every in zip(runs["one"], runs["all"]):
         assert (one[0], one[1], one[3]) == (every[0], every[1], every[3]), one[0]
+
+
+# -- the helper threads ---------------------------------------------------------------
+
+
+def helper_threads():
+    return sum(t.name.startswith("tes-rows") for t in threading.enumerate())
+
+
+def test_one_helper_pool_serves_every_cpu_count(cpus, monkeypatch):
+    """The pool a pass at two CPUs made serves a pass at four and one at two
+    again: it is neither replaced nor grown past the helpers a pass ran at
+    once."""
+    xe, xt, tes, upstream = tes_instance(9_999, "concatenation")
+    cpus(1)
+    whole = tes_pass(xe, xt, tes, upstream)
+    monkeypatch.setattr(ex, "_helpers", None)  # a pool of this test's own
+    earlier = helper_threads()
+    pools, helpers = [], []
+    for n in (2, 4, 2):
+        cpus(n)
+        assert tes_pass(xe, xt, tes, upstream) == whole, n
+        pools.append(ex._helper_pool())
+        helpers.append(helper_threads() - earlier)
+    pools[0].shutdown()
+    assert pools[0] is pools[1] is pools[2]
+    assert all(1 <= h <= 3 for h in helpers) and helpers[2] == helpers[1], helpers
+
+
+ONE_BLOCK_CHILD = r"""
+import os
+import threading
+
+from kgexplain import explain as ex
+from kgexplain.model import KgcModel
+from test_row_blocks import ego_case
+
+for m in (1500, 7000):
+    g, target, gc = ego_case(0, 300, m)
+    model = KgcModel(g.num_entities, g.num_relations, dim=8, seed=0)
+    ex.train_explainer(model, gc, target, ex.ExplainConfig(epochs=2))
+    print(len(os.sched_getaffinity(0)), gc.num_edges, threading.active_count() - 1,
+          int(ex._helpers is not None))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to run in")
+def test_one_block_starts_no_thread():
+    """On every CPU this process has, an ego-graph below two blocks' rows
+    trains with no thread but the main one and no pool; a larger one then
+    starts helpers, at most one per block but the first."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
+    done = subprocess.run([sys.executable, "-c", ONE_BLOCK_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    (n_cpus, small, threads, pool), (_, large, helpers, pools) = (
+        [int(x) for x in line.split()] for line in done.stdout.splitlines())
+    assert small < 2 * ex.ROW_BLOCK_MIN <= large
+    assert (threads, pool) == (0, 0)
+    assert 1 <= helpers <= min(n_cpus, large // ex.ROW_BLOCK_MIN) - 1 and pools == 1
 
 
 # -- failures on the helper threads ----------------------------------------------------

@@ -170,6 +170,7 @@ def test_explainer_outputs_are_the_same_bytes_on_one_cpu_and_on_all():
 
 
 def helper_threads():
+    """How many threads of `explain._helper_pool` pools are alive."""
     return sum(t.name.startswith("tes-rows") for t in threading.enumerate())
 
 

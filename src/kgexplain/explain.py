@@ -19,9 +19,10 @@ is the same target row for every edge, so
 the bottom block of w1's gradient is `outer(xt, column sums of the layer-1
 adjoint)`. This halves the widest matmul and its backward. On an ego-graph
 of at least 4,096 edges the op's row-wise work runs in row blocks, one per
-CPU, the others on helper threads of this process (`_row_blocks`), and its
-outputs are the one-block bits whatever the CPU count; there is no setting
-for it, and `taskset -c 0` gives one block.
+CPU, the others on helper threads of this process (`_row_blocks`), and so
+do its two hidden weight gradients, as pieces of their output rows
+(`_pieces`). Its outputs are the one-block bits whatever the CPU count;
+there is no setting for it, and `taskset -c 0` gives one block.
 
 Training maximises the length-normalised on-path probability obtained by
 repeatedly multiplying the target row of the score matrix into the
@@ -331,6 +332,15 @@ def _finite_rows(y):
 # in every case measured (OpenBLAS 0.3.31, inner sizes 3 to 64).
 ROW_BLOCK_MIN, ROW_ALIGN = 2048, 64
 
+# A piece of a blocked weight gradient (`_pieces`) holds at least this many
+# of its output rows, and every boundary falls on a multiple of it: such a
+# piece of a product whose inner sum runs over 4,096 or more edges matched
+# the whole product's rows under OpenBLAS's SkylakeX, Haswell, Sandybridge,
+# Nehalem and Prescott kernels, and a piece cut at 21 of 64 rows did not.
+# Below 4,096 edges SkylakeX's small-matrix kernel takes some aligned pieces
+# and rounds them differently, so the blocks' minimum cannot drop.
+PIECE_ALIGN = 8
+
 # (pid, executor) of the helper pool this process made: kept for the
 # process's life, like the BLAS pin, so that epochs reuse its threads
 _helpers = None
@@ -341,14 +351,29 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _split(rows: int, parts: int, align: int) -> list:
+    """The bounds [0, ..., rows] of `parts` pieces of about equal size, every
+    inner bound a multiple of `align`; each piece holds at least
+    `(rows // align) // parts` multiples of it."""
+    chunks = rows // align
+    return [align * (k * chunks // parts) for k in range(parts)] + [rows]
+
+
 def _row_blocks(rows: int) -> list:
     """The bounds [0, ..., rows] of `TesOp`'s row blocks: one block per CPU,
     as many as hold `ROW_BLOCK_MIN` rows each, with every inner bound a
     multiple of `ROW_ALIGN`. Fewer than twice the minimum is one block."""
     if rows < 2 * ROW_BLOCK_MIN:
         return [0, rows]
-    blocks, chunks = min(_cpus(), rows // ROW_BLOCK_MIN), rows // ROW_ALIGN
-    return [ROW_ALIGN * (k * chunks // blocks) for k in range(blocks)] + [rows]
+    return _split(rows, min(_cpus(), rows // ROW_BLOCK_MIN), ROW_ALIGN)
+
+
+def _pieces(rows: int, blocks: int) -> list:
+    """The bounds [0, ..., rows] of a blocked weight gradient's pieces of
+    output rows: one per row block, as many as hold `PIECE_ALIGN` rows each,
+    with every inner bound a multiple of it. Fewer than twice that is one
+    piece, the whole product."""
+    return _split(rows, max(1, min(blocks, rows // PIECE_ALIGN)), PIECE_ALIGN)
 
 
 def _helper_pool():
@@ -379,6 +404,19 @@ def _together(here, *there) -> list:
         for future in futures:
             future.exception()  # waits for it to end
     return [first] + [f.result() for f in futures]
+
+
+def _weight_grad(x, g, out, blocks: int, here):
+    """here(), while `out` becomes x's transpose times g, where x and g hold
+    one row per edge: one piece of out's rows per row block (`_pieces`), the
+    first in this thread after here() and the others on helper threads. A
+    product of one piece runs whole on a helper."""
+    lhs, bounds = x.swapaxes(-1, -2), _pieces(out.shape[-2], blocks)
+    pieces = [functools.partial(np.matmul, lhs[..., a:b, :], g, out=out[..., a:b, :])
+              for a, b in zip(bounds, bounds[1:])]
+    if len(pieces) == 1:
+        return _together(here, *pieces)[0]
+    return _together(lambda: (here(), pieces[0]())[0], *pieces[1:])[0]
 
 
 class TesOp:
@@ -414,18 +452,24 @@ class TesOp:
     work depends on that row alone, and a product's rows are the same bits
     in an aligned block as in the whole, so the scores and gradients do not
     depend on the CPU count. When a layer is not finite in some block, the
-    first such layer is named, as the whole op would name it. The rest
-    stays whole: the sigmoid, the output adjoint, the column sums and the
-    weight gradients, whose inner sums run over the edges; two of those run
-    on a helper thread while this thread takes the column sums and the
-    layer-1 mask (`_together`). A helper writes only into arrays this thread
-    made, and each hidden adjoint is written into the buffer of the
-    activation it replaces, so the blocks allocate what the whole op does.
-    With one block (fewer than twice `ROW_BLOCK_MIN` rows, or one CPU) the
-    op makes its whole-array numpy calls and starts no thread. That branch
-    stays because it is faster there: the blocked code run as one block
-    took 4-13% longer per pass at 440 and 65 rows, and a slice-free version
-    of it 1-5.5% longer at 3k to 65 rows.
+    first such layer is named, as the whole op would name it. The weight
+    gradients of the two hidden layers, `z1ᵀg2` and `xeᵀg1`, whose inner
+    sums run over the edges, are cut instead into pieces of their output
+    rows (`_weight_grad`), one per block: this thread computes the first
+    beside the column sums, which stay whole, and helpers the others. Each
+    output entry is still the dot product over all edges, and an aligned
+    piece of at least `PIECE_ALIGN` rows is the whole product's rows, bit
+    for bit; a weight gradient too narrow for two pieces (euclidean mode's
+    3 rows, concatenation mode below dim 6) runs whole on a helper. The
+    sigmoid, the output adjoint and `z2ᵀg3` stay whole. A helper writes
+    only into arrays this thread made, and each hidden adjoint is written
+    into the buffer of the activation it replaces once the block's ReLU
+    mask is taken, so the blocks allocate what the whole op does. With one
+    block (fewer than twice `ROW_BLOCK_MIN` rows, or one CPU) the op makes
+    its whole-array numpy calls and starts no thread. That branch stays
+    because it is faster there: the blocked code run as one block took
+    4-13% longer per pass at 440 and 65 rows, and a slice-free version of
+    it 1-5.5% longer at 3k to 65 rows.
     """
 
     def __init__(self, xe, xt=None):
@@ -520,21 +564,22 @@ class TesOp:
                     _together(*(functools.partial(layer2, a, b) for a, b in blocks))
                     g2, z2, on2 = z2, None, None
                     gw2 = np.empty(w2.shape)
-                    (gb2, on1), _ = _together(
-                        lambda: (_checked_sum(g2, "tes_mlp:layer2 adjoint"), z1 > 0.0),
-                        functools.partial(np.matmul, z1.swapaxes(-1, -2), g2, out=gw2))
+                    gb2 = _weight_grad(z1, g2, gw2, len(blocks),
+                                       lambda: _checked_sum(g2, "tes_mlp:layer2 adjoint"))
+                    on1 = np.empty(z1.shape, bool)
 
                     def layer1(a, b):
                         # the layer-1 adjoint of rows [a, b), into z1's buffer
                         y = z1[:, a:b]
+                        np.greater(y, 0.0, out=on1[:, a:b])
                         np.matmul(g2[:, a:b], w2.swapaxes(-1, -2), out=y)
                         y *= on1[:, a:b]
 
                     _together(*(functools.partial(layer1, a, b) for a, b in blocks))
                     g1, z1, g2, on1 = z1, None, None, None
                     gw1 = np.empty((len(g1), split, TES_HIDDEN[0]))
-                    gb1, _ = _together(lambda: _checked_sum(g1, "tes_mlp:layer1 adjoint"),
-                                       functools.partial(np.matmul, xe.T, g1, out=gw1))
+                    gb1 = _weight_grad(xe, g1, gw1, len(blocks),
+                                       lambda: _checked_sum(g1, "tes_mlp:layer1 adjoint"))
                 if xt is not None:
                     # np.outer(xt, gb1) per row
                     gw1 = np.concatenate([gw1, xt[:, None] * gb1[..., None, :]], axis=-2)

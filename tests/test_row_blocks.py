@@ -60,6 +60,43 @@ def test_row_blocks_follow_the_block_rule(cpus, rows, n_cpus):
         assert all(b - a >= ex.ROW_BLOCK_MIN for a, b in zip(bounds, bounds[1:]))
 
 
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 8])
+def test_weight_gradient_pieces_follow_the_piece_rule(blocks):
+    for rows in range(200):
+        bounds = ex._pieces(rows, blocks)
+        assert bounds[0] == 0 and bounds[-1] == rows and bounds == sorted(bounds)
+        assert len(bounds) - 1 == max(1, min(blocks, rows // ex.PIECE_ALIGN)), rows
+        if rows < 2 * ex.PIECE_ALIGN:
+            assert bounds == [0, rows]
+        else:
+            assert all(b % ex.PIECE_ALIGN == 0 for b in bounds[1:-1]), rows
+            assert all(b - a >= ex.PIECE_ALIGN for a, b in zip(bounds, bounds[1:])), rows
+
+
+@pytest.mark.parametrize("combine, dim, pieces", [
+    ("concatenation", 16, {64: [0, 32, 64], 48: [0, 24, 48]}),
+    ("concatenation", 8, {64: [0, 32, 64], 24: [0, 8, 24]}),
+    ("concatenation", 4, {64: [0, 32, 64], 12: [0, 12]}),
+    ("euclidean", 16, {64: [0, 32, 64], 3: [0, 3]}),
+])
+def test_the_blocked_backward_splits_each_wide_weight_gradient(cpus, monkeypatch, combine, dim,
+                                                               pieces):
+    """At two CPUs the layer-2 weight gradient (64 rows) and the layer-1 one
+    (a row per TES input column) are cut into a piece per block; one that
+    is too narrow for two pieces stays whole."""
+    xe, xt, tes, upstream = tes_instance(6953, combine, dim=dim)
+    real, seen = ex._pieces, {}
+
+    def recorded(rows, blocks):
+        seen[rows] = real(rows, blocks)
+        return seen[rows]
+
+    monkeypatch.setattr(ex, "_pieces", recorded)
+    cpus(2)
+    tes_pass(xe, xt, tes, upstream)
+    assert seen == pieces
+
+
 # -- the same bits at any CPU count ----------------------------------------------------
 
 
@@ -114,6 +151,77 @@ def test_more_blocks_than_cores_under_a_short_switch_interval(cpus):
             assert tes_pass(xe, xt, tes, upstream) == whole
     finally:
         sys.setswitchinterval(interval)
+
+
+def cpu_flags():
+    """The flags /proc/cpuinfo lists for this machine's first CPU."""
+    with open("/proc/cpuinfo", encoding="utf-8") as fh:
+        return next((set(line.split(":", 1)[1].split()) for line in fh
+                     if line.startswith("flags")), set())
+
+
+# The kernels OpenBLAS lets OPENBLAS_CORETYPE choose, and the CPU flags each
+# needs to run.
+CORETYPES = {"SkylakeX": {"avx512f"}, "Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"},
+             "Nehalem": {"sse4_2"}, "Prescott": {"pni"}}
+
+CORETYPE_CHILD = r"""
+import ctypes
+import os
+
+import numpy as np
+
+from kgexplain import explain as ex
+from test_row_blocks import tes_instance, tes_pass
+
+libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+lib = ctypes.CDLL(os.path.join(libs, next(n for n in sorted(os.listdir(libs)) if "openblas" in n)))
+core = next(getattr(lib, symbol) for symbol in ("scipy_openblas_get_corename64_",
+                                                "scipy_openblas_get_corename")
+            if hasattr(lib, symbol))
+core.restype = ctypes.c_char_p
+print(core().decode())
+cases = [(rows, combine, dim, batch) for rows in (4096, 6953, 9_999)
+         for combine, dim in [("concatenation", d) for d in (4, 8, 16, 32)] + [("euclidean", 8)]
+         for batch in (1, 3)]
+for rows, combine, dim, batch in cases:
+    xe, xt, tes, upstream = tes_instance(rows, combine, batch=batch, dim=dim)
+    os.sched_getaffinity = lambda pid: {0}
+    whole = tes_pass(xe, xt, tes, upstream)
+    for n in (2, 3, 4):
+        os.sched_getaffinity = lambda pid, n=n: set(range(n))
+        assert len(ex._row_blocks(rows)) - 1 == min(n, rows // ex.ROW_BLOCK_MIN)
+        if tes_pass(xe, xt, tes, upstream) != whole:
+            print(f"differs: {rows} rows, {combine} dim={dim}, batch {batch}, {n} CPUs")
+print(f"compared {len(cases)} cases")
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or os.uname().machine != "x86_64",
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_blocks_and_pieces_keep_their_bits_under_each_blas_kernel():
+    """Under each OpenBLAS kernel this CPU can run, `TesOp`'s scores and six
+    gradients at 2, 3 and 4 CPUs are those of one block. Each kernel blocks
+    a product's rows in its own way, so this guards the 64-row alignment of
+    the row blocks and the 8-row alignment of the weight gradients' pieces
+    on more than the kernel this machine picks."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    if not any("scipy_openblas" in p.name for p in libs.glob("*")):
+        pytest.skip("needs numpy's bundled scipy-openblas")
+    flags = cpu_flags()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
+    kernels = [name for name, needs in CORETYPES.items() if needs <= flags]
+    assert "Prescott" in kernels
+    cores = []
+    for name in kernels:
+        done = subprocess.run([sys.executable, "-c", CORETYPE_CHILD],
+                              env={**env, "OPENBLAS_CORETYPE": name},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (name, done.stderr)
+        lines = done.stdout.splitlines()
+        cores.append(lines[0])
+        assert lines[1:] == ["compared 30 cases"], (name, lines)
+    assert len(set(cores)) == len(kernels), cores  # each child ran the kernel it asked for
 
 
 AFFINITY_CHILD = r"""
@@ -295,6 +403,52 @@ def test_a_non_finite_adjoint_in_a_later_block_fails_as_the_whole_op_does(cpus, 
             edit(tes, g)
             texts.append(failure(lambda: scores.bw(g)))
     assert texts == [f"non-finite value produced by op '{op}'"] * 2
+
+
+def huge_hidden_unit(tes, xe):
+    """Layer-1 units 56-63 of the third row about 1e150, which layer 2 does
+    not read: the forward is finite, and z1ᵀg2 overflows only in those rows
+    of the layer-2 weight gradient, the last piece, a helper's."""
+    tes.params["w1"][2, :, 56:] = 1e150
+    tes.params["w2"][2, 56:] = 0.0
+
+
+@pytest.mark.parametrize("before, after, text", [
+    # the layer-2 adjoint, only in the last edge of the third row
+    (None, lambda tes, g, xe: (g.__setitem__((2, -1), 1e300),
+                               tes.params["w3"].__setitem__(2, 1e10)),
+     "non-finite value produced by op 'tes_mlp:layer2 adjoint'"),
+    # the layer-1 adjoint, only there and in units 56-63, the last piece of
+    # the layer-2 weight gradient
+    (None, lambda tes, g, xe: (g.__setitem__((2, -1), 1e10),
+                               tes.params["w2"].__setitem__((2, slice(56, None)), 1e308)),
+     "non-finite value produced by op 'tes_mlp:layer1 adjoint'"),
+    # finite adjoints, and a weight gradient that overflows in a helper's piece
+    (huge_hidden_unit, lambda tes, g, xe: g.__setitem__(2, 1e200),
+     "NaN/Inf adjoint flowing into op 'param:w2'"),
+    (None, lambda tes, g, xe: (g.__setitem__(..., 1.0), xe.__setitem__((slice(-100, None), -1),
+                                                                        1e308)),
+     "NaN/Inf adjoint flowing into op 'param:w1'"),
+])
+def test_a_non_finite_in_a_helpers_piece_or_rows_fails_as_the_whole_op_does(cpus, before, after,
+                                                                            text):
+    """A batch of three at 1-4 CPUs (one to three row blocks and pieces).
+    `before(tes, xe)` runs before the forward, `after(tes, g, xe)` between
+    the forward and the backward, and sets the upstream adjoint `g`. The
+    layer-1 weight gradient's last row, in its last piece, is xe's last
+    column times the layer-1 adjoint."""
+    texts = []
+    for n in (1, 2, 3, 4):
+        cpus(n)
+        xe, xt, tes, _ = tes_instance(7436, "concatenation")
+        if before is not None:
+            before(tes, xe)
+        with ad.Tape() as tape:
+            scores = ex.TesOp(xe, xt)(tape.params(tes))
+            g = np.zeros(scores.shape)
+            after(tes, g, xe)
+            texts.append(failure(lambda: ad.backward(tape, ad.sumall(ad.mul(scores, g)))))
+    assert texts == [text] * 4
 
 
 def test_an_interrupt_or_error_leaves_no_stale_result(cpus, monkeypatch):

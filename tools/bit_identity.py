@@ -28,8 +28,9 @@ What is digested (float64 arrays by their raw bytes, floats by ``repr``):
   head and tail leaves out most edges of the last layer (the planted graphs
   are small enough for the field to hold every edge);
 - the same outputs on a seeded random ego-graph of about 7,000 triples in
-  both combine modes, which `TesOp` splits into row blocks on two or more
-  CPUs (its lines must not change under ``taskset -c 0``);
+  both combine modes, for models of dim 8 and 16, which `TesOp` splits into
+  row blocks and its weight gradients into pieces on two or more CPUs (its
+  lines must not change under ``taskset -c 0``);
 - ``generate_planted`` instances of the default, ablation and power-order
   suites at seeds 0-39: the triples, distractors, planted and decoy paths;
 - ``prepare_computation_graph``'s ``nodes``, ``src``, ``rel`` and ``dst`` on a
@@ -291,7 +292,9 @@ def large_ego_lines():
     """A random KG of 300 entities and 7,000 triples; the target's 2-hop
     ego-graph holds nearly all of them, enough rows for `TesOp` to split its
     row-wise work into blocks on two or more CPUs, and a count that is not a
-    multiple of the blocks' 64-row alignment."""
+    multiple of the blocks' 64-row alignment. Models of dim 8 and of dim 16,
+    the default, whose 48 TES input columns `TesOp` also splits into pieces
+    for the first layer's weight gradient (dim 8's 24 columns split too)."""
     rng = np.random.default_rng(0)
     triples = np.unique(np.stack([rng.integers(0, 300, 7000), rng.integers(0, 6, 7000),
                                   rng.integers(0, 300, 7000)], axis=1), axis=0)
@@ -300,9 +303,11 @@ def large_ego_lines():
     edges = prepare_computation_graph(g, target, 2).num_edges
     if edges < 4096 or edges % 64 == 0:
         raise SystemExit("bit_identity: the large ego-graph lost its size")
-    model = KgcModel(g.num_entities, g.num_relations, dim=8, seed=3)
-    yield from explain_lines(f"large ego ({edges} triples)", model, g, target, hops=2,
-                             modes=("full",), combine_modes=("concatenation", "euclidean"))
+    for dim, label in ((8, ""), (16, " dim=16")):
+        model = KgcModel(g.num_entities, g.num_relations, dim=dim, seed=3)
+        yield from explain_lines(f"large ego ({edges} triples){label}", model, g, target,
+                                 hops=2, modes=("full",),
+                                 combine_modes=("concatenation", "euclidean"))
 
 
 def extraction_lines():

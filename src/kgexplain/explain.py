@@ -409,13 +409,10 @@ def _together(here, *there) -> list:
 def _weight_grad(x, g, out, blocks: int, here):
     """here(), while `out` becomes x's transpose times g, where x and g hold
     one row per edge: one piece of out's rows per row block (`_pieces`), the
-    first in this thread after here() and the others on helper threads. A
-    product of one piece runs whole on a helper."""
+    first in this thread after here() and the others on helper threads."""
     lhs, bounds = x.swapaxes(-1, -2), _pieces(out.shape[-2], blocks)
     pieces = [functools.partial(np.matmul, lhs[..., a:b, :], g, out=out[..., a:b, :])
               for a, b in zip(bounds, bounds[1:])]
-    if len(pieces) == 1:
-        return _together(here, *pieces)[0]
     return _together(lambda: (here(), pieces[0]())[0], *pieces[1:])[0]
 
 
@@ -460,7 +457,7 @@ class TesOp:
     output entry is still the dot product over all edges, and an aligned
     piece of at least `PIECE_ALIGN` rows is the whole product's rows, bit
     for bit; a weight gradient too narrow for two pieces (euclidean mode's
-    3 rows, concatenation mode below dim 6) runs whole on a helper. The
+    3 rows, concatenation mode below dim 6) runs whole in this thread. The
     sigmoid, the output adjoint and `z2ᵀg3` stay whole. A helper writes
     only into arrays this thread made, and each hidden adjoint is written
     into the buffer of the activation it replaces once the block's ReLU

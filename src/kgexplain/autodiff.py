@@ -135,8 +135,8 @@ def _reuse_freed_heap():
     something earlier had happened to free a big block: on a 7.4k-triple
     ego-graph, 611k minor page faults against 29k over 250 epochs, and 1.62 s
     against 1.39 s a job. These values are the largest glibc would pick itself.
-    One arena serves every thread, so that `explain.TesOp`'s helper threads
-    do not each hold a heap of their own.
+    One arena serves every thread, so that the helper threads of
+    `parallel._together` do not each hold a heap of their own.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -158,7 +158,7 @@ def _pin_blas_threads():
     edges, `TesOp`'s weight gradients (whose inner dimension is the edge
     count) differed between OPENBLAS_NUM_THREADS 1 and 2. One thread makes
     every output the same bits whatever that variable says, and leaves the
-    other cores to worker processes (see `metrics._fork_map`).
+    other cores to worker processes (see `parallel._fork_map`).
     """
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:

@@ -19,10 +19,12 @@ is the same target row for every edge, so
 the bottom block of w1's gradient is `outer(xt, column sums of the layer-1
 adjoint)`. This halves the widest matmul and its backward. On an ego-graph
 of at least 4,096 edges the op's row-wise work runs in row blocks, one per
-CPU, the others on helper threads of this process (`_row_blocks`), and so
-do its two hidden weight gradients, as pieces of their output rows
-(`_pieces`). Its outputs are the one-block bits whatever the CPU count;
-there is no setting for it, and `taskset -c 0` gives one block.
+CPU (`_row_blocks`), the others on helper threads of this process
+(`parallel._together`), and so do its two hidden weight gradients, as
+pieces of their output rows (`_pieces`). Its outputs are the one-block
+bits whatever the CPU count, and also where a helper cannot start and its
+block runs in the calling thread; there is no setting for it, and
+`taskset -c 0` gives one block.
 
 Training maximises the length-normalised on-path probability obtained by
 repeatedly multiplying the target row of the score matrix into the
@@ -79,7 +81,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,6 +98,7 @@ from .kgraph import (
     k_core_prune,
 )
 from .model import KgcModel, TargetScorer, _refuse_beyond_memory, encode
+from .parallel import _cpus, _together
 
 COMBINE_MODES = ("concatenation", "euclidean")
 
@@ -341,15 +343,6 @@ ROW_BLOCK_MIN, ROW_ALIGN = 2048, 64
 # and rounds them differently, so the blocks' minimum cannot drop.
 PIECE_ALIGN = 8
 
-# (pid, executor) of the helper pool this process made: kept for the
-# process's life, like the BLAS pin, so that epochs reuse its threads
-_helpers = None
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on (1 where the OS does not say)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
 
 def _split(rows: int, parts: int, align: int) -> list:
     """The bounds [0, ..., rows] of `parts` pieces of about equal size, every
@@ -374,36 +367,6 @@ def _pieces(rows: int, blocks: int) -> list:
     with every inner bound a multiple of it. Fewer than twice that is one
     piece, the whole product."""
     return _split(rows, max(1, min(blocks, rows // PIECE_ALIGN)), PIECE_ALIGN)
-
-
-def _helper_pool():
-    """This process's `concurrent.futures.ThreadPoolExecutor`, made on first
-    use. A call starts a thread only when it finds none idle, up to one per
-    CPU of the machine, and a pass at fewer CPUs reuses the threads a pass
-    at more started. A forked child makes its own, as its parent's threads
-    were not copied. Each thread ignores overflow and invalid values, as
-    `TesOp` does: numpy's error state belongs to each thread."""
-    global _helpers
-    if _helpers is None or _helpers[0] != os.getpid():
-        # here, so that a run without row blocks never loads it
-        from concurrent.futures import ThreadPoolExecutor
-
-        _helpers = (os.getpid(), ThreadPoolExecutor(os.cpu_count(), "tes-rows", initializer=(
-            functools.partial(np.seterr, over="ignore", invalid="ignore"))))
-    return _helpers[1]
-
-
-def _together(here, *there) -> list:
-    """[here(), *(fn() for fn in there)]: `here` in this thread, each of
-    `there` on a helper thread. Every call has ended when this returns or
-    raises."""
-    futures = [_helper_pool().submit(fn) for fn in there]
-    try:
-        first = here()
-    finally:
-        for future in futures:
-            future.exception()  # waits for it to end
-    return [first] + [f.result() for f in futures]
 
 
 def _weight_grad(x, g, out, blocks: int, here):
@@ -443,7 +406,7 @@ class TesOp:
 
     On a large ego-graph the row-wise work runs over row blocks
     (`_row_blocks`), one per CPU, the first in the calling thread and the
-    others on helper threads (`_together`): the three layers' products,
+    others on helper threads (`parallel._together`): the three layers' products,
     bias adds, ReLUs and finite checks, and in the backward the ReLU masks
     and the products that make the hidden adjoints. Each edge's row of that
     work depends on that row alone, and a product's rows are the same bits
@@ -463,7 +426,9 @@ class TesOp:
     into the buffer of the activation it replaces once the block's ReLU
     mask is taken, so the blocks allocate what the whole op does. With one
     block (fewer than twice `ROW_BLOCK_MIN` rows, or one CPU) the op makes
-    its whole-array numpy calls and starts no thread. That branch stays
+    its whole-array numpy calls and starts no thread. A block or piece whose
+    helper cannot start runs in this thread after the first. The one-block
+    branch stays
     because it is faster there: the blocked code run as one block took
     4-13% longer per pass at 440 and 65 rows, and a slice-free version of
     it 1-5.5% longer at 3k to 65 rows.

@@ -11,27 +11,25 @@ counts as a hit, exactly as the strict-inequality indicator dictates.
 from __future__ import annotations
 
 import json
-import os
-import pickle
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError, WorkerError
+from .errors import ContractError, DataError
 from .explain import (
     EdgeScoreMatrix,
     ExplainConfig,
     Explanation,
-    _cpus,
     _walk_bytes,
     generate_paths,
     prepare_computation_graph,
     train_explainer,
 )
 from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, check_ego_settings
-from .model import KgcModel, TargetScorer, _physical_memory, rank_target, score_target_masked
+from .model import KgcModel, TargetScorer, rank_target, score_target_masked
+from .parallel import _fork_map
 
 HDR_PATH_COUNTS = (1, 3, 5)
 
@@ -114,127 +112,6 @@ def measure_explanation(model: KgcModel, gc: ComputationGraph, target: TargetTri
     return row
 
 
-def _worker_count(jobs: int, job_bytes: int = 0) -> int:
-    """How many processes `_fork_map` runs `jobs` jobs in: one per CPU this
-    process may run on, at most one per job, and no more jobs at once than
-    fit in physical memory at `job_bytes` each (a lower bound on what one
-    job needs). 1, this process alone, where `os.fork` or the CPU set is
-    missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    workers = min(_cpus(), jobs)
-    physical = _physical_memory()
-    if job_bytes and physical:
-        workers = min(workers, physical // job_bytes)
-    return max(workers, 1)
-
-
-def _fork_map(fn, items, job_bytes: int = 0):
-    """Yield `fn(item)` for each item, in item order, computed in forked
-    worker processes when `_worker_count` gives two or more, and one by one
-    in this process otherwise.
-
-    Each call runs in a child forked for it, at most that many at once. The
-    child shares what this process held when it was forked, so the graph
-    and model are never copied or pickled, and sends back only what `fn`
-    returns, pickled into a pipe, or the exception `fn` raised, then ends in
-    `os._exit`. The exception is raised here at its item's turn, as a
-    serial run raises it; a child that ends without sending anything raises
-    WorkerError there. Where a child cannot be started (no process slot,
-    memory or pipe left), that item and every one not yet started run in
-    this process, as a serial run would, while the children already running
-    finish. Use the generator in `contextlib.closing`: closing it kills and
-    reaps every child still running. A fork copies only the calling thread,
-    so call this where no other Python thread holds a lock the jobs need.
-    The package's own threads, `explain.TesOp`'s row-block helpers, are idle
-    between calls (each call waits for its helpers before it returns or
-    raises), and a child that trains a large ego-graph starts helpers of its
-    own (`explain._helper_pool` is per process), so its `TesOp` runs on as
-    many threads as the parent's would.
-    """
-    items = list(items)
-    workers = _worker_count(len(items), job_bytes)
-    if workers < 2:  # none: the loop runs every job here, in order
-        workers = 0
-    import select  # here, so that importing the package never loads them
-    import signal
-
-    pending = iter(enumerate(items))
-    running = {}  # pipe read end -> (item index, child pid, bytes read)
-    outcomes = {}  # item index -> (True, result) or (False, exception)
-    try:
-        for i in range(len(items)):
-            while i not in outcomes:
-                while len(running) < workers and (job := next(pending, None)):
-                    try:
-                        fd, pid = _fork_call(fn, job[1])
-                    except OSError:  # no child now: this job and the rest run here
-                        workers = 0
-                        outcomes[job[0]] = _outcome(fn, job[1])
-                        break
-                    running[fd] = (job[0], pid, [])
-                if not running:  # item i was never started
-                    index, item = next(pending)
-                    outcomes[index] = _outcome(fn, item)
-                    continue
-                for fd in select.select(list(running), [], [])[0]:
-                    chunk = os.read(fd, 1 << 20)
-                    if chunk:
-                        running[fd][2].append(chunk)
-                        continue
-                    index, pid, chunks = running.pop(fd)
-                    os.close(fd)
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    if code == 0:
-                        outcomes[index] = pickle.loads(b"".join(chunks))
-                        continue
-                    how = (f"was killed by signal {-code}" if code < 0
-                           else f"exited with status {code}")
-                    outcomes[index] = (False, WorkerError(
-                        f"worker process {pid} {how} before it sent its result"))
-            ok, value = outcomes.pop(i)
-            if not ok:
-                raise value
-            yield value
-    finally:
-        for fd, (_, pid, _) in running.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
-
-
-def _fork_call(fn, item):
-    """(pipe read end, pid) of a forked child that computes `fn(item)`."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        return read_end, pid
-    code = 1  # the child: whatever happens, it never returns into the parent's stack
-    try:
-        os.close(read_end)
-        data = memoryview(pickle.dumps(_outcome(fn, item), pickle.HIGHEST_PROTOCOL))
-        while data:
-            data = data[os.write(write_end, data):]
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _outcome(fn, item):
-    """(True, fn(item)), or (False, the exception it raised): `_fork_map`
-    raises the exception at its item's turn."""
-    try:
-        return True, fn(item)
-    except Exception as exc:
-        return False, exc
-
-
 def _is_explainable(model, g, target, cfg: EvalConfig):
     gc = prepare_computation_graph(g, target, cfg.k_hop, cfg.k_core, cfg.max_nodes)
     if cfg.threshold_rule == "prob":
@@ -254,10 +131,10 @@ def _train_one(model, g, cfg: EvalConfig, target):
 def evaluate_batch(model: KgcModel, g: KnowledgeGraph, candidates, cfg: EvalConfig):
     """Filter candidates by the explainability rule, sample deterministically,
     explain each, and aggregate a MetricReport plus one CSV-ready row per
-    target. The explainers' training runs in worker processes (`_fork_map`);
-    the filter, and the paths' extraction and measurement, run here, in
-    target order. A row's `wall_time_s` is its target's training, extraction
-    and measurement time."""
+    target. The explainers' training runs in worker processes
+    (`parallel._fork_map`); the filter, and the paths' extraction and
+    measurement, run here, in target order. A row's `wall_time_s` is its
+    target's training, extraction and measurement time."""
     cfg.validate()
     explainable = [t for t in candidates if _is_explainable(model, g, t, cfg)]
     if not explainable:

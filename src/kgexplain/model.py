@@ -43,7 +43,6 @@ import io
 import json
 import math
 import operator
-import os
 import struct
 from dataclasses import dataclass
 
@@ -54,6 +53,7 @@ from . import kernels
 from .autodiff import ParamStore, Tape, backward, sgd_step
 from .errors import ContractError, DataError, NumericError
 from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph, hop_distances
+from .parallel import _physical_memory
 
 DECODERS = ("transe", "distmult")
 
@@ -122,14 +122,6 @@ def _param_shapes(num_entities, num_relations, dim, layers, bases):
             shapes[f"basis_{layer}_{b}"] = (dim, dim)
         shapes[f"coef_{layer}"] = (num_relations, bases)
     return shapes
-
-
-def _physical_memory():
-    """Bytes of physical memory, or 0 where `os.sysconf` cannot tell."""
-    try:
-        return max(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), 0)
-    except (AttributeError, OSError, ValueError):
-        return 0
 
 
 def _refuse_beyond_memory(nbytes, what):

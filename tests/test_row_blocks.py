@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import kgexplain.explain as ex
+import kgexplain.parallel as par
 from kgexplain import autodiff as ad
 from kgexplain.cli import main
 from kgexplain.errors import NumericError
@@ -280,35 +281,34 @@ def test_explainer_outputs_are_the_same_bytes_on_one_cpu_and_on_all():
 
 
 def helper_threads():
-    """How many threads of `explain._helper_pool` pools are alive."""
+    """How many helper threads of `parallel._together` are alive."""
     return sum(t.name.startswith("tes-rows") for t in threading.enumerate())
 
 
 def test_one_helper_pool_serves_every_cpu_count(cpus, monkeypatch):
-    """The pool a pass at two CPUs made serves a pass at four and one at two
-    again: it is neither replaced nor grown past the helpers a pass ran at
-    once."""
+    """The helper a pass at two CPUs started serves a pass at four and one
+    at two again: helpers are neither replaced nor started past the ones a
+    pass ran at once."""
     xe, xt, tes, upstream = tes_instance(9_999, "concatenation")
     cpus(1)
     whole = tes_pass(xe, xt, tes, upstream)
-    monkeypatch.setattr(ex, "_helpers", None)  # a pool of this test's own
+    monkeypatch.setattr(par, "_helpers", None)  # helpers of this test's own
     earlier = helper_threads()
-    pools, helpers = [], []
+    started, helpers = [], []
     for n in (2, 4, 2):
         cpus(n)
         assert tes_pass(xe, xt, tes, upstream) == whole, n
-        pools.append(ex._helper_pool())
+        started.append(list(par._helpers[1]))
         helpers.append(helper_threads() - earlier)
-    pools[0].shutdown()
-    assert pools[0] is pools[1] is pools[2]
-    assert all(1 <= h <= 3 for h in helpers) and helpers[2] == helpers[1], helpers
+    assert [len(jobs) for jobs in started] == helpers == [1, 3, 3]
+    assert started[0] == started[1][:1] and started[1] == started[2]
 
 
 ONE_BLOCK_CHILD = r"""
 import os
 import threading
 
-from kgexplain import explain as ex
+from kgexplain import explain as ex, parallel
 from kgexplain.model import KgcModel
 from test_row_blocks import ego_case
 
@@ -317,7 +317,7 @@ for m in (1500, 7000):
     model = KgcModel(g.num_entities, g.num_relations, dim=8, seed=0)
     ex.train_explainer(model, gc, target, ex.ExplainConfig(epochs=2))
     print(len(os.sched_getaffinity(0)), gc.num_edges, threading.active_count() - 1,
-          int(ex._helpers is not None))
+          len(parallel._helpers[1]) if parallel._helpers else 0)
 """
 
 
@@ -325,17 +325,93 @@ for m in (1500, 7000):
                     reason="needs two CPUs to run in")
 def test_one_block_starts_no_thread():
     """On every CPU this process has, an ego-graph below two blocks' rows
-    trains with no thread but the main one and no pool; a larger one then
-    starts helpers, at most one per block but the first."""
+    trains with no thread but the main one; a larger one then starts
+    helpers, at most one per block but the first."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
     done = subprocess.run([sys.executable, "-c", ONE_BLOCK_CHILD], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    (n_cpus, small, threads, pool), (_, large, helpers, pools) = (
+    (n_cpus, small, threads, started), (_, large, helpers, helpers_started) = (
         [int(x) for x in line.split()] for line in done.stdout.splitlines())
     assert small < 2 * ex.ROW_BLOCK_MIN <= large
-    assert (threads, pool) == (0, 0)
-    assert 1 <= helpers <= min(n_cpus, large // ex.ROW_BLOCK_MIN) - 1 and pools == 1
+    assert (threads, started) == (0, 0)
+    assert 1 <= helpers <= min(n_cpus, large // ex.ROW_BLOCK_MIN) - 1
+    assert helpers_started == helpers
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """thread_starts(refused): from now on this process has no helpers, and
+    the n-th call of `threading.Thread.start` raises RuntimeError, as when no
+    thread can be started, for every n that `refused(n)` holds true; returns
+    the list of calls made."""
+    def patch(refused):
+        calls, real = [], threading.Thread.start
+
+        def start(thread):
+            calls.append(thread.name)
+            if refused(len(calls)):
+                raise RuntimeError("can't start new thread")
+            return real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(par, "_helpers", None)
+        return calls
+    return patch
+
+
+def counted_calls(n, failing=()):
+    """(n calls, the order they ran in, the thread each last ran in, the number of
+    runs of each): call k returns k, or raises ValueError(k) for k in `failing`."""
+    order, threads, runs = [], {}, [0] * n
+
+    def call(k):
+        order.append(k)
+        threads[k] = threading.get_ident()
+        runs[k] += 1  # each k only ever runs in one thread at a time
+        if k in failing:
+            raise ValueError(k)
+        return k
+
+    return [lambda k=k: call(k) for k in range(n)], order, threads, runs
+
+
+def test_a_call_whose_helper_cannot_start_runs_once_in_this_thread(cpus, thread_starts):
+    """Four CPUs, and the second thread start fails: the first helper runs
+    call 1, and calls 2 and 3 run here after call 0, each exactly once (a
+    late second run would show after the sleep). The next call reuses that
+    helper and starts the two it lacks."""
+    cpus(4)
+    starts = thread_starts(lambda n: n == 2)
+    calls, order, threads, runs = counted_calls(4)
+    assert par._together(*calls) == [0, 1, 2, 3]
+    time.sleep(0.2)
+    assert runs == [1, 1, 1, 1] and len(starts) == 2
+    here, helper = threading.get_ident(), threads[1]
+    assert threads[0] == threads[2] == threads[3] == here != helper
+    assert order.index(0) < order.index(2) < order.index(3)
+    assert par._together(*calls) == [0, 1, 2, 3]
+    time.sleep(0.2)
+    assert runs == [2, 2, 2, 2] and len(starts) == 4
+    assert threads[0] == here and threads[1] == helper
+    assert len({here, *(threads[k] for k in (1, 2, 3))}) == 4
+
+
+@pytest.mark.parametrize("failing, raised, ran", [
+    ((2, 3), 2, [1, 1, 1, 1]),  # two calls here: the first one's
+    ((1, 2), 1, [1, 1, 1, 1]),  # a helper's before a later call's here
+    ((0, 3), 0, [1, 1, 0, 0]),  # `here`'s, after the helper ends, and the rest never start
+])
+def test_a_call_run_here_for_its_helper_raises_at_its_turn(cpus, thread_starts, failing, raised,
+                                                           ran):
+    cpus(4)
+    thread_starts(lambda n: n == 2)
+    calls, _, _, runs = counted_calls(4, failing)
+    with pytest.raises(ValueError) as err:
+        par._together(*calls)
+    assert err.value.args == (raised,)
+    time.sleep(0.2)
+    assert runs == ran
 
 
 # -- failures on the helper threads ----------------------------------------------------
@@ -557,3 +633,80 @@ def test_a_forked_worker_makes_its_own_helpers(tmp_path, cpus):
         signal.signal(signal.SIGALRM, previous)
     assert len(outputs[1]["per_target.csv"].splitlines()) >= 3  # at least two targets
     assert outputs[1] == outputs[2]
+
+
+# -- no thread can start ---------------------------------------------------------------
+
+REFUSED_CHILD = r"""
+import os
+import sys
+import threading
+
+
+def refuse(thread):
+    raise RuntimeError("can't start new thread")
+
+
+threading.Thread.start = refuse
+os.sched_getaffinity = lambda pid: set(range(2))
+forks, fork = [], os.fork
+
+
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+os.fork = counted
+from kgexplain.cli import main
+
+code = main(sys.argv[1:])
+print(code, len(forks), threading.active_count())
+"""
+
+
+def refusing_threads(args):
+    """(exit code, children forked, threads alive at the end) of `kgexplain
+    <args>` in a child interpreter at two CPUs, where `threading.Thread.start`
+    always raises; its forked workers inherit the patch."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
+    done = subprocess.run([sys.executable, "-c", REFUSED_CHILD, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return [int(x) for x in done.stdout.split()]
+
+
+def test_explain_runs_in_one_thread_where_no_helper_can_start(tmp_path, cpus):
+    data, ckpt = big_dataset(tmp_path)
+    g, triples = random_kg(0, 300, 7000)
+    h, r, t = (int(x) for x in triples[0])
+    assert ex.prepare_computation_graph(g, TargetTriple(h, r, t), 2).num_edges >= 2 * ex.ROW_BLOCK_MIN
+
+    def args(out):
+        return ["explain", "--train", str(data), "--checkpoint", str(ckpt), "--out_dir", str(out),
+                "--head", f"e{h}", "--relation", f"r{r}", "--tail", f"e{t}", "--k_hop", "2",
+                "--epochs", "3"]
+
+    cpus(1)
+    assert main(args(tmp_path / "one")) == 0
+    assert refusing_threads(args(tmp_path / "refused")) == [0, 0, 1]
+    assert output_bytes(tmp_path / "refused") == output_bytes(tmp_path / "one")
+
+
+def test_evaluate_workers_run_in_one_thread_where_no_helper_can_start(tmp_path, cpus):
+    data, ckpt = big_dataset(tmp_path)
+    _, triples = random_kg(0, 300, 7000)
+    test = tmp_path / "test.tsv"
+    test.write_text("".join(f"e{h}\tr{r}\te{t}\n" for h, r, t in triples[:6]))
+
+    def args(out):
+        return ["evaluate", "--train", str(data), "--checkpoint", str(ckpt), "--test", str(test),
+                "--out_dir", str(out), "--k_hop", "2", "--epochs", "2", "--sample_num", "3",
+                "--seed", "1"]
+
+    cpus(1)
+    assert main(args(tmp_path / "one")) == 0
+    assert refusing_threads(args(tmp_path / "refused")) == [0, 3, 1]  # a worker per target
+    assert output_bytes(tmp_path / "refused") == output_bytes(tmp_path / "one")

@@ -1,5 +1,5 @@
 """Worker processes: `evaluate` trains its targets' explainers in forked
-children (`metrics._fork_map`), one per CPU this process may run on. Its
+children (`parallel._fork_map`), one per CPU this process may run on. Its
 outputs are the serial run's bytes, its failures the serial run's one line
 and exit code, and no child outlives a run. The worker count is set here by
 patching `os.sched_getaffinity`, as `taskset` sets it."""
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import kgexplain.metrics as mt
+import kgexplain.parallel as par
 from kgexplain.autodiff import ParamStore
 from kgexplain.cli import main
 from kgexplain.errors import ContractError, DataError, NumericError, WorkerError
@@ -95,7 +96,7 @@ def test_fork_map_yields_results_in_item_order(cpus, forks):
         return delay, os.getpid()
 
     delays = [0.3, 0.2, 0.1, 0.0, 0.05]
-    results = list(mt._fork_map(job, delays))
+    results = list(par._fork_map(job, delays))
     assert [d for d, _ in results] == delays
     assert [pid for _, pid in results] == forks and os.getpid() not in forks
     assert_no_children()
@@ -103,16 +104,16 @@ def test_fork_map_yields_results_in_item_order(cpus, forks):
 
 def test_fork_map_runs_in_this_process_on_one_cpu_or_one_item(cpus, forks):
     cpus(1)
-    assert list(mt._fork_map(lambda x: (x, os.getpid()), [1, 2])) == [
+    assert list(par._fork_map(lambda x: (x, os.getpid()), [1, 2])) == [
         (1, os.getpid()), (2, os.getpid())]
     cpus(2)
-    assert list(mt._fork_map(lambda x: (x, os.getpid()), [3])) == [(3, os.getpid())]
+    assert list(par._fork_map(lambda x: (x, os.getpid()), [3])) == [(3, os.getpid())]
     assert forks == []
 
 
 def test_closing_the_generator_kills_and_reaps_every_child(cpus, forks):
     cpus(2)
-    results = mt._fork_map(lambda x: time.sleep(x) or x, [0.0, 60.0, 60.0])
+    results = par._fork_map(lambda x: time.sleep(x) or x, [0.0, 60.0, 60.0])
     t0 = time.perf_counter()
     assert next(results) == 0.0
     results.close()
@@ -134,7 +135,7 @@ def test_an_exception_in_a_worker_is_raised_at_its_turn(cpus, exc):
 
     got = []
     with pytest.raises(type(exc)) as err:
-        for value in mt._fork_map(job, range(4)):
+        for value in par._fork_map(job, range(4)):
             got.append(value)
     assert got == [0] and err.value.args == (*exc.args, 1)
     assert_no_children()
@@ -156,7 +157,7 @@ def test_a_worker_that_ends_without_a_result_raises_worker_error(cpus, end, how)
 
     with pytest.raises(WorkerError, match=f"^worker process [0-9]+ {how} before it sent its "
                                           "result$"):
-        list(mt._fork_map(job, range(3)))
+        list(par._fork_map(job, range(3)))
     assert_no_children()
 
 
@@ -169,7 +170,7 @@ def test_a_job_whose_child_cannot_start_runs_in_this_process(cpus, second_call_f
                                                               name, error):
     cpus(2)
     calls = second_call_fails(name, error)
-    results = list(mt._fork_map(lambda x: (x, os.getpid()), range(4)))
+    results = list(par._fork_map(lambda x: (x, os.getpid()), range(4)))
     assert [x for x, _ in results] == [0, 1, 2, 3]
     # item 0 ran in the child started first; no child is started after the failure
     assert results[0][1] != os.getpid()
@@ -193,16 +194,16 @@ def test_a_param_store_pickles_as_one_buffer():
 def test_workers_drop_to_what_physical_memory_holds(cpus, monkeypatch):
     cpus(4)
     _physical_memory(monkeypatch, 1000)
-    assert mt._worker_count(9) == 4
-    assert mt._worker_count(3) == 3
-    assert [mt._worker_count(9, job) for job in (250, 251, 400, 501, 999, 1000, 10**6)] == [
+    assert par._worker_count(9) == 4
+    assert par._worker_count(3) == 3
+    assert [par._worker_count(9, job) for job in (250, 251, 400, 501, 999, 1000, 10**6)] == [
         4, 3, 2, 1, 1, 1, 1]
 
     def unavailable(name):
         raise ValueError(f"unrecognized configuration name {name}")
 
     monkeypatch.setattr("os.sysconf", unavailable)
-    assert mt._worker_count(9, 10**6) == 4  # no bound where sysconf cannot tell
+    assert par._worker_count(9, 10**6) == 4  # no bound where sysconf cannot tell
 
 
 def test_an_evaluate_job_too_large_for_two_runs_alone(cpus, forks, monkeypatch):
@@ -360,3 +361,18 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
     assert len(digests[0]) == 3
     for label, one, two in zip(("TES gradient", "mask", "loss trace"), *digests):
         assert one == two, label
+
+
+# -- importing the package -----------------------------------------------------------
+
+
+def test_importing_the_package_loads_none_of_what_threads_and_workers_use():
+    # `parallel` imports these on first use, so that a run that needs no
+    # helper thread or worker does not pay for them
+    lazy = ("concurrent.futures", "queue", "select", "signal")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", "import sys, kgexplain; "
+                           f"print(*(m for m in {lazy!r} if m in sys.modules))"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -341,10 +341,10 @@ def test_one_block_starts_no_thread():
 
 @pytest.fixture
 def thread_starts(monkeypatch):
-    """thread_starts(refused): from now on this process has no helpers, and
-    the n-th call of `threading.Thread.start` raises RuntimeError, as when no
-    thread can be started, for every n that `refused(n)` holds true; returns
-    the list of calls made."""
+    """thread_starts(refused): from now on `parallel` starts its helpers
+    afresh, and the n-th call of `threading.Thread.start` raises
+    RuntimeError, as when no thread can be started, for every n that
+    `refused(n)` holds true; returns the list of calls made."""
     def patch(refused):
         calls, real = [], threading.Thread.start
 
@@ -682,7 +682,8 @@ def test_explain_runs_in_one_thread_where_no_helper_can_start(tmp_path, cpus):
     data, ckpt = big_dataset(tmp_path)
     g, triples = random_kg(0, 300, 7000)
     h, r, t = (int(x) for x in triples[0])
-    assert ex.prepare_computation_graph(g, TargetTriple(h, r, t), 2).num_edges >= 2 * ex.ROW_BLOCK_MIN
+    gc = ex.prepare_computation_graph(g, TargetTriple(h, r, t), 2)
+    assert gc.num_edges >= 2 * ex.ROW_BLOCK_MIN
 
     def args(out):
         return ["explain", "--train", str(data), "--checkpoint", str(ckpt), "--out_dir", str(out),

@@ -76,7 +76,7 @@ import os
 import numpy as np
 
 from . import kernels
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, rate
 
 # the ops' -log(p) reads max(p, LOG_CLAMP), so the loss stays finite when p
 # collapses; their adjoints divide by the same clamped p
@@ -495,8 +495,7 @@ def finite_diff_check(loss_fn, store: ParamStore, step=1e-5, tol=1e-4,
     serves both). `floor` bounds the relative-error denominator so
     near-zero gradients are compared absolutely at tol * floor.
     """
-    if step <= 0:
-        raise ContractError("finite-difference step must be positive")
+    rate("finite-difference step", step)
     with Tape() as tape:
         out = loss_fn(store, tape)
         store.zero_grads()

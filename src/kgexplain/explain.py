@@ -88,7 +88,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import ParamStore, Tape, backward, sgd_step
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, at_least, one_of, rate
 from .kgraph import (
     ComputationGraph,
     KnowledgeGraph,
@@ -118,26 +118,17 @@ class ExplainConfig:
     num_paths: int = 3
 
     def validate(self):
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
-        if self.power_order < 2:
-            raise ContractError("power_order must be >= 2")
-        if not self.gamma >= 0:
-            raise ContractError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.lr > 0:
-            raise ContractError(f"lr must be positive, got {self.lr}")
+        at_least("epochs", self.epochs, 1)
+        at_least("power_order", self.power_order, 2)
+        at_least("gamma", self.gamma, 0)
+        rate("lr", self.lr)
         if not math.isfinite(self.gamma):
             raise ContractError(f"gamma must be finite, got {self.gamma}")
-        if not math.isfinite(self.lr):
-            raise ContractError(f"lr must be finite, got {self.lr}")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
-        if self.combine_mode not in COMBINE_MODES:
-            raise ContractError(f"combine_mode must be one of {COMBINE_MODES}")
+        at_least("seed", self.seed, 0)
+        one_of("combine_mode", self.combine_mode, COMBINE_MODES)
         if not (self.enable_path_loss or self.enable_mi_loss):
             raise ContractError("at least one of path loss / MI loss must be enabled")
-        if self.num_paths < 1:
-            raise ContractError("num_paths must be >= 1")
+        at_least("num_paths", self.num_paths, 1)
 
 
 def init_tes(combine_mode: str, dim: int, seed: int = 0, batch: int = 1) -> ParamStore:
@@ -147,8 +138,7 @@ def init_tes(combine_mode: str, dim: int, seed: int = 0, batch: int = 1) -> Para
     Each tensor has a leading axis of `batch` copies of the same draw, one
     per row of a job.
     """
-    if combine_mode not in COMBINE_MODES:
-        raise ContractError(f"combine_mode must be one of {COMBINE_MODES}")
+    one_of("combine_mode", combine_mode, COMBINE_MODES)
     width = 6 * dim if combine_mode == "concatenation" else 3
     rng = np.random.default_rng(seed)
     tensors = {
@@ -186,7 +176,7 @@ class EdgeScoreMatrix:
     def from_values(cls, gc: ComputationGraph, values, provenance=None):
         if provenance is None:
             provenance = gc.pair_indptr[:-1].copy()
-        return cls(gc.pair_src.copy(), gc.pair_dst.copy(), values, provenance)
+        return cls(gc.pair_src, gc.pair_dst, values, provenance)
 
     @classmethod
     def constant(cls, gc: ComputationGraph, value: float):
@@ -586,11 +576,12 @@ def _shared_config(configs) -> ExplainConfig:
     return first
 
 
-def _walk_bytes(power_order: int, nodes: int, chains: int) -> int:
-    """The walk counts and power steps of a job whose `chains` rows have the
-    path loss: per such row float64 power steps, and once when a row has it
-    int64 walk counts, `power_order` vectors over the nodes each."""
-    return 8 * (min(chains, 1) + chains) * power_order * nodes
+def _walk_bytes(configs, nodes: int) -> int:
+    """The walk counts and power steps of a job of `configs` on `nodes` nodes:
+    per row that has the path loss float64 power steps, and once when a row
+    has it int64 walk counts, `power_order` vectors over the nodes each."""
+    chains = sum(cfg.enable_path_loss for cfg in configs)
+    return 8 * (min(chains, 1) + chains) * configs[0].power_order * nodes
 
 
 class ExplainJob:
@@ -616,7 +607,7 @@ class ExplainJob:
         gc.target_rows(target)
         L, n = config.power_order, gc.num_nodes
         chains = len(self.rows["path"])
-        _refuse_beyond_memory(_walk_bytes(L, n, chains),
+        _refuse_beyond_memory(_walk_bytes(self.configs, n),
                               f"the walk counts and power steps (power_order={L}, nodes={n})")
         self.model = model
         self.gc = gc
@@ -674,7 +665,7 @@ class ExplainJob:
     def final_masks(self, store: ParamStore) -> list:
         """One EdgeScoreMatrix per config, from the TES in `store`."""
         pair_vals, argmax = self.pair_scores(store, None)
-        return [EdgeScoreMatrix(self.gc.pair_src.copy(), self.gc.pair_dst.copy(), values, rows)
+        return [EdgeScoreMatrix(self.gc.pair_src, self.gc.pair_dst, values, rows)
                 for values, rows in zip(pair_vals, argmax)]
 
 
@@ -811,8 +802,7 @@ def generate_paths(gc: ComputationGraph, mask: EdgeScoreMatrix, target: TargetTr
     still removed before the next round. An unreachable tail yields an
     empty path list (unexplainable, not an error).
     """
-    if num_paths < 1:
-        raise ContractError("num_paths must be >= 1")
+    at_least("num_paths", num_paths, 1)
     if len(mask.values) != gc.num_pairs:
         raise ContractError("mask support does not match the computation graph")
     i, k = gc.target_rows(target)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, at_least, one_of
 from .explain import (
     ExplainConfig,
     generate_paths,
@@ -64,11 +64,9 @@ class PlantedConfig:
         when its names and hop counts could not fit in physical memory."""
         if self.path_len not in (1, 2, 3, 4):
             raise DataError("path_len must be in {1, 2, 3, 4}")
-        if self.n_planted_paths < 1:
-            raise DataError(f"n_planted_paths must be >= 1, got {self.n_planted_paths}")
+        at_least("n_planted_paths", self.n_planted_paths, 1, DataError)
         for name in ("n_distractors", "n_decoy_paths", "n_context_groups"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
+            at_least(name, getattr(self, name), 0, DataError)
         inner = self.path_len - 1
         reserved = (
             2
@@ -403,14 +401,9 @@ class SuiteConfig:
         reliant model, only its dim), the ego-graph settings and each mode's
         explain config (ContractError). The seeds checked are those a run
         uses."""
-        if self.model_source not in MODEL_SOURCES:
-            raise DataError(
-                f"model_source must be one of {MODEL_SOURCES}, got {self.model_source!r}"
-            )
-        if self.n_instances < 1:
-            raise DataError(f"n_instances must be >= 1, got {self.n_instances}")
-        if self.base_seed < 0:
-            raise ContractError(f"base_seed must be >= 0, got {self.base_seed}")
+        one_of("model_source", self.model_source, MODEL_SOURCES, DataError)
+        at_least("n_instances", self.n_instances, 1, DataError)
+        at_least("base_seed", self.base_seed, 0)
         # the model's bound first: at the default dim it is the larger per entity
         layers, bases = ((RELIANT_LAYERS, RELIANT_BASES) if self.model_source == "reliant"
                          else (self.model.layers, self.model.bases))

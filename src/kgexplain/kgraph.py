@@ -17,7 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from . import kernels
-from .errors import ContractError, DataError, NumericError
+from .errors import ContractError, DataError, NumericError, at_least
 
 log = logging.getLogger(__name__)
 
@@ -444,8 +444,7 @@ def check_ego_settings(hops=1, k_core=0, max_nodes=None,
     hops >= 1, k_core >= 0, and max_nodes >= 2 unless None (no cap). `names`
     are the caller's names for the three; the defaults are in bounds."""
     for name, value, low in zip(names, (hops, k_core, max_nodes), (1, 0, 2)):
-        if value is not None and value < low:
-            raise ContractError(f"{name} must be >= {low}, got {value}")
+        at_least(name, value, low)
 
 
 def extract_computation_graph(
@@ -512,8 +511,7 @@ def adjacency_power_row(gc: ComputationGraph, start: int, max_len: int):
     """
     if not 0 <= start < gc.num_nodes:
         raise ContractError("start index out of range")
-    if max_len < 1:
-        raise ContractError("max_len must be >= 1")
+    at_least("max_len", max_len, 1)
     n = gc.num_nodes
     a = np.zeros(n, dtype=np.int64)
     sel = gc.pair_src == start

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import DataError, at_least, one_of
 from .explain import (
     EdgeScoreMatrix,
     ExplainConfig,
@@ -73,12 +73,9 @@ class EvalConfig:
     explain: ExplainConfig = field(default_factory=ExplainConfig)
 
     def validate(self):
-        if self.sample_num < 1:
-            raise ContractError("sample_num must be >= 1")
-        if self.threshold_rule not in THRESHOLD_RULES:
-            raise ContractError(f"threshold_rule must be one of {THRESHOLD_RULES}")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        at_least("sample_num", self.sample_num, 1)
+        one_of("threshold_rule", self.threshold_rule, THRESHOLD_RULES)
+        at_least("seed", self.seed, 0)
         check_ego_settings(self.k_hop, self.k_core, self.max_nodes,
                            names=("k_hop", "k_core", "max_nodes"))
         self.explain.validate()
@@ -121,11 +118,13 @@ def _is_explainable(model, g, target, cfg: EvalConfig):
 
 def _train_one(model, g, cfg: EvalConfig, target):
     """The part of one target's explanation a worker runs: (its ego-graph, its
-    trained explainer, the training's seconds)."""
+    trained explainer's mask, the training's seconds), all that the calling
+    process reads. The mask shares the ego-graph's pair arrays, so a pickled
+    outcome holds each of them once."""
     gc = prepare_computation_graph(g, target, cfg.k_hop, cfg.k_core, cfg.max_nodes)
     t0 = time.perf_counter()
-    result = train_explainer(model, gc, target, cfg.explain)
-    return gc, result, time.perf_counter() - t0
+    mask = train_explainer(model, gc, target, cfg.explain).mask
+    return gc, mask, time.perf_counter() - t0
 
 
 def evaluate_batch(model: KgcModel, g: KnowledgeGraph, candidates, cfg: EvalConfig):
@@ -149,14 +148,14 @@ def evaluate_batch(model: KgcModel, g: KnowledgeGraph, candidates, cfg: EvalConf
     else:
         sampled = explainable
     nodes = min(cfg.max_nodes or g.num_entities, g.num_entities)
-    job_bytes = _walk_bytes(cfg.explain.power_order, nodes, int(cfg.explain.enable_path_loss))
+    job_bytes = _walk_bytes([cfg.explain], nodes)
     rows = []
     with closing(_fork_map(lambda t: _train_one(model, g, cfg, t), sampled, job_bytes)) as trained:
-        for target, (gc, result, train_s) in zip(sampled, trained):
+        for target, (gc, mask, train_s) in zip(sampled, trained):
             t0 = time.perf_counter()
-            explanation = generate_paths(gc, result.mask, target, cfg.explain.num_paths,
+            explanation = generate_paths(gc, mask, target, cfg.explain.num_paths,
                                          cfg.explain.power_order)
-            row = measure_explanation(model, gc, target, result.mask, explanation)
+            row = measure_explanation(model, gc, target, mask, explanation)
             row["epochs"] = cfg.explain.epochs
             row["wall_time_s"] = train_s + time.perf_counter() - t0
             rows.append(row)

@@ -51,7 +51,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import ParamStore, Tape, backward, sgd_step
-from .errors import ContractError, DataError, NumericError
+from .errors import ContractError, DataError, NumericError, at_least, one_of, rate
 from .kgraph import ComputationGraph, KnowledgeGraph, TargetTriple, full_graph, hop_distances
 from .parallel import _physical_memory
 
@@ -72,14 +72,10 @@ class TripleScore:
 
 
 def _check_model_settings(dim, layers, bases, decoder):
-    if decoder not in DECODERS:
-        raise ContractError(f"decoder must be one of {DECODERS}, got {decoder!r}")
-    if dim < 2:
-        raise ContractError("embedding dim must be >= 2")
-    if layers < 1:
-        raise ContractError("layers must be >= 1")
-    if bases < 1:
-        raise ContractError("bases must be >= 1")
+    one_of("decoder", decoder, DECODERS)
+    at_least("embedding dim", dim, 2)
+    at_least("layers", layers, 1)
+    at_least("bases", bases, 1)
 
 
 @dataclass
@@ -95,16 +91,10 @@ class ModelConfig:
 
     def validate(self):
         _check_model_settings(self.dim, self.layers, self.bases, self.decoder)
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
-        if self.negatives < 1:
-            raise ContractError("negatives must be >= 1")
-        if not self.lr > 0:
-            raise ContractError(f"lr must be positive, got {self.lr}")
-        if not np.isfinite(self.lr):
-            raise ContractError(f"lr must be finite, got {self.lr}")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        at_least("epochs", self.epochs, 1)
+        at_least("negatives", self.negatives, 1)
+        rate("lr", self.lr)
+        at_least("seed", self.seed, 0)
 
 
 def param_count(num_entities, num_relations, dim, layers, bases):
@@ -385,16 +375,16 @@ def encode(model: KgcModel, gc: ComputationGraph, mask=None):
 def _decode_rows(decoder, H, R, T):
     """Row-wise decoder scores of (E, d) stacks (a (d,) operand broadcasts),
     and the intermediates the adjoints read. The package's one decoder
-    forward: `KgcLossOp`, `TargetHeadOp` and `rank_target` all call it."""
+    forward: `KgcLossOp`, `TargetHeadOp` and `rank_target` all call it.
+    `decoder` is "transe" or "distmult": every `KgcModel`, built or loaded,
+    has refused any other."""
     if decoder == "transe":
         x = (H + R) - T
         sq = (x * x).sum(axis=1)
         with np.errstate(invalid="ignore"):
             return -np.power(sq, 0.5), (x, sq)
-    if decoder == "distmult":
-        hr = H * R
-        return (hr * T).sum(axis=1), (hr,)
-    raise ContractError(f"unknown decoder {decoder!r}")
+    hr = H * R
+    return (hr * T).sum(axis=1), (hr,)
 
 
 class KgcLossOp:

@@ -151,6 +151,38 @@ def test_explain_disconnected_target_writes_empty_paths(tmp_path, dataset):
     assert payload["paths"] == []
 
 
+def test_explain_with_head_equal_to_tail_writes_empty_paths(tmp_path, dataset,
+                                                            reliant_checkpoint):
+    train, inst = dataset
+    out = tmp_path / "run_self"
+    args = explain_args(train, reliant_checkpoint, out, inst)
+    args[args.index("--tail") + 1] = args[args.index("--head") + 1]
+    assert main(args) == 0
+    assert json.loads((out / "explanation.json").read_text())["paths"] == []
+
+
+def test_explain_takes_the_ids_the_graph_assigns_to_its_names(tmp_path, dataset,
+                                                              reliant_checkpoint):
+    # no planted name is a number, so each id given is read as that id
+    from kgexplain.kgraph import load_triples
+
+    train, inst = dataset
+    g = load_triples(train)
+    args = explain_args(train, reliant_checkpoint, tmp_path / "by_name", inst)
+    assert main(args) == 0
+    for flag, lookup in (("--head", g.entity_id), ("--relation", g.relation_id),
+                         ("--tail", g.entity_id)):
+        i = args.index(flag) + 1
+        assert not args[i].isdigit()
+        args[i] = str(lookup(args[i]))
+    args[args.index("--out_dir") + 1] = str(tmp_path / "by_id")
+    assert main(args) == 0
+    by_name, by_id = (json.loads((tmp_path / run / "explanation.json").read_text())
+                      for run in ("by_name", "by_id"))
+    assert by_name.pop("config") != by_id.pop("config")
+    assert by_name == by_id
+
+
 def test_explain_ablation_flags_run(tmp_path, dataset):
     train, inst = dataset
     _, ckpt = run_train(tmp_path, train)
@@ -242,6 +274,35 @@ def test_evaluate_maps_test_names_exactly_in_test_order(tmp_path, dataset,
     assert seen == [TargetTriple(ent(h), rel(r), ent(t)) for h, r, t in
                     [("mid0_0", "explains", "tail"), ("head", "target", "tail"),
                      ("mid1_0", "explains", "tail")]]
+
+
+def test_evaluate_test_split_without_a_training_name_exits_3(tmp_path, dataset,
+                                                             reliant_checkpoint, caplog):
+    train, _ = dataset
+    test_file = tmp_path / "test.tsv"
+    test_file.write_text("stranger\ttarget\ttail\nhead\tnorel\ttail\n")
+    out = tmp_path / "o"
+    assert main([
+        "evaluate", "--train", str(train), "--test", str(test_file),
+        "--checkpoint", str(reliant_checkpoint / "model.plnk"), "--out_dir", str(out),
+        "--k_hop", "2", "--epochs", "2",
+    ]) == 3
+    assert error_lines(caplog) == ["test split contains no triples over the training vocabulary"]
+    assert not (out / "report.json").exists() and not (out / "per_target.csv").exists()
+
+
+def test_checkpoint_with_an_unknown_decoder_exits_3(tmp_path, dataset, reliant_checkpoint,
+                                                    caplog):
+    train, inst = dataset
+    ckpt = reliant_checkpoint / "model.plnk"
+    data = ckpt.read_bytes()
+    meta_len = int.from_bytes(data[6:10], "little")
+    blob = json.dumps(dict(json.loads(data[10:10 + meta_len]), decoder="complex")).encode()
+    ckpt.write_bytes(data[:6] + len(blob).to_bytes(4, "little") + blob + data[10 + meta_len:])
+    assert main(explain_args(train, reliant_checkpoint, tmp_path / "o", inst)) == 3
+    [line] = error_lines(caplog)
+    assert line == (f"{ckpt}: bad checkpoint model settings (decoder must be one of "
+                    "('transe', 'distmult'), got 'complex')")
 
 
 def test_evaluate_sample_num_zero_usage_error(tmp_path, dataset, caplog):
@@ -359,15 +420,15 @@ def test_suite_with_bad_planted_count_exits_3(tmp_path, caplog, key, value, mess
     ({"k_core": -1}, 2, "usage error: k_core must be >= 0, got -1"),
     ({"hops": 0}, 2, "usage error: hops must be >= 1, got 0"),
     ({"max_nodes": 1}, 2, "usage error: max_nodes must be >= 2, got 1"),
-    ({"explain.epochs": 0}, 2, "usage error: explain section: epochs must be >= 1"),
+    ({"explain.epochs": 0}, 2, "usage error: explain section: epochs must be >= 1, got 0"),
     ({"explain.combine_mode": "sum"}, 2, "usage error: explain section: combine_mode must be "
-                                         "one of ('concatenation', 'euclidean')"),
+                                         "one of ('concatenation', 'euclidean'), got 'sum'"),
     # the path_off mode would run with both losses off
     ({"ablations": True, "explain.enable_mi_loss": False}, 2,
      "usage error: explain section: at least one of path loss / MI loss must be enabled"),
-    ({"model.epochs": 0}, 2, "usage error: model section: epochs must be >= 1"),
+    ({"model.epochs": 0}, 2, "usage error: model section: epochs must be >= 1, got 0"),
     ({"model_source": "reliant", "model.dim": 1}, 2,
-     "usage error: model section: embedding dim must be >= 2"),
+     "usage error: model section: embedding dim must be >= 2, got 1"),
     ({"instance.path_len": 7}, 3, "instance section: path_len must be in {1, 2, 3, 4}"),
 ])
 def test_suite_invalid_settings_refused_before_any_write(tmp_path, caplog, settings, code,

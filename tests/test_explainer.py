@@ -1164,6 +1164,13 @@ def test_generate_paths_validates():
         generate_paths(gc, mask, TargetTriple(0, 0, 1), num_paths=0)
 
 
+def test_generate_paths_refuses_a_mask_of_another_graph():
+    gc, _ = gc_with_mask([(0, 0, 1)], [0.5])
+    _, other = gc_with_mask([(0, 0, 2), (2, 0, 1)], [0.5, 0.5])
+    with pytest.raises(ContractError, match="mask support does not match"):
+        generate_paths(gc, other, TargetTriple(0, 0, 1))
+
+
 def test_target_must_be_the_graphs_head_and_tail():
     # full_graph(g) reads (0, 1) as head and tail; (2, 1, 3) is a pair inside it
     g = kg_from([(0, 0, 1), (1, 1, 2), (2, 1, 3), (3, 0, 1)])

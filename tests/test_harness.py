@@ -95,6 +95,36 @@ def test_generate_gives_up_once_too_few_distractors_can_still_be_placed():
     assert time.perf_counter() - t0 < 2.0
 
 
+def test_generate_gives_up_after_its_attempt_cap(monkeypatch):
+    # of the two distractors of this instance, (tail, noise0, head) can be
+    # placed and (head, noise0, tail) would be a one-hop shortcut; with the
+    # give-up count reporting room, only the cap of 200 attempts per
+    # distractor ends the draws, two entity draws each
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng, self.draws = default_rng(seed), 0
+
+        def integers(self, *args):
+            self.draws += 1
+            return self.rng.integers(*args)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    made = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(CountingRng(seed)) or made[-1])
+    monkeypatch.setattr(hs, "_placeable_distractors", lambda *args: 10**9)
+    cfg = PlantedConfig(n_entities=2, n_relations=3, n_planted_paths=1, path_len=1,
+                        n_distractors=2, n_context_groups=0)
+    with pytest.raises(DataError, match="could not place distractors"):
+        generate_planted(cfg)
+    [rng] = made
+    assert rng.draws == 2 * 200 * cfg.n_distractors
+
+
 def test_generate_on_many_entities_stays_small_and_fast():
     # the give-up check counts in O(entities + edges); an entity x relation x
     # entity table would take 1.6 GB here, for an instance of about 60 edges

@@ -413,8 +413,8 @@ class ParamStore:
         self.grad_flat[...] = 0.0
 
     def __reduce__(self):
-        # pickled as its tensors, so that a copy is one buffer again (a worker
-        # process sends its results this way)
+        # pickled as its tensors, so that a copy is one buffer again, its
+        # tensors views into it, as the in-place updates of `flat` need
         return ParamStore, (self.params,)
 
 

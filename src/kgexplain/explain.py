@@ -157,7 +157,8 @@ class EdgeScoreMatrix:
     """Sparse n x n edge-probability matrix aligned to a computation graph.
 
     `values[p]` scores the distinct pair (pair_src[p], pair_dst[p]);
-    `provenance[p]` is the gc triple row that produced the entry.
+    `provenance[p]` is the gc triple row that produced the entry, kept as
+    int64 (`generate_paths` refuses a row beyond its graph's triples).
     """
 
     pair_src: np.ndarray
@@ -171,6 +172,11 @@ class EdgeScoreMatrix:
             raise ContractError("one value per edge position required")
         if not ((self.values >= 0.0).all() and (self.values <= 1.0).all()):
             raise NumericError("edge scores must lie in [0, 1]")
+        rows = np.asarray(self.provenance)
+        if (rows.shape != self.pair_src.shape
+                or rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0)):
+            raise ContractError("one triple row (an integer >= 0) per edge position required")
+        self.provenance = rows.astype(np.int64, copy=False)
 
     @classmethod
     def from_values(cls, gc: ComputationGraph, values, provenance=None):
@@ -728,34 +734,21 @@ class Explanation:
     loss_trace: list = field(default_factory=list)
 
     def to_json_dict(self, g: KnowledgeGraph | None = None):
-        def ent(i):
-            return g.entity_names[i] if g is not None else str(i)
+        """Each id with its name in `g`, or with the id as text without `g`."""
+        ents, rels = (None, None) if g is None else (g.entity_names, g.relation_names)
 
-        def rel(i):
-            return g.relation_names[i] if g is not None else str(i)
+        def triple(h, r, t, **extra):
+            return {part: {"id": i, "name": str(i) if names is None else names[i]}
+                    for part, i, names in (("head", h, ents), ("relation", r, rels),
+                                           ("tail", t, ents))} | extra
 
+        target = self.target
         return {
-            "target": {
-                "head": {"id": self.target.head, "name": ent(self.target.head)},
-                "relation": {"id": self.target.relation, "name": rel(self.target.relation)},
-                "tail": {"id": self.target.tail, "name": ent(self.target.tail)},
-                "label": self.target.label,
-            },
-            "paths": [
-                {
-                    "triples": [
-                        {
-                            "head": {"id": h, "name": ent(h)},
-                            "relation": {"id": r, "name": rel(r)},
-                            "tail": {"id": t, "name": ent(t)},
-                            "score": s,
-                        }
-                        for (h, r, t), s in zip(p.triples, p.edge_scores)
-                    ],
-                    "mean_score": p.mean_score,
-                }
-                for p in self.paths
-            ],
+            "target": triple(target.head, target.relation, target.tail, label=target.label),
+            "paths": [{"triples": [triple(*triple_ids, score=s)
+                                   for triple_ids, s in zip(p.triples, p.edge_scores)],
+                       "mean_score": p.mean_score}
+                      for p in self.paths],
             "loss_trace": self.loss_trace,
         }
 
@@ -803,7 +796,7 @@ def generate_paths(gc: ComputationGraph, mask: EdgeScoreMatrix, target: TargetTr
     empty path list (unexplainable, not an error).
     """
     at_least("num_paths", num_paths, 1)
-    if len(mask.values) != gc.num_pairs:
+    if len(mask.values) != gc.num_pairs or mask.provenance.max(initial=-1) >= gc.num_edges:
         raise ContractError("mask support does not match the computation graph")
     i, k = gc.target_rows(target)
     paths = []
@@ -819,19 +812,11 @@ def generate_paths(gc: ComputationGraph, mask: EdgeScoreMatrix, target: TargetTr
         alive[chain] = False
         if max_len is not None and len(chain) > max_len:
             continue
-        triples, rows, scores = [], [], []
-        for pid in chain:
-            row = int(mask.provenance[pid])
-            triples.append(
-                (
-                    int(gc.nodes[gc.src[row]]),
-                    int(gc.rel[row]),
-                    int(gc.nodes[gc.dst[row]]),
-                )
-            )
-            rows.append(row)
-            scores.append(float(mask.values[pid]))
-        paths.append(ExplanationPath(triples, rows, scores, float(np.mean(scores))))
+        rows, scores = mask.provenance[chain], mask.values[chain]
+        triples = list(zip(gc.nodes[gc.src[rows]].tolist(), gc.rel[rows].tolist(),
+                           gc.nodes[gc.dst[rows]].tolist()))
+        paths.append(ExplanationPath(triples, rows.tolist(), scores.tolist(),
+                                     float(np.mean(scores))))
     return Explanation(target, paths, mask)
 
 

@@ -35,6 +35,7 @@ from .model import (
     _check_model_settings,
     _refuse_beyond_memory,
     _refuse_model_beyond_memory,
+    encode,
     train_kgc,
 )
 
@@ -116,25 +117,28 @@ def _directed_distances(n, edges, start, reverse=False, max_dist=None):
     return hop_distances(n, src, dst, [start], n if max_dist is None else max_dist)
 
 
+def _closes_route(d_h, d_t, path_len):
+    """Whether an edge a -> b closes a head->tail route of at most `path_len`
+    hops, given a's hops from head `d_h` and b's hops to tail `d_t` (-1:
+    none)."""
+    return (d_h >= 0) & (d_t >= 0) & (d_h + 1 + d_t <= path_len)
+
+
 def _placeable_distractors(triples, is_rel, d_h, d_t, path_len):
     """How many (a, r, b) with `is_rel[r]` a distractor could still be: no
     self-loop, none of the (E, 3) `triples` yet, and no head->tail route of
-    at most `path_len` hops closed (d_h[a] + 1 + d_t[b] <= path_len).
+    at most `path_len` hops closed (`_closes_route`).
     O(n + edges): the shortcut pairs are counted from histograms of the hop
     counts."""
     n = len(d_h)
-
-    def shortcut(dh, dt):
-        return (dh >= 0) & (dt >= 0) & (dh + 1 + dt <= path_len)
-
     hist_h = np.bincount(d_h[d_h >= 0], minlength=path_len)
     # within_t[k]: nodes at most k hops before tail; reversed, it pairs each
     # head distance i with the tail distances of at most path_len - 1 - i
     within_t = np.cumsum(np.bincount(d_t[d_t >= 0], minlength=path_len))
-    pairs = int(hist_h @ within_t[::-1]) - np.count_nonzero(shortcut(d_h, d_t))
+    pairs = int(hist_h @ within_t[::-1]) - np.count_nonzero(_closes_route(d_h, d_t, path_len))
     h, r, t = triples.T
     own = is_rel[r] & (h != t)
-    existing = np.count_nonzero(~shortcut(d_h[h[own]], d_t[t[own]]))
+    existing = np.count_nonzero(~_closes_route(d_h[h[own]], d_t[t[own]], path_len))
     return np.count_nonzero(is_rel) * (n * (n - 1) - pairs) - existing
 
 
@@ -168,56 +172,37 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
     names = {head: "head", tail: "tail"}
 
     def put(h, r, t):
-        if (h, r, t) in seen:
-            return False
-        seen.add((h, r, t))
-        edges.append((h, r, t))
-        return True
+        if (h, r, t) not in seen:
+            seen.add((h, r, t))
+            edges.append((h, r, t))
 
     next_node = 2
 
-    def make_chain(a, b, count, label):
+    def fresh(name):
         nonlocal next_node
-        chain = [a] + list(range(next_node, next_node + count)) + [b]
-        for j, node in enumerate(chain[1:-1]):
-            names[node] = f"{label}_{j}"
-        next_node += count
-        return chain
+        names[next_node] = name
+        next_node += 1
+        return next_node - 1
 
-    planted_paths = []
-    for p in range(cfg.n_planted_paths):
-        chain = make_chain(head, tail, inner, f"mid{p}")
-        path = [(chain[j], EXPLAIN_REL, chain[j + 1]) for j in range(cfg.path_len)]
-        for h, r, t in path:
-            put(h, r, t)
-        planted_paths.append(path)
-    decoy_paths = []
-    for p in range(cfg.n_decoy_paths):
-        chain = make_chain(head, tail, inner, f"decoy{p}")
-        path = []
-        for j in range(cfg.path_len):
-            r = int(rng.choice(decoy_rels))
-            path.append((chain[j], r, chain[j + 1]))
-            put(chain[j], r, chain[j + 1])
-        decoy_paths.append(path)
+    def lay(a, b, label, rel=lambda: EXPLAIN_REL):
+        """Put a chain a -> b through `inner` fresh nodes, `rel()` drawn per edge."""
+        chain = [a, *(fresh(f"{label}_{j}") for j in range(inner)), b]
+        path = [(h, rel(), t) for h, t in zip(chain, chain[1:])]
+        for edge in path:
+            put(*edge)
+        return path
+
+    planted_paths = [lay(head, tail, f"mid{p}") for p in range(cfg.n_planted_paths)]
+    decoy_paths = [lay(head, tail, f"decoy{p}", lambda: int(rng.choice(decoy_rels)))
+                   for p in range(cfg.n_decoy_paths)]
+    # the first two groups reuse the target endpoints so both endpoint roles
+    # are trained even though the explained pair itself may not be
+    shared = ((head, None), (None, tail)) if cfg.n_context_groups >= 2 else ()
     for gidx in range(cfg.n_context_groups):
-        # the first two groups reuse the target endpoints so both endpoint
-        # roles are trained even though the explained pair itself may not be
-        if gidx == 0 and cfg.n_context_groups >= 2:
-            gh, gt = head, next_node
-            names[gt] = f"ctx{gidx}_tail"
-            next_node += 1
-        elif gidx == 1 and cfg.n_context_groups >= 2:
-            gh, gt = next_node, tail
-            names[gh] = f"ctx{gidx}_head"
-            next_node += 1
-        else:
-            gh, gt = next_node, next_node + 1
-            names[gh], names[gt] = f"ctx{gidx}_head", f"ctx{gidx}_tail"
-            next_node += 2
-        chain = make_chain(gh, gt, inner, f"ctx{gidx}")
-        for j in range(cfg.path_len):
-            put(chain[j], EXPLAIN_REL, chain[j + 1])
+        gh, gt = shared[gidx] if gidx < len(shared) else (None, None)
+        gh = fresh(f"ctx{gidx}_head") if gh is None else gh
+        gt = fresh(f"ctx{gidx}_tail") if gt is None else gt
+        lay(gh, gt, f"ctx{gidx}")
         put(gh, TARGET_REL, gt)
 
     distractors = []
@@ -250,7 +235,7 @@ def generate_planted(config: PlantedConfig) -> PlantedInstance:
         r = int(rng.choice(distract_rels))
         if a == b or (a, r, b) in seen:
             continue
-        if d_h[a] >= 0 and d_t[b] >= 0 and d_h[a] + 1 + d_t[b] <= cfg.path_len:
+        if _closes_route(d_h[a], d_t[b], cfg.path_len):
             continue
         put(a, r, b)
         distractors.append((a, r, b))
@@ -314,16 +299,9 @@ def reliant_model(g: KnowledgeGraph, target: TargetTriple, dim: int = 8, seed: i
         coef[:, 1] = 1.0
         coef[EXPLAIN_REL] = (1.0, 0.0)
         p[f"coef_{layer}"][...] = coef
-    keep = ~(
-        (g.heads == target.head) & (g.rels == target.relation) & (g.tails == target.tail)
-    )
-    calib = KnowledgeGraph(
-        g.num_entities, g.num_relations, g.heads[keep], g.rels[keep], g.tails[keep],
-        g.entity_names, g.relation_names,
-    )
-    from .model import encode
-
-    H = encode(model, full_graph(calib, target))
+    gc = full_graph(g, target)
+    row = gc.triple_index_of(gc.head_local, target.relation, gc.tail_local)
+    H = encode(model, gc.without_triples([row]) if row >= 0 else gc)
     mass = H[target.head, 0] * H[target.tail, 0]
     r_target = np.zeros(dim)
     r_target[0] = RELIANT_BASE_RAW / mass
@@ -493,6 +471,14 @@ SUITE_CSV_COLUMNS = (
 )
 
 
+# each mode's aggregate: the mean over instances of its row key
+MODE_AGGREGATES = {
+    "recovery_rate": "top1_match", "precision": "precision", "recall": "recall",
+    "f_plus": "f_plus", "f_minus": "f_minus", "sparsity": "sparsity",
+    **{f"hdr{m}": f"hit{m}" for m in HDR_PATH_COUNTS},
+}
+
+
 def run_suite(suite: SuiteConfig, out_dir=None):
     """Runs every instance, aggregates recovery and metric trends, and (when
     out_dir is given) writes config echo, per-instance JSON, and aggregate
@@ -511,21 +497,10 @@ def run_suite(suite: SuiteConfig, out_dir=None):
         (out / "config.json").write_text(json_text(flat))
     instances = [run_instance(suite, suite.base_seed + i) for i in range(suite.n_instances)]
     modes = suite.modes()
-    agg = {"n_instances": suite.n_instances, "modes": {}}
-    for mode in modes:
-        rows = [r[mode] for r in instances]
-        agg["modes"][mode] = {
-            "recovery_rate": float(np.mean([r["top1_match"] for r in rows])),
-            "precision": float(np.mean([r["precision"] for r in rows])),
-            "recall": float(np.mean([r["recall"] for r in rows])),
-            "f_plus": float(np.mean([r["f_plus"] for r in rows])),
-            "f_minus": float(np.mean([r["f_minus"] for r in rows])),
-            "sparsity": float(np.mean([r["sparsity"] for r in rows])),
-            **{
-                f"hdr{m}": float(np.mean([r[f"hit{m}"] for r in rows]))
-                for m in HDR_PATH_COUNTS
-            },
-        }
+    agg = {"n_instances": suite.n_instances, "modes": {
+        mode: {name: float(np.mean([r[mode][key] for r in instances]))
+               for name, key in MODE_AGGREGATES.items()}
+        for mode in modes}}
     if suite.ablations:
         full_hits = [r["full"]["hit1"] for r in instances]
         for mode in ("path_off", "mi_off"):

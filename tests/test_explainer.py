@@ -1169,6 +1169,30 @@ def test_generate_paths_refuses_a_mask_of_another_graph():
     _, other = gc_with_mask([(0, 0, 2), (2, 0, 1)], [0.5, 0.5])
     with pytest.raises(ContractError, match="mask support does not match"):
         generate_paths(gc, other, TargetTriple(0, 0, 1))
+    # one pair, but its triple row is beyond the graph's one triple
+    beyond = EdgeScoreMatrix.from_values(gc, [0.5], [1])
+    with pytest.raises(ContractError, match="mask support does not match"):
+        generate_paths(gc, beyond, TargetTriple(0, 0, 1))
+
+
+@pytest.mark.parametrize("provenance", [[0], [0, 1, 2], [1, -1], [0.0, 1.0], [[0, 1]]],
+                         ids=["short", "long", "negative", "float", "2-d"])
+def test_mask_refuses_a_provenance_that_is_not_one_triple_row_per_pair(provenance):
+    # a short one once failed inside generate_paths with an IndexError, and a
+    # negative row named the graph's last triple
+    gc, _ = gc_with_mask([(0, 0, 2), (2, 0, 1)], [0.5, 0.5])
+    with pytest.raises(ContractError, match="one triple row"):
+        EdgeScoreMatrix.from_values(gc, [0.5, 0.5], provenance)
+
+
+def test_a_list_provenance_is_kept_as_int64_rows():
+    gc, _ = gc_with_mask([(0, 0, 2), (2, 0, 1), (0, 1, 2)], [0.5, 0.5])
+    mask = EdgeScoreMatrix.from_values(gc, [0.5, 0.5], [1, 2])
+    assert mask.provenance.dtype == np.int64
+    assert mask.provenance.tobytes() == np.array([1, 2]).tobytes()
+    [path] = generate_paths(gc, mask, TargetTriple(0, 0, 1)).paths
+    assert path.triples == [(0, 1, 2), (2, 0, 1)] and path.triple_indices == [1, 2]
+    assert all(type(i) is int for triple in path.triples for i in triple)
 
 
 def test_target_must_be_the_graphs_head_and_tail():

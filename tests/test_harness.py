@@ -23,8 +23,9 @@ from kgexplain.harness import (
     run_suite,
     sign_test_p,
 )
-from kgexplain.model import score_target_masked
 from kgexplain.explain import prepare_computation_graph
+from kgexplain.kgraph import KnowledgeGraph, full_graph
+from kgexplain.model import score_target_masked
 
 
 def test_generate_basic_structure():
@@ -240,6 +241,29 @@ def test_reliant_model_score_tracks_chains():
         assert removed(path) <= base.raw
     for path in inst.decoy_paths:
         assert removed(path) > base.raw
+
+
+@pytest.mark.parametrize("asserted", [True, False], ids=["asserted", "absent"])
+@pytest.mark.parametrize("instance", [
+    PlantedConfig(n_decoy_paths=2),
+    # a planted and a decoy path alone: the graph's last triple (by source)
+    # is the decoy's last, a no-mass triple into the tail
+    PlantedConfig(n_entities=4, n_planted_paths=1, n_decoy_paths=1, n_distractors=0,
+                  n_context_groups=0),
+], ids=["decoys", "bare"])
+def test_reliant_model_scores_its_base_raw_on_the_full_graph_without_the_target(instance,
+                                                                                asserted):
+    # the calibration drops the asserted triple when the graph has it, and
+    # nothing otherwise
+    inst = generate_planted(instance)
+    g, target = inst.graph, inst.target
+    keep = ~((g.heads == target.head) & (g.rels == target.relation) & (g.tails == target.tail))
+    assert np.count_nonzero(~keep) == 1
+    without = KnowledgeGraph(g.num_entities, g.num_relations, g.heads[keep], g.rels[keep],
+                             g.tails[keep])
+    model = reliant_model(g if asserted else without, target, seed=0)
+    raw = score_target_masked(model, full_graph(without, target), None, target).raw
+    assert raw == pytest.approx(hs.RELIANT_BASE_RAW, rel=1e-12, abs=0.0)
 
 
 def test_sign_test_values():

@@ -1,15 +1,26 @@
 """Property tests over random small knowledge graphs: the pruned computation
-graph, the trained mask and its metrics, and the extracted paths."""
+graph, the trained mask and its metrics, and the extracted paths; and over
+drawn planted-instance settings."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgexplain.errors import DataError
 from kgexplain.explain import (
     ExplainConfig,
     generate_paths,
     prepare_computation_graph,
     train_explainer,
+)
+from kgexplain.harness import (
+    EXPLAIN_REL,
+    TARGET_REL,
+    PlantedConfig,
+    _directed_distances,
+    _noise_relations,
+    generate_planted,
 )
 from kgexplain.kgraph import KnowledgeGraph, TargetTriple
 from kgexplain.metrics import measure_explanation
@@ -92,3 +103,63 @@ def test_mask_metrics_in_unit_interval_and_paths_edge_disjoint(case, power_order
         assert all(a[2] == b[0] for a, b in zip(path.triples, path.triples[1:]))
         used += [(gc.src[row], gc.dst[row]) for row in path.triple_indices]
     assert len(used) == len(set(used))
+
+
+@st.composite
+def planted_configs(draw):
+    """PlantedConfigs over 2-30 entities and 2-6 relations, feasible or not."""
+    return PlantedConfig(
+        n_entities=draw(st.integers(2, 30)), n_relations=draw(st.integers(2, 6)),
+        n_planted_paths=draw(st.integers(1, 3)), path_len=draw(st.integers(1, 4)),
+        n_distractors=draw(st.integers(0, 25)), n_decoy_paths=draw(st.integers(0, 2)),
+        n_context_groups=draw(st.integers(0, 4)), seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_configs())
+def test_planted_instance_holds_its_chains_decoys_and_distances(cfg):
+    try:
+        cfg.validate()
+    except DataError:
+        with pytest.raises(DataError):
+            generate_planted(cfg)
+        return
+    try:
+        inst = generate_planted(cfg)
+    except DataError as exc:
+        # settings that validate fail only where the distractors find no room
+        assert cfg.n_distractors > 0 and "could not place distractors" in str(exc)
+        return
+    g, target = inst.graph, inst.target
+    head, tail = target.head, target.tail
+    triples = set(g.triples)
+    assert (head, TARGET_REL, tail) in triples and len(triples) == g.num_triples
+    distract_rels, decoy_rels = _noise_relations(cfg)
+
+    def chain_inner(path, rels):
+        assert len(path) == cfg.path_len and set(path) <= triples
+        assert path[0][0] == head and path[-1][2] == tail
+        assert all(a[2] == b[0] for a, b in zip(path, path[1:]))
+        assert all(r in rels for _, r, _ in path)
+        return [t for _, _, t in path[:-1]]
+
+    assert len(inst.planted_paths) == cfg.n_planted_paths
+    assert len(inst.decoy_paths) == cfg.n_decoy_paths
+    inner = [node for path in inst.planted_paths for node in chain_inner(path, {EXPLAIN_REL})]
+    inner += [node for path in inst.decoy_paths for node in chain_inner(path, decoy_rels)]
+    assert len(set(inner)) == len(inner) and not {head, tail} & set(inner)
+
+    rest = [e for e in g.triples if e != (head, TARGET_REL, tail)]
+    d_h = _directed_distances(cfg.n_entities, rest, head)
+    assert d_h[tail] == cfg.path_len
+    d_t = _directed_distances(cfg.n_entities, rest, tail, reverse=True)
+    assert len(inst.distractor_edges) == cfg.n_distractors
+    for a, r, b in inst.distractor_edges:
+        assert (a, r, b) in triples and a != b and r in distract_rels
+        assert not (d_h[a] >= 0 and d_t[b] >= 0 and d_h[a] + 1 + d_t[b] <= cfg.path_len)
+
+    again = generate_planted(cfg)
+    assert again.graph.triples == g.triples
+    assert again.graph.entity_names == g.entity_names
+    assert (again.planted_paths, again.decoy_paths, again.distractor_edges) == (
+        inst.planted_paths, inst.decoy_paths, inst.distractor_edges)

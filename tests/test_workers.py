@@ -180,7 +180,7 @@ def test_a_job_whose_child_cannot_start_runs_in_this_process(cpus, second_call_f
 
 
 def test_a_param_store_pickles_as_one_buffer():
-    # a worker sends its models and explainers back pickled
+    # a pickled copy is one buffer again, its tensors views into it
     store = ParamStore({"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)})
     copy = pickle.loads(pickle.dumps(store))
     assert copy.flat.tobytes() == store.flat.tobytes()
